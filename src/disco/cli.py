@@ -396,8 +396,10 @@ def build_parser() -> _Parser:
     common.add_argument("--workdir", default=".", help="base directory for relative paths")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", default=None,
-                        help="intra-stage parallelism: integer or 'auto' "
-                             "(env DISCO_THREADS as fallback)")
+                        help="worker processes for random-forest training "
+                             "(forked; serial where fork is unavailable): "
+                             "integer or 'auto' (env DISCO_THREADS as fallback); "
+                             "artifacts are byte-identical for any value")
 
     pred_common = argparse.ArgumentParser(add_help=False)
     pred_common.add_argument("--mode", default="probs",

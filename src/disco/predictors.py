@@ -9,7 +9,6 @@ reproduces in-memory predictions bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -71,6 +70,7 @@ class PredictorModel:
     # forest payload
     trees: list[Tree] = field(default_factory=list)
     forest_config: ForestConfig | None = None
+    forest_walk: ForestWalk | None = field(default=None, repr=False, compare=False)
     # weighted-sum payload
     anchor_weights: np.ndarray | None = None
 
@@ -83,48 +83,68 @@ def _fit_linear(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return w[:-1], float(w[-1])
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, feats: np.ndarray,
+def _best_split(xt: np.ndarray, y: np.ndarray, order: np.ndarray, feats: np.ndarray,
                 min_leaf: int) -> tuple[int, float] | None:
-    """Lowest-SSE threshold over the candidate features; None if no valid cut."""
-    n = y.size
-    xs = x[:, feats]
-    order = np.argsort(xs, axis=0, kind="stable")
-    xs = np.take_along_axis(xs, order, axis=0)
-    ys = y[order]
-    cy = np.cumsum(ys, axis=0)
-    cy2 = np.cumsum(ys * ys, axis=0)
-    tot_y, tot_y2 = cy[-1], cy2[-1]
+    """Lowest-SSE threshold over the candidate features; None if no valid cut.
 
-    counts = np.arange(1, n, dtype=np.float64)
-    left = cy2[:-1] - cy[:-1] ** 2 / counts[:, None]
-    right = (tot_y2 - cy2[:-1]) - (tot_y - cy[:-1]) ** 2 / (n - counts)[:, None]
-    cost = left + right
-    pos_ok = (counts >= min_leaf) & (counts <= n - min_leaf)
-    cut_ok = xs[1:] > xs[:-1]
-    cost[~(pos_ok[:, None] & cut_ok)] = np.inf
+    ``order[j]`` lists the node's rows sorted by feature ``feats[j]`` (ties
+    by row index).  Cuts sit after sorted position i, i in [lo, hi), so both
+    sides keep ``min_leaf`` rows.  The argmin runs over the cost matrix in
+    feature-major order: the lowest cost wins, ties go to the earlier
+    feature, then to the earlier cut.
+    """
+    n = order.shape[1]
+    lo, hi = min_leaf - 1, n - min_leaf
+    xs = xt.ravel().take(order + feats[:, None] * xt.shape[1])
+    ys = y.take(order)
+    cy = np.cumsum(ys, axis=1)
+    cy2 = np.cumsum(np.square(ys, out=ys), axis=1)
+    tot_y, tot_y2 = cy[:, -1:], cy2[:, -1:]
+    cy, cy2 = cy[:, lo:hi], cy2[:, lo:hi]
 
-    best: tuple[float, int, float] | None = None
-    for j in range(feats.size):
-        i = int(cost[:, j].argmin())
-        c = float(cost[i, j])
-        if np.isfinite(c) and (best is None or c < best[0]):
-            best = (c, int(feats[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])))
-    if best is None:
+    # cost = (cy2 - cy**2 / counts) + ((tot_y2 - cy2) - (tot_y - cy)**2 / (n - counts)),
+    # evaluated in place
+    counts = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    left = np.square(cy)
+    left /= counts
+    np.subtract(cy2, left, out=left)
+    right = np.subtract(tot_y, cy)
+    np.square(right, out=right)
+    right /= n - counts
+    cost = np.subtract(tot_y2, cy2)
+    cost -= right
+    cost += left
+    np.putmask(cost, ~(xs[:, lo + 1:hi + 1] > xs[:, lo:hi]), np.inf)
+
+    j, i = divmod(int(cost.argmin()), hi - lo)
+    if not np.isfinite(cost[j, i]):
         return None
-    return best[1], best[2]
+    return int(feats[j]), float(0.5 * (xs[j, lo + i] + xs[j, lo + i + 1]))
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
                rng: np.random.Generator) -> Tree:
-    d = x.shape[1]
+    """Exact CART grown from feature orders presorted once at the root.
+
+    A node's children inherit its per-feature row orders masked by the
+    split (Mehta et al., "SLIQ", 1996), so no node sorts.  Each order then
+    equals a stable argsort of the node's own rows, and node rows stay in
+    ascending index order; splits, leaf means and the preorder sequence of
+    RNG draws are those of sorting every node afresh.
+    """
+    n, d = x.shape
     mtry = d if cfg.feature_frac >= 1.0 else max(1, int(d * cfg.feature_frac))
+    xt = np.ascontiguousarray(x.T)
+    all_feats = np.arange(d)
+    goes_left = np.zeros(n, dtype=bool)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
-    def build(rows: np.ndarray) -> int:
+    def build(rows: np.ndarray, order: np.ndarray) -> int:
+        order = order.reshape(d, rows.size)
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -132,24 +152,29 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         right.append(-1)
         value.append(0.0)
         ys = y[rows]
-        if rows.size < 2 * cfg.min_leaf or np.all(ys == ys[0]):
+        if rows.size < 2 * cfg.min_leaf or (ys == ys[0]).all():
             value[node] = float(ys.mean())
             return node
-        feats = (np.arange(d) if mtry == d
-                 else np.sort(rng.choice(d, size=mtry, replace=False)))
-        split = _best_split(x[rows], ys, feats, cfg.min_leaf)
+        if mtry == d:
+            split = _best_split(xt, y, order, all_feats, cfg.min_leaf)
+        else:
+            feats = np.sort(rng.choice(d, size=mtry, replace=False))
+            split = _best_split(xt, y, order[feats], feats, cfg.min_leaf)
         if split is None:
             value[node] = float(ys.mean())
             return node
         f, t = split
-        mask = x[rows, f] <= t
+        mask = xt[f, rows] <= t
         feature[node] = f
         threshold[node] = t
-        left[node] = build(rows[mask])
-        right[node] = build(rows[~mask])
+        goes_left[rows] = mask
+        to_left = goes_left.take(order).ravel()
+        flat = order.ravel()
+        left[node] = build(rows[mask], flat.compress(to_left))
+        right[node] = build(rows[~mask], flat.compress(~to_left))
         return node
 
-    build(np.arange(x.shape[0]))
+    build(np.arange(n), np.argsort(xt, axis=1, kind="stable"))
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold),
@@ -168,12 +193,80 @@ def _fit_one_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     return _grow_tree(x, y, cfg, rng)
 
 
-def tree_predict(tree: Tree, z: np.ndarray) -> float:
-    node = 0
-    while tree.feature[node] >= 0:
-        node = tree.left[node] if z[tree.feature[node]] <= tree.threshold[node] \
-            else tree.right[node]
-    return float(tree.value[node])
+def _fit_tree_range(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
+                    start: int, stop: int) -> list[Tree]:
+    return [_fit_one_tree(x, y, cfg, seed, t) for t in range(start, stop)]
+
+
+def _fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
+                threads: int) -> list[Tree]:
+    """All trees, fitted on ``min(threads, n_trees)`` forked worker processes.
+
+    Each worker fits a contiguous range of tree indices; results are joined
+    in index order.  Forked workers start with numpy and this module already
+    imported, where spawned ones would import them again; where fork is
+    unavailable the fit is serial.  The multiprocessing modules are imported
+    only here, so commands without a forest never load them.
+    """
+    workers = min(threads, cfg.n_trees)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        return _fit_tree_range(x, y, cfg, seed, 0, cfg.n_trees)
+
+    from concurrent.futures import ProcessPoolExecutor
+    bounds = [cfg.n_trees * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_fit_tree_range, x, y, cfg, seed, a, b)
+                   for a, b in zip(bounds[:-1], bounds[1:])]
+        return [tree for fut in futures for tree in fut.result()]
+
+
+@dataclass
+class ForestWalk:
+    """Every tree's nodes in one table, for walking all trees at once.
+
+    Child pointers are global row numbers.  A leaf points to itself on both
+    sides and reads feature 0, so a walk is done when no pointer moves.
+    """
+
+    roots: np.ndarray       # (trees,) intp
+    feature: np.ndarray     # (nodes,) intp
+    threshold: np.ndarray   # (nodes,) float64
+    left: np.ndarray        # (nodes,) intp
+    right: np.ndarray       # (nodes,) intp
+    value: np.ndarray       # (nodes,) float64
+    n_features: int         # the walk reads z[0 .. n_features - 1]
+
+    @classmethod
+    def from_trees(cls, trees: list[Tree]) -> ForestWalk:
+        sizes = [t.feature.size for t in trees]
+        roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        base = np.repeat(roots, sizes)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        left = np.concatenate([t.left for t in trees]) + base
+        right = np.concatenate([t.right for t in trees]) + base
+        leaf = np.flatnonzero(feature < 0)
+        feature[leaf] = 0
+        left[leaf] = leaf
+        right[leaf] = leaf
+        return cls(roots=roots, feature=feature,
+                   threshold=np.concatenate([t.threshold for t in trees]),
+                   left=left, right=right,
+                   value=np.concatenate([t.value for t in trees]),
+                   n_features=int(feature.max()) + 1)
+
+    def leaf_values(self, z: np.ndarray) -> np.ndarray:
+        """Each tree's leaf value for feature vector ``z``, in tree order."""
+        nodes = self.roots
+        while True:
+            nxt = np.where(z[self.feature[nodes]] <= self.threshold[nodes],
+                           self.left[nodes], self.right[nodes])
+            if np.array_equal(nxt, nodes):
+                return self.value[nodes]
+            nodes = nxt
 
 
 def train(kind: str, features: np.ndarray, performances: Sequence[float],
@@ -184,7 +277,8 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float],
 
     ``projection``, when given, is bundled so that ``predict`` can consume
     raw signatures.  Forest trees use per-tree RNG streams derived from
-    (seed, tree index), so the result is independent of thread count.
+    (seed, tree index), so the result is independent of ``threads``, the
+    number of worker processes that fit them.
     """
     if kind not in ("knn", "linear", "random_forest"):
         raise InvalidConfig(f"train does not handle kind {kind!r}")
@@ -214,12 +308,8 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float],
         if cfg.n_trees < 1 or cfg.min_leaf < 1:
             raise InvalidConfig("forest needs n_trees >= 1 and min_leaf >= 1")
         model.forest_config = cfg
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                model.trees = list(pool.map(
-                    lambda t: _fit_one_tree(x, y, cfg, seed, t), range(cfg.n_trees)))
-        else:
-            model.trees = [_fit_one_tree(x, y, cfg, seed, t) for t in range(cfg.n_trees)]
+        model.trees = _fit_forest(x, y, cfg, seed, threads)
+        model.forest_walk = ForestWalk.from_trees(model.trees)
     return model
 
 
@@ -251,10 +341,15 @@ def predict(model: PredictorModel, signature: np.ndarray) -> float:
                 f"feature length {z.size} != weights {model.linear_weights.size}")
         value = float(z @ model.linear_weights + model.linear_intercept)
     elif model.kind == "random_forest":
-        if not model.trees:
+        walk = model.forest_walk
+        if walk is None:
             raise EmptyModel("forest payload missing")
         z = _features_for(model, signature)
-        value = float(np.mean([tree_predict(t, z) for t in model.trees]))
+        if z.size < walk.n_features:
+            raise DimensionMismatch(
+                f"feature length {z.size} but the forest splits on feature "
+                f"{walk.n_features - 1}")
+        value = float(np.mean(walk.leaf_values(z)))
     else:
         raise InvalidConfig(f"predict does not handle kind {model.kind!r}")
     return float(np.clip(value, 0.0, 1.0))
@@ -290,7 +385,45 @@ def _forest_table(trees: list[Tree]) -> tuple[np.ndarray, list[int]]:
     return np.vstack(rows), offsets
 
 
-def _forest_from_table(table: np.ndarray, offsets: list[int]) -> list[Tree]:
+def _forest_from_table(table: np.ndarray, offsets: object, n_features: int | None,
+                       where: str) -> list[Tree]:
+    """Trees from a bundle's node table, rejecting any table a fit cannot give.
+
+    Child pointers must point forward within their own tree, so every walk
+    ends at a leaf; anything else raises SchemaError.
+    """
+    def bad(why: str) -> SchemaError:
+        return SchemaError(f"{where}: corrupt forest node table: {why}")
+
+    if table.ndim != 2 or table.shape[1] != 6:
+        raise bad(f"expected 6 columns, got shape {table.shape}")
+    if (not isinstance(offsets, list) or len(offsets) < 2
+            or not all(type(o) is int for o in offsets)):
+        raise bad("tree_offsets must list at least two integers")
+    off = np.asarray(offsets)
+    if off[0] != 0 or off[-1] != table.shape[0] or (np.diff(off) <= 0).any():
+        raise bad("tree_offsets must increase strictly from 0 to the node count")
+    if not np.isfinite(table).all():
+        raise bad("non-finite entry")
+    ids, feat, lft, rgt = table[:, 0], table[:, 1], table[:, 3], table[:, 4]
+    if (table[:, [0, 1, 3, 4]] % 1 != 0).any():
+        raise bad("non-integer node id, feature or child")
+    sizes = np.diff(off)
+    node = np.arange(table.shape[0]) - np.repeat(off[:-1], sizes)
+    if (ids != node).any():
+        raise bad("node ids must count 0..n-1 within each tree")
+    size = np.repeat(sizes, sizes)
+    leaf = feat == -1
+    if ((lft[leaf] != -1) | (rgt[leaf] != -1)).any():
+        raise bad("a leaf (feature -1) has a child")
+    limit = np.iinfo(np.int32).max if n_features is None else n_features
+    inner = ~leaf
+    if ((feat[inner] < 0) | (feat[inner] >= limit)).any():
+        raise bad(f"split feature outside [0, {limit})")
+    for child in (lft[inner], rgt[inner]):
+        if ((child <= node[inner]) | (child >= size[inner])).any():
+            raise bad("a child pointer does not point forward within its tree")
+
     trees = []
     for a, b in zip(offsets[:-1], offsets[1:]):
         block = table[a:b]
@@ -351,8 +484,16 @@ def load_predictor(path: str | Path) -> PredictorModel:
         model.linear_weights = arrays["linear_weights"].ravel()
         model.linear_intercept = float(arrays["linear_intercept"][0, 0])
     elif kind == "random_forest":
-        model.forest_config = ForestConfig(**header["config"])
-        model.trees = _forest_from_table(arrays["forest_nodes"], header["tree_offsets"])
+        try:
+            model.forest_config = ForestConfig(**header.get("config"))
+        except TypeError as e:
+            raise SchemaError(f"{path}: bad forest config: {e}") from e
+        if "forest_nodes" not in arrays:
+            raise SchemaError(f"{path}: forest bundle has no forest_nodes block")
+        model.trees = _forest_from_table(
+            arrays["forest_nodes"], header.get("tree_offsets"),
+            model.projection.d if model.projection is not None else None, str(path))
+        model.forest_walk = ForestWalk.from_trees(model.trees)
     else:
         model.anchor_weights = arrays["ws_weights"].ravel()
     return model

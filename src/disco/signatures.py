@@ -83,7 +83,8 @@ class PcaProjection:
 
 
 def default_pca_dim(n_models: int, dim: int) -> int:
-    return min(DEFAULT_PCA_CAP, n_models, dim)
+    """Components kept by default: a centred M-row matrix has rank <= M - 1."""
+    return min(DEFAULT_PCA_CAP, n_models - 1, dim)
 
 
 def pca_fit(signatures: np.ndarray, d: int) -> PcaProjection:

@@ -200,6 +200,33 @@ class TestPipelineCommands:
                        "--out", tmp_path / "s.json")
         assert code == 2
 
+    def test_forest_bundle_with_cycle_exits_1(self, artifacts, tmp_path):
+        # the root's children point back at the root: walking it never ends
+        import os
+        import subprocess
+        import sys
+
+        import disco
+        from disco.dten import read_bundle, write_bundle
+        work, manifest = artifacts
+        model = tmp_path / "forest.bin"
+        assert run_cli("fit", "--manifest", manifest, "--subset", work / "subset.json",
+                       "--predictor", "random_forest", "--trees", 3, "--cutoff", "median",
+                       "--out", model) == 0
+        header, arrays = read_bundle(model)
+        assert arrays["forest_nodes"][0, 1] >= 0
+        arrays["forest_nodes"][0, 3:5] = 0
+        write_bundle(model, header, arrays)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "disco.cli", "predict", "--manifest", str(manifest),
+             "--model", str(model), "--subset", str(work / "subset.json"),
+             "--cutoff", "median", "--out", str(tmp_path / "p.json")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert "SchemaError" in proc.stderr
+
 
 class TestSweepCommand:
     def test_row_cardinality(self, synth_dir, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disco.errors import (
     DimensionMismatch,
@@ -13,12 +14,12 @@ from disco.errors import (
 from disco.predictors import (
     ForestConfig,
     PredictorModel,
+    Tree,
     load_predictor,
     predict,
     predict_weighted_sum,
     save_predictor,
     train,
-    tree_predict,
 )
 from disco.selection import AnchorSubset, build_embeddings, select_kmedoids
 from disco.signatures import pca_fit
@@ -161,6 +162,131 @@ class TestForest:
                     assert 0 < t.left[node] < n and 0 < t.right[node] < n
 
 
+# --- reference forest --------------------------------------------------------
+# A direct CART builder: every node argsorts its own rows and loops over the
+# features.  The presorted builder in disco.predictors must reproduce its
+# trees exactly, node table column by column.
+
+def _ref_best_split(x: np.ndarray, y: np.ndarray, feats: np.ndarray,
+                    min_leaf: int) -> tuple[int, float] | None:
+    """Lowest-SSE threshold over the candidate features; None if no valid cut."""
+    n = y.size
+    xs = x[:, feats]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=0)
+    ys = y[order]
+    cy = np.cumsum(ys, axis=0)
+    cy2 = np.cumsum(ys * ys, axis=0)
+    tot_y, tot_y2 = cy[-1], cy2[-1]
+
+    counts = np.arange(1, n, dtype=np.float64)
+    left = cy2[:-1] - cy[:-1] ** 2 / counts[:, None]
+    right = (tot_y2 - cy2[:-1]) - (tot_y - cy[:-1]) ** 2 / (n - counts)[:, None]
+    cost = left + right
+    pos_ok = (counts >= min_leaf) & (counts <= n - min_leaf)
+    cut_ok = xs[1:] > xs[:-1]
+    cost[~(pos_ok[:, None] & cut_ok)] = np.inf
+
+    best: tuple[float, int, float] | None = None
+    for j in range(feats.size):
+        i = int(cost[:, j].argmin())
+        c = float(cost[i, j])
+        if np.isfinite(c) and (best is None or c < best[0]):
+            best = (c, int(feats[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _ref_grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
+                   rng: np.random.Generator) -> Tree:
+    d = x.shape[1]
+    mtry = d if cfg.feature_frac >= 1.0 else max(1, int(d * cfg.feature_frac))
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def build(rows: np.ndarray) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        ys = y[rows]
+        if rows.size < 2 * cfg.min_leaf or np.all(ys == ys[0]):
+            value[node] = float(ys.mean())
+            return node
+        feats = (np.arange(d) if mtry == d
+                 else np.sort(rng.choice(d, size=mtry, replace=False)))
+        split = _ref_best_split(x[rows], ys, feats, cfg.min_leaf)
+        if split is None:
+            value[node] = float(ys.mean())
+            return node
+        f, t = split
+        mask = x[rows, f] <= t
+        feature[node] = f
+        threshold[node] = t
+        left[node] = build(rows[mask])
+        right[node] = build(rows[~mask])
+        return node
+
+    build(np.arange(x.shape[0]))
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value),
+    )
+
+
+def _ref_fit_one_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
+                      seed: int, index: int) -> Tree:
+    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    if cfg.bootstrap:
+        rows = rng.integers(0, x.shape[0], size=x.shape[0])
+        return _ref_grow_tree(x[rows], y[rows], cfg, rng)
+    return _ref_grow_tree(x, y, cfg, rng)
+
+
+_TIE_VALUES = st.sampled_from([0.0, 0.25, 1.0, -3.0])
+
+
+@st.composite
+def _forest_case(draw):
+    n = draw(st.integers(2, 20))
+    d = draw(st.integers(1, 6))
+    cell = _TIE_VALUES | st.floats(-5, 5, allow_nan=False, width=32)
+    x = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):             # a constant column
+        x[:, draw(st.integers(0, d - 1))] = 0.5
+    for _ in range(draw(st.integers(0, n // 2))):   # duplicated rows
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x[b], y[b] = x[a], y[a]
+    cfg = ForestConfig(n_trees=7, min_leaf=draw(st.integers(1, 3)),
+                       feature_frac=draw(st.sampled_from([1.0, 1 / 3])),
+                       bootstrap=draw(st.booleans()))
+    return x, y, cfg, draw(st.integers(0, 2**31)), draw(st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forest_case())
+def test_forest_equals_reference_builder(case):
+    x, y, cfg, seed, threads = case
+    model = train("random_forest", x, y, cfg, seed=seed, threads=threads)
+    assert len(model.trees) == cfg.n_trees
+    for t, got in enumerate(model.trees):
+        want = _ref_fit_one_tree(x, y, cfg, seed, t)
+        for col in ("feature", "threshold", "left", "right", "value"):
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (t, col)
+
+
 class TestTrainValidation:
     def test_too_few_models(self):
         with pytest.raises(TooFewModels):
@@ -255,6 +381,45 @@ class TestSerialization:
         save_predictor(loaded, tmp_path / "again.dpak", provenance={"seed": 9})
         assert (tmp_path / "again.dpak").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("corrupt", [
+        "node_id", "offsets_flat", "offsets_short", "child_backward",
+        "child_past_tree", "leaf_child", "feature_range", "feature_fraction", "nan",
+    ])
+    def test_corrupt_forest_table_rejected(self, tmp_path, rng, corrupt):
+        from disco.dten import read_bundle, write_bundle
+        from disco.errors import SchemaError
+        proj = pca_fit(rng.standard_normal((16, 8)), 4)
+        x = rng.standard_normal((16, 4))
+        model = train("random_forest", x, rng.random(16), ForestConfig(n_trees=3),
+                      projection=proj)
+        path = tmp_path / "model.dpak"
+        save_predictor(model, path)
+        header, arrays = read_bundle(path)
+        table, offsets = arrays["forest_nodes"], header["tree_offsets"]
+        inner = int(np.flatnonzero(table[:, 1] >= 0)[-1])
+        leaf = int(np.flatnonzero(table[:, 1] == -1)[0])
+        if corrupt == "node_id":
+            table[offsets[1], 0] = 1
+        elif corrupt == "offsets_flat":
+            header["tree_offsets"] = [0, 0] + offsets[1:]
+        elif corrupt == "offsets_short":
+            header["tree_offsets"] = offsets[:-1]
+        elif corrupt == "child_backward":
+            table[inner, 4] = table[inner, 0]
+        elif corrupt == "child_past_tree":
+            table[inner, 3] = 10_000
+        elif corrupt == "leaf_child":
+            table[leaf, 3] = table[leaf, 0] + 1
+        elif corrupt == "feature_range":
+            table[inner, 1] = proj.d
+        elif corrupt == "feature_fraction":
+            table[inner, 1] = 0.5
+        else:
+            table[inner, 2] = np.nan
+        write_bundle(path, header, arrays)
+        with pytest.raises(SchemaError):
+            load_predictor(path)
+
     def test_weighted_sum_round_trip(self, tmp_path):
         model = PredictorModel(kind="weighted_sum",
                                anchor_weights=np.array([0.25, 0.75]))
@@ -264,13 +429,20 @@ class TestSerialization:
         assert np.array_equal(loaded.anchor_weights, model.anchor_weights)
 
 
-class TestTreePredictHelper:
-    def test_single_leaf(self):
-        from disco.predictors import Tree
+class TestForestWalk:
+    def test_single_leaf(self, tmp_path):
         t = Tree(feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
                  left=np.array([-1], dtype=np.int32),
                  right=np.array([-1], dtype=np.int32), value=np.array([0.42]))
-        assert tree_predict(t, np.zeros(3)) == 0.42
+        save_predictor(PredictorModel(kind="random_forest", trees=[t]),
+                       tmp_path / "leaf.dpak")
+        assert predict(load_predictor(tmp_path / "leaf.dpak"), np.zeros(3)) == 0.42
+
+    def test_short_feature_vector(self, rng):
+        x = rng.standard_normal((12, 4))
+        model = train("random_forest", x, rng.random(12), ForestConfig(n_trees=3))
+        with pytest.raises(DimensionMismatch):
+            predict(model, np.zeros(max(t.feature.max() for t in model.trees)))
 
 
 def test_predict_dimension_mismatch(rng):

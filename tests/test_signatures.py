@@ -138,7 +138,7 @@ class TestPcaFit:
             pca_fit(rng.standard_normal((4, 5)), 5)
 
     def test_default_dim(self):
-        assert default_pca_dim(100, 200) == 100
+        assert default_pca_dim(100, 200) == 99
         assert default_pca_dim(400, 300) == 256
         assert default_pca_dim(50, 20) == 20
 

@@ -25,6 +25,7 @@ from .errors import (
     DiscoError,
     InvalidConfig,
     MissingWeights,
+    SchemaError,
     StaleArtifact,
     TooFewModels,
 )
@@ -62,7 +63,13 @@ from .selection import (
     subset_provenance,
 )
 from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
-from .store import BenchmarkManifest, correctness, load_manifest, load_tensor
+from .store import (
+    BenchmarkManifest,
+    correctness,
+    load_manifest,
+    load_tensor,
+    read_json_object,
+)
 from .synth import SynthConfig, generate_population, save_population
 
 EXIT_USAGE = 64
@@ -90,7 +97,10 @@ def _provenance(seed: int, **inputs: Path) -> dict:
 def _check_fresh(recorded: dict | None, name: str, path: Path) -> None:
     if recorded is None:
         return
-    have = recorded.get("inputs", {}).get(name)
+    inputs = recorded.get("inputs", {}) if isinstance(recorded, dict) else None
+    if not isinstance(inputs, dict):
+        raise SchemaError(f"malformed provenance stanza: cannot check {name} against {path}")
+    have = inputs.get(name)
     if have is not None and have != _sha256(path):
         raise StaleArtifact(f"{name} hash recorded in upstream artifact does not "
                             f"match {path}; regenerate the artifact")
@@ -182,7 +192,8 @@ def cmd_select(args) -> int:
         scores_path = _workpath(args, args.scores)
         prov_path = Path(str(scores_path) + ".prov.json")
         if prov_path.is_file():
-            _check_fresh(json.loads(prov_path.read_text()), "manifest", manifest_path)
+            _check_fresh(read_json_object(prov_path, "score provenance"),
+                         "manifest", manifest_path)
         table = read_scores_csv(scores_path)
         inputs["scores"] = scores_path
         if method == "stratified_topk":

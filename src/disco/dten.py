@@ -27,6 +27,7 @@ A bundle file stores a JSON header followed by consecutive DTEN blocks:
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -76,14 +77,20 @@ def _parse_dten(buf: bytes, offset: int, name: str) -> tuple[np.ndarray, int]:
     if len(buf) - start < nbytes:
         raise MagicMismatch(f"{name}: payload shorter than dims {d0}x{d1}")
     values = np.frombuffer(buf, dtype=dt, count=d0 * d1, offset=start).reshape(d0, d1)
-    return values.copy(), start + nbytes
+    return values, start + nbytes
 
 
 def read_dten(path: str | Path) -> np.ndarray:
+    """Read one DTEN file into a writable array that nothing else holds."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such tensor file: {path}")
-    values, end = _parse_dten(path.read_bytes(), 0, str(path))
+    with path.open("rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
+    values, end = _parse_dten(buf, 0, str(path))  # a view of buf, not a copy
+    if end != len(buf):
+        raise MagicMismatch(f"{path}: {len(buf) - end} trailing bytes after the payload")
     return values
 
 
@@ -116,8 +123,14 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(buf[12:12 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MagicMismatch(f"{path}: corrupt bundle header: {e}") from e
+    blocks = header.get("blocks", []) if isinstance(header, dict) else None
+    if not isinstance(blocks, list):
+        raise MagicMismatch(f"{path}: bundle header is not an object with a list of block names")
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + hlen
-    for name in header.get("blocks", []):
-        arrays[name], offset = _parse_dten(buf, offset, f"{path}[{name}]")
+    for name in blocks:
+        values, offset = _parse_dten(buf, offset, f"{path}[{name}]")
+        arrays[name] = values.copy()
+    if offset != len(buf):
+        raise MagicMismatch(f"{path}: {len(buf) - offset} trailing bytes after the last block")
     return header, arrays

@@ -32,7 +32,7 @@ from .predictors import (
     predict_weighted_sum,
     train,
 )
-from .scoring import score_dataset
+from .scoring import ScoreTable, score_dataset
 from .selection import (
     AnchorSubset,
     build_embeddings,
@@ -195,19 +195,23 @@ class EvalReport:
         return f"{self.selection}+{self.predictor}"
 
 
+_SCORED_METHODS = ("topk_pds", "topk_jsd", "stratified_topk")
+
+
 def _select_anchors(manifest: BenchmarkManifest,
                     source_tensors: Mapping[str, PredictionTensor],
-                    cfg: SelectionConfig, k: int, seed: int) -> AnchorSubset:
+                    cfg: SelectionConfig, k: int, seed: int,
+                    scores: ScoreTable | None) -> AnchorSubset:
     method = cfg.method
+    if method in _SCORED_METHODS and scores is None:
+        scores = score_dataset(manifest, source_tensors)
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
     if method in ("topk_pds", "topk_jsd"):
-        table = score_dataset(manifest, source_tensors)
         criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
-        return select_topk(table, k, criterion, seed=seed)
+        return select_topk(scores, k, criterion, seed=seed)
     if method == "stratified_topk":
-        table = score_dataset(manifest, source_tensors)
-        return select_stratified_topk(table, manifest.task_tags, k,
+        return select_stratified_topk(scores, manifest.task_tags, k,
                                       cfg.criterion or "pds_env", seed=seed)
     if method in ("kmedoids_conf", "kmedoids_corr"):
         kind = "conf" if method == "kmedoids_conf" else "corr"
@@ -229,13 +233,18 @@ def condense_and_train(
     k: int,
     seed: int,
     threads: int = 1,
+    *,
+    scores: ScoreTable | None = None,
 ) -> tuple[AnchorSubset, PredictorModel | None]:
     """Anchor selection plus predictor training from source models only.
 
     Returns (subset, model); the model is None for the accuracy-readout
-    predictors (direct, weighted_sum), which need no training.
+    predictors (direct, weighted_sum), which need no training.  ``scores``
+    is the source models' score table when the caller already has it
+    (``sweep_budgets`` scores once per sweep); it is computed when needed
+    otherwise.
     """
-    subset = _select_anchors(manifest, source_tensors, selection, k, seed)
+    subset = _select_anchors(manifest, source_tensors, selection, k, seed, scores)
     if predictor.kind in ("direct", "weighted_sum"):
         return subset, None
     if predictor.kind not in PREDICTOR_KINDS:
@@ -282,8 +291,13 @@ def run_pipeline(
     k: int,
     seed: int,
     threads: int = 1,
+    *,
+    scores: ScoreTable | None = None,
 ) -> EvalReport:
-    """Condense with the source models, then evaluate on the target models."""
+    """Condense with the source models, then evaluate on the target models.
+
+    ``scores``: the source models' score table, as for ``condense_and_train``.
+    """
     accuracies: dict[str, float] = {}
     for mid in split.source_ids + split.target_ids:
         acc = manifest.model(mid).true_accuracy
@@ -294,7 +308,7 @@ def run_pipeline(
     source_tensors = {mid: tensors[mid] for mid in split.source_ids}
     subset, model = condense_and_train(
         manifest, source_tensors, accuracies, selection, predictor, k, seed,
-        threads=threads)
+        threads=threads, scores=scores)
 
     pairs: list[tuple[str, float, float]] = []
     for tid in split.target_ids:
@@ -329,15 +343,24 @@ def sweep_budgets(
     seeds: list[int],
     threads: int = 1,
 ) -> list[EvalReport]:
-    """One report per (config, budget, seed), in that loop order."""
+    """One report per (config, budget, seed), in that loop order.
+
+    Scores depend on neither K nor seed, so the source models are scored at
+    most once per sweep.
+    """
     if list(budgets) != sorted(budgets):
         raise InvalidConfig("budgets must be sorted ascending")
+    scores = None
     reports = []
     for sel_cfg, pred_cfg in configs:
+        if scores is None and sel_cfg.method in _SCORED_METHODS:
+            scores = score_dataset(manifest,
+                                   {mid: tensors[mid] for mid in split.source_ids})
         for k in budgets:
             for seed in seeds:
                 reports.append(run_pipeline(manifest, tensors, split, sel_cfg,
-                                            pred_cfg, k, seed, threads=threads))
+                                            pred_cfg, k, seed, threads=threads,
+                                            scores=scores))
     return reports
 
 

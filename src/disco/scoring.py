@@ -36,6 +36,10 @@ from .store import BenchmarkManifest, PredictionTensor
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
 
+# Samples scored together: the float64 working set is M x 256 x C for M
+# models and C classes, however many samples the benchmark has.
+_BLOCK_ROWS = 256
+
 CSV_HEADER = "sample_index,pds_env,pds_eq1,jsd_bits,mixture_entropy_bits,mean_entropy_bits"
 
 
@@ -229,14 +233,26 @@ def score_dataset(
             raise ShapeMismatch(
                 f"tensor {t.model_id!r} has shape {t.values.shape}, expected {expected}")
 
-    v = np.stack([t.values for t in pool]).astype(np.float64)  # (M, N, C)
-    v /= v.sum(axis=2, keepdims=True)
-    m, n, c = v.shape
+    m = len(pool)
+    n, c = expected
     cap = float(min(m, c))
-
-    env = np.clip(v.max(axis=0).sum(axis=1), 1.0, cap)
-    mean_ent = entropy_bits(v, axis=2).mean(axis=0)
-    mix_ent = entropy_bits(v.mean(axis=0), axis=1)
+    env = np.empty(n)
+    mean_ent = np.empty(n)
+    mix_ent = np.empty(n)
+    # Every score reduces over models and classes only, so scoring a block
+    # of samples gives the same floats as scoring all of them at once.  Not
+    # so for a 1-sample block: numpy sums its (M, 1) column over models in
+    # another order, so a 1-sample tail joins the block before it.
+    bounds = list(range(0, n, _BLOCK_ROWS)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        v = np.stack([t.values[lo:hi] for t in pool], dtype=np.float64)  # (M, b, C)
+        v /= v.sum(axis=2, keepdims=True)
+        env[lo:hi] = v.max(axis=0).sum(axis=1)
+        mean_ent[lo:hi] = entropy_bits(v, axis=2).mean(axis=0)
+        mix_ent[lo:hi] = entropy_bits(v.mean(axis=0), axis=1)
+    env = np.clip(env, 1.0, cap)
     jsd_vals = np.clip(mix_ent - mean_ent, 0.0, math.log2(cap))
 
     return ScoreTable(

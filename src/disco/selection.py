@@ -18,12 +18,11 @@ from .errors import (
     BudgetExceedsDataset,
     InsufficientModels,
     InvariantViolation,
-    MissingFile,
     SchemaError,
     ShapeMismatch,
 )
 from .scoring import ScoreTable
-from .store import BenchmarkManifest, PredictionTensor, correctness
+from .store import BenchmarkManifest, PredictionTensor, correctness, read_json_object
 
 METHODS = (
     "random",
@@ -353,14 +352,9 @@ def save_subset(subset: AnchorSubset, path: str | Path,
 
 def load_subset(path: str | Path) -> AnchorSubset:
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no such subset file: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: not valid JSON: {e}") from e
+    obj = read_json_object(path, "subset file")
     required = {"method", "seed", "indices", "weights", "criterion", "k"}
-    if not isinstance(obj, dict) or not required <= set(obj):
+    if not required <= set(obj):
         raise SchemaError(f"{path}: missing subset keys")
     if set(obj) - required - {"provenance"}:
         raise SchemaError(f"{path}: unexpected subset keys")
@@ -379,5 +373,4 @@ def load_subset(path: str | Path) -> AnchorSubset:
 
 def subset_provenance(path: str | Path) -> dict | None:
     """Provenance stanza recorded alongside a serialized subset, if any."""
-    obj = json.loads(Path(path).read_text())
-    return obj.get("provenance")
+    return read_json_object(path, "subset file").get("provenance")

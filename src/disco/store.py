@@ -107,44 +107,69 @@ class PredictionTensor:
         """Validate raw probabilities and renormalize rows.
 
         Entries must lie in [0,1] and each row must sum to 1 within
-        ROW_SUM_TOLERANCE.  Rows are then renormalized to a float32 fixed
-        point so that reserializing is byte-stable.
+        ROW_SUM_TOLERANCE.  Rows are then renormalized toward a float32 fixed
+        point (see ``_renormalize_rows``).  The result depends only on the
+        input bits, so a given file always loads to the same values.  The
+        caller's array is never modified.
         """
-        arr = np.ascontiguousarray(values, dtype=np.float32)
+        return cls._adopt(model_id, np.array(values, dtype=np.float32, order="C"))
+
+    @classmethod
+    def _adopt(cls, model_id: str, arr: np.ndarray) -> "PredictionTensor":
+        """``from_values`` for a float32 C-contiguous array that nothing else
+        holds: its rows are renormalized in place."""
         if arr.ndim != 2:
             raise ShapeMismatch(f"tensor for {model_id!r} must be 2-D, got ndim={arr.ndim}")
-        if not np.isfinite(arr).all():
-            raise InvariantViolation(f"tensor for {model_id!r} contains non-finite entries")
-        if (arr < 0).any() or (arr > 1).any():
-            i, c = np.argwhere((arr < 0) | (arr > 1))[0]
-            raise InvariantViolation(
-                f"tensor for {model_id!r} has entry outside [0,1] at ({i},{c}): {arr[i, c]}")
-        sums = arr.astype(np.float64).sum(axis=1)
+        if arr.size:
+            low, high = arr.min(), arr.max()  # a NaN propagates to both
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise InvariantViolation(f"tensor for {model_id!r} contains non-finite entries")
+            if low < 0 or high > 1:
+                i, c = np.argwhere((arr < 0) | (arr > 1))[0]
+                raise InvariantViolation(
+                    f"tensor for {model_id!r} has entry outside [0,1] at ({i},{c}): {arr[i, c]}")
+        wide = arr.astype(np.float64)
+        sums = wide.sum(axis=1)
         off = np.abs(sums - 1.0)
         if (off > ROW_SUM_TOLERANCE).any():
             i = int(np.argmax(off))
             raise RowSumOutOfTolerance(
                 f"tensor for {model_id!r} row {i} sums to {sums[i]:.6f}, "
                 f"outside 1 +/- {ROW_SUM_TOLERANCE}")
-        return cls(model_id, _renormalize_rows(arr))
+        _renormalize_rows(arr, wide, sums)
+        return cls(model_id, arr)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
 
-def _renormalize_rows(arr: np.ndarray) -> np.ndarray:
-    # Iterate divide-and-round to a float32 fixed point: once the bits stop
-    # changing, every later load reproduces them exactly.
-    for _ in range(8):
-        sums = arr.astype(np.float64).sum(axis=1)
-        if (sums == 1.0).all():
+def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> None:
+    """Divide each row by its float64 sum and round to float32, in place.
+
+    ``wide`` is ``arr.astype(np.float64)``, which this overwrites, and
+    ``sums`` its row sums.  A row stops at a float32 fixed point, once a pass
+    leaves its bits unchanged (as it does when the row sums to exactly 1.0),
+    or after 8 passes.  Rows do not interact, so after the first pass only
+    the rows still moving are recomputed.  At many classes some rows still
+    move after the 8th pass, so saving a loaded tensor and loading it again
+    can change those rows: pipelines only ever read tensors from files.
+    """
+    wide /= sums[:, None]
+    new = wide.astype(np.float32)
+    idx = np.flatnonzero((new != arr).any(axis=1))
+    rows = new[idx]
+    for _ in range(7):
+        if idx.size == 0:
             break
-        new = (arr.astype(np.float64) / sums[:, None]).astype(np.float32)
-        if np.array_equal(new, arr):
-            break
-        arr = new
-    return arr
+        arr[idx] = rows
+        # cast, then sum, as for the first pass's sums: sum(dtype=float64)
+        # may add the entries of a long row in a different order
+        x = rows.astype(np.float64)
+        new = (x / x.sum(axis=1)[:, None]).astype(np.float32)
+        moved = (new != rows).any(axis=1)
+        idx, rows = idx[moved], new[moved]
+    arr[idx] = rows
 
 
 @dataclass
@@ -250,15 +275,27 @@ def _manifest_from_obj(obj: dict, base_dir: Path | None) -> BenchmarkManifest:
     return manifest
 
 
-def load_manifest(path: str | Path) -> BenchmarkManifest:
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON document whose root must be an object.
+
+    A missing file raises MissingFile; bytes that are not JSON, or a root
+    that is not an object, raise SchemaError.
+    """
     path = Path(path)
     if not path.is_file():
-        raise MissingFile(f"no such manifest: {path}")
+        raise MissingFile(f"no such {what}: {path}")
     try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        obj = json.loads(path.read_bytes())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not text
         raise SchemaError(f"{path}: not valid JSON: {e}") from e
-    return _manifest_from_obj(obj, base_dir=path.parent)
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: {what} root must be a JSON object")
+    return obj
+
+
+def load_manifest(path: str | Path) -> BenchmarkManifest:
+    path = Path(path)
+    return _manifest_from_obj(read_json_object(path, "manifest"), base_dir=path.parent)
 
 
 # --- tensor I/O --------------------------------------------------------------
@@ -281,7 +318,7 @@ def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
     expected = (manifest.num_samples, manifest.num_classes)
     if values.shape != expected:
         raise ShapeMismatch(f"{path}: expected dims {expected}, found {values.shape}")
-    return PredictionTensor.from_values(model_id, values)
+    return PredictionTensor._adopt(model_id, values)
 
 
 def load_all_tensors(manifest: BenchmarkManifest) -> dict[str, PredictionTensor]:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import disco
 from disco.cli import main
 from disco.harness import (
     ChronologicalSplit,
@@ -23,6 +27,13 @@ def run_cli(*argv: str) -> int:
         return main([str(a) for a in argv])
     except SystemExit as e:  # argparse usage errors
         return int(e.code)
+
+
+def run_cli_process(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m disco.cli`` in a child process, as a user would."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
+    return subprocess.run([sys.executable, "-m", "disco.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=30)
 
 
 @pytest.fixture(scope="module")
@@ -202,11 +213,6 @@ class TestPipelineCommands:
 
     def test_forest_bundle_with_cycle_exits_1(self, artifacts, tmp_path):
         # the root's children point back at the root: walking it never ends
-        import os
-        import subprocess
-        import sys
-
-        import disco
         from disco.dten import read_bundle, write_bundle
         work, manifest = artifacts
         model = tmp_path / "forest.bin"
@@ -217,15 +223,45 @@ class TestPipelineCommands:
         assert arrays["forest_nodes"][0, 1] >= 0
         arrays["forest_nodes"][0, 3:5] = 0
         write_bundle(model, header, arrays)
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "disco.cli", "predict", "--manifest", str(manifest),
-             "--model", str(model), "--subset", str(work / "subset.json"),
-             "--cutoff", "median", "--out", str(tmp_path / "p.json")],
-            env=env, capture_output=True, text=True, timeout=30)
+        proc = run_cli_process("predict", "--manifest", manifest, "--model", model,
+                               "--subset", work / "subset.json", "--cutoff", "median",
+                               "--out", tmp_path / "p.json")
         assert proc.returncode == 1, proc.stderr
         assert "SchemaError" in proc.stderr
+
+
+class TestUnreadableJsonInputs:
+    """A missing or corrupt JSON input ends with its exit code, not a traceback."""
+
+    @pytest.mark.parametrize("content, code, error", [
+        (None, 3, "MissingFile"),
+        (b"{bad", 1, "SchemaError"),
+        (b"[1, 2]", 1, "SchemaError"),
+        (b"\xff\xfe\x00{", 1, "SchemaError"),
+    ])
+    def test_fit_subset(self, artifacts, tmp_path, content, code, error):
+        work, manifest = artifacts
+        subset = tmp_path / "subset.json"
+        if content is not None:
+            subset.write_bytes(content)
+        proc = run_cli_process("fit", "--manifest", manifest, "--subset", subset,
+                               "--predictor", "knn", "--cutoff", "median",
+                               "--out", tmp_path / "m.bin")
+        assert proc.returncode == code, proc.stderr
+        assert error in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("content", ["{bad", "[]", '{"inputs": 3}'])
+    def test_select_score_provenance(self, artifacts, tmp_path, content):
+        work, manifest = artifacts
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes((work / "scores.csv").read_bytes())
+        (tmp_path / "scores.csv.prov.json").write_text(content)
+        proc = run_cli_process("select", "--manifest", manifest, "--method", "topk_pds",
+                               "--k", 5, "--scores", scores, "--out", tmp_path / "s.json")
+        assert proc.returncode == 1, proc.stderr
+        assert "SchemaError" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweepCommand:

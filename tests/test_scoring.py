@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from disco.errors import InvalidDistribution, LengthMismatch, NonZeroSum, TooFewModels
 from disco.scoring import (
+    _BLOCK_ROWS,
     CSV_HEADER,
     balance_identity_check,
     check_sandwich,
+    entropy_bits,
     jsd,
     mutual_information_bruteforce,
     pds,
@@ -19,6 +22,8 @@ from disco.scoring import (
     total_variation,
     write_scores_csv,
 )
+
+from disco.store import PredictionTensor
 
 from conftest import make_manifest, random_stack, tensor_from_rows
 
@@ -311,3 +316,78 @@ def test_score_dataset_shape_mismatch(rng):
     bad = tensor_from_rows("b", [[1, 0]])
     with pytest.raises(ShapeMismatch):
         score_dataset(man, [good, bad])
+
+
+# --- block-wise scoring against the full-stack version it replaced -------------
+
+def score_dataset_reference(tensors):
+    """All samples at once, in one (M, N, C) float64 stack."""
+    v = np.stack([t.values for t in tensors]).astype(np.float64)
+    v /= v.sum(axis=2, keepdims=True)
+    m, n, c = v.shape
+    cap = float(min(m, c))
+    env = np.clip(v.max(axis=0).sum(axis=1), 1.0, cap)
+    mean_ent = entropy_bits(v, axis=2).mean(axis=0)
+    mix_ent = entropy_bits(v.mean(axis=0), axis=1)
+    return {
+        "pds_env": env,
+        "pds_eq1": env / c,
+        "jsd_bits": np.clip(mix_ent - mean_ent, 0.0, math.log2(cap)),
+        "mean_entropy_bits": mean_ent,
+        "mixture_entropy_bits": mix_ent,
+    }
+
+
+def random_population(rng, m, n, c):
+    """Flat, peaked and one-hot rows, so some entries are exactly zero."""
+    tensors = []
+    for i in range(m):
+        raw = rng.random((n, c)) ** rng.choice([1.0, 8.0], size=(n, 1))
+        onehot = rng.random(n) < 0.1
+        raw[onehot] = np.eye(c)[rng.integers(0, c, onehot.sum())]
+        tensors.append(PredictionTensor.from_values(
+            f"m{i}", (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)))
+    return make_manifest(rng.integers(0, c, n), c, [t.model_id for t in tensors]), tensors
+
+
+def assert_equals_reference(manifest, tensors):
+    table = score_dataset(manifest, tensors)
+    for name, want in score_dataset_reference(tensors).items():
+        assert getattr(table, name).tobytes() == want.tobytes(), name
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("m, n, c", [
+    (5, 37, 4),             # below one block
+    (9, 2 * B, 4),          # a multiple of the block size
+    (12, 2 * B + 45, 100),  # not a multiple
+    (9, B + 1, 3),          # a 1-sample tail
+    (2, 3 * B + 5, 4),      # two models
+    (30, 1, 100),           # a single sample
+])
+def test_score_blocks_equal_full_stack(m, n, c):
+    assert_equals_reference(*random_population(np.random.default_rng(n), m, n, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([2, 3, 8, 9, 17]), c=st.sampled_from([1, 2, 4, 100]),
+       n=st.one_of(st.integers(1, 2 * B + 3), st.sampled_from([B, B + 1, 2 * B + 1])),
+       seed=st.integers(0, 2**32 - 1))
+def test_score_blocks_equal_full_stack_hypothesis(m, c, n, seed):
+    assert_equals_reference(*random_population(np.random.default_rng(seed), m, n, c))
+
+
+def test_score_peak_allocation_bounded():
+    # the old full stack alone took M*N*C*8 bytes
+    m, n, c = 10, 40 * B, 20
+    manifest, tensors = random_population(np.random.default_rng(0), m, n, c)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        score_dataset(manifest, tensors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * c * 8 / 4

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disco import dten
 from disco.errors import (
@@ -26,6 +28,7 @@ from disco.store import (
     save_manifest,
     save_tensor,
 )
+from disco.synth import SynthConfig, generate_population
 
 from conftest import make_manifest, tensor_from_rows
 
@@ -153,6 +156,13 @@ class TestTensorIO:
         with pytest.raises(InvariantViolation, match="outside"):
             tensor_from_rows("m", [[1.2, -0.2]])
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.dten"
+        save_tensor(tensor_from_rows("m", [[0.5, 0.5], [0.25, 0.75]]), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(MagicMismatch, match="1 trailing bytes"):
+            dten.read_dten(path)
+
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.dten"
         path.write_bytes(b"NOPE" + bytes(60))
@@ -260,6 +270,21 @@ class TestBundle:
         assert np.array_equal(loaded["a"], arrays["a"])
         assert np.array_equal(loaded["b"], arrays["b"])
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "x.dpak"
+        dten.write_bundle(path, {}, {"a": np.ones((2, 2)), "b": np.zeros((1, 3))})
+        path.write_bytes(path.read_bytes() + b"DTEN")
+        with pytest.raises(MagicMismatch, match="4 trailing bytes"):
+            dten.read_bundle(path)
+
+    @pytest.mark.parametrize("header", [b"[]", b'{"blocks": 3}'])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "x.dpak"
+        path.write_bytes(dten.BUNDLE_MAGIC + bytes([1, 0, 0, 0])
+                         + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(MagicMismatch, match="list of block names"):
+            dten.read_bundle(path)
+
     def test_truncated_bundle(self, tmp_path):
         path = tmp_path / "x.dpak"
         arrays = {"a": np.ones((2, 2))}
@@ -267,3 +292,89 @@ class TestBundle:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(MagicMismatch, match="payload"):
             dten.read_bundle(path)
+
+
+# --- row renormalization against the loop it replaced --------------------------
+
+def renormalize_rows_reference(arr):
+    """The whole-array divide-and-round loop, with its global exit tests."""
+    for _ in range(8):
+        sums = arr.astype(np.float64).sum(axis=1)
+        if (sums == 1.0).all():
+            break
+        new = (arr.astype(np.float64) / sums[:, None]).astype(np.float32)
+        if np.array_equal(new, arr):
+            break
+        arr = new
+    return arr
+
+
+@cache
+def synthetic_wide_values():
+    """Loaded rows of four synthetic 2000 x 100 tensors, stacked."""
+    _, tensors = generate_population(SynthConfig(m_models=4, n_samples=2000,
+                                                 c_classes=100, seed=0))
+    return np.concatenate([t.values for t in tensors.values()])
+
+
+@cache
+def still_moving_rows():
+    """Loaded C=100 rows that one more divide-and-round pass still changes:
+    the loop stopped them at its 8-pass cap."""
+    values = synthetic_wide_values()
+    sums = values.astype(np.float64).sum(axis=1)
+    moved = ((values.astype(np.float64) / sums[:, None]).astype(np.float32)
+             != values).any(axis=1)
+    assert moved.sum() >= 3
+    return values[moved]
+
+
+@st.composite
+def raw_tensors(draw):
+    c = draw(st.sampled_from([1, 2, 4, 100]))
+    kinds = draw(st.lists(st.sampled_from(["flat", "peaked", "exact", "moving"]),
+                          min_size=1, max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "moving" and c == 100:
+            pool = still_moving_rows()
+            rows.append(pool[rng.integers(len(pool))])
+        elif kind == "exact" or c == 1:  # float64 sum is exactly 1.0
+            row = np.zeros(c, dtype=np.float32)
+            if c >= 2 and rng.random() < 0.5:
+                row[rng.choice(c, 2, replace=False)] = 0.5
+            else:
+                row[rng.integers(c)] = 1.0
+            rows.append(row)
+        else:
+            w = rng.random(c) ** (8.0 if kind == "peaked" else 1.0)
+            row = w / w.sum() * (1.0 + rng.uniform(-5e-5, 5e-5))
+            rows.append(np.clip(row, 0.0, 1.0).astype(np.float32))
+    return np.stack(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=raw_tensors())
+def test_renormalize_equals_reference_loop(raw):
+    before = raw.tobytes()
+    values = PredictionTensor.from_values("m", raw).values
+    assert values.dtype == np.float32
+    assert values.tobytes() == renormalize_rows_reference(raw).tobytes()
+    assert raw.tobytes() == before  # the caller's array is left alone
+
+
+def test_wide_file_loads_like_reference(tmp_path):
+    # 8000 rows, some of which hit the 8-pass cap, through the in-place file path
+    values = synthetic_wide_values()
+    path = tmp_path / "t.dten"
+    dten.write_dten(path, values)
+    man = make_manifest([0] * len(values), 100, ["m"])
+    man.base_dir = tmp_path
+    man.models[0].tensor_path = "t.dten"
+    first = load_tensor(man, "m").values
+    assert first.tobytes() == renormalize_rows_reference(values).tobytes()
+    # a given file always loads to the same values ...
+    assert load_tensor(man, "m").values.tobytes() == first.tobytes()
+    # ... but a loaded tensor is no fixed point: rewritten, it loads to other bits
+    assert first.tobytes() != values.tobytes()

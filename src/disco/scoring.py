@@ -62,7 +62,7 @@ def as_stack(rows: np.ndarray) -> np.ndarray:
 def entropy_bits(dist: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Shannon entropy base 2 with the 0*log(0) = 0 convention."""
     p = np.asarray(dist, dtype=np.float64)
-    logs = np.where(p > 0.0, np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    logs = np.log2(np.where(p > 0.0, p, 1.0))        # log2(1.0) == 0.0
     return -(p * logs).sum(axis=axis)
 
 

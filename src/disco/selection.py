@@ -160,12 +160,18 @@ def kmedoids_objective(embeddings: np.ndarray, indices: Sequence[int]) -> float:
 
 
 def _distance_matrix(x: np.ndarray) -> np.ndarray:
+    # Built in place: adding -2g equals subtracting 2g exactly.  The result
+    # is exactly symmetric, so callers read rows where they need columns.
     g = x @ x.T
     sq = np.diag(g).copy()
-    d2 = sq[:, None] + sq[None, :] - 2.0 * g
+    d2 = sq[:, None] + sq[None, :]
+    g *= -2.0
+    d2 += g
     np.maximum(d2, 0.0, out=d2)
-    d2 = 0.5 * (d2 + d2.T)
-    d = np.sqrt(d2)
+    d = np.add(d2, d2.T, out=g)
+    del d2
+    d *= 0.5
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -177,7 +183,7 @@ def _seed_medoids(d: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
     trials = 2 + int(math.log2(k + 1))
     first = int(rng.integers(n))
     medoids = [first]
-    nearest = d[:, first].copy()
+    nearest = d[first].copy()
     while len(medoids) < k:
         w = nearest ** 2
         total = w.sum()
@@ -190,13 +196,13 @@ def _seed_medoids(d: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
             c = int(c)
             if c in medoids:
                 continue
-            obj = float(np.minimum(nearest, d[:, c]).sum())
+            obj = float(np.minimum(nearest, d[c]).sum())
             if obj < best_obj:
                 best_obj, best_c = obj, c
         if best_c < 0:
             best_c = int(np.setdiff1d(np.arange(n), medoids)[0])
         medoids.append(best_c)
-        np.minimum(nearest, d[:, best_c], out=nearest)
+        np.minimum(nearest, d[best_c], out=nearest)
     return medoids
 
 
@@ -215,10 +221,51 @@ def select_kmedoids(embeddings: np.ndarray, k: int, seed: int,
     return subset
 
 
+def _two_nearest(d: np.ndarray, medoids: list[int]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's nearest medoid slot (lowest slot on ties), the distance
+    to it, and the distance to the next nearest (inf when k == 1)."""
+    dm = d[medoids]                               # (k, n): d is symmetric
+    nearest_pos = dm.argmin(axis=0)
+    points = np.arange(dm.shape[1])
+    dn1 = dm[nearest_pos, points]
+    dm[nearest_pos, points] = np.inf
+    return nearest_pos, dn1, dm.min(axis=0)
+
+
+def _rewrite_rows(m: np.ndarray, d: np.ndarray, dn: np.ndarray,
+                  rows: np.ndarray) -> None:
+    """m[i] = min(d[i], dn[i]) for each i in rows."""
+    for i in rows.tolist():
+        np.minimum(d[i], dn[i], out=m[i])
+
+
+def _best_swap(m1: np.ndarray, sum1: np.ndarray, sum2: np.ndarray,
+               medoids: list[int], base: float) -> tuple[float, int, int]:
+    """(gain, medoid slot, candidate) of the best swap; slot -1 if none gains."""
+    cost = m1.sum(axis=0) - sum1                  # (k, n)
+    cost += sum2
+    cost[:, medoids] = np.inf
+    cand = cost.argmin(axis=1)
+    best = (0.0, -1, -1)
+    for pos in range(len(medoids)):
+        c = int(cand[pos])
+        gain = base - float(cost[pos, c])
+        if gain > best[0] + 1e-12:
+            best = (gain, pos, c)
+    return best
+
+
 def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
                         method_label: str = "kmedoids_conf",
                         ) -> tuple[AnchorSubset, list[float]]:
-    """As select_kmedoids, also returning the per-pass objective values."""
+    """As select_kmedoids, also returning the per-pass objective values.
+
+    ``trace[i]`` is the objective at the start of pass ``i``.  A trace of
+    ``MAX_SWAP_PASSES`` entries means the cap stopped the search (unless the
+    last allowed pass found no improving swap); the medoids returned then
+    include that pass's swap, whose objective is not in the trace.
+    """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     _check_budget(n, k)
@@ -232,41 +279,69 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
     d = _distance_matrix(x)
     medoids = sorted(_seed_medoids(d, k, rng))
 
+    # Swapping medoid p for candidate c costs s1 - sum1[p] + sum2[p] at c,
+    # where m1 = min(d, dn1) keeps each point's own medoid available,
+    # m2 = min(d, dn2) removes it, and sum1/sum2 are the column sums of m1/m2
+    # over the cluster of p.  One swap moves one medoid, so each pass
+    # rewrites only the rows of m1/m2 whose dn1/dn2 changed and re-sums only
+    # the clusters whose members or member rows changed; every float is the
+    # one a full recomputation gives.
+    m1 = np.empty_like(d)
+    m2 = np.empty_like(d)
+    sum1 = np.empty((k, n))              # row p: cluster sum of the medoid in slot p
+    sum2 = np.empty((k, n))
+    dn1 = dn2 = owner = None
+    incoming = -1                        # medoid added by the last swap
     trace: list[float] = []
     prev_obj = np.inf
     for _ in range(MAX_SWAP_PASSES):
-        dm = d[:, medoids]                       # (n, k)
-        nearest_pos = dm.argmin(axis=1)
-        if k >= 2:
-            two = np.partition(dm, 1, axis=1)[:, :2]
-            dn1, dn2 = two[:, 0], two[:, 1]
-        else:
-            dn1 = dm[:, 0]
-            dn2 = np.full(n, np.inf)
-        base = float(dn1.sum())
-        assert base <= prev_obj + 1e-9, "swap pass increased the objective"
+        nearest_pos, new1, new2 = _two_nearest(d, medoids)
+        base = float(new1.sum())
+        if not base <= prev_obj + 1e-9:
+            raise InvariantViolation("swap pass increased the objective")
         prev_obj = base
         trace.append(base)
 
-        m1 = np.minimum(d, dn1[:, None])          # keep own medoid available
-        m2 = np.minimum(d, dn2[:, None])          # own medoid removed
-        s1 = m1.sum(axis=0)
-        best = (0.0, -1, -1)                      # (gain, medoid pos, candidate)
-        for pos in range(k):
-            mask = nearest_pos == pos
-            cost = s1 - m1[mask].sum(axis=0) + m2[mask].sum(axis=0)
-            cost[medoids] = np.inf
-            c = int(cost.argmin())
-            gain = base - float(cost[c])
-            if gain > best[0] + 1e-12:
-                best = (gain, pos, c)
+        new_owner = np.asarray(medoids)[nearest_pos]
+        if owner is None:
+            np.minimum(d, new1[:, None], out=m1)
+            np.minimum(d, new2[:, None], out=m2)
+            dirty1 = dirty2 = set(medoids)
+        else:
+            ch2 = np.flatnonzero(new2 != dn2)
+            _rewrite_rows(m1, d, new1, np.flatnonzero(new1 != dn1))
+            _rewrite_rows(m2, d, new2, ch2)
+            # dn1 is the distance to the point's own medoid, so it changes
+            # only when the point changes cluster.
+            moved = np.flatnonzero(new_owner != owner)
+            dirty1 = {incoming, *owner[moved].tolist(), *new_owner[moved].tolist()}
+            dirty2 = dirty1.union(new_owner[ch2].tolist())
+        dn1, dn2, owner = new1, new2, new_owner
+
+        order = np.argsort(nearest_pos, kind="stable")
+        ends = np.cumsum(np.bincount(nearest_pos, minlength=k)).tolist()
+        for pos, med in enumerate(medoids):
+            if med in dirty2:                     # dirty1 is a subset
+                members = order[(ends[pos - 1] if pos else 0):ends[pos]]
+                if med in dirty1:
+                    sum1[pos] = m1[members].sum(axis=0)
+                sum2[pos] = m2[members].sum(axis=0)
+
+        best = _best_swap(m1, sum1, sum2, medoids, base)
         if best[1] < 0 or best[0] <= 1e-12:
             break
-        medoids[best[1]] = best[2]
+        pos, incoming = best[1], best[2]
+        medoids[pos] = incoming
         medoids.sort()
+        # Keep each stored cluster sum beside its medoid as the slots renumber.
+        q = medoids.index(incoming)
+        for s in (sum1, sum2):
+            if q > pos:
+                s[pos:q] = s[pos + 1:q + 1]
+            elif q < pos:
+                s[q + 1:pos + 1] = s[q:pos]
 
-    medoids = sorted(medoids)
-    assign = d[:, medoids].argmin(axis=1)
+    assign = d[medoids].argmin(axis=0)
     weights = np.bincount(assign, minlength=k).astype(np.float64) / n
     return AnchorSubset(indices=np.asarray(medoids, dtype=np.int64),
                         method=method_label, seed=seed, weights=weights), trace

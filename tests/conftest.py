@@ -4,8 +4,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from disco.store import BenchmarkManifest, ModelMeta, PredictionTensor
+
+# Example times vary with the machine's load, so no example has a deadline.
+settings.register_profile("disco", deadline=None)
+settings.load_profile("disco")
 
 
 def make_manifest(labels, num_classes, model_ids=(), accuracies=None, dates=None,

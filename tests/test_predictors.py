@@ -274,7 +274,7 @@ def _forest_case(draw):
     return x, y, cfg, draw(st.integers(0, 2**31)), draw(st.sampled_from([1, 2, 3]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_forest_case())
 def test_forest_equals_reference_builder(case):
     x, y, cfg, seed, threads = case

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disco.errors import BudgetExceedsDataset, InsufficientModels, SchemaError
+from disco import selection
+from disco.errors import (
+    BudgetExceedsDataset,
+    InsufficientModels,
+    InvariantViolation,
+    SchemaError,
+)
 from disco.scoring import ScoreTable, score_dataset
 from disco.selection import (
+    _distance_matrix,
     build_embeddings,
     kmedoids_objective,
     kmedoids_with_trace,
@@ -185,6 +194,176 @@ class TestKMedoids:
         b = select_kmedoids(x, 4, seed=9)
         assert a.indices.tolist() == b.indices.tolist()
         assert np.array_equal(a.weights, b.weights)
+
+
+# --- reference k-medoids -----------------------------------------------------
+# The direct swap search: every pass rebuilds both N x N clipped distance
+# matrices and re-sums every cluster.  The incremental search in
+# disco.selection must reproduce its medoids, weights and trace bit for bit.
+
+REF_MAX_SWAP_PASSES = 100
+
+
+def _ref_distance_matrix(x: np.ndarray) -> np.ndarray:
+    g = x @ x.T
+    sq = np.diag(g).copy()
+    d2 = sq[:, None] + sq[None, :] - 2.0 * g
+    np.maximum(d2, 0.0, out=d2)
+    d2 = 0.5 * (d2 + d2.T)
+    d = np.sqrt(d2)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _ref_seed_medoids(d: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    n = d.shape[0]
+    trials = 2 + int(math.log2(k + 1))
+    first = int(rng.integers(n))
+    medoids = [first]
+    nearest = d[:, first].copy()
+    while len(medoids) < k:
+        w = nearest ** 2
+        total = w.sum()
+        if total <= 0.0:
+            cand = np.setdiff1d(np.arange(n), medoids)[:trials]
+        else:
+            cand = rng.choice(n, size=trials, p=w / total)
+        best_c, best_obj = -1, np.inf
+        for c in np.atleast_1d(cand):
+            c = int(c)
+            if c in medoids:
+                continue
+            obj = float(np.minimum(nearest, d[:, c]).sum())
+            if obj < best_obj:
+                best_obj, best_c = obj, c
+        if best_c < 0:
+            best_c = int(np.setdiff1d(np.arange(n), medoids)[0])
+        medoids.append(best_c)
+        np.minimum(nearest, d[:, best_c], out=nearest)
+    return medoids
+
+
+def _ref_kmedoids_with_trace(x: np.ndarray, k: int, seed: int
+                             ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(indices, weights, trace)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    if k > 1 and bool(np.all(x == x[0])):
+        return np.arange(k, dtype=np.int64), np.full(k, 1.0 / k), [0.0]
+
+    rng = np.random.default_rng(seed)
+    d = _ref_distance_matrix(x)
+    medoids = sorted(_ref_seed_medoids(d, k, rng))
+
+    trace: list[float] = []
+    prev_obj = np.inf
+    for _ in range(REF_MAX_SWAP_PASSES):
+        dm = d[:, medoids]
+        nearest_pos = dm.argmin(axis=1)
+        if k >= 2:
+            two = np.partition(dm, 1, axis=1)[:, :2]
+            dn1, dn2 = two[:, 0], two[:, 1]
+        else:
+            dn1 = dm[:, 0]
+            dn2 = np.full(n, np.inf)
+        base = float(dn1.sum())
+        assert base <= prev_obj + 1e-9
+        prev_obj = base
+        trace.append(base)
+
+        m1 = np.minimum(d, dn1[:, None])
+        m2 = np.minimum(d, dn2[:, None])
+        s1 = m1.sum(axis=0)
+        best = (0.0, -1, -1)
+        for pos in range(k):
+            mask = nearest_pos == pos
+            cost = s1 - m1[mask].sum(axis=0) + m2[mask].sum(axis=0)
+            cost[medoids] = np.inf
+            c = int(cost.argmin())
+            gain = base - float(cost[c])
+            if gain > best[0] + 1e-12:
+                best = (gain, pos, c)
+        if best[1] < 0 or best[0] <= 1e-12:
+            break
+        medoids[best[1]] = best[2]
+        medoids.sort()
+
+    medoids = sorted(medoids)
+    assign = d[:, medoids].argmin(axis=1)
+    weights = np.bincount(assign, minlength=k).astype(np.float64) / n
+    return np.asarray(medoids, dtype=np.int64), weights, trace
+
+
+def assert_kmedoids_equal_reference(x: np.ndarray, k: int, seed: int) -> list[float]:
+    subset, trace = kmedoids_with_trace(x, k, seed)
+    want_idx, want_w, want_trace = _ref_kmedoids_with_trace(x, k, seed)
+    assert subset.indices.tolist() == want_idx.tolist()
+    assert subset.weights.tobytes() == want_w.tobytes()
+    assert trace == want_trace
+    return trace
+
+
+@st.composite
+def _kmedoids_case(draw):
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["continuous", "bits", "duplicated"]))
+    cell = (st.sampled_from([0.0, 1.0]) if kind == "bits"
+            else st.floats(-5, 5, allow_nan=False, width=32))
+    x = np.array(draw(st.lists(cell, min_size=n * dim, max_size=n * dim)),
+                 dtype=np.float64).reshape(n, dim)
+    if kind == "duplicated":
+        for _ in range(draw(st.integers(1, max(1, n // 2)))):
+            x[draw(st.integers(0, n - 1))] = x[draw(st.integers(0, n - 1))]
+    k = draw(st.sampled_from([1, n - 1, n]).filter(lambda v: v >= 1)
+             | st.integers(1, n))
+    return x, k, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=200)
+@given(_kmedoids_case())
+def test_kmedoids_equals_reference(case):
+    assert_kmedoids_equal_reference(*case)
+
+
+@pytest.mark.parametrize("kind, k", [("conf", 10), ("conf", 40), ("corr", 10),
+                                     ("corr", 40)])
+def test_kmedoids_equals_reference_many_passes(kind, k):
+    # sweep-shaped embeddings, large enough for dozens of swaps and slot
+    # renumberings
+    rng = np.random.default_rng(k)
+    ability = rng.random(300)
+    x = 1.0 / (1.0 + np.exp(-8.0 * (ability[:, None] - rng.random((1, 20)))))
+    if kind == "corr":
+        x = (rng.random(x.shape) < x).astype(np.float64)
+    for seed in (0, 1):
+        assert len(assert_kmedoids_equal_reference(x, k, seed)) > 5
+
+
+def test_kmedoids_capped_search_equals_reference(monkeypatch):
+    monkeypatch.setattr(selection, "MAX_SWAP_PASSES", 2)
+    monkeypatch.setitem(globals(), "REF_MAX_SWAP_PASSES", 2)
+    x = np.random.default_rng(4).random((80, 6))
+    for k in (3, 12):
+        assert len(assert_kmedoids_equal_reference(x, k, seed=1)) == 2
+
+
+@settings(max_examples=50)
+@given(_kmedoids_case())
+def test_distance_matrix_exactly_symmetric(case):
+    d = _distance_matrix(case[0])
+    assert np.array_equal(d, d.T)
+    assert d.tobytes() == _ref_distance_matrix(case[0]).tobytes()
+
+
+def test_kmedoids_rejects_increasing_objective(monkeypatch):
+    # a swap search that worsens the objective fails loudly, also under -O
+    x = np.array([[0.0], [0.1], [0.2], [100.0]])
+    monkeypatch.setattr(selection, "_best_swap",
+                        lambda m1, s1, s2, medoids, base:
+                        (1.0, 0, 0 if medoids == [3] else 3))
+    with pytest.raises(InvariantViolation):
+        kmedoids_with_trace(x, 1, seed=0)
 
 
 def _bfv_population(rng, m=8, n=60, c=3):

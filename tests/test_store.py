@@ -354,7 +354,7 @@ def raw_tensors(draw):
     return np.stack(rows)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(raw=raw_tensors())
 def test_renormalize_equals_reference_loop(raw):
     before = raw.tobytes()

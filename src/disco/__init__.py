@@ -12,6 +12,7 @@ from .harness import (
     ModelSplit,
     PredictorConfig,
     SelectionConfig,
+    SharedSources,
     UniformSplit,
     mae,
     median_date_cutoff,

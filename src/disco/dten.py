@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MagicMismatch, MissingFile, ShapeMismatch
+from .errors import MagicMismatch, MissingFile, SchemaError, ShapeMismatch
 
 DTEN_MAGIC = b"DTEN"
 BUNDLE_MAGIC = b"DPAK"
@@ -134,3 +134,23 @@ def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if offset != len(buf):
         raise MagicMismatch(f"{path}: {len(buf) - offset} trailing bytes after the last block")
     return header, arrays
+
+
+def bundle_block(arrays: dict[str, np.ndarray], name: str, where: str,
+                 shape: tuple[int | None, int | None]) -> np.ndarray:
+    """Block ``name`` of a read bundle, as float64.
+
+    Raises SchemaError unless the block exists, is non-empty, holds only
+    finite values and has ``shape`` (None matches any length).
+    """
+    if name not in arrays:
+        raise SchemaError(f"{where}: bundle has no {name} block")
+    block = arrays[name]
+    if block.size == 0 or any(want is not None and got != want
+                              for got, want in zip(block.shape, shape)):
+        want = "x".join("n" if w is None else str(w) for w in shape)
+        raise SchemaError(f"{where}: {name} block has shape {block.shape}, "
+                          f"expected {want}")
+    if not np.isfinite(block).all():
+        raise SchemaError(f"{where}: {name} block has a non-finite entry")
+    return block.astype(np.float64, copy=False)

@@ -36,6 +36,7 @@ from .scoring import ScoreTable, score_dataset
 from .selection import (
     AnchorSubset,
     build_embeddings,
+    distance_matrix,
     select_best_for_validation,
     select_kmedoids,
     select_random,
@@ -195,32 +196,86 @@ class EvalReport:
         return f"{self.selection}+{self.predictor}"
 
 
-_SCORED_METHODS = ("topk_pds", "topk_jsd", "stratified_topk")
+class SharedSources:
+    """What pipelines on one manifest and source set compute alike,
+    whatever their K or seed, each part built on first use.
+
+    It holds the source models' score table, each model's correctness bits
+    (sources for best-for-validation and ``corr`` embeddings, targets for the
+    accuracy readouts) and the k-medoids embeddings and distance matrix of
+    one embedding kind.  ``sweep_budgets`` keeps one for the whole sweep;
+    ``run_pipeline`` and ``condense_and_train`` make a fresh one when given
+    none.  Every array it hands out is read-only.
+    """
+
+    def __init__(self, manifest: BenchmarkManifest,
+                 tensors: Mapping[str, PredictionTensor], source_ids: list[str]):
+        self.manifest = manifest
+        self.tensors = tensors
+        self.sources = {mid: tensors[mid] for mid in source_ids}
+        self._scores: ScoreTable | None = None
+        self._bits: dict[str, np.ndarray] = {}
+        self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
+
+    def check(self, manifest: BenchmarkManifest,
+              source_tensors: Mapping[str, PredictionTensor]) -> None:
+        """Raise InvalidConfig unless built from this manifest and sources."""
+        if (manifest is not self.manifest
+                or source_tensors.keys() != self.sources.keys()
+                or any(source_tensors[mid] is not t for mid, t in self.sources.items())):
+            raise InvalidConfig("shared source data was built for other inputs")
+
+    def scores(self) -> ScoreTable:
+        if self._scores is None:
+            self._scores = score_dataset(self.manifest, self.sources)
+        return self._scores
+
+    def bits(self, model_id: str) -> np.ndarray:
+        """The model's correctness bits."""
+        bits = self._bits.get(model_id)
+        if bits is None:
+            bits = correctness(self.tensors[model_id], self.manifest).bits
+            bits.flags.writeable = False
+            self._bits[model_id] = bits
+        return bits
+
+    def kmedoids_inputs(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Embeddings of ``kind`` and their distance matrix.  Only the last
+        kind asked for is kept."""
+        if self._kmedoids is None or self._kmedoids[0] != kind:
+            self._kmedoids = None          # free the old N x N matrix first
+            bits = ({mid: self.bits(mid) for mid in self.sources}
+                    if kind == "corr" else None)
+            emb = build_embeddings(self.sources, self.manifest, kind, bits=bits)
+            d = distance_matrix(emb)
+            emb.flags.writeable = d.flags.writeable = False
+            self._kmedoids = (kind, emb, d)
+        return self._kmedoids[1], self._kmedoids[2]
+
+    def drop_kmedoids(self) -> None:
+        self._kmedoids = None
 
 
-def _select_anchors(manifest: BenchmarkManifest,
-                    source_tensors: Mapping[str, PredictionTensor],
-                    cfg: SelectionConfig, k: int, seed: int,
-                    scores: ScoreTable | None) -> AnchorSubset:
+def _select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
+                    seed: int) -> AnchorSubset:
+    manifest = shared.manifest
     method = cfg.method
-    if method in _SCORED_METHODS and scores is None:
-        scores = score_dataset(manifest, source_tensors)
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
     if method in ("topk_pds", "topk_jsd"):
         criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
-        return select_topk(scores, k, criterion, seed=seed)
+        return select_topk(shared.scores(), k, criterion, seed=seed)
     if method == "stratified_topk":
-        return select_stratified_topk(scores, manifest.task_tags, k,
+        return select_stratified_topk(shared.scores(), manifest.task_tags, k,
                                       cfg.criterion or "pds_env", seed=seed)
     if method in ("kmedoids_conf", "kmedoids_corr"):
-        kind = "conf" if method == "kmedoids_conf" else "corr"
-        emb = build_embeddings(source_tensors, manifest, kind)
-        return select_kmedoids(emb, k, seed, method_label=method)
+        emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
+        return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
-        return select_best_for_validation(source_tensors, manifest, k,
-                                          candidates=cfg.candidates, seed=seed,
-                                          split_ratio=cfg.split_ratio)
+        return select_best_for_validation(
+            shared.sources, manifest, k, candidates=cfg.candidates, seed=seed,
+            split_ratio=cfg.split_ratio,
+            bits={mid: shared.bits(mid) for mid in shared.sources})
     raise InvalidConfig(f"unknown selection method {method!r}")
 
 
@@ -234,17 +289,25 @@ def condense_and_train(
     seed: int,
     threads: int = 1,
     *,
-    scores: ScoreTable | None = None,
+    shared: SharedSources | None = None,
 ) -> tuple[AnchorSubset, PredictorModel | None]:
     """Anchor selection plus predictor training from source models only.
 
     Returns (subset, model); the model is None for the accuracy-readout
-    predictors (direct, weighted_sum), which need no training.  ``scores``
-    is the source models' score table when the caller already has it
-    (``sweep_budgets`` scores once per sweep); it is computed when needed
-    otherwise.
+    predictors (direct, weighted_sum), which need no training.  ``shared``
+    holds what the caller has already computed from these source models
+    (``sweep_budgets`` keeps one per sweep); it must have been built from
+    the same manifest and source tensors.
     """
-    subset = _select_anchors(manifest, source_tensors, selection, k, seed, scores)
+    if shared is None:
+        # Lives only through selection, so the score table is not held
+        # while the predictor trains.
+        subset = _select_anchors(
+            SharedSources(manifest, source_tensors, list(source_tensors)),
+            selection, k, seed)
+    else:
+        shared.check(manifest, source_tensors)
+        subset = _select_anchors(shared, selection, k, seed)
     if predictor.kind in ("direct", "weighted_sum"):
         return subset, None
     if predictor.kind not in PREDICTOR_KINDS:
@@ -274,9 +337,8 @@ def condense_and_train(
     return subset, model
 
 
-def _readout_prediction(manifest: BenchmarkManifest, tensor: PredictionTensor,
-                        subset: AnchorSubset, kind: str) -> float:
-    bits = correctness(tensor, manifest).bits[subset.indices]
+def _readout_prediction(bits: np.ndarray, subset: AnchorSubset, kind: str) -> float:
+    bits = bits[subset.indices]
     if kind == "weighted_sum":
         return predict_weighted_sum(subset, bits)
     return float(bits.astype(np.float64).mean())
@@ -292,11 +354,12 @@ def run_pipeline(
     seed: int,
     threads: int = 1,
     *,
-    scores: ScoreTable | None = None,
+    shared: SharedSources | None = None,
 ) -> EvalReport:
     """Condense with the source models, then evaluate on the target models.
 
-    ``scores``: the source models' score table, as for ``condense_and_train``.
+    ``shared``: as for ``condense_and_train``, built from ``manifest``,
+    ``tensors`` and ``split.source_ids``.
     """
     accuracies: dict[str, float] = {}
     for mid in split.source_ids + split.target_ids:
@@ -306,17 +369,20 @@ def run_pipeline(
         accuracies[mid] = acc
 
     source_tensors = {mid: tensors[mid] for mid in split.source_ids}
+    if shared is not None and shared.tensors is not tensors:
+        raise InvalidConfig("shared source data was built for other inputs")
     subset, model = condense_and_train(
         manifest, source_tensors, accuracies, selection, predictor, k, seed,
-        threads=threads, scores=scores)
+        threads=threads, shared=shared)
+    if shared is None:                   # for the readouts' correctness bits
+        shared = SharedSources(manifest, tensors, split.source_ids)
 
     pairs: list[tuple[str, float, float]] = []
     for tid in split.target_ids:
-        tensor = tensors[tid]
         if model is None:
-            est = _readout_prediction(manifest, tensor, subset, predictor.kind)
+            est = _readout_prediction(shared.bits(tid), subset, predictor.kind)
         else:
-            sig = build_signature(tensor, subset, predictor.signature_mode,
+            sig = build_signature(tensors[tid], subset, predictor.signature_mode,
                                   labels=manifest.labels)
             est = predict(model, sig.vector)
         pairs.append((tid, accuracies[tid], est))
@@ -345,22 +411,21 @@ def sweep_budgets(
 ) -> list[EvalReport]:
     """One report per (config, budget, seed), in that loop order.
 
-    Scores depend on neither K nor seed, so the source models are scored at
-    most once per sweep.
+    Scores, correctness bits and k-medoids distances depend on neither K nor
+    seed, so one SharedSources computes each at most once per sweep; the
+    k-medoids data lives only as long as its config.
     """
     if list(budgets) != sorted(budgets):
         raise InvalidConfig("budgets must be sorted ascending")
-    scores = None
+    shared = SharedSources(manifest, tensors, split.source_ids)
     reports = []
     for sel_cfg, pred_cfg in configs:
-        if scores is None and sel_cfg.method in _SCORED_METHODS:
-            scores = score_dataset(manifest,
-                                   {mid: tensors[mid] for mid in split.source_ids})
         for k in budgets:
             for seed in seeds:
                 reports.append(run_pipeline(manifest, tensors, split, sel_cfg,
                                             pred_cfg, k, seed, threads=threads,
-                                            scores=scores))
+                                            shared=shared))
+        shared.drop_kmedoids()
     return reports
 
 

@@ -469,31 +469,48 @@ def save_predictor(model: PredictorModel, path: str | Path,
 
 
 def load_predictor(path: str | Path) -> PredictorModel:
+    """A predictor saved by ``save_predictor``.
+
+    A bundle whose kind is unknown, or that lacks a block or config value
+    its kind needs, or holds one of the wrong shape, raises SchemaError.
+    """
     header, arrays = dten.read_bundle(path)
+    where = str(path)
     kind = header.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"{path}: unknown predictor kind {kind!r}")
     model = PredictorModel(kind=kind)
+    features = None               # feature length a stored projection fixes
     if "pca_components" in arrays:
-        model.projection = pca_from_arrays(arrays)
+        model.projection = pca_from_arrays(arrays, where)
+        features = model.projection.d
+    config = header.get("config")
     if kind == "knn":
-        model.k_neighbors = int(header["config"]["k_neighbors"])
-        model.knn_vectors = arrays["knn_vectors"]
-        model.knn_performances = arrays["knn_performances"].ravel()
+        vectors = dten.bundle_block(arrays, "knn_vectors", where, (None, features))
+        k = config.get("k_neighbors") if isinstance(config, dict) else None
+        if type(k) is not int or not 1 <= k <= vectors.shape[0]:
+            raise SchemaError(f"{path}: knn config needs an integer k_neighbors "
+                              f"in [1, {vectors.shape[0]}], got {k!r}")
+        model.k_neighbors = k
+        model.knn_vectors = vectors
+        model.knn_performances = dten.bundle_block(
+            arrays, "knn_performances", where, (1, vectors.shape[0])).ravel()
     elif kind == "linear":
-        model.linear_weights = arrays["linear_weights"].ravel()
-        model.linear_intercept = float(arrays["linear_intercept"][0, 0])
+        model.linear_weights = dten.bundle_block(
+            arrays, "linear_weights", where, (1, features)).ravel()
+        model.linear_intercept = float(
+            dten.bundle_block(arrays, "linear_intercept", where, (1, 1))[0, 0])
     elif kind == "random_forest":
         try:
-            model.forest_config = ForestConfig(**header.get("config"))
+            model.forest_config = ForestConfig(**config)
         except TypeError as e:
             raise SchemaError(f"{path}: bad forest config: {e}") from e
         if "forest_nodes" not in arrays:
             raise SchemaError(f"{path}: forest bundle has no forest_nodes block")
         model.trees = _forest_from_table(
-            arrays["forest_nodes"], header.get("tree_offsets"),
-            model.projection.d if model.projection is not None else None, str(path))
+            arrays["forest_nodes"], header.get("tree_offsets"), features, where)
         model.forest_walk = ForestWalk.from_trees(model.trees)
     else:
-        model.anchor_weights = arrays["ws_weights"].ravel()
+        model.anchor_weights = dten.bundle_block(
+            arrays, "ws_weights", where, (1, None)).ravel()
     return model

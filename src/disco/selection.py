@@ -124,13 +124,26 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
                         criterion=criterion)
 
 
+def _correctness_bits(tensor: PredictionTensor, manifest: BenchmarkManifest,
+                      bits: Mapping[str, np.ndarray] | None) -> np.ndarray:
+    if bits is None:
+        return correctness(tensor, manifest).bits
+    return bits[tensor.model_id]
+
+
 def build_embeddings(
     tensors: Sequence[PredictionTensor] | Mapping[str, PredictionTensor],
     manifest: BenchmarkManifest,
     kind: str,
+    *,
+    bits: Mapping[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-sample embedding across models: ground-truth-class probability
-    (``conf``) or correctness bit (``corr``).  Shape (N, M)."""
+    (``conf``) or correctness bit (``corr``).  Shape (N, M).
+
+    ``bits`` maps model ids to their correctness bits when the caller
+    already has them; they are computed otherwise.
+    """
     pool = ([tensors[k] for k in sorted(tensors)] if isinstance(tensors, Mapping)
             else list(tensors))
     if not pool:
@@ -145,7 +158,7 @@ def build_embeddings(
         if kind == "conf":
             cols.append(t.values.astype(np.float64)[np.arange(n), labels])
         elif kind == "corr":
-            cols.append(correctness(t, manifest).bits.astype(np.float64))
+            cols.append(_correctness_bits(t, manifest, bits).astype(np.float64))
         else:
             raise SchemaError(f"unknown embedding kind {kind!r}")
     return np.column_stack(cols)
@@ -159,9 +172,15 @@ def kmedoids_objective(embeddings: np.ndarray, indices: Sequence[int]) -> float:
     return float(np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).sum())
 
 
-def _distance_matrix(x: np.ndarray) -> np.ndarray:
+def distance_matrix(embeddings: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances between the rows, as k-medoids uses them.
+
+    They depend on the embeddings only, so a caller that runs k-medoids for
+    several budgets or seeds can build them once and pass them in.
+    """
     # Built in place: adding -2g equals subtracting 2g exactly.  The result
     # is exactly symmetric, so callers read rows where they need columns.
+    x = np.asarray(embeddings, dtype=np.float64)
     g = x @ x.T
     sq = np.diag(g).copy()
     d2 = sq[:, None] + sq[None, :]
@@ -210,14 +229,17 @@ MAX_SWAP_PASSES = 100
 
 
 def select_kmedoids(embeddings: np.ndarray, k: int, seed: int,
-                    method_label: str = "kmedoids_conf") -> AnchorSubset:
+                    method_label: str = "kmedoids_conf", *,
+                    distances: np.ndarray | None = None) -> AnchorSubset:
     """Medoid anchors minimizing total point-to-anchor distance.
 
     Greedy seeding followed by swap passes; each pass applies the single
     best strictly-improving (medoid, candidate) exchange, so the objective
-    is non-increasing.  Anchor weights are cluster shares.
+    is non-increasing.  Anchor weights are cluster shares.  ``distances``
+    is as for ``kmedoids_with_trace``.
     """
-    subset, _ = kmedoids_with_trace(embeddings, k, seed, method_label)
+    subset, _ = kmedoids_with_trace(embeddings, k, seed, method_label,
+                                    distances=distances)
     return subset
 
 
@@ -257,7 +279,8 @@ def _best_swap(m1: np.ndarray, sum1: np.ndarray, sum2: np.ndarray,
 
 
 def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
-                        method_label: str = "kmedoids_conf",
+                        method_label: str = "kmedoids_conf", *,
+                        distances: np.ndarray | None = None,
                         ) -> tuple[AnchorSubset, list[float]]:
     """As select_kmedoids, also returning the per-pass objective values.
 
@@ -265,10 +288,15 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
     ``MAX_SWAP_PASSES`` entries means the cap stopped the search (unless the
     last allowed pass found no improving swap); the medoids returned then
     include that pass's swap, whose objective is not in the trace.
+    ``distances``, when given, must be ``distance_matrix(embeddings)``;
+    it is only read, never written.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     _check_budget(n, k)
+    if distances is not None and distances.shape != (n, n):
+        raise ShapeMismatch(f"distance matrix shape {distances.shape} "
+                            f"for {n} embeddings")
     if k > 1 and bool(np.all(x == x[0])):
         # Degenerate: every embedding identical; any medoid set is optimal.
         idx = np.arange(k, dtype=np.int64)
@@ -276,7 +304,7 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
                             weights=np.full(k, 1.0 / k)), [0.0]
 
     rng = np.random.default_rng(seed)
-    d = _distance_matrix(x)
+    d = distance_matrix(x) if distances is None else distances
     medoids = sorted(_seed_medoids(d, k, rng))
 
     # Swapping medoid p for candidate c costs s1 - sum1[p] + sum2[p] at c,
@@ -347,13 +375,41 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
                         method=method_label, seed=seed, weights=weights), trace
 
 
-def _scalar_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    vx = float(np.var(x))
-    if vx < 1e-18:
-        return float(np.mean(y)), 0.0
-    b = float(np.cov(x, y, bias=True)[0, 1]) / vx
-    a = float(np.mean(y)) - b * float(np.mean(x))
-    return a, b
+# Candidates scored per block: enough to amortise numpy's per-call cost, few
+# enough that a block's gathered bits stay small.
+_BFV_BLOCK = 128
+
+
+def _validation_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
+                     y: np.ndarray) -> np.ndarray:
+    """Per candidate row of ``sub`` (candidates x models, subset accuracies),
+    the validation RMSE of the least-squares line fitted on the training
+    models; a constant training row gets the line y = mean(y_train).
+
+    Each float is the one that ``np.var``, ``np.mean`` and
+    ``np.cov(x, y, bias=True)`` give for that candidate alone.
+    """
+    # take() keeps each candidate's values contiguous, so numpy sums a row
+    # pairwise exactly as it sums a 1-D array; sub[:, train] would return a
+    # column-major array, summed in another order.
+    x = sub.take(train, axis=1)
+    y_train, y_val = y[train], y[val]
+    vx = np.var(x, axis=1)
+    mx = np.mean(x, axis=1)
+    my = np.mean(y_train)
+    pairs = np.empty((x.shape[0], 2, x.shape[1]))
+    pairs[:, 0] = x - mx[:, None]
+    pairs[:, 1] = y_train - my
+    # Multiplying by a transposed view makes matmul call BLAS syrk, as the
+    # dot product inside np.cov does; a contiguous copy would call gemm,
+    # whose sums round differently.
+    cov = np.matmul(pairs, pairs.transpose(0, 2, 1))[:, 0, 1]
+    cov *= np.true_divide(1, x.shape[1])
+    flat = vx < 1e-18
+    b = np.divide(cov, vx, out=np.zeros_like(vx), where=~flat)
+    a = my - b * mx                               # exactly my where b == 0
+    resid = a[:, None] + b[:, None] * sub.take(val, axis=1) - y_val
+    return np.sqrt(np.mean(resid ** 2, axis=1))
 
 
 def select_best_for_validation(
@@ -363,9 +419,16 @@ def select_best_for_validation(
     candidates: int = 1000,
     seed: int = 0,
     split_ratio: float = 0.8,
+    *,
+    bits: Mapping[str, np.ndarray] | None = None,
 ) -> AnchorSubset:
     """Pick, among random candidate subsets, the one whose subset accuracy
-    best predicts full accuracy on held-out models (lowest RMSE)."""
+    best predicts full accuracy on held-out models (lowest RMSE; the first
+    drawn wins ties).  ``bits`` is as for ``build_embeddings``.
+
+    Candidates are drawn one at a time, in a fixed order from the seed, and
+    scored in blocks.
+    """
     pool = ([tensors[key] for key in sorted(tensors)] if isinstance(tensors, Mapping)
             else list(tensors))
     accs, bit_rows = [], []
@@ -374,7 +437,7 @@ def select_best_for_validation(
         if acc is None:
             continue
         accs.append(acc)
-        bit_rows.append(correctness(t, manifest).bits)
+        bit_rows.append(_correctness_bits(t, manifest, bits))
     m = len(accs)
     if m < 4:
         raise InsufficientModels(f"best-for-validation needs >= 4 models with "
@@ -384,7 +447,9 @@ def select_best_for_validation(
     n = manifest.num_samples
     _check_budget(n, k)
 
-    bits = np.stack(bit_rows).astype(np.float64)    # (m, n)
+    # Sample-major, so a block gathers whole rows.  The subset accuracies
+    # are integer counts over k, exact in any summation order.
+    bits_by_sample = np.stack(bit_rows, axis=1)                          # (n, m)
     y = np.asarray(accs)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
@@ -392,14 +457,13 @@ def select_best_for_validation(
     train, val = perm[:n_train], perm[n_train:]
 
     best_rmse, best_idx = np.inf, None
-    for _ in range(candidates):
-        idx = np.sort(rng.choice(n, size=k, replace=False))
-        sub = bits[:, idx].mean(axis=1)
-        a, b = _scalar_fit(sub[train], y[train])
-        resid = a + b * sub[val] - y[val]
-        rmse = float(np.sqrt(np.mean(resid ** 2)))
-        if rmse < best_rmse:
-            best_rmse, best_idx = rmse, idx
+    for start in range(0, candidates, _BFV_BLOCK):
+        block = np.stack([np.sort(rng.choice(n, size=k, replace=False))
+                          for _ in range(min(_BFV_BLOCK, candidates - start))])
+        rmse = _validation_rmse(bits_by_sample[block].mean(axis=1), train, val, y)
+        i = int(rmse.argmin())
+        if rmse[i] < best_rmse:
+            best_rmse, best_idx = rmse[i], block[i]
     return AnchorSubset(indices=best_idx.astype(np.int64),
                         method="best_for_validation", seed=seed)
 
@@ -433,13 +497,34 @@ def load_subset(path: str | Path) -> AnchorSubset:
         raise SchemaError(f"{path}: missing subset keys")
     if set(obj) - required - {"provenance"}:
         raise SchemaError(f"{path}: unexpected subset keys")
-    subset = AnchorSubset(
-        indices=np.asarray(obj["indices"], dtype=np.int64),
-        method=obj["method"],
-        seed=int(obj["seed"]),
-        weights=None if obj["weights"] is None else np.asarray(obj["weights"]),
-        criterion=obj["criterion"],
-    )
+
+    def bad(key: str, want: str) -> SchemaError:
+        return SchemaError(f"{path}: subset {key!r} must be {want}")
+
+    # type() rather than isinstance(): JSON true/false load as bools, which
+    # are ints to isinstance, and 1.0 must not pass for an index.
+    indices, weights = obj["indices"], obj["weights"]
+    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        raise bad("indices", "a list of integers")
+    for key in ("seed", "k"):
+        if type(obj[key]) is not int:
+            raise bad(key, "an integer")
+    if type(obj["method"]) is not str:
+        raise bad("method", "a string")
+    if obj["criterion"] is not None and type(obj["criterion"]) is not str:
+        raise bad("criterion", "null or a string")
+    if weights is not None and (not isinstance(weights, list)
+                                or any(type(w) not in (int, float) for w in weights)):
+        raise bad("weights", "null or a list of numbers")
+    try:
+        idx = np.asarray(indices, dtype=np.int64)
+        w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    except OverflowError as e:
+        raise SchemaError(f"{path}: subset number out of range: {e}") from e
+    if w is not None and not np.isfinite(w).all():
+        raise bad("weights", "finite")
+    subset = AnchorSubset(indices=idx, method=obj["method"], seed=obj["seed"],
+                          weights=w, criterion=obj["criterion"])
     if subset.k != obj["k"]:
         raise SchemaError(f"{path}: k={obj['k']} does not match {subset.k} indices")
     subset.validate()

@@ -7,10 +7,8 @@ order: all C class probabilities per anchor (``probs``), the one-hot argmax
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +20,6 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     RankDeficiencyWarning,
-    SchemaError,
     TooFewModels,
 )
 from .selection import AnchorSubset
@@ -61,10 +58,6 @@ def build_signature(tensor: PredictionTensor, subset: AnchorSubset, mode: str = 
         lab = np.asarray(labels)[idx]
         vec = (rows.argmax(axis=1) == lab).astype(np.float64)
     return ModelSignature(tensor.model_id, vec, mode)
-
-
-def signature_matrix(signatures: Sequence[ModelSignature]) -> np.ndarray:
-    return np.stack([s.vector for s in signatures])
 
 
 @dataclass
@@ -140,48 +133,14 @@ def pca_arrays(proj: PcaProjection) -> dict[str, np.ndarray]:
     }
 
 
-def pca_from_arrays(arrays: dict[str, np.ndarray]) -> PcaProjection:
+def pca_from_arrays(arrays: dict[str, np.ndarray], where: str) -> PcaProjection:
+    """The projection that ``pca_arrays`` stored in a bundle read from
+    ``where``; SchemaError if a block is missing, misshapen or not finite."""
+    components = dten.bundle_block(arrays, "pca_components", where, (None, None))
+    d, dim = components.shape
     return PcaProjection(
-        mean=arrays["pca_mean"].ravel().astype(np.float64),
-        components=arrays["pca_components"].astype(np.float64),
-        explained_variance=arrays["pca_variance"].ravel().astype(np.float64),
+        mean=dten.bundle_block(arrays, "pca_mean", where, (1, dim)).ravel(),
+        components=components,
+        explained_variance=dten.bundle_block(arrays, "pca_variance", where,
+                                             (1, d)).ravel(),
     )
-
-
-def save_pca(proj: PcaProjection, path: str | Path) -> None:
-    dten.write_bundle(path, {"kind": "pca", "d": proj.d, "input_dim": proj.input_dim},
-                      pca_arrays(proj))
-
-
-def load_pca(path: str | Path) -> PcaProjection:
-    header, arrays = dten.read_bundle(path)
-    if header.get("kind") != "pca":
-        raise SchemaError(f"{path}: not a PCA bundle")
-    return pca_from_arrays(arrays)
-
-
-def save_signatures(signatures: Sequence[ModelSignature], path: str | Path,
-                    d: int | None = None) -> None:
-    """Signature matrix as a tensor file plus a JSON sidecar with the mode,
-    reduced dimension, and model ids."""
-    path = Path(path)
-    dten.write_dten(path, signature_matrix(signatures))
-    sidecar = {
-        "mode": signatures[0].mode,
-        "d": d,
-        "model_ids": [s.model_id for s in signatures],
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_signatures(path: str | Path) -> list[ModelSignature]:
-    path = Path(path)
-    matrix = dten.read_dten(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    mode = sidecar["mode"]
-    ids = sidecar["model_ids"]
-    if len(ids) != matrix.shape[0]:
-        raise SchemaError(f"{path}: sidecar lists {len(ids)} models for "
-                          f"{matrix.shape[0]} rows")
-    return [ModelSignature(mid, matrix[i].astype(np.float64), mode)
-            for i, mid in enumerate(ids)]

@@ -230,6 +230,20 @@ class TestPipelineCommands:
         assert "SchemaError" in proc.stderr
 
 
+    def test_bundle_missing_block_exits_1(self, artifacts, tmp_path):
+        from disco.dten import read_bundle, write_bundle
+        work, manifest = artifacts
+        header, arrays = read_bundle(work / "model.bin")
+        del arrays["knn_vectors"]
+        model = tmp_path / "knn.bin"
+        write_bundle(model, header, arrays)
+        proc = run_cli_process("predict", "--manifest", manifest, "--model", model,
+                               "--subset", work / "subset.json", "--cutoff", "median",
+                               "--out", tmp_path / "p.json")
+        assert proc.returncode == 1, proc.stderr
+        assert "SchemaError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 class TestUnreadableJsonInputs:
     """A missing or corrupt JSON input ends with its exit code, not a traceback."""
 
@@ -263,6 +277,40 @@ class TestUnreadableJsonInputs:
         assert "SchemaError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+
+class TestMalformedSubsetFields:
+    """A subset field of the wrong type is a schema error (exit 1)."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("indices", ["a", 1, 2, 3, 4]),
+        ("indices", [0.5, 1, 2, 3, 4]),
+        ("indices", [True, 1, 2, 3, 4]),
+        ("indices", [2**70, 1, 2, 3, 4]),
+        ("indices", "0,1,2,3,4"),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("k", "5"),
+        ("weights", "abc"),
+        ("weights", [0.2, 0.2, "x", 0.2, 0.2]),
+        ("weights", [0.2, 0.2, float("nan"), 0.2, 0.2]),
+        ("weights", [0.2, 0.2, 10**400, 0.2, 0.2]),
+        ("method", 3),
+        ("criterion", ["pds_env"]),
+    ])
+    def test_fit_rejects(self, artifacts, tmp_path, field, value):
+        work, manifest = artifacts
+        obj = json.loads((work / "subset.json").read_text())
+        obj.update(indices=[0, 1, 2, 3, 4], k=5, weights=None)
+        obj[field] = value
+        subset = tmp_path / "subset.json"
+        subset.write_text(json.dumps(obj))
+        proc = run_cli_process("fit", "--manifest", manifest, "--subset", subset,
+                               "--predictor", "knn", "--cutoff", "median",
+                               "--out", tmp_path / "m.bin")
+        assert proc.returncode == 1, proc.stderr
+        assert "SchemaError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.bin").exists()
 
 class TestSweepCommand:
     def test_row_cardinality(self, synth_dir, tmp_path):

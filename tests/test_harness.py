@@ -13,11 +13,13 @@ from disco.harness import (
     ModelSplit,
     PredictorConfig,
     SelectionConfig,
+    SharedSources,
     UniformSplit,
     mae,
     median_date_cutoff,
     midranks,
     pearson,
+    report_to_obj,
     run_pipeline,
     save_report,
     spearman,
@@ -279,6 +281,40 @@ class TestSweep:
         single = run_pipeline(manifest, tensors, split, *cfg, k=10, seed=3)
         assert len(reports) == 1
         assert reports[0].pairs == single.pairs
+
+    def test_sweep_equals_separate_pipelines(self, population, tmp_path):
+        # one SharedSources for the whole sweep, a fresh one per pipeline:
+        # every selector and readout gives the same bytes either way
+        manifest, tensors = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        configs = [(SelectionConfig(method=sel), PredictorConfig(kind=pred))
+                   for sel, pred in [
+                       ("random", "linear"), ("topk_pds", "knn"),
+                       ("kmedoids_conf", "knn"), ("topk_jsd", "linear"),
+                       ("kmedoids_corr", "weighted_sum"),
+                       ("kmedoids_conf", "weighted_sum"),
+                       ("stratified_topk", "knn"), ("best_for_validation", "direct")]]
+        budgets, seeds = [12, 40], [0, 3]
+        reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
+        singles = [run_pipeline(manifest, tensors, split, sel, pred, k, seed)
+                   for sel, pred in configs for k in budgets for seed in seeds]
+        assert ([json.dumps(report_to_obj(r)) for r in reports]
+                == [json.dumps(report_to_obj(r)) for r in singles])
+        write_sweep_csv(reports, tmp_path / "sweep.csv")
+        write_sweep_csv(singles, tmp_path / "singles.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()
+
+    def test_shared_sources_must_match_inputs(self, population):
+        from disco.errors import InvalidConfig
+        manifest, tensors = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        cfg = (SelectionConfig(method="topk_pds"), PredictorConfig(kind="knn"))
+        other = split_models(manifest, UniformSplit(0.5, seed=1))
+        for shared in (SharedSources(manifest, dict(tensors), split.source_ids),
+                       SharedSources(manifest, tensors, other.source_ids)):
+            with pytest.raises(InvalidConfig):
+                run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0,
+                             shared=shared)
 
     def test_cardinality(self, population):
         manifest, tensors = population

@@ -352,7 +352,10 @@ class TestSerialization:
         save_predictor(model, path)
         loaded = load_predictor(path)
         assert np.array_equal(loaded.knn_vectors, model.knn_vectors)
+        assert np.array_equal(loaded.projection.mean, proj.mean)
         assert np.array_equal(loaded.projection.components, proj.components)
+        assert np.array_equal(loaded.projection.explained_variance,
+                              proj.explained_variance)
         q = rng.standard_normal(6)
         assert predict(loaded, q) == predict(model, q)
 
@@ -416,6 +419,50 @@ class TestSerialization:
             table[inner, 1] = 0.5
         else:
             table[inner, 2] = np.nan
+        write_bundle(path, header, arrays)
+        with pytest.raises(SchemaError):
+            load_predictor(path)
+
+    @pytest.mark.parametrize("kind, corrupt", [
+        ("knn", lambda h, a: h.update(config={})),
+        ("knn", lambda h, a: h.update(config=3)),
+        ("knn", lambda h, a: h["config"].update(k_neighbors="3")),
+        ("knn", lambda h, a: h["config"].update(k_neighbors=True)),
+        ("knn", lambda h, a: h["config"].update(k_neighbors=0)),
+        ("knn", lambda h, a: h["config"].update(k_neighbors=11)),
+        ("knn", lambda h, a: a.pop("knn_vectors")),
+        ("knn", lambda h, a: a.update(knn_vectors=a["knn_vectors"][:, :3])),
+        ("knn", lambda h, a: a.update(knn_performances=a["knn_performances"][:, :9])),
+        ("knn", lambda h, a: a.pop("knn_performances")),
+        ("knn", lambda h, a: a["knn_vectors"].__setitem__((0, 0), np.inf)),
+        ("knn", lambda h, a: a.pop("pca_mean")),
+        ("knn", lambda h, a: a.update(pca_mean=a["pca_mean"][:, :5])),
+        ("knn", lambda h, a: a.update(pca_variance=a["pca_variance"][:, :3])),
+        ("knn", lambda h, a: a.update(pca_components=a["pca_components"][:0])),
+        ("linear", lambda h, a: a.pop("linear_weights")),
+        ("linear", lambda h, a: a.pop("linear_intercept")),
+        ("linear", lambda h, a: a.update(linear_intercept=np.zeros((0, 1)))),
+        ("linear", lambda h, a: a.update(linear_intercept=np.zeros((1, 2)))),
+        ("linear", lambda h, a: a.update(linear_weights=a["linear_weights"][:, :3])),
+        ("linear", lambda h, a: a["linear_weights"].__setitem__((0, 1), np.nan)),
+        ("weighted_sum", lambda h, a: a.pop("ws_weights")),
+        ("weighted_sum", lambda h, a: a.update(ws_weights=np.full((2, 1), 0.5))),
+        ("random_forest", lambda h, a: h.pop("config")),
+    ])
+    def test_malformed_bundle_rejected(self, tmp_path, rng, kind, corrupt):
+        from disco.dten import read_bundle, write_bundle
+        from disco.errors import SchemaError
+        proj = pca_fit(rng.standard_normal((10, 6)), 4)
+        if kind == "weighted_sum":
+            model = PredictorModel(kind=kind, anchor_weights=np.array([0.25, 0.75]))
+        else:
+            config = {"k_neighbors": 3} if kind == "knn" else ForestConfig(n_trees=2)
+            model = train(kind, rng.standard_normal((10, 4)), rng.random(10), config,
+                          projection=proj)
+        path = tmp_path / "model.dpak"
+        save_predictor(model, path)
+        header, arrays = read_bundle(path)
+        corrupt(header, arrays)
         write_bundle(path, header, arrays)
         with pytest.raises(SchemaError):
             load_predictor(path)

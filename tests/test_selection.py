@@ -13,11 +13,12 @@ from disco.errors import (
     InsufficientModels,
     InvariantViolation,
     SchemaError,
+    ShapeMismatch,
 )
 from disco.scoring import ScoreTable, score_dataset
 from disco.selection import (
-    _distance_matrix,
     build_embeddings,
+    distance_matrix,
     kmedoids_objective,
     kmedoids_with_trace,
     load_subset,
@@ -348,10 +349,29 @@ def test_kmedoids_capped_search_equals_reference(monkeypatch):
         assert len(assert_kmedoids_equal_reference(x, k, seed=1)) == 2
 
 
+@settings(max_examples=100)
+@given(_kmedoids_case())
+def test_kmedoids_with_given_distances_equals_without(case):
+    x, k, seed = case
+    d = distance_matrix(x)
+    d.flags.writeable = False            # the search must only read it
+    subset, trace = kmedoids_with_trace(x, k, seed)
+    given, given_trace = kmedoids_with_trace(x, k, seed, distances=d)
+    assert given.indices.tolist() == subset.indices.tolist()
+    assert given.weights.tobytes() == subset.weights.tobytes()
+    assert given_trace == trace
+
+
+def test_kmedoids_rejects_misshapen_distances():
+    x = np.random.default_rng(0).random((6, 2))
+    with pytest.raises(ShapeMismatch):
+        kmedoids_with_trace(x, 2, seed=0, distances=distance_matrix(x[:5]))
+
+
 @settings(max_examples=50)
 @given(_kmedoids_case())
 def test_distance_matrix_exactly_symmetric(case):
-    d = _distance_matrix(case[0])
+    d = distance_matrix(case[0])
     assert np.array_equal(d, d.T)
     assert d.tobytes() == _ref_distance_matrix(case[0]).tobytes()
 
@@ -438,6 +458,122 @@ class TestBestForValidation:
         man, tensors = _bfv_population(rng, m=3)
         with pytest.raises(InsufficientModels):
             select_best_for_validation(tensors, man, 4, candidates=2, seed=0)
+
+
+# The loop that scored one candidate at a time.  The blocked scoring in
+# disco.selection must pick the same subset from the same draws.
+
+def _ref_scalar_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    vx = float(np.var(x))
+    if vx < 1e-18:
+        return float(np.mean(y)), 0.0
+    b = float(np.cov(x, y, bias=True)[0, 1]) / vx
+    a = float(np.mean(y)) - b * float(np.mean(x))
+    return a, b
+
+
+def _ref_best_for_validation(bits: np.ndarray, y: np.ndarray, k: int,
+                             candidates: int, seed: int,
+                             split_ratio: float) -> np.ndarray:
+    m, n = bits.shape
+    bits = bits.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m)
+    n_train = min(max(int(split_ratio * m), 1), m - 1)
+    train, val = perm[:n_train], perm[n_train:]
+    best_rmse, best_idx = np.inf, None
+    for _ in range(candidates):
+        idx = np.sort(rng.choice(n, size=k, replace=False))
+        rmse = _ref_rmse(bits[:, idx].mean(axis=1), train, val, y)
+        if rmse < best_rmse:
+            best_rmse, best_idx = rmse, idx
+    return best_idx
+
+
+def _ref_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
+              y: np.ndarray) -> float:
+    a, b = _ref_scalar_fit(sub[train], y[train])
+    resid = a + b * sub[val] - y[val]
+    return float(np.sqrt(np.mean(resid ** 2)))
+
+
+def _population_from_bits(bits: np.ndarray, accuracies: np.ndarray):
+    """Two-class tensors (label 0 everywhere) whose correctness is ``bits``."""
+    m, n = bits.shape
+    ids = [f"m{i:02d}" for i in range(m)]
+    man = make_manifest(np.zeros(n, dtype=np.int64), 2, ids,
+                        accuracies=[float(a) for a in accuracies])
+    rows = np.where(bits[:, :, None] == 1, [0.75, 0.25], [0.25, 0.75])
+    return man, [tensor_from_rows(mid, r) for mid, r in zip(ids, rows)]
+
+
+@st.composite
+def _bfv_case(draw):
+    m = draw(st.integers(4, 60))
+    n = draw(st.integers(1, 40))
+    # Columns every model answers alike: a candidate made of them alone
+    # gives every training model the same subset accuracy.
+    constant = draw(st.integers(0, n))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((m, n)) < rng.random((m, 1))).astype(np.uint8)
+    bits[:, :constant] = rng.integers(0, 2, constant)
+    accuracies = np.clip(bits.mean(axis=1) + 0.1 * rng.standard_normal(m), 0, 1)
+    k = draw(st.integers(1, n))
+    candidates = draw(st.sampled_from([1, 127, 129, 300])
+                      | st.integers(1, 300).filter(lambda c: c % 128 != 0))
+    split_ratio = draw(st.sampled_from([0.0, 0.01, 0.5, 0.8, 0.99, 1.0])
+                       | st.floats(0.0, 1.0))
+    return bits, accuracies, k, candidates, seed % 1000, split_ratio
+
+
+@settings(max_examples=150)
+@given(_bfv_case())
+def test_best_for_validation_equals_reference_loop(case):
+    bits, accuracies, k, candidates, seed, split_ratio = case
+    man, tensors = _population_from_bits(bits, accuracies)
+    want = _ref_best_for_validation(bits, accuracies, k, candidates, seed, split_ratio)
+    got = select_best_for_validation(tensors, man, k, candidates=candidates,
+                                     seed=seed, split_ratio=split_ratio)
+    assert got.indices.tolist() == want.tolist()
+    given_bits = {t.model_id: row for t, row in zip(tensors, bits)}
+    again = select_best_for_validation(tensors, man, k, candidates=candidates,
+                                       seed=seed, split_ratio=split_ratio,
+                                       bits=given_bits)
+    assert again.indices.tolist() == want.tolist()
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 120), st.integers(1, 200), st.integers(1, 300),
+       st.integers(0, 2**31))
+def test_validation_rmse_equals_reference_bits(m, k, rows, seed):
+    # The winner is the same only if every candidate's RMSE has the same
+    # bits: a one-ulp difference rarely changes which candidate wins.
+    rng = np.random.default_rng(seed)
+    sub = rng.integers(0, k + 1, size=(rows, m)) / k
+    sub[: rows // 4] = sub[: rows // 4, :1]          # constant rows: flat fit
+    y = rng.random(m)
+    perm = rng.permutation(m)
+    n_train = int(rng.integers(1, m))
+    train, val = perm[:n_train], perm[n_train:]
+    want = np.array([_ref_rmse(row, train, val, y) for row in sub])
+    got = selection._validation_rmse(sub, train, val, y)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_best_for_validation_flat_branch_equals_reference_loop():
+    # Half the samples are answered alike by every model, so many candidates
+    # take the constant-fit branch; the rest compete on a fitted line.
+    rng = np.random.default_rng(5)
+    bits = (rng.random((40, 30)) < rng.random((40, 1))).astype(np.uint8)
+    bits[:, :15] = 1
+    accuracies = bits.mean(axis=1)
+    man, tensors = _population_from_bits(bits, accuracies)
+    for k, split_ratio in ((3, 0.8), (10, 0.5), (2, 0.0)):
+        want = _ref_best_for_validation(bits, accuracies, k, 1000, 1, split_ratio)
+        got = select_best_for_validation(tensors, man, k, candidates=1000, seed=1,
+                                         split_ratio=split_ratio)
+        assert got.indices.tolist() == want.tolist()
 
 
 class TestSerialization:

@@ -14,12 +14,8 @@ from disco.selection import AnchorSubset
 from disco.signatures import (
     build_signature,
     default_pca_dim,
-    load_pca,
-    load_signatures,
     pca_fit,
     pca_transform,
-    save_pca,
-    save_signatures,
 )
 from disco.store import correctness
 
@@ -172,27 +168,3 @@ class TestPcaTransform:
         with pytest.raises(LengthMismatch):
             pca_transform(proj, np.zeros(3))
 
-
-class TestSerialization:
-    def test_pca_round_trip_exact(self, tmp_path, rng):
-        proj = pca_fit(rng.standard_normal((10, 7)), 4)
-        path = tmp_path / "proj.dpak"
-        save_pca(proj, path)
-        loaded = load_pca(path)
-        assert np.array_equal(loaded.mean, proj.mean)
-        assert np.array_equal(loaded.components, proj.components)
-        assert np.array_equal(loaded.explained_variance, proj.explained_variance)
-
-    def test_signatures_round_trip(self, tmp_path, rng):
-        raw = rng.random((6, 3)) + 1e-6
-        raw /= raw.sum(axis=1, keepdims=True)
-        tensors = [tensor_from_rows(f"m{i}", raw) for i in range(3)]
-        s = subset_of([1, 4])
-        sigs = [build_signature(t, s, "probs") for t in tensors]
-        path = tmp_path / "sigs.dten"
-        save_signatures(sigs, path, d=2)
-        loaded = load_signatures(path)
-        assert [x.model_id for x in loaded] == ["m0", "m1", "m2"]
-        assert loaded[0].mode == "probs"
-        for a, b in zip(sigs, loaded):
-            assert np.array_equal(a.vector, b.vector)

@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     DiscoError,
@@ -27,45 +25,37 @@ from .errors import (
     MissingWeights,
     SchemaError,
     StaleArtifact,
-    TooFewModels,
 )
 from .harness import (
+    PREDICTOR_KINDS,
     ChronologicalSplit,
     PredictorConfig,
     SelectionConfig,
+    SharedSources,
     UniformSplit,
+    fit_predictor,
+    known_accuracies,
     median_date_cutoff,
+    predict_target,
     run_pipeline,
     save_report,
+    select_anchors,
     split_models,
     sweep_budgets,
     write_sweep_csv,
 )
-from .predictors import (
-    ForestConfig,
-    PredictorModel,
-    load_predictor,
-    predict,
-    predict_weighted_sum,
-    save_predictor,
-    train,
-)
+from .predictors import KINDS, ForestConfig, PredictorModel, load_predictor, save_predictor
 from .scoring import read_scores_csv, score_dataset, write_scores_csv
 from .selection import (
+    METHODS,
+    SCORE_METHODS,
     load_subset,
     save_subset,
-    select_best_for_validation,
-    select_kmedoids,
-    select_random,
-    select_stratified_topk,
-    select_topk,
-    build_embeddings,
-    subset_provenance,
 )
-from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
+from .signatures import MODES
 from .store import (
     BenchmarkManifest,
-    correctness,
+    TensorFiles,
     load_manifest,
     load_tensor,
     read_json_object,
@@ -141,6 +131,8 @@ def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
         ids = [m.strip() for m in args.models.split(",") if m.strip()]
         for mid in ids:
             manifest.model(mid)
+        if len(set(ids)) != len(ids):
+            raise InvalidConfig(f"--models lists a model more than once: {args.models!r}")
         return ids
     eligible = [m for m in manifest.models if m.true_accuracy is not None]
     if getattr(args, "cutoff", None):
@@ -166,14 +158,10 @@ def cmd_score(args) -> int:
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     ids = _resolve_models(manifest, args, "source")
-    if len(ids) < 2:
-        raise TooFewModels(f"scoring needs at least 2 models, got {len(ids)}")
-    tensors = [load_tensor(manifest, mid) for mid in ids]
-    table = score_dataset(manifest, tensors)
+    table = score_dataset(manifest, {mid: load_tensor(manifest, mid) for mid in ids})
     out = _workpath(args, args.out)
     write_scores_csv(table, out)
     prov = _provenance(args.seed, manifest=manifest_path)
-    prov["method"] = args.method
     prov["models"] = ids
     Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
     print(f"score: wrote {out} ({len(table)} samples, {len(ids)} models)")
@@ -185,8 +173,9 @@ def cmd_select(args) -> int:
     manifest = load_manifest(manifest_path)
     method = args.method
     inputs: dict[str, Path] = {"manifest": manifest_path}
-
-    if method in ("topk_pds", "topk_jsd", "stratified_topk"):
+    scores = None
+    ids: list[str] = []
+    if method in SCORE_METHODS:
         if not args.scores:
             raise InvalidConfig(f"--scores is required for method {method!r}")
         scores_path = _workpath(args, args.scores)
@@ -194,31 +183,16 @@ def cmd_select(args) -> int:
         if prov_path.is_file():
             _check_fresh(read_json_object(prov_path, "score provenance"),
                          "manifest", manifest_path)
-        table = read_scores_csv(scores_path)
+        scores = read_scores_csv(scores_path)
         inputs["scores"] = scores_path
-        if method == "stratified_topk":
-            subset = select_stratified_topk(table, manifest.task_tags, args.k,
-                                            args.criterion, seed=args.seed)
-        else:
-            criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
-            subset = select_topk(table, args.k, criterion, seed=args.seed)
-    elif method == "random":
-        subset = select_random(manifest.num_samples, args.k, args.seed)
-    elif method in ("kmedoids_conf", "kmedoids_corr"):
+    elif method != "random":
         ids = _resolve_models(manifest, args, "source")
-        tensors = [load_tensor(manifest, mid) for mid in ids]
-        emb = build_embeddings(tensors, manifest,
-                               "conf" if method == "kmedoids_conf" else "corr")
-        subset = select_kmedoids(emb, args.k, args.seed, method_label=method)
-    elif method == "best_for_validation":
-        ids = _resolve_models(manifest, args, "source")
-        tensors = [load_tensor(manifest, mid) for mid in ids]
-        subset = select_best_for_validation(tensors, manifest, args.k,
-                                            candidates=args.candidates,
-                                            seed=args.seed,
-                                            split_ratio=args.split_ratio)
-    else:  # argparse choices should have caught this
-        raise InvalidConfig(f"unknown selection method {method!r}")
+    subset = select_anchors(
+        SharedSources(manifest, {mid: load_tensor(manifest, mid) for mid in ids}, ids,
+                      scores=scores),
+        SelectionConfig(method=method, criterion=args.criterion,
+                        candidates=args.candidates, split_ratio=args.split_ratio),
+        args.k, args.seed)
 
     out = _workpath(args, args.out)
     save_subset(subset, out, provenance=_provenance(args.seed, **inputs))
@@ -230,8 +204,8 @@ def cmd_fit(args) -> int:
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     subset_path = _workpath(args, args.subset)
-    _check_fresh(subset_provenance(subset_path), "manifest", manifest_path)
     subset = load_subset(subset_path)
+    _check_fresh(subset.provenance, "manifest", manifest_path)
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "source")
     threads = _threads(args)
@@ -241,28 +215,10 @@ def cmd_fit(args) -> int:
             raise MissingWeights("subset has no anchor weights to fit weighted_sum")
         model = PredictorModel(kind="weighted_sum", anchor_weights=subset.weights)
     else:
-        accs, rows = [], []
-        for mid in ids:
-            acc = manifest.model(mid).true_accuracy
-            if acc is None:
-                raise TooFewModels(f"model {mid!r} lacks a known accuracy")
-            tensor = load_tensor(manifest, mid)
-            rows.append(build_signature(tensor, subset, args.mode,
-                                        labels=manifest.labels).vector)
-            accs.append(acc)
-        matrix = np.stack(rows)
-        projection = None
-        features = matrix
-        if args.pca_dim != 0:
-            d = args.pca_dim or default_pca_dim(matrix.shape[0], matrix.shape[1])
-            projection = pca_fit(matrix, d)
-            features = pca_transform(projection, matrix)
-        config = ({"k_neighbors": args.k_neighbors} if args.predictor == "knn"
-                  else ForestConfig(n_trees=args.trees, min_leaf=args.min_leaf,
-                                    feature_frac=args.feature_frac)
-                  if args.predictor == "random_forest" else {})
-        model = train(args.predictor, features, accs, config, seed=args.seed,
-                      projection=projection, threads=threads)
+        model = fit_predictor(manifest, TensorFiles(manifest, ids),
+                              known_accuracies(manifest, ids), subset,
+                              _predictor_config(args, args.predictor), args.seed,
+                              threads=threads)
 
     out = _workpath(args, args.out)
     prov = _provenance(args.seed, manifest=manifest_path, subset=subset_path)
@@ -278,26 +234,20 @@ def cmd_predict(args) -> int:
     manifest = load_manifest(manifest_path)
     model_path = _workpath(args, args.model)
     subset_path = _workpath(args, args.subset)
-    from .dten import read_bundle
-
-    header, _ = read_bundle(model_path)
-    _check_fresh(header.get("provenance"), "manifest", manifest_path)
-    _check_fresh(header.get("provenance"), "subset", subset_path)
-    mode = header.get("provenance", {}).get("mode", args.mode)
     model = load_predictor(model_path)
+    _check_fresh(model.provenance, "manifest", manifest_path)
+    _check_fresh(model.provenance, "subset", subset_path)
+    mode = model.provenance.get("mode") if isinstance(model.provenance, dict) else None
+    if model.kind != "weighted_sum" and mode not in MODES:
+        raise SchemaError(f"{model_path}: provenance 'mode' must be one of "
+                          f"{', '.join(MODES)}, got {mode!r}")
     subset = load_subset(subset_path)
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "target")
 
-    predictions = {}
-    for mid in ids:
-        tensor = load_tensor(manifest, mid)
-        if model.kind == "weighted_sum":
-            bits = correctness(tensor, manifest).bits[subset.indices]
-            predictions[mid] = predict_weighted_sum(subset, bits)
-        else:
-            sig = build_signature(tensor, subset, mode, labels=manifest.labels)
-            predictions[mid] = predict(model, sig.vector)
+    targets = SharedSources(manifest, TensorFiles(manifest, ids), [])
+    config = PredictorConfig(kind=model.kind, signature_mode=mode)
+    predictions = {mid: predict_target(targets, mid, subset, config, model) for mid in ids}
 
     out = _workpath(args, args.out)
     obj = {
@@ -345,21 +295,25 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        budgets = sorted(int(b) for b in args.budgets.split(","))
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise InvalidConfig(f"--budgets and --seeds must be comma-separated integers, "
+                            f"got {args.budgets!r} and {args.seeds!r}")
+    configs = []
+    for entry in args.configs.split(","):
+        sel, _, pred = entry.partition(":")
+        if sel not in METHODS or pred not in PREDICTOR_KINDS:
+            raise InvalidConfig(f"config must be selection:predictor with a "
+                                f"selection in {METHODS} and a predictor in "
+                                f"{PREDICTOR_KINDS}, got {entry!r}")
+        configs.append((SelectionConfig(method=sel), _predictor_config(args, pred)))
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)
     tensors = {mid: load_tensor(manifest, mid)
                for mid in split.source_ids + split.target_ids}
-    budgets = sorted(int(b) for b in args.budgets.split(","))
-    seeds = [int(s) for s in args.seeds.split(",")]
-    configs = []
-    for entry in args.configs.split(","):
-        try:
-            sel, pred = entry.split(":")
-        except ValueError:
-            raise InvalidConfig(f"config must look like selection:predictor, "
-                                f"got {entry!r}")
-        configs.append((SelectionConfig(method=sel), _predictor_config(args, pred)))
     reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds,
                             threads=_threads(args))
     out = _workpath(args, args.out)
@@ -413,8 +367,7 @@ def build_parser() -> _Parser:
                              "artifacts are byte-identical for any value")
 
     pred_common = argparse.ArgumentParser(add_help=False)
-    pred_common.add_argument("--mode", default="probs",
-                             choices=("probs", "onehot", "correctness"))
+    pred_common.add_argument("--mode", default="probs", choices=MODES)
     pred_common.add_argument("--pca-dim", type=int, default=None,
                              help="projection width; 0 disables PCA")
     pred_common.add_argument("--k-neighbors", type=int, default=5)
@@ -438,7 +391,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("score", parents=[common])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--method", choices=("pds", "jsd"), default="pds")
     p.add_argument("--models", default=None, help="comma-separated model ids")
     p.add_argument("--cutoff", default=None, help="use models before this date")
     p.add_argument("--out", required=True)
@@ -446,9 +398,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", parents=[common])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--method", required=True,
-                   choices=("random", "topk_pds", "topk_jsd", "stratified_topk",
-                            "kmedoids_conf", "kmedoids_corr", "best_for_validation"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scores", default=None, help="score CSV for top-k methods")
     p.add_argument("--criterion", default="pds_env",
@@ -463,8 +413,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", parents=[common, pred_common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--subset", required=True)
-    p.add_argument("--predictor", required=True,
-                   choices=("knn", "linear", "random_forest", "weighted_sum"))
+    p.add_argument("--predictor", required=True, choices=KINDS)
     p.add_argument("--models", default=None)
     p.add_argument("--cutoff", default=None)
     p.add_argument("--out", required=True)
@@ -476,18 +425,13 @@ def build_parser() -> _Parser:
     p.add_argument("--subset", required=True)
     p.add_argument("--models", default=None)
     p.add_argument("--cutoff", default=None)
-    p.add_argument("--mode", default="probs",
-                   choices=("probs", "onehot", "correctness"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[common, pred_common, split_common])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--selection", default="topk_pds",
-                   choices=("random", "topk_pds", "topk_jsd", "stratified_topk",
-                            "kmedoids_conf", "kmedoids_corr", "best_for_validation"))
-    p.add_argument("--predictor", default="random_forest",
-                   choices=("direct", "weighted_sum", "knn", "linear", "random_forest"))
+    p.add_argument("--selection", default="topk_pds", choices=METHODS)
+    p.add_argument("--predictor", default="random_forest", choices=PREDICTOR_KINDS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

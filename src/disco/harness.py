@@ -23,9 +23,12 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     MissingDates,
+    TooFewModels,
     ZeroVariance,
 )
 from .predictors import (
+    KINDS,
+    TRAINED_KINDS,
     ForestConfig,
     PredictorModel,
     predict,
@@ -34,6 +37,7 @@ from .predictors import (
 )
 from .scoring import ScoreTable, score_dataset
 from .selection import (
+    SCORE_METHODS,
     AnchorSubset,
     build_embeddings,
     distance_matrix,
@@ -46,7 +50,7 @@ from .selection import (
 from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
 from .store import BenchmarkManifest, PredictionTensor, correctness
 
-PREDICTOR_KINDS = ("direct", "weighted_sum", "knn", "linear", "random_forest")
+PREDICTOR_KINDS = ("direct",) + KINDS
 
 
 # --- model splits ------------------------------------------------------------
@@ -67,6 +71,15 @@ class ModelSplit:
     source_ids: list[str]
     target_ids: list[str]
     policy: str
+
+
+def known_accuracies(manifest: BenchmarkManifest, ids: list[str]) -> dict[str, float]:
+    """Each model's true accuracy; InsufficientModels if one has none."""
+    accuracies = {mid: manifest.model(mid).true_accuracy for mid in ids}
+    for mid, acc in accuracies.items():
+        if acc is None:
+            raise InsufficientModels(f"model {mid!r} has no known accuracy")
+    return accuracies
 
 
 def _eligible(manifest: BenchmarkManifest) -> list:
@@ -205,15 +218,17 @@ class SharedSources:
     accuracy readouts) and the k-medoids embeddings and distance matrix of
     one embedding kind.  ``sweep_budgets`` keeps one for the whole sweep;
     ``run_pipeline`` and ``condense_and_train`` make a fresh one when given
-    none.  Every array it hands out is read-only.
+    none.  ``scores``, when given, is the score table of these sources, read
+    back from a file.  Every array it hands out is read-only.
     """
 
     def __init__(self, manifest: BenchmarkManifest,
-                 tensors: Mapping[str, PredictionTensor], source_ids: list[str]):
+                 tensors: Mapping[str, PredictionTensor], source_ids: list[str],
+                 *, scores: ScoreTable | None = None):
         self.manifest = manifest
         self.tensors = tensors
         self.sources = {mid: tensors[mid] for mid in source_ids}
-        self._scores: ScoreTable | None = None
+        self._scores = scores
         self._bits: dict[str, np.ndarray] = {}
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
 
@@ -256,18 +271,20 @@ class SharedSources:
         self._kmedoids = None
 
 
-def _select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
-                    seed: int) -> AnchorSubset:
+def select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
+                   seed: int) -> AnchorSubset:
+    """The anchors that ``cfg`` picks from the shared source data; the
+    score-ranking methods read only its score table, ``random`` nothing."""
     manifest = shared.manifest
     method = cfg.method
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
-    if method in ("topk_pds", "topk_jsd"):
+    if method in SCORE_METHODS:
+        if method == "stratified_topk":
+            return select_stratified_topk(shared.scores(), manifest.task_tags, k,
+                                          cfg.criterion or "pds_env", seed=seed)
         criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
         return select_topk(shared.scores(), k, criterion, seed=seed)
-    if method == "stratified_topk":
-        return select_stratified_topk(shared.scores(), manifest.task_tags, k,
-                                      cfg.criterion or "pds_env", seed=seed)
     if method in ("kmedoids_conf", "kmedoids_corr"):
         emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
@@ -277,6 +294,52 @@ def _select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
             split_ratio=cfg.split_ratio,
             bits={mid: shared.bits(mid) for mid in shared.sources})
     raise InvalidConfig(f"unknown selection method {method!r}")
+
+
+def fit_predictor(
+    manifest: BenchmarkManifest,
+    source_tensors: Mapping[str, PredictionTensor],
+    source_accuracies: Mapping[str, float],
+    subset: AnchorSubset,
+    predictor: PredictorConfig,
+    seed: int,
+    threads: int = 1,
+) -> PredictorModel | None:
+    """The projection and predictor fitted on the source models' signatures,
+    stacked in sorted model-id order; None for the accuracy readouts
+    (direct, weighted_sum).  Each source tensor is looked up once, so a
+    mapping that loads tensors on lookup holds one at a time.
+    """
+    if predictor.kind not in PREDICTOR_KINDS:
+        raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
+    if predictor.kind not in TRAINED_KINDS:
+        return None
+    if len(source_tensors) < 2:
+        raise TooFewModels(f"fitting needs at least 2 source models, "
+                           f"got {len(source_tensors)}")
+
+    ids = sorted(source_tensors)
+    matrix = np.stack([build_signature(source_tensors[mid], subset,
+                                       predictor.signature_mode,
+                                       labels=manifest.labels).vector
+                       for mid in ids])
+    accs = np.asarray([source_accuracies[mid] for mid in ids])
+
+    projection = None
+    features = matrix
+    if predictor.pca_dim != 0:
+        d = predictor.pca_dim or default_pca_dim(matrix.shape[0], matrix.shape[1])
+        projection = pca_fit(matrix, d)
+        features = pca_transform(projection, matrix)
+
+    if predictor.kind == "knn":
+        config: dict | ForestConfig = {"k_neighbors": predictor.k_neighbors}
+    elif predictor.kind == "random_forest":
+        config = predictor.forest
+    else:
+        config = {}
+    return train(predictor.kind, features, accs, config, seed=seed,
+                 projection=projection, threads=threads)
 
 
 def condense_and_train(
@@ -293,55 +356,37 @@ def condense_and_train(
 ) -> tuple[AnchorSubset, PredictorModel | None]:
     """Anchor selection plus predictor training from source models only.
 
-    Returns (subset, model); the model is None for the accuracy-readout
-    predictors (direct, weighted_sum), which need no training.  ``shared``
-    holds what the caller has already computed from these source models
-    (``sweep_budgets`` keeps one per sweep); it must have been built from
-    the same manifest and source tensors.
+    Returns (subset, model), the model as from ``fit_predictor``.
+    ``shared`` holds what the caller has already computed from these
+    source models (``sweep_budgets`` keeps one per sweep); it must have
+    been built from the same manifest and source tensors.
     """
     if shared is None:
         # Lives only through selection, so the score table is not held
         # while the predictor trains.
-        subset = _select_anchors(
+        subset = select_anchors(
             SharedSources(manifest, source_tensors, list(source_tensors)),
             selection, k, seed)
     else:
         shared.check(manifest, source_tensors)
-        subset = _select_anchors(shared, selection, k, seed)
-    if predictor.kind in ("direct", "weighted_sum"):
-        return subset, None
-    if predictor.kind not in PREDICTOR_KINDS:
-        raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
-
-    sigs = [build_signature(source_tensors[mid], subset, predictor.signature_mode,
-                            labels=manifest.labels)
-            for mid in sorted(source_tensors)]
-    matrix = np.stack([s.vector for s in sigs])
-    accs = np.asarray([source_accuracies[mid] for mid in sorted(source_tensors)])
-
-    projection = None
-    features = matrix
-    if predictor.pca_dim != 0:
-        d = predictor.pca_dim or default_pca_dim(matrix.shape[0], matrix.shape[1])
-        projection = pca_fit(matrix, d)
-        features = pca_transform(projection, matrix)
-
-    if predictor.kind == "knn":
-        config: dict | ForestConfig = {"k_neighbors": predictor.k_neighbors}
-    elif predictor.kind == "random_forest":
-        config = predictor.forest
-    else:
-        config = {}
-    model = train(predictor.kind, features, accs, config, seed=seed,
-                  projection=projection, threads=threads)
-    return subset, model
+        subset = select_anchors(shared, selection, k, seed)
+    return subset, fit_predictor(manifest, source_tensors, source_accuracies,
+                                 subset, predictor, seed, threads=threads)
 
 
-def _readout_prediction(bits: np.ndarray, subset: AnchorSubset, kind: str) -> float:
-    bits = bits[subset.indices]
-    if kind == "weighted_sum":
-        return predict_weighted_sum(subset, bits)
-    return float(bits.astype(np.float64).mean())
+def predict_target(shared: SharedSources, target_id: str, subset: AnchorSubset,
+                   predictor: PredictorConfig, model: PredictorModel | None) -> float:
+    """One target model's estimated accuracy: for the accuracy readouts,
+    from its correctness bits on the anchors, else ``model``'s prediction
+    from its signature."""
+    if predictor.kind not in TRAINED_KINDS:
+        bits = shared.bits(target_id)[subset.indices]
+        if predictor.kind == "weighted_sum":
+            return predict_weighted_sum(subset, bits)
+        return float(bits.astype(np.float64).mean())
+    sig = build_signature(shared.tensors[target_id], subset, predictor.signature_mode,
+                          labels=shared.manifest.labels)
+    return predict(model, sig.vector)
 
 
 def run_pipeline(
@@ -361,13 +406,7 @@ def run_pipeline(
     ``shared``: as for ``condense_and_train``, built from ``manifest``,
     ``tensors`` and ``split.source_ids``.
     """
-    accuracies: dict[str, float] = {}
-    for mid in split.source_ids + split.target_ids:
-        acc = manifest.model(mid).true_accuracy
-        if acc is None:
-            raise InsufficientModels(f"model {mid!r} has no known accuracy")
-        accuracies[mid] = acc
-
+    accuracies = known_accuracies(manifest, split.source_ids + split.target_ids)
     source_tensors = {mid: tensors[mid] for mid in split.source_ids}
     if shared is not None and shared.tensors is not tensors:
         raise InvalidConfig("shared source data was built for other inputs")
@@ -377,16 +416,9 @@ def run_pipeline(
     if shared is None:                   # for the readouts' correctness bits
         shared = SharedSources(manifest, tensors, split.source_ids)
 
-    pairs: list[tuple[str, float, float]] = []
-    for tid in split.target_ids:
-        if model is None:
-            est = _readout_prediction(shared.bits(tid), subset, predictor.kind)
-        else:
-            sig = build_signature(tensors[tid], subset, predictor.signature_mode,
-                                  labels=manifest.labels)
-            est = predict(model, sig.vector)
-        pairs.append((tid, accuracies[tid], est))
-
+    pairs = [(tid, accuracies[tid],
+              predict_target(shared, tid, subset, predictor, model))
+             for tid in split.target_ids]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])
     return EvalReport(

@@ -28,7 +28,9 @@ from .errors import (
 from .selection import AnchorSubset
 from .signatures import PcaProjection, pca_arrays, pca_from_arrays, pca_transform
 
-KINDS = ("knn", "linear", "random_forest", "weighted_sum")
+# The kinds that ``train`` fits, and all kinds a bundle can hold.
+TRAINED_KINDS = ("knn", "linear", "random_forest")
+KINDS = TRAINED_KINDS + ("weighted_sum",)
 
 RIDGE_EPSILON = 1e-8
 
@@ -73,6 +75,7 @@ class PredictorModel:
     forest_walk: ForestWalk | None = field(default=None, repr=False, compare=False)
     # weighted-sum payload
     anchor_weights: np.ndarray | None = None
+    provenance: object = None       # stanza of the bundle it was loaded from
 
 
 def _fit_linear(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -280,7 +283,7 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float],
     (seed, tree index), so the result is independent of ``threads``, the
     number of worker processes that fit them.
     """
-    if kind not in ("knn", "linear", "random_forest"):
+    if kind not in TRAINED_KINDS:
         raise InvalidConfig(f"train does not handle kind {kind!r}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(performances, dtype=np.float64)
@@ -469,7 +472,8 @@ def save_predictor(model: PredictorModel, path: str | Path,
 
 
 def load_predictor(path: str | Path) -> PredictorModel:
-    """A predictor saved by ``save_predictor``.
+    """A predictor saved by ``save_predictor``, with the provenance stanza
+    it was saved with (None if it has none).
 
     A bundle whose kind is unknown, or that lacks a block or config value
     its kind needs, or holds one of the wrong shape, raises SchemaError.
@@ -479,7 +483,7 @@ def load_predictor(path: str | Path) -> PredictorModel:
     kind = header.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"{path}: unknown predictor kind {kind!r}")
-    model = PredictorModel(kind=kind)
+    model = PredictorModel(kind=kind, provenance=header.get("provenance"))
     features = None               # feature length a stored projection fixes
     if "pca_components" in arrays:
         model.projection = pca_from_arrays(arrays, where)

@@ -24,15 +24,10 @@ from .errors import (
 from .scoring import ScoreTable
 from .store import BenchmarkManifest, PredictionTensor, correctness, read_json_object
 
-METHODS = (
-    "random",
-    "topk_pds",
-    "topk_jsd",
-    "stratified_topk",
-    "kmedoids_conf",
-    "kmedoids_corr",
-    "best_for_validation",
-)
+# The selectors that rank the source models' score table, and all selectors.
+SCORE_METHODS = ("topk_pds", "topk_jsd", "stratified_topk")
+METHODS = ("random",) + SCORE_METHODS + ("kmedoids_conf", "kmedoids_corr",
+                                          "best_for_validation")
 
 
 @dataclass
@@ -42,6 +37,7 @@ class AnchorSubset:
     seed: int
     weights: np.ndarray | None = None   # per-anchor weights, sum to 1
     criterion: str | None = None
+    provenance: object = None           # stanza of the file it was loaded from
 
     @property
     def k(self) -> int:
@@ -509,8 +505,8 @@ def load_subset(path: str | Path) -> AnchorSubset:
     for key in ("seed", "k"):
         if type(obj[key]) is not int:
             raise bad(key, "an integer")
-    if type(obj["method"]) is not str:
-        raise bad("method", "a string")
+    if obj["method"] not in METHODS:
+        raise bad("method", f"one of {', '.join(METHODS)}")
     if obj["criterion"] is not None and type(obj["criterion"]) is not str:
         raise bad("criterion", "null or a string")
     if weights is not None and (not isinstance(weights, list)
@@ -524,13 +520,9 @@ def load_subset(path: str | Path) -> AnchorSubset:
     if w is not None and not np.isfinite(w).all():
         raise bad("weights", "finite")
     subset = AnchorSubset(indices=idx, method=obj["method"], seed=obj["seed"],
-                          weights=w, criterion=obj["criterion"])
+                          weights=w, criterion=obj["criterion"],
+                          provenance=obj.get("provenance"))
     if subset.k != obj["k"]:
         raise SchemaError(f"{path}: k={obj['k']} does not match {subset.k} indices")
     subset.validate()
     return subset
-
-
-def subset_provenance(path: str | Path) -> dict | None:
-    """Provenance stanza recorded alongside a serialized subset, if any."""
-    return read_json_object(path, "subset file").get("provenance")

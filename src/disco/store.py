@@ -11,6 +11,7 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -323,6 +324,26 @@ def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
 
 def load_all_tensors(manifest: BenchmarkManifest) -> dict[str, PredictionTensor]:
     return {mid: load_tensor(manifest, mid) for mid in manifest.model_ids()}
+
+
+class TensorFiles(Mapping[str, PredictionTensor]):
+    """The tensors of ``model_ids``, each loaded from its file on every
+    lookup and not kept."""
+
+    def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
+        self.manifest = manifest
+        self._ids = dict.fromkeys(model_ids)
+
+    def __getitem__(self, model_id: str) -> PredictionTensor:
+        if model_id not in self._ids:
+            raise KeyError(model_id)
+        return load_tensor(self.manifest, model_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 # --- correctness and accuracy ------------------------------------------------

@@ -14,11 +14,13 @@ from disco.harness import (
     ChronologicalSplit,
     PredictorConfig,
     SelectionConfig,
+    condense_and_train,
     median_date_cutoff,
     run_pipeline,
     split_models,
 )
 from disco.scoring import score_dataset, write_scores_csv
+from disco.selection import METHODS
 from disco.store import load_all_tensors, load_manifest, load_tensor
 
 
@@ -106,6 +108,22 @@ class TestScore:
         code = run_cli("score", "--manifest", synth_dir / "data" / "manifest.json",
                        "--models", "synth-0000", "--out", tmp_path / "x.csv")
         assert code == 2
+
+    def test_duplicate_models_exits_2(self, synth_dir, tmp_path, capsys):
+        code = run_cli("score", "--manifest", synth_dir / "data" / "manifest.json",
+                       "--models", "synth-0001,synth-0002,synth-0001",
+                       "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "InvalidConfig" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [("score", "--method", "pds"),
+                                      ("predict", "--model", "m.bin", "--subset",
+                                       "s.json", "--mode", "probs")])
+    def test_removed_flags_are_usage_errors(self, synth_dir, tmp_path, argv):
+        code = run_cli(*argv, "--manifest", synth_dir / "data" / "manifest.json",
+                       "--out", tmp_path / "x")
+        assert code == 64
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +248,35 @@ class TestPipelineCommands:
         assert "SchemaError" in proc.stderr
 
 
+    @pytest.mark.parametrize("mode", [None, "bogus", 3, ["probs"]],
+                             ids=["missing", "unknown", "int", "list"])
+    def test_bundle_without_valid_mode_exits_1(self, artifacts, tmp_path, mode):
+        # the signature mode comes from the bundle's provenance, not a flag
+        from disco.dten import read_bundle, write_bundle
+        work, manifest = artifacts
+        header, arrays = read_bundle(work / "model.bin")
+        if mode is None:
+            del header["provenance"]["mode"]
+        else:
+            header["provenance"]["mode"] = mode
+        model = tmp_path / "knn.bin"
+        write_bundle(model, header, arrays)
+        proc = run_cli_process("predict", "--manifest", manifest, "--model", model,
+                               "--subset", work / "subset.json", "--cutoff", "median",
+                               "--out", tmp_path / "p.json")
+        assert proc.returncode == 1, proc.stderr
+        assert "SchemaError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_fit_without_sources_exits_2(self, artifacts, tmp_path):
+        work, manifest = artifacts
+        proc = run_cli_process("fit", "--manifest", manifest, "--subset",
+                               work / "subset.json", "--predictor", "knn",
+                               "--cutoff", "1990-01-01", "--out", tmp_path / "m.bin")
+        assert proc.returncode == 2, proc.stderr
+        assert "TooFewModels" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bundle_missing_block_exits_1(self, artifacts, tmp_path):
         from disco.dten import read_bundle, write_bundle
         work, manifest = artifacts
@@ -296,6 +343,7 @@ class TestMalformedSubsetFields:
         ("weights", [0.2, 0.2, 10**400, 0.2, 0.2]),
         ("method", 3),
         ("criterion", ["pds_env"]),
+        ("method", "bogus"),
     ])
     def test_fit_rejects(self, artifacts, tmp_path, field, value):
         work, manifest = artifacts
@@ -328,6 +376,32 @@ class TestSweepCommand:
                        "--budgets", "10", "--seeds", "0", "--configs", "nonsense",
                        "--cutoff", "median", "--out", tmp_path / "s.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("configs", ["topk_pds:bogus", "bogus:knn",
+                                         "random:direct,topk_pds:knn:linear"])
+    def test_unknown_config_fails_before_loading_tensors(self, synth_dir, tmp_path,
+                                                         monkeypatch, configs):
+        import disco.cli
+
+        def no_load(*args):
+            raise AssertionError("a tensor was loaded")
+
+        monkeypatch.setattr(disco.cli, "load_tensor", no_load)
+        code = run_cli("sweep", "--manifest", synth_dir / "data" / "manifest.json",
+                       "--budgets", "10", "--seeds", "0", "--configs", configs,
+                       "--cutoff", "median", "--out", tmp_path / "s.csv")
+        assert code == 2
+
+    @pytest.mark.parametrize("budgets, seeds", [("10,x", "0"), ("10", "0,y")])
+    def test_malformed_budgets_or_seeds_exit_2(self, synth_dir, tmp_path,
+                                               budgets, seeds):
+        proc = run_cli_process("sweep", "--manifest", synth_dir / "data" / "manifest.json",
+                               "--budgets", budgets, "--seeds", seeds,
+                               "--configs", "random:direct", "--cutoff", "median",
+                               "--out", tmp_path / "s.csv")
+        assert proc.returncode == 2, proc.stderr
+        assert "InvalidConfig" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSynthCommand:
@@ -373,3 +447,50 @@ class TestBestForValidationCommand:
         obj = json.loads((tmp_path / "bfv.json").read_text())
         assert obj["method"] == "best_for_validation"
         assert len(obj["indices"]) == 6
+
+
+@pytest.fixture(scope="module")
+def reversed_manifest(tmp_path_factory):
+    """A population whose manifest lists its models in reverse id order."""
+    root = tmp_path_factory.mktemp("reversed")
+    assert run_cli("synth", "--out", root / "data", "--models-count", 24,
+                   "--samples", 200, "--classes", 4, "--dim", 2, "--seed", 7) == 0
+    path = root / "data" / "manifest.json"
+    obj = json.loads(path.read_text())
+    obj["models"].reverse()
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_staged_chain_equals_evaluate_on_unsorted_manifest(reversed_manifest, tmp_path,
+                                                            method):
+    # score -> select -> fit -> predict gives the anchors and the estimates of
+    # evaluate bit for bit, whatever order the manifest lists its models in
+    m, k = reversed_manifest, 10
+    for argv in (
+        ("score", "--manifest", m, "--cutoff", "median", "--out", tmp_path / "scores.csv"),
+        ("select", "--manifest", m, "--method", method, "--k", k, "--cutoff", "median",
+         "--scores", tmp_path / "scores.csv", "--out", tmp_path / "subset.json"),
+        ("fit", "--manifest", m, "--subset", tmp_path / "subset.json", "--predictor",
+         "linear", "--cutoff", "median", "--out", tmp_path / "model.dpak"),
+        ("predict", "--manifest", m, "--model", tmp_path / "model.dpak", "--subset",
+         tmp_path / "subset.json", "--cutoff", "median", "--out", tmp_path / "pred.json"),
+        ("evaluate", "--manifest", m, "--selection", method, "--predictor", "linear",
+         "--k", k, "--cutoff", "median", "--out", tmp_path / "report.json"),
+    ):
+        assert run_cli(*argv) == 0, argv
+
+    manifest = load_manifest(m)
+    split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+    sources = {mid: load_tensor(manifest, mid) for mid in split.source_ids}
+    accuracies = {mid: manifest.model(mid).true_accuracy for mid in split.source_ids}
+    subset, _ = condense_and_train(manifest, sources, accuracies,
+                                   SelectionConfig(method=method),
+                                   PredictorConfig(kind="linear"), k, 0)
+    staged = json.loads((tmp_path / "subset.json").read_text())
+    assert staged["indices"] == subset.indices.tolist()
+
+    predictions = json.loads((tmp_path / "pred.json").read_text())["predictions"]
+    pairs = json.loads((tmp_path / "report.json").read_text())["pairs"]
+    assert predictions == {mid: est for mid, _, est in pairs}

@@ -53,7 +53,6 @@ from .selection import (
     select_topk,
 )
 from .signatures import (
-    ModelSignature,
     PcaProjection,
     build_signature,
     pca_fit,
@@ -61,7 +60,6 @@ from .signatures import (
 )
 from .store import (
     BenchmarkManifest,
-    CorrectnessVector,
     ModelMeta,
     PredictionTensor,
     accuracy,

@@ -24,10 +24,10 @@ from .errors import (
     InvalidConfig,
     MissingWeights,
     SchemaError,
+    ShapeMismatch,
     StaleArtifact,
 )
 from .harness import (
-    PREDICTOR_KINDS,
     ChronologicalSplit,
     PredictorConfig,
     SelectionConfig,
@@ -44,7 +44,14 @@ from .harness import (
     sweep_budgets,
     write_sweep_csv,
 )
-from .predictors import KINDS, ForestConfig, PredictorModel, load_predictor, save_predictor
+from .predictors import (
+    KINDS,
+    TRAINED_KINDS,
+    ForestConfig,
+    PredictorModel,
+    load_predictor,
+    save_predictor,
+)
 from .scoring import read_scores_csv, score_dataset, write_scores_csv
 from .selection import (
     METHODS,
@@ -62,6 +69,7 @@ from .store import (
 )
 from .synth import SynthConfig, generate_population, save_population
 
+EXIT_IO = 3
 EXIT_USAGE = 64
 
 
@@ -114,13 +122,15 @@ def _workpath(args: argparse.Namespace, raw: str) -> Path:
     return p if p.is_absolute() else Path(args.workdir) / p
 
 
-def _parse_cutoff(manifest: BenchmarkManifest, raw: str) -> _dt.date:
-    if raw == "median":
-        return median_date_cutoff(manifest)
+def _iso_date(raw: str, flag: str) -> _dt.date:
     try:
         return _dt.date.fromisoformat(raw)
     except ValueError:
-        raise InvalidConfig(f"--cutoff must be an ISO date or 'median', got {raw!r}")
+        raise InvalidConfig(f"{flag} must be an ISO date, got {raw!r}")
+
+
+def _parse_cutoff(manifest: BenchmarkManifest, raw: str) -> _dt.date:
+    return median_date_cutoff(manifest) if raw == "median" else _iso_date(raw, "--cutoff")
 
 
 def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
@@ -184,6 +194,9 @@ def cmd_select(args) -> int:
             _check_fresh(read_json_object(prov_path, "score provenance"),
                          "manifest", manifest_path)
         scores = read_scores_csv(scores_path)
+        if len(scores) != manifest.num_samples:
+            raise ShapeMismatch(f"{scores_path} scores {len(scores)} samples, "
+                                f"the manifest has {manifest.num_samples}")
         inputs["scores"] = scores_path
     elif method != "random":
         ids = _resolve_models(manifest, args, "source")
@@ -210,15 +223,14 @@ def cmd_fit(args) -> int:
     ids = _resolve_models(manifest, args, "source")
     threads = _threads(args)
 
-    if args.predictor == "weighted_sum":
-        if subset.weights is None:
-            raise MissingWeights("subset has no anchor weights to fit weighted_sum")
-        model = PredictorModel(kind="weighted_sum", anchor_weights=subset.weights)
-    else:
-        model = fit_predictor(manifest, TensorFiles(manifest, ids),
-                              known_accuracies(manifest, ids), subset,
-                              _predictor_config(args, args.predictor), args.seed,
-                              threads=threads)
+    if args.predictor == "weighted_sum" and subset.weights is None:
+        raise MissingWeights("subset has no anchor weights to fit weighted_sum")
+    model = fit_predictor(manifest, TensorFiles(manifest, ids),
+                          known_accuracies(manifest, ids), subset,
+                          _predictor_config(args, args.predictor), args.seed,
+                          threads=threads)
+    if model is None:           # a readout: its bundle is the header alone
+        model = PredictorModel(kind=args.predictor)
 
     out = _workpath(args, args.out)
     prov = _provenance(args.seed, manifest=manifest_path, subset=subset_path)
@@ -238,7 +250,7 @@ def cmd_predict(args) -> int:
     _check_fresh(model.provenance, "manifest", manifest_path)
     _check_fresh(model.provenance, "subset", subset_path)
     mode = model.provenance.get("mode") if isinstance(model.provenance, dict) else None
-    if model.kind != "weighted_sum" and mode not in MODES:
+    if model.kind in TRAINED_KINDS and mode not in MODES:
         raise SchemaError(f"{model_path}: provenance 'mode' must be one of "
                           f"{', '.join(MODES)}, got {mode!r}")
     subset = load_subset(subset_path)
@@ -304,10 +316,10 @@ def cmd_sweep(args) -> int:
     configs = []
     for entry in args.configs.split(","):
         sel, _, pred = entry.partition(":")
-        if sel not in METHODS or pred not in PREDICTOR_KINDS:
+        if sel not in METHODS or pred not in KINDS:
             raise InvalidConfig(f"config must be selection:predictor with a "
                                 f"selection in {METHODS} and a predictor in "
-                                f"{PREDICTOR_KINDS}, got {entry!r}")
+                                f"{KINDS}, got {entry!r}")
         configs.append((SelectionConfig(method=sel), _predictor_config(args, pred)))
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
@@ -334,8 +346,8 @@ def cmd_synth(args) -> int:
         ability_dim=args.dim,
         seed=args.seed,
         noise_temperature=args.temperature,
-        date_start=_dt.date.fromisoformat(args.date_start),
-        date_end=_dt.date.fromisoformat(args.date_end),
+        date_start=_iso_date(args.date_start, "--date-start"),
+        date_end=_iso_date(args.date_end, "--date-end"),
     )
     manifest, tensors = generate_population(config)
     out_dir = _workpath(args, args.out)
@@ -431,7 +443,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", parents=[common, pred_common, split_common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--selection", default="topk_pds", choices=METHODS)
-    p.add_argument("--predictor", default="random_forest", choices=PREDICTOR_KINDS)
+    p.add_argument("--predictor", default="random_forest", choices=KINDS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -464,9 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DiscoError as e:
+    except (DiscoError, OSError) as e:     # OSError: e.g. an unwritable output path
         sys.stderr.write(f"disco {args.command}: {type(e).__name__}: {e}\n")
-        return e.exit_code
+        return e.exit_code if isinstance(e, DiscoError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -48,9 +48,7 @@ from .selection import (
     select_topk,
 )
 from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
-from .store import BenchmarkManifest, PredictionTensor, correctness
-
-PREDICTOR_KINDS = ("direct",) + KINDS
+from .store import BenchmarkManifest, PredictionTensor, accuracy, correctness
 
 
 # --- model splits ------------------------------------------------------------
@@ -249,7 +247,7 @@ class SharedSources:
         """The model's correctness bits."""
         bits = self._bits.get(model_id)
         if bits is None:
-            bits = correctness(self.tensors[model_id], self.manifest).bits
+            bits = correctness(self.tensors[model_id], self.manifest)
             bits.flags.writeable = False
             self._bits[model_id] = bits
         return bits
@@ -310,7 +308,7 @@ def fit_predictor(
     (direct, weighted_sum).  Each source tensor is looked up once, so a
     mapping that loads tensors on lookup holds one at a time.
     """
-    if predictor.kind not in PREDICTOR_KINDS:
+    if predictor.kind not in KINDS:
         raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
     if predictor.kind not in TRAINED_KINDS:
         return None
@@ -321,7 +319,7 @@ def fit_predictor(
     ids = sorted(source_tensors)
     matrix = np.stack([build_signature(source_tensors[mid], subset,
                                        predictor.signature_mode,
-                                       labels=manifest.labels).vector
+                                       labels=manifest.labels)
                        for mid in ids])
     accs = np.asarray([source_accuracies[mid] for mid in ids])
 
@@ -383,10 +381,10 @@ def predict_target(shared: SharedSources, target_id: str, subset: AnchorSubset,
         bits = shared.bits(target_id)[subset.indices]
         if predictor.kind == "weighted_sum":
             return predict_weighted_sum(subset, bits)
-        return float(bits.astype(np.float64).mean())
-    sig = build_signature(shared.tensors[target_id], subset, predictor.signature_mode,
-                          labels=shared.manifest.labels)
-    return predict(model, sig.vector)
+        return accuracy(bits)
+    return predict(model, build_signature(shared.tensors[target_id], subset,
+                                          predictor.signature_mode,
+                                          labels=shared.manifest.labels))
 
 
 def run_pipeline(

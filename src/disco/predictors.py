@@ -1,5 +1,5 @@
 """Performance predictors: kNN, ridge-stabilized least squares, bagged
-regression trees, and the anchor-weighted sum.
+regression trees, and the accuracy readouts (direct and weighted_sum).
 
 A trained PredictorModel optionally bundles the PCA projection used on its
 training features; ``predict`` then accepts raw signatures and projects
@@ -28,9 +28,10 @@ from .errors import (
 from .selection import AnchorSubset
 from .signatures import PcaProjection, pca_arrays, pca_from_arrays, pca_transform
 
-# The kinds that ``train`` fits, and all kinds a bundle can hold.
+# The kinds that ``train`` fits, and all predictor kinds.  A readout's
+# bundle (direct, weighted_sum) holds only the header.
 TRAINED_KINDS = ("knn", "linear", "random_forest")
-KINDS = TRAINED_KINDS + ("weighted_sum",)
+KINDS = ("direct",) + TRAINED_KINDS + ("weighted_sum",)
 
 RIDGE_EPSILON = 1e-8
 
@@ -73,8 +74,6 @@ class PredictorModel:
     trees: list[Tree] = field(default_factory=list)
     forest_config: ForestConfig | None = None
     forest_walk: ForestWalk | None = field(default=None, repr=False, compare=False)
-    # weighted-sum payload
-    anchor_weights: np.ndarray | None = None
     provenance: object = None       # stanza of the bundle it was loaded from
 
 
@@ -464,9 +463,7 @@ def save_predictor(model: PredictorModel, path: str | Path,
         table, offsets = _forest_table(model.trees)
         header["tree_offsets"] = offsets
         arrays["forest_nodes"] = table
-    elif model.kind == "weighted_sum":
-        arrays["ws_weights"] = model.anchor_weights.reshape(1, -1)
-    else:
+    elif model.kind not in KINDS:
         raise InvalidConfig(f"cannot serialize kind {model.kind!r}")
     dten.write_bundle(path, header, arrays)
 
@@ -477,6 +474,7 @@ def load_predictor(path: str | Path) -> PredictorModel:
 
     A bundle whose kind is unknown, or that lacks a block or config value
     its kind needs, or holds one of the wrong shape, raises SchemaError.
+    Blocks its kind does not read are ignored.
     """
     header, arrays = dten.read_bundle(path)
     where = str(path)
@@ -514,7 +512,4 @@ def load_predictor(path: str | Path) -> PredictorModel:
         model.trees = _forest_from_table(
             arrays["forest_nodes"], header.get("tree_offsets"), features, where)
         model.forest_walk = ForestWalk.from_trees(model.trees)
-    else:
-        model.anchor_weights = dten.bundle_block(
-            arrays, "ws_weights", where, (1, None)).ravel()
     return model

@@ -276,26 +276,37 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
 
 
 def read_scores_csv(path: str | Path) -> ScoreTable:
+    """The table ``write_scores_csv`` wrote.  SchemaError unless every field
+    parses, every score is finite and ``sample_index`` counts 0..n-1."""
     from .errors import MissingFile, SchemaError
 
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such score table: {path}")
-    lines = path.read_text().splitlines()
+    lines = path.read_text(errors="replace").splitlines()  # bad bytes fail to parse
     if not lines or lines[0] != CSV_HEADER:
         raise SchemaError(f"{path}: bad score table header")
-    cols: list[list[float]] = [[] for _ in range(6)]
-    for ln, line in enumerate(lines[1:], start=2):
+    n = len(lines) - 1
+    cols = np.empty((5, n))
+    for i, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 6:
-            raise SchemaError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-        for j, part in enumerate(parts):
-            cols[j].append(float(part))
+            raise SchemaError(f"{path}:{i + 2}: expected 6 fields, got {len(parts)}")
+        try:
+            index = int(parts[0])
+            cols[:, i] = [float(part) for part in parts[1:]]
+        except (ValueError, OverflowError) as e:
+            raise SchemaError(f"{path}:{i + 2}: field does not parse: {e}") from e
+        if index != i:
+            raise SchemaError(f"{path}:{i + 2}: sample_index must be {i}, got {index}")
+    bad = np.flatnonzero(~np.isfinite(cols).all(axis=0))
+    if bad.size:
+        raise SchemaError(f"{path}:{bad[0] + 2}: non-finite score")
     return ScoreTable(
-        sample_index=np.asarray(cols[0], dtype=np.int64),
-        pds_env=np.asarray(cols[1]),
-        pds_eq1=np.asarray(cols[2]),
-        jsd_bits=np.asarray(cols[3]),
-        mixture_entropy_bits=np.asarray(cols[4]),
-        mean_entropy_bits=np.asarray(cols[5]),
+        sample_index=np.arange(n, dtype=np.int64),
+        pds_env=cols[0],
+        pds_eq1=cols[1],
+        jsd_bits=cols[2],
+        mixture_entropy_bits=cols[3],
+        mean_entropy_bits=cols[4],
     )

@@ -123,7 +123,7 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
 def _correctness_bits(tensor: PredictionTensor, manifest: BenchmarkManifest,
                       bits: Mapping[str, np.ndarray] | None) -> np.ndarray:
     if bits is None:
-        return correctness(tensor, manifest).bits
+        return correctness(tensor, manifest)
     return bits[tensor.model_id]
 
 

@@ -29,15 +29,8 @@ MODES = ("probs", "onehot", "correctness")
 DEFAULT_PCA_CAP = 256
 
 
-@dataclass
-class ModelSignature:
-    model_id: str
-    vector: np.ndarray
-    mode: str
-
-
 def build_signature(tensor: PredictionTensor, subset: AnchorSubset, mode: str = "probs",
-                    labels: Sequence[int] | None = None) -> ModelSignature:
+                    labels: Sequence[int] | None = None) -> np.ndarray:
     """Concatenate the model's outputs on the anchors, in subset order."""
     if mode not in MODES:
         raise InvalidConfig(f"unknown signature mode {mode!r}")
@@ -47,17 +40,14 @@ def build_signature(tensor: PredictionTensor, subset: AnchorSubset, mode: str = 
         raise IndexOutOfRange(f"anchor index out of range for tensor with {n} rows")
     rows = tensor.values[idx].astype(np.float64)
     if mode == "probs":
-        vec = rows.reshape(-1)
-    elif mode == "onehot":
+        return rows.reshape(-1)
+    if mode == "onehot":
         vec = np.zeros_like(rows)
         vec[np.arange(idx.size), rows.argmax(axis=1)] = 1.0
-        vec = vec.reshape(-1)
-    else:
-        if labels is None:
-            raise InvalidConfig("correctness mode needs ground-truth labels")
-        lab = np.asarray(labels)[idx]
-        vec = (rows.argmax(axis=1) == lab).astype(np.float64)
-    return ModelSignature(tensor.model_id, vec, mode)
+        return vec.reshape(-1)
+    if labels is None:
+        raise InvalidConfig("correctness mode needs ground-truth labels")
+    return (rows.argmax(axis=1) == np.asarray(labels)[idx]).astype(np.float64)
 
 
 @dataclass
@@ -113,10 +103,9 @@ def pca_fit(signatures: np.ndarray, d: int) -> PcaProjection:
     return PcaProjection(mean=mean, components=components, explained_variance=variance)
 
 
-def pca_transform(proj: PcaProjection, signature: np.ndarray | ModelSignature) -> np.ndarray:
+def pca_transform(proj: PcaProjection, signature: np.ndarray) -> np.ndarray:
     """Project one signature (or a stacked matrix of them) onto the components."""
-    vec = signature.vector if isinstance(signature, ModelSignature) else np.asarray(signature)
-    vec = vec.astype(np.float64)
+    vec = np.asarray(signature).astype(np.float64)
     if vec.shape[-1] != proj.input_dim:
         raise LengthMismatch(
             f"signature length {vec.shape[-1]} != projection input {proj.input_dim}")

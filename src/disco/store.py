@@ -173,12 +173,6 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> No
     arr[idx] = rows
 
 
-@dataclass
-class CorrectnessVector:
-    model_id: str
-    bits: np.ndarray  # (N,) uint8
-
-
 # --- manifest serialization -------------------------------------------------
 
 def _manifest_to_obj(manifest: BenchmarkManifest) -> dict:
@@ -233,7 +227,8 @@ def _manifest_from_obj(obj: dict, base_dir: Path | None) -> BenchmarkManifest:
     for i, v in enumerate(obj["task_tags"]):
         _require(isinstance(v, str), f"task_tags[{i}] must be a string")
     _require(isinstance(obj["models"], list), "models must be an array")
-    _require(isinstance(obj["format_version"], int), "format_version must be an integer")
+    _require(type(obj["format_version"]) is int and obj["format_version"] == 1,
+             "format_version must be the integer 1")
 
     models = []
     for i, entry in enumerate(obj["models"]):
@@ -246,7 +241,7 @@ def _manifest_from_obj(obj: dict, base_dir: Path | None) -> BenchmarkManifest:
         _require(isinstance(entry["release_date"], str),
                  f"models[{i}].release_date must be a string")
         acc = entry["true_accuracy"]
-        _require(acc is None or isinstance(acc, (int, float)),
+        _require(acc is None or type(acc) in (int, float),
                  f"models[{i}].true_accuracy must be a number or null")
         _require(isinstance(entry["tensor_path"], str),
                  f"models[{i}].tensor_path must be a string")
@@ -348,19 +343,18 @@ class TensorFiles(Mapping[str, PredictionTensor]):
 
 # --- correctness and accuracy ------------------------------------------------
 
-def correctness(tensor: PredictionTensor, manifest: BenchmarkManifest) -> CorrectnessVector:
-    """Per-sample correctness bits: argmax class (ties -> lowest index) == label."""
+def correctness(tensor: PredictionTensor, manifest: BenchmarkManifest) -> np.ndarray:
+    """Per-sample (N,) uint8 correctness: argmax class (ties -> lowest index) == label."""
     if tensor.values.shape != (manifest.num_samples, manifest.num_classes):
         raise ShapeMismatch(
             f"tensor shape {tensor.values.shape} does not match manifest "
             f"({manifest.num_samples}, {manifest.num_classes})")
     pred = np.argmax(tensor.values, axis=1)  # first occurrence wins ties
-    bits = (pred == np.asarray(manifest.labels)).astype(np.uint8)
-    return CorrectnessVector(tensor.model_id, bits)
+    return (pred == np.asarray(manifest.labels)).astype(np.uint8)
 
 
-def accuracy(bits: CorrectnessVector | np.ndarray) -> float:
-    arr = bits.bits if isinstance(bits, CorrectnessVector) else np.asarray(bits)
+def accuracy(bits: np.ndarray) -> float:
+    arr = np.asarray(bits)
     if arr.size == 0:
         raise EmptyDataset("accuracy of an empty correctness vector is undefined")
     return int(arr.sum()) / arr.size

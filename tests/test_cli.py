@@ -291,6 +291,83 @@ class TestPipelineCommands:
         assert "SchemaError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_bundle_with_ws_weights_block_predicts_the_same(self, synth_dir, tmp_path):
+        # weighted_sum bundles used to carry the subset's weights as a
+        # ws_weights block; such a bundle still loads and predicts alike
+        from disco.dten import read_bundle, write_bundle
+        from disco.predictors import load_predictor
+        manifest = synth_dir / "data" / "manifest.json"
+        subset = tmp_path / "subset.json"
+        assert run_cli("select", "--manifest", manifest, "--method", "kmedoids_conf",
+                       "--k", 5, "--cutoff", "median", "--out", subset) == 0
+        assert run_cli("fit", "--manifest", manifest, "--subset", subset,
+                       "--predictor", "weighted_sum", "--out", tmp_path / "ws.dpak") == 0
+        header, arrays = read_bundle(tmp_path / "ws.dpak")
+        assert header["config"] == {} and arrays == {}
+        weights = json.loads(subset.read_text())["weights"]
+        write_bundle(tmp_path / "old.dpak", header,
+                     {"ws_weights": np.asarray([weights])})
+        assert load_predictor(tmp_path / "old.dpak").kind == "weighted_sum"
+
+        predictions = []
+        for model in ("ws.dpak", "old.dpak"):
+            out = tmp_path / f"{model}.json"
+            assert run_cli("predict", "--manifest", manifest, "--model", tmp_path / model,
+                           "--subset", subset, "--cutoff", "median", "--out", out) == 0
+            predictions.append(json.loads(out.read_text())["predictions"])
+        assert predictions[0] == predictions[1]
+
+
+def _with_field(rows: list[str], i: int, j: int, value: str) -> list[str]:
+    rows = list(rows)
+    parts = rows[i].split(",")
+    parts[j] = value
+    rows[i] = ",".join(parts)
+    return rows
+
+
+# case -> (edit of the data rows of a score table, exit code of select)
+SCORE_TABLE_EDITS = {
+    "unparsed": (lambda rows: _with_field(rows, 3, 0, "abc"), 1),
+    "nan": (lambda rows: _with_field(rows, 3, 1, "nan"), 1),
+    "inf": (lambda rows: _with_field(rows, 3, 3, "inf"), 1),
+    "duplicate-row": (lambda rows: rows[:6] + rows[5:], 1),
+    "index-999999": (lambda rows: _with_field(rows, -1, 0, "999999"), 1),
+    "index-4.5": (lambda rows: _with_field(rows, 5, 0, "4.5"), 1),
+    "short": (lambda rows: rows[:-1], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORE_TABLE_EDITS))
+def test_select_rejects_bad_score_table(artifacts, tmp_path, case):
+    # a score table must count samples 0..N-1, one row each, with finite scores
+    edit, code = SCORE_TABLE_EDITS[case]
+    work, manifest = artifacts
+    header, *rows = (work / "scores.csv").read_text().splitlines()
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join([header] + edit(rows)) + "\n")
+    proc = run_cli_process("select", "--manifest", manifest, "--method", "topk_pds",
+                           "--k", 5, "--scores", scores, "--out", tmp_path / "s.json")
+    assert proc.returncode == code, proc.stderr
+    assert ("SchemaError" if code == 1 else "ShapeMismatch") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ("score", "--cutoff", "median"),
+        ("select", "--method", "random", "--k", 5),
+    ])
+    def test_missing_directory_exits_3(self, synth_dir, tmp_path, argv):
+        out = tmp_path / "missing" / "out"
+        proc = run_cli_process(*argv, "--manifest", synth_dir / "data" / "manifest.json",
+                               "--out", out)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.count("\n") == 1 and str(out) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestUnreadableJsonInputs:
     """A missing or corrupt JSON input ends with its exit code, not a traceback."""
 
@@ -420,6 +497,16 @@ class TestSynthCommand:
                        "--out", tmp_path / "r.json")
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value", [("--date-start", "2024-13-01"),
+                                             ("--date-end", "nope")])
+    def test_bad_date_exits_2(self, tmp_path, flag, value):
+        proc = run_cli_process("synth", "--out", tmp_path / "data", "--models-count", 4,
+                               "--samples", 10, flag, value)
+        assert proc.returncode == 2, proc.stderr
+        assert "InvalidConfig" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "data").exists()
+
 
 class TestThreadsEnvFallback:
     def test_disco_threads_env(self, synth_dir, tmp_path, monkeypatch):
@@ -490,6 +577,33 @@ def test_staged_chain_equals_evaluate_on_unsorted_manifest(reversed_manifest, tm
                                    PredictorConfig(kind="linear"), k, 0)
     staged = json.loads((tmp_path / "subset.json").read_text())
     assert staged["indices"] == subset.indices.tolist()
+
+    predictions = json.loads((tmp_path / "pred.json").read_text())["predictions"]
+    pairs = json.loads((tmp_path / "report.json").read_text())["pairs"]
+    assert predictions == {mid: est for mid, _, est in pairs}
+
+
+@pytest.mark.parametrize("method, predictor", [("topk_pds", "direct"),
+                                               ("kmedoids_conf", "direct"),
+                                               ("kmedoids_conf", "weighted_sum")])
+def test_staged_readout_chain_equals_evaluate(reversed_manifest, tmp_path, method,
+                                              predictor):
+    # fit and predict take the accuracy readouts as evaluate does.  At K=10
+    # kmedoids_conf gives every target the same estimate on this population,
+    # so evaluate's rank correlation is undefined; K=30 keeps it defined.
+    m, k = reversed_manifest, 30
+    for argv in (
+        ("score", "--manifest", m, "--cutoff", "median", "--out", tmp_path / "scores.csv"),
+        ("select", "--manifest", m, "--method", method, "--k", k, "--cutoff", "median",
+         "--scores", tmp_path / "scores.csv", "--out", tmp_path / "subset.json"),
+        ("fit", "--manifest", m, "--subset", tmp_path / "subset.json", "--predictor",
+         predictor, "--cutoff", "median", "--out", tmp_path / "model.dpak"),
+        ("predict", "--manifest", m, "--model", tmp_path / "model.dpak", "--subset",
+         tmp_path / "subset.json", "--cutoff", "median", "--out", tmp_path / "pred.json"),
+        ("evaluate", "--manifest", m, "--selection", method, "--predictor", predictor,
+         "--k", k, "--cutoff", "median", "--out", tmp_path / "report.json"),
+    ):
+        assert run_cli(*argv) == 0, argv
 
     predictions = json.loads((tmp_path / "pred.json").read_text())["predictions"]
     pairs = json.loads((tmp_path / "report.json").read_text())["pairs"]

@@ -337,7 +337,7 @@ class TestWeightedSum:
         t = PredictionTensor.from_values("m", rows)
         emb = build_embeddings([t], man, "conf")
         subset = select_kmedoids(emb, 2, seed=0)
-        bits = correctness(t, man).bits[subset.indices]
+        bits = correctness(t, man)[subset.indices]
         ws = predict_weighted_sum(subset, bits)
         assert ws == accuracy(correctness(t, man))
 
@@ -445,20 +445,15 @@ class TestSerialization:
         ("linear", lambda h, a: a.update(linear_intercept=np.zeros((1, 2)))),
         ("linear", lambda h, a: a.update(linear_weights=a["linear_weights"][:, :3])),
         ("linear", lambda h, a: a["linear_weights"].__setitem__((0, 1), np.nan)),
-        ("weighted_sum", lambda h, a: a.pop("ws_weights")),
-        ("weighted_sum", lambda h, a: a.update(ws_weights=np.full((2, 1), 0.5))),
         ("random_forest", lambda h, a: h.pop("config")),
     ])
     def test_malformed_bundle_rejected(self, tmp_path, rng, kind, corrupt):
         from disco.dten import read_bundle, write_bundle
         from disco.errors import SchemaError
         proj = pca_fit(rng.standard_normal((10, 6)), 4)
-        if kind == "weighted_sum":
-            model = PredictorModel(kind=kind, anchor_weights=np.array([0.25, 0.75]))
-        else:
-            config = {"k_neighbors": 3} if kind == "knn" else ForestConfig(n_trees=2)
-            model = train(kind, rng.standard_normal((10, 4)), rng.random(10), config,
-                          projection=proj)
+        config = {"k_neighbors": 3} if kind == "knn" else ForestConfig(n_trees=2)
+        model = train(kind, rng.standard_normal((10, 4)), rng.random(10), config,
+                      projection=proj)
         path = tmp_path / "model.dpak"
         save_predictor(model, path)
         header, arrays = read_bundle(path)
@@ -466,14 +461,6 @@ class TestSerialization:
         write_bundle(path, header, arrays)
         with pytest.raises(SchemaError):
             load_predictor(path)
-
-    def test_weighted_sum_round_trip(self, tmp_path):
-        model = PredictorModel(kind="weighted_sum",
-                               anchor_weights=np.array([0.25, 0.75]))
-        path = tmp_path / "ws.dpak"
-        save_predictor(model, path)
-        loaded = load_predictor(path)
-        assert np.array_equal(loaded.anchor_weights, model.anchor_weights)
 
 
 class TestForestWalk:

@@ -417,7 +417,7 @@ class TestBestForValidation:
         probe = np.random.default_rng(7)
         probe.permutation(6)
         cand = [np.sort(probe.choice(40, size=4, replace=False)) for _ in range(3)]
-        bits = np.stack([correctness(t, man).bits for t in tensors]).astype(float)
+        bits = np.stack([correctness(t, man) for t in tensors]).astype(float)
         target = cand[1]
         for i, m in enumerate(man.models):
             m.true_accuracy = float(bits[i, target].mean())
@@ -432,7 +432,7 @@ class TestBestForValidation:
 
         # independent oracle: replay the candidate draws, score each with a
         # polyfit regression, and compare the winner against the median
-        bits = np.stack([correctness(t, man).bits for t in tensors]).astype(float)
+        bits = np.stack([correctness(t, man) for t in tensors]).astype(float)
         y = np.array([m.true_accuracy for m in man.models])
         rng2 = np.random.default_rng(seed)
         perm = rng2.permutation(10)

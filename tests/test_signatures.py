@@ -31,12 +31,12 @@ class TestBuildSignature:
     def test_probs_concatenation(self):
         t = tensor_from_rows("m", [[0.3, 0.7]])
         sig = build_signature(t, subset_of([0]), "probs")
-        assert np.allclose(sig.vector, [0.3, 0.7], atol=1e-6)
+        assert np.allclose(sig, [0.3, 0.7], atol=1e-6)
 
     def test_onehot(self):
         t = tensor_from_rows("m", [[0.3, 0.7]])
         sig = build_signature(t, subset_of([0]), "onehot")
-        assert sig.vector.tolist() == [0.0, 1.0]
+        assert sig.tolist() == [0.0, 1.0]
 
     def test_correctness_mode_matches_store_oracle(self, rng):
         labels = rng.integers(0, 3, 20)
@@ -46,8 +46,8 @@ class TestBuildSignature:
         t = tensor_from_rows("m", raw)
         idx = np.sort(rng.choice(20, size=7, replace=False))
         sig = build_signature(t, subset_of(idx), "correctness", labels=labels)
-        oracle = correctness(t, man).bits[idx]
-        assert sig.vector.tolist() == oracle.astype(float).tolist()
+        oracle = correctness(t, man)[idx]
+        assert sig.tolist() == oracle.astype(float).tolist()
 
     def test_subset_order_concatenation(self, rng):
         raw = rng.random((10, 2)) + 1e-6
@@ -55,7 +55,7 @@ class TestBuildSignature:
         t = tensor_from_rows("m", raw)
         sig = build_signature(t, subset_of([2, 5, 9]), "probs")
         expected = np.concatenate([t.values[2], t.values[5], t.values[9]])
-        assert np.array_equal(sig.vector, expected.astype(np.float64))
+        assert np.array_equal(sig, expected.astype(np.float64))
 
     def test_rows_outside_subset_irrelevant(self, rng):
         raw = rng.random((10, 2)) + 1e-6
@@ -65,8 +65,8 @@ class TestBuildSignature:
         shuffled[[0, 1, 3]] = shuffled[[3, 0, 1]]  # permute non-anchor rows
         t2 = tensor_from_rows("m", shuffled)
         s = subset_of([2, 5, 9])
-        assert np.array_equal(build_signature(t1, s).vector,
-                              build_signature(t2, s).vector)
+        assert np.array_equal(build_signature(t1, s),
+                              build_signature(t2, s))
 
     def test_errors(self):
         t = tensor_from_rows("m", [[0.5, 0.5]])

@@ -103,6 +103,19 @@ class TestManifest:
         with pytest.raises(SchemaError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda obj: obj.update(format_version=True), "format_version"),
+        (lambda obj: obj.update(format_version=99), "format_version"),
+        (lambda obj: obj["models"][0].update(true_accuracy=True), "true_accuracy"),
+    ], ids=["version-true", "version-99", "accuracy-true"])
+    def test_field_types_rejected(self, tmp_path, edit, field):
+        obj = json.loads(manifest_bytes(make_manifest([0, 1], 2, ["a"], accuracies=[0.5])))
+        edit(obj)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=field):
+            load_manifest(path)
+
     def test_unparseable_date_is_invariant_violation(self, tmp_path):
         man = make_manifest([0, 1], 2, ["a"])
         obj = json.loads(manifest_bytes(man))
@@ -189,12 +202,12 @@ class TestCorrectness:
     def test_exact_match(self):
         man = make_manifest([0, 1], 2, ["m"])
         t = tensor_from_rows("m", [[1, 0], [0, 1]])
-        assert correctness(t, man).bits.tolist() == [1, 1]
+        assert correctness(t, man).tolist() == [1, 1]
 
     def test_argmax_tie_breaks_low(self):
         man = make_manifest([1], 2, ["m"])
         t = tensor_from_rows("m", [[0.5, 0.5]])
-        assert correctness(t, man).bits.tolist() == [0]
+        assert correctness(t, man).tolist() == [0]
 
     def test_matches_bruteforce_argmax(self, rng):
         # independent oracle: per-row python argmax with explicit tie scan
@@ -211,7 +224,7 @@ class TestCorrectness:
                 if row[c] > best:
                     best, best_c = row[c], c
             expected.append(1 if best_c == labels[i] else 0)
-        assert correctness(t, man).bits.tolist() == expected
+        assert correctness(t, man).tolist() == expected
 
     def test_invariant_to_row_rescaling(self, rng):
         # scaling a row within the ingest tolerance must not move the argmax
@@ -221,7 +234,7 @@ class TestCorrectness:
         raw /= raw.sum(axis=1, keepdims=True)
         base = PredictionTensor.from_values("m", raw.astype(np.float32))
         scaled = PredictionTensor.from_values("m", (raw * 0.99996).astype(np.float32))
-        assert np.array_equal(correctness(base, man).bits, correctness(scaled, man).bits)
+        assert np.array_equal(correctness(base, man), correctness(scaled, man))
 
     def test_shape_mismatch(self):
         man = make_manifest([0, 1], 2, ["m"])

@@ -82,7 +82,7 @@ class TestGenerate:
 
     def test_sample_difficulty_heterogeneous(self):
         man, tensors = generate_population(SMALL)
-        bits = np.stack([correctness(t, man).bits for t in tensors.values()])
+        bits = np.stack([correctness(t, man) for t in tensors.values()])
         per_sample = bits.mean(axis=0)
         assert per_sample.var() > 0.0
 

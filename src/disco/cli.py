@@ -273,6 +273,10 @@ def cmd_predict(args) -> int:
 
 
 def _split_from_args(manifest: BenchmarkManifest, args) -> object:
+    # Checked with --cutoff too, which leaves the ratio unused, so that a bad
+    # value never passes silently.
+    if not 0.0 < args.split_ratio < 1.0:
+        raise InvalidConfig(f"--split-ratio must be in (0, 1), got {args.split_ratio}")
     if args.cutoff:
         return split_models(manifest, ChronologicalSplit(_parse_cutoff(manifest, args.cutoff)))
     return split_models(manifest, UniformSplit(args.split_ratio, args.split_seed))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -218,6 +218,10 @@ class SharedSources:
     ``run_pipeline`` and ``condense_and_train`` make a fresh one when given
     none.  ``scores``, when given, is the score table of these sources, read
     back from a file.  Every array it hands out is read-only.
+
+    ``reports`` holds the report of each distinct pipeline ``run_pipeline``
+    has run on it, keyed as by ``_pipeline_key``: the metrics and pairs
+    only, never the fitted model.
     """
 
     def __init__(self, manifest: BenchmarkManifest,
@@ -229,6 +233,7 @@ class SharedSources:
         self._scores = scores
         self._bits: dict[str, np.ndarray] = {}
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
+        self.reports: dict[tuple, EvalReport] = {}
 
     def check(self, manifest: BenchmarkManifest,
               source_tensors: Mapping[str, PredictionTensor]) -> None:
@@ -268,6 +273,12 @@ class SharedSources:
     def drop_kmedoids(self) -> None:
         self._kmedoids = None
 
+    def drop_selection_data(self) -> None:
+        """Free the score table and the k-medoids data, for a caller that
+        selects once and then trains."""
+        self._scores = None
+        self._kmedoids = None
+
 
 def select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
                    seed: int) -> AnchorSubset:
@@ -287,6 +298,9 @@ def select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
         emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
+        if not 0.0 < cfg.split_ratio < 1.0:
+            raise InvalidConfig(f"best-for-validation split ratio {cfg.split_ratio} "
+                                f"not in (0, 1)")
         return select_best_for_validation(
             shared.sources, manifest, k, candidates=cfg.candidates, seed=seed,
             split_ratio=cfg.split_ratio,
@@ -340,6 +354,22 @@ def fit_predictor(
                  projection=projection, threads=threads)
 
 
+def _select(manifest: BenchmarkManifest, tensors: Mapping[str, PredictionTensor],
+            source_ids: list[str], selection: SelectionConfig, k: int, seed: int,
+            shared: SharedSources | None) -> tuple[AnchorSubset, SharedSources]:
+    """The anchors, and the SharedSources the pipeline goes on with: ``shared``
+    once checked against the inputs, else a fresh one that keeps neither the
+    score table nor the k-medoids data while the predictor trains."""
+    if shared is None:
+        shared = SharedSources(manifest, tensors, source_ids)
+        subset = select_anchors(shared, selection, k, seed)
+        shared.drop_selection_data()
+    else:
+        shared.check(manifest, {mid: tensors[mid] for mid in source_ids})
+        subset = select_anchors(shared, selection, k, seed)
+    return subset, shared
+
+
 def condense_and_train(
     manifest: BenchmarkManifest,
     source_tensors: Mapping[str, PredictionTensor],
@@ -359,15 +389,8 @@ def condense_and_train(
     source models (``sweep_budgets`` keeps one per sweep); it must have
     been built from the same manifest and source tensors.
     """
-    if shared is None:
-        # Lives only through selection, so the score table is not held
-        # while the predictor trains.
-        subset = select_anchors(
-            SharedSources(manifest, source_tensors, list(source_tensors)),
-            selection, k, seed)
-    else:
-        shared.check(manifest, source_tensors)
-        subset = select_anchors(shared, selection, k, seed)
+    subset, _ = _select(manifest, source_tensors, list(source_tensors), selection,
+                        k, seed, shared)
     return subset, fit_predictor(manifest, source_tensors, source_accuracies,
                                  subset, predictor, seed, threads=threads)
 
@@ -387,6 +410,42 @@ def predict_target(shared: SharedSources, target_id: str, subset: AnchorSubset,
                                           labels=shared.manifest.labels))
 
 
+def _pipeline_key(target_ids: list[str], subset: AnchorSubset,
+                  predictor: PredictorConfig, seed: int) -> tuple:
+    """Everything a report's metrics and pairs depend on, once the manifest
+    and source models are fixed.  Only forest training reads the seed."""
+    weights = (None if subset.weights is None
+               else np.asarray(subset.weights, dtype=np.float64).tobytes())
+    return (tuple(target_ids),
+            np.asarray(subset.indices, dtype=np.int64).tobytes(),
+            weights,
+            astuple(predictor),
+            seed if predictor.kind == "random_forest" else None)
+
+
+def _estimate(shared: SharedSources, split: ModelSplit,
+              accuracies: Mapping[str, float], subset: AnchorSubset,
+              predictor: PredictorConfig, seed: int, threads: int) -> EvalReport:
+    """Fit on the sources, estimate every target and score the estimates.
+    The fitted model lives only as long as this call."""
+    model = fit_predictor(shared.manifest, shared.sources, accuracies, subset,
+                          predictor, seed, threads=threads)
+    pairs = [(tid, accuracies[tid],
+              predict_target(shared, tid, subset, predictor, model))
+             for tid in split.target_ids]
+    true = np.asarray([p[1] for p in pairs])
+    pred = np.asarray([p[2] for p in pairs])
+    return EvalReport(
+        mae_pp=mae(true, pred),
+        spearman=spearman(true, pred),
+        pearson=pearson(true, pred),
+        k=subset.k, seed=seed,
+        selection=subset.method,
+        predictor=predictor.kind,
+        pairs=pairs,
+    )
+
+
 def run_pipeline(
     manifest: BenchmarkManifest,
     tensors: Mapping[str, PredictionTensor],
@@ -402,32 +461,23 @@ def run_pipeline(
     """Condense with the source models, then evaluate on the target models.
 
     ``shared``: as for ``condense_and_train``, built from ``manifest``,
-    ``tensors`` and ``split.source_ids``.
+    ``tensors`` and ``split.source_ids``.  A pipeline whose targets, anchors,
+    anchor weights and predictor config (and seed, for a forest) match one
+    already run on ``shared`` is not run again: its report is copied, with
+    this call's K, seed and selection method.
     """
     accuracies = known_accuracies(manifest, split.source_ids + split.target_ids)
-    source_tensors = {mid: tensors[mid] for mid in split.source_ids}
     if shared is not None and shared.tensors is not tensors:
         raise InvalidConfig("shared source data was built for other inputs")
-    subset, model = condense_and_train(
-        manifest, source_tensors, accuracies, selection, predictor, k, seed,
-        threads=threads, shared=shared)
-    if shared is None:                   # for the readouts' correctness bits
-        shared = SharedSources(manifest, tensors, split.source_ids)
-
-    pairs = [(tid, accuracies[tid],
-              predict_target(shared, tid, subset, predictor, model))
-             for tid in split.target_ids]
-    true = np.asarray([p[1] for p in pairs])
-    pred = np.asarray([p[2] for p in pairs])
-    return EvalReport(
-        mae_pp=mae(true, pred),
-        spearman=spearman(true, pred),
-        pearson=pearson(true, pred),
-        k=k, seed=seed,
-        selection=selection.method,
-        predictor=predictor.kind,
-        pairs=pairs,
-    )
+    subset, shared = _select(manifest, tensors, split.source_ids, selection, k,
+                             seed, shared)
+    key = _pipeline_key(split.target_ids, subset, predictor, seed)
+    report = shared.reports.get(key)
+    if report is None:
+        report = shared.reports[key] = _estimate(shared, split, accuracies, subset,
+                                                 predictor, seed, threads)
+    return replace(report, k=k, seed=seed, selection=selection.method,
+                   pairs=list(report.pairs))
 
 
 def sweep_budgets(

@@ -309,6 +309,8 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float],
         cfg = config if isinstance(config, ForestConfig) else ForestConfig(**(config or {}))
         if cfg.n_trees < 1 or cfg.min_leaf < 1:
             raise InvalidConfig("forest needs n_trees >= 1 and min_leaf >= 1")
+        if not 0.0 < cfg.feature_frac <= 1.0:
+            raise InvalidConfig(f"forest feature_frac {cfg.feature_frac} not in (0, 1]")
         model.forest_config = cfg
         model.trees = _fit_forest(x, y, cfg, seed, threads)
         model.forest_walk = ForestWalk.from_trees(model.trees)

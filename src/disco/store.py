@@ -221,8 +221,8 @@ def _manifest_from_obj(obj: dict, base_dir: Path | None) -> BenchmarkManifest:
              "num_classes must be an integer")
     _require(isinstance(obj["labels"], list), "labels must be an array")
     for i, v in enumerate(obj["labels"]):
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"labels[{i}] must be an integer")
+        _require(isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63,
+                 f"labels[{i}] must be a 64-bit integer")
     _require(isinstance(obj["task_tags"], list), "task_tags must be an array")
     for i, v in enumerate(obj["task_tags"]):
         _require(isinstance(v, str), f"task_tags[{i}] must be a string")

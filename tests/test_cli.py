@@ -72,6 +72,18 @@ class TestValidate:
         assert run_cli("validate", work / "manifest.json") == 2
         assert "index 7" in capsys.readouterr().err
 
+    def test_label_outside_int64_exits_1(self, synth_dir, tmp_path):
+        import shutil
+        work = tmp_path / "data"
+        shutil.copytree(synth_dir / "data", work)
+        obj = json.loads((work / "manifest.json").read_text())
+        obj["labels"][0] = 2**70
+        (work / "manifest.json").write_text(json.dumps(obj))
+        proc = run_cli_process("validate", work / "manifest.json")
+        assert proc.returncode == 1, proc.stderr
+        assert "SchemaError" in proc.stderr and "labels[0]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_schema_error_exits_1(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"benchmark_name": "x"}')
@@ -534,6 +546,33 @@ class TestBestForValidationCommand:
         obj = json.loads((tmp_path / "bfv.json").read_text())
         assert obj["method"] == "best_for_validation"
         assert len(obj["indices"]) == 6
+
+
+    @pytest.mark.parametrize("ratio", ["2", "-1", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ("select", "--method", "best_for_validation", "--candidates", 15),
+        ("evaluate", "--selection", "best_for_validation", "--predictor", "direct"),
+    ], ids=["select", "evaluate"])
+    def test_split_ratio_outside_unit_interval_exits_2(self, synth_dir, tmp_path,
+                                                       argv, ratio):
+        proc = run_cli_process(*argv, "--manifest", synth_dir / "data" / "manifest.json",
+                               "--k", 6, "--cutoff", "median", "--split-ratio", ratio,
+                               "--out", tmp_path / "out.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "InvalidConfig" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("frac", ["nan", "0", "-3"])
+def test_forest_feature_frac_outside_unit_interval_exits_2(synth_dir, tmp_path, frac):
+    proc = run_cli_process("evaluate", "--manifest", synth_dir / "data" / "manifest.json",
+                           "--selection", "topk_pds", "--predictor", "random_forest",
+                           "--trees", 2, "--feature-frac", frac, "--k", 10,
+                           "--cutoff", "median", "--out", tmp_path / "r.json")
+    assert proc.returncode == 2, proc.stderr
+    assert "InvalidConfig" in proc.stderr and "feature_frac" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -304,6 +304,73 @@ class TestSweep:
         write_sweep_csv(singles, tmp_path / "singles.csv")
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()
 
+    def test_repeated_pipelines_equal_separate_pipelines(self, population, tmp_path):
+        # seed-free selectors repeat their pipeline for every seed after the
+        # first; the sweep copies those reports, a lone run computes each
+        manifest, tensors = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        forest = ForestConfig(n_trees=4)
+        configs = [(SelectionConfig(method=sel), PredictorConfig(kind=pred, forest=forest))
+                   for sel, pred in [
+                       ("topk_pds", "knn"), ("topk_jsd", "linear"),
+                       ("stratified_topk", "knn"), ("random", "linear"),
+                       ("kmedoids_conf", "weighted_sum"),
+                       ("topk_pds", "random_forest")]]
+        budgets, seeds = [12, 40], [0, 1, 2]
+        reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
+        singles = [run_pipeline(manifest, tensors, split, sel, pred, k, seed)
+                   for sel, pred in configs for k in budgets for seed in seeds]
+        assert ([json.dumps(report_to_obj(r)) for r in reports]
+                == [json.dumps(report_to_obj(r)) for r in singles])
+        write_sweep_csv(reports, tmp_path / "sweep.csv")
+        write_sweep_csv(singles, tmp_path / "singles.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()
+
+    def test_each_distinct_pipeline_fits_once(self, population, monkeypatch):
+        import collections
+
+        from disco import harness
+        fits = collections.Counter()
+        fit_predictor = harness.fit_predictor
+
+        def counting_fit(manifest, sources, accuracies, subset, predictor, seed,
+                         **kwargs):
+            fits[subset.method, predictor.kind, subset.k] += 1
+            return fit_predictor(manifest, sources, accuracies, subset, predictor,
+                                 seed, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_predictor", counting_fit)
+        manifest, tensors = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        # seed-free anchors and training fit once per (config, K); the random
+        # selector and forest training read the seed, so fit once per seed
+        fits_per_k = {("topk_pds", "knn"): 1, ("topk_jsd", "linear"): 1,
+                      ("random", "linear"): 3, ("topk_pds", "random_forest"): 3}
+        forest = ForestConfig(n_trees=3)
+        configs = [(SelectionConfig(method=sel), PredictorConfig(kind=pred, forest=forest))
+                   for sel, pred in fits_per_k]
+        budgets, seeds = [12, 40], [0, 1, 2]
+        reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
+        assert len(reports) == 4 * 2 * 3
+        assert fits == {(sel, pred, k): n for (sel, pred), n in fits_per_k.items()
+                        for k in budgets}
+
+    def test_reused_shared_sources_with_other_targets(self, population):
+        manifest, tensors = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        cfg = (SelectionConfig(method="topk_pds"), PredictorConfig(kind="knn"))
+        shared = SharedSources(manifest, tensors, split.source_ids)
+        first = run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0, shared=shared)
+        for targets in (split.target_ids[:-2], split.target_ids[::-1]):
+            other = ModelSplit(split.source_ids, targets, split.policy)
+            got = run_pipeline(manifest, tensors, other, *cfg, k=10, seed=0,
+                               shared=shared)
+            want = run_pipeline(manifest, tensors, other, *cfg, k=10, seed=0)
+            assert [p[0] for p in got.pairs] == targets
+            assert report_to_obj(got) == report_to_obj(want)
+        assert report_to_obj(first) == report_to_obj(
+            run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0, shared=shared))
+
     def test_shared_sources_must_match_inputs(self, population):
         from disco.errors import InvalidConfig
         manifest, tensors = population

@@ -107,7 +107,8 @@ class TestManifest:
         (lambda obj: obj.update(format_version=True), "format_version"),
         (lambda obj: obj.update(format_version=99), "format_version"),
         (lambda obj: obj["models"][0].update(true_accuracy=True), "true_accuracy"),
-    ], ids=["version-true", "version-99", "accuracy-true"])
+        (lambda obj: obj["labels"].__setitem__(0, 2**70), "labels"),
+    ], ids=["version-true", "version-99", "accuracy-true", "label-outside-int64"])
     def test_field_types_rejected(self, tmp_path, edit, field):
         obj = json.loads(manifest_bytes(make_manifest([0, 1], 2, ["a"], accuracies=[0.5])))
         edit(obj)

@@ -11,7 +11,6 @@ from .harness import (
     EvalReport,
     ModelSplit,
     PredictorConfig,
-    SelectionConfig,
     SharedSources,
     UniformSplit,
     mae,

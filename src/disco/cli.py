@@ -30,7 +30,6 @@ from .errors import (
 from .harness import (
     ChronologicalSplit,
     PredictorConfig,
-    SelectionConfig,
     SharedSources,
     UniformSplit,
     fit_predictor,
@@ -203,9 +202,7 @@ def cmd_select(args) -> int:
     subset = select_anchors(
         SharedSources(manifest, {mid: load_tensor(manifest, mid) for mid in ids}, ids,
                       scores=scores),
-        SelectionConfig(method=method, criterion=args.criterion,
-                        candidates=args.candidates, split_ratio=args.split_ratio),
-        args.k, args.seed)
+        method, args.k, args.seed)
 
     out = _workpath(args, args.out)
     save_subset(subset, out, provenance=_provenance(args.seed, **inputs))
@@ -273,10 +270,12 @@ def cmd_predict(args) -> int:
 
 
 def _split_from_args(manifest: BenchmarkManifest, args) -> object:
-    # Checked with --cutoff too, which leaves the ratio unused, so that a bad
+    # Checked with --cutoff too, which leaves them unused, so that a bad
     # value never passes silently.
     if not 0.0 < args.split_ratio < 1.0:
         raise InvalidConfig(f"--split-ratio must be in (0, 1), got {args.split_ratio}")
+    if args.split_seed < 0:
+        raise InvalidConfig(f"--split-seed must be >= 0, got {args.split_seed}")
     if args.cutoff:
         return split_models(manifest, ChronologicalSplit(_parse_cutoff(manifest, args.cutoff)))
     return split_models(manifest, UniformSplit(args.split_ratio, args.split_seed))
@@ -299,8 +298,7 @@ def cmd_evaluate(args) -> int:
     split = _split_from_args(manifest, args)
     tensors = {mid: load_tensor(manifest, mid)
                for mid in split.source_ids + split.target_ids}
-    report = run_pipeline(manifest, tensors, split,
-                          SelectionConfig(method=args.selection),
+    report = run_pipeline(manifest, tensors, split, args.selection,
                           _predictor_config(args, args.predictor),
                           args.k, args.seed, threads=_threads(args))
     out = _workpath(args, args.out)
@@ -317,6 +315,8 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise InvalidConfig(f"--budgets and --seeds must be comma-separated integers, "
                             f"got {args.budgets!r} and {args.seeds!r}")
+    if min(seeds) < 0:
+        raise InvalidConfig(f"--seeds must be >= 0, got {args.seeds!r}")
     configs = []
     for entry in args.configs.split(","):
         sel, _, pred = entry.partition(":")
@@ -324,7 +324,7 @@ def cmd_sweep(args) -> int:
             raise InvalidConfig(f"config must be selection:predictor with a "
                                 f"selection in {METHODS} and a predictor in "
                                 f"{KINDS}, got {entry!r}")
-        configs.append((SelectionConfig(method=sel), _predictor_config(args, pred)))
+        configs.append((sel, _predictor_config(args, pred)))
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)
@@ -417,10 +417,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scores", default=None, help="score CSV for top-k methods")
-    p.add_argument("--criterion", default="pds_env",
-                   choices=("pds_env", "pds_eq1", "jsd_bits"))
-    p.add_argument("--candidates", type=int, default=1000)
-    p.add_argument("--split-ratio", type=float, default=0.8)
     p.add_argument("--models", default=None)
     p.add_argument("--cutoff", default=None)
     p.add_argument("--out", required=True)
@@ -479,6 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (DiscoError, OSError) as e:     # OSError: e.g. an unwritable output path
         sys.stderr.write(f"disco {args.command}: {type(e).__name__}: {e}\n")

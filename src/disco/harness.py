@@ -68,7 +68,6 @@ class UniformSplit:
 class ModelSplit:
     source_ids: list[str]
     target_ids: list[str]
-    policy: str
 
 
 def known_accuracies(manifest: BenchmarkManifest, ids: list[str]) -> dict[str, float]:
@@ -96,7 +95,6 @@ def split_models(manifest: BenchmarkManifest,
                 raise MissingDates(f"model {m.model_id!r} has no release date")
         source = [m.model_id for m in models if m.release_date < policy.cutoff]
         target = [m.model_id for m in models if m.release_date >= policy.cutoff]
-        label = f"chronological({policy.cutoff.isoformat()})"
     elif isinstance(policy, UniformSplit):
         if not 0.0 < policy.ratio < 1.0:
             raise InvalidConfig(f"split ratio {policy.ratio} not in (0, 1)")
@@ -106,13 +104,12 @@ def split_models(manifest: BenchmarkManifest,
         n_src = int(policy.ratio * len(ids))
         source = [ids[i] for i in perm[:n_src]]
         target = [ids[i] for i in perm[n_src:]]
-        label = f"uniform({policy.ratio},{policy.seed})"
     else:
         raise InvalidConfig(f"unknown split policy: {policy!r}")
     if not source or not target:
         raise EmptySide(
             f"split left {len(source)} source / {len(target)} target models")
-    return ModelSplit(source_ids=source, target_ids=target, policy=label)
+    return ModelSplit(source_ids=source, target_ids=target)
 
 
 def median_date_cutoff(manifest: BenchmarkManifest) -> _dt.date:
@@ -175,14 +172,6 @@ def spearman(true: np.ndarray, pred: np.ndarray) -> float:
 # --- pipeline ----------------------------------------------------------------
 
 @dataclass
-class SelectionConfig:
-    method: str = "topk_pds"
-    criterion: str | None = None          # stratified_topk only; default pds_env
-    candidates: int = 1000                # best_for_validation
-    split_ratio: float = 0.8              # best_for_validation
-
-
-@dataclass
 class PredictorConfig:
     kind: str = "random_forest"
     signature_mode: str = "probs"
@@ -215,8 +204,8 @@ class SharedSources:
     (sources for best-for-validation and ``corr`` embeddings, targets for the
     accuracy readouts) and the k-medoids embeddings and distance matrix of
     one embedding kind.  ``sweep_budgets`` keeps one for the whole sweep;
-    ``run_pipeline`` and ``condense_and_train`` make a fresh one when given
-    none.  ``scores``, when given, is the score table of these sources, read
+    ``run_pipeline`` makes a fresh one when given none, ``condense_and_train``
+    always.  ``scores``, when given, is the score table of these sources, read
     back from a file.  Every array it hands out is read-only.
 
     ``reports`` holds the report of each distinct pipeline ``run_pipeline``
@@ -236,11 +225,12 @@ class SharedSources:
         self.reports: dict[tuple, EvalReport] = {}
 
     def check(self, manifest: BenchmarkManifest,
-              source_tensors: Mapping[str, PredictionTensor]) -> None:
-        """Raise InvalidConfig unless built from this manifest and sources."""
-        if (manifest is not self.manifest
-                or source_tensors.keys() != self.sources.keys()
-                or any(source_tensors[mid] is not t for mid, t in self.sources.items())):
+              tensors: Mapping[str, PredictionTensor], source_ids: list[str]) -> None:
+        """Raise InvalidConfig unless built from this manifest, tensor
+        mapping and source models."""
+        if (manifest is not self.manifest or tensors is not self.tensors
+                or set(source_ids) != self.sources.keys()
+                or any(tensors[mid] is not t for mid, t in self.sources.items())):
             raise InvalidConfig("shared source data was built for other inputs")
 
     def scores(self) -> ScoreTable:
@@ -280,30 +270,27 @@ class SharedSources:
         self._kmedoids = None
 
 
-def select_anchors(shared: SharedSources, cfg: SelectionConfig, k: int,
+def select_anchors(shared: SharedSources, method: str, k: int,
                    seed: int) -> AnchorSubset:
-    """The anchors that ``cfg`` picks from the shared source data; the
-    score-ranking methods read only its score table, ``random`` nothing."""
+    """The anchors that selector ``method`` picks from the shared source
+    data; the score-ranking methods read only its score table, ``random``
+    nothing.  ``stratified_topk`` ranks by ``pds_env``; best-for-validation
+    takes its library defaults (1000 candidates, a 0.8 training share)."""
     manifest = shared.manifest
-    method = cfg.method
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
     if method in SCORE_METHODS:
         if method == "stratified_topk":
             return select_stratified_topk(shared.scores(), manifest.task_tags, k,
-                                          cfg.criterion or "pds_env", seed=seed)
+                                          seed=seed)
         criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
         return select_topk(shared.scores(), k, criterion, seed=seed)
     if method in ("kmedoids_conf", "kmedoids_corr"):
         emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
-        if not 0.0 < cfg.split_ratio < 1.0:
-            raise InvalidConfig(f"best-for-validation split ratio {cfg.split_ratio} "
-                                f"not in (0, 1)")
         return select_best_for_validation(
-            shared.sources, manifest, k, candidates=cfg.candidates, seed=seed,
-            split_ratio=cfg.split_ratio,
+            shared.sources, manifest, k, seed=seed,
             bits={mid: shared.bits(mid) for mid in shared.sources})
     raise InvalidConfig(f"unknown selection method {method!r}")
 
@@ -344,29 +331,24 @@ def fit_predictor(
         projection = pca_fit(matrix, d)
         features = pca_transform(projection, matrix)
 
-    if predictor.kind == "knn":
-        config: dict | ForestConfig = {"k_neighbors": predictor.k_neighbors}
-    elif predictor.kind == "random_forest":
-        config = predictor.forest
-    else:
-        config = {}
-    return train(predictor.kind, features, accs, config, seed=seed,
-                 projection=projection, threads=threads)
+    return train(predictor.kind, features, accs, k_neighbors=predictor.k_neighbors,
+                 forest=predictor.forest, seed=seed, projection=projection,
+                 threads=threads)
 
 
 def _select(manifest: BenchmarkManifest, tensors: Mapping[str, PredictionTensor],
-            source_ids: list[str], selection: SelectionConfig, k: int, seed: int,
+            source_ids: list[str], method: str, k: int, seed: int,
             shared: SharedSources | None) -> tuple[AnchorSubset, SharedSources]:
     """The anchors, and the SharedSources the pipeline goes on with: ``shared``
     once checked against the inputs, else a fresh one that keeps neither the
     score table nor the k-medoids data while the predictor trains."""
     if shared is None:
         shared = SharedSources(manifest, tensors, source_ids)
-        subset = select_anchors(shared, selection, k, seed)
+        subset = select_anchors(shared, method, k, seed)
         shared.drop_selection_data()
     else:
-        shared.check(manifest, {mid: tensors[mid] for mid in source_ids})
-        subset = select_anchors(shared, selection, k, seed)
+        shared.check(manifest, tensors, source_ids)
+        subset = select_anchors(shared, method, k, seed)
     return subset, shared
 
 
@@ -374,23 +356,16 @@ def condense_and_train(
     manifest: BenchmarkManifest,
     source_tensors: Mapping[str, PredictionTensor],
     source_accuracies: Mapping[str, float],
-    selection: SelectionConfig,
+    method: str,
     predictor: PredictorConfig,
     k: int,
     seed: int,
     threads: int = 1,
-    *,
-    shared: SharedSources | None = None,
 ) -> tuple[AnchorSubset, PredictorModel | None]:
-    """Anchor selection plus predictor training from source models only.
-
-    Returns (subset, model), the model as from ``fit_predictor``.
-    ``shared`` holds what the caller has already computed from these
-    source models (``sweep_budgets`` keeps one per sweep); it must have
-    been built from the same manifest and source tensors.
-    """
-    subset, _ = _select(manifest, source_tensors, list(source_tensors), selection,
-                        k, seed, shared)
+    """Anchor selection by selector ``method`` plus predictor training from
+    source models only; the model is as from ``fit_predictor``."""
+    subset, _ = _select(manifest, source_tensors, list(source_tensors), method,
+                        k, seed, None)
     return subset, fit_predictor(manifest, source_tensors, source_accuracies,
                                  subset, predictor, seed, threads=threads)
 
@@ -450,7 +425,7 @@ def run_pipeline(
     manifest: BenchmarkManifest,
     tensors: Mapping[str, PredictionTensor],
     split: ModelSplit,
-    selection: SelectionConfig,
+    method: str,
     predictor: PredictorConfig,
     k: int,
     seed: int,
@@ -458,25 +433,24 @@ def run_pipeline(
     *,
     shared: SharedSources | None = None,
 ) -> EvalReport:
-    """Condense with the source models, then evaluate on the target models.
+    """Condense with the source models by selector ``method``, then evaluate
+    on the target models.
 
-    ``shared``: as for ``condense_and_train``, built from ``manifest``,
-    ``tensors`` and ``split.source_ids``.  A pipeline whose targets, anchors,
-    anchor weights and predictor config (and seed, for a forest) match one
-    already run on ``shared`` is not run again: its report is copied, with
-    this call's K, seed and selection method.
+    ``shared``, built from ``manifest``, ``tensors`` and ``split.source_ids``,
+    holds what earlier calls computed (``sweep_budgets`` keeps one per sweep).
+    A pipeline whose targets, anchors, anchor weights and predictor config
+    (and seed, for a forest) match one already run on ``shared`` is not run
+    again: its report is copied, with this call's K, seed and selection method.
     """
     accuracies = known_accuracies(manifest, split.source_ids + split.target_ids)
-    if shared is not None and shared.tensors is not tensors:
-        raise InvalidConfig("shared source data was built for other inputs")
-    subset, shared = _select(manifest, tensors, split.source_ids, selection, k,
+    subset, shared = _select(manifest, tensors, split.source_ids, method, k,
                              seed, shared)
     key = _pipeline_key(split.target_ids, subset, predictor, seed)
     report = shared.reports.get(key)
     if report is None:
         report = shared.reports[key] = _estimate(shared, split, accuracies, subset,
                                                  predictor, seed, threads)
-    return replace(report, k=k, seed=seed, selection=selection.method,
+    return replace(report, k=k, seed=seed, selection=method,
                    pairs=list(report.pairs))
 
 
@@ -484,12 +458,13 @@ def sweep_budgets(
     manifest: BenchmarkManifest,
     tensors: Mapping[str, PredictionTensor],
     split: ModelSplit,
-    configs: list[tuple[SelectionConfig, PredictorConfig]],
+    configs: list[tuple[str, PredictorConfig]],
     budgets: list[int],
     seeds: list[int],
     threads: int = 1,
 ) -> list[EvalReport]:
-    """One report per (config, budget, seed), in that loop order.
+    """One report per (config, budget, seed), in that loop order; a config
+    is a selector name and a predictor config.
 
     Scores, correctness bits and k-medoids distances depend on neither K nor
     seed, so one SharedSources computes each at most once per sweep; the
@@ -499,10 +474,10 @@ def sweep_budgets(
         raise InvalidConfig("budgets must be sorted ascending")
     shared = SharedSources(manifest, tensors, split.source_ids)
     reports = []
-    for sel_cfg, pred_cfg in configs:
+    for method, pred_cfg in configs:
         for k in budgets:
             for seed in seeds:
-                reports.append(run_pipeline(manifest, tensors, split, sel_cfg,
+                reports.append(run_pipeline(manifest, tensors, split, method,
                                             pred_cfg, k, seed, threads=threads,
                                             shared=shared))
         shared.drop_kmedoids()

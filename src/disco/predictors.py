@@ -9,7 +9,8 @@ reproduces in-memory predictions bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -202,7 +203,8 @@ def _fit_tree_range(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
 
 def _fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
                 threads: int) -> list[Tree]:
-    """All trees, fitted on ``min(threads, n_trees)`` forked worker processes.
+    """All trees, fitted on ``min(threads, n_trees, CPU count)`` forked worker
+    processes.
 
     Each worker fits a contiguous range of tree indices; results are joined
     in index order.  Forked workers start with numpy and this module already
@@ -210,7 +212,7 @@ def _fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
     unavailable the fit is serial.  The multiprocessing modules are imported
     only here, so commands without a forest never load them.
     """
-    workers = min(threads, cfg.n_trees)
+    workers = min(threads, cfg.n_trees, os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -271,12 +273,14 @@ class ForestWalk:
             nodes = nxt
 
 
-def train(kind: str, features: np.ndarray, performances: Sequence[float],
-          config: dict | ForestConfig | None = None, seed: int = 0,
+def train(kind: str, features: np.ndarray, performances: Sequence[float], *,
+          k_neighbors: int = 5, forest: ForestConfig | None = None, seed: int = 0,
           projection: PcaProjection | None = None,
           threads: int = 1) -> PredictorModel:
     """Fit a predictor on (already projected) source features.
 
+    ``k_neighbors`` is read by knn only, ``forest`` (default
+    ``ForestConfig()``) by random_forest only.
     ``projection``, when given, is bundled so that ``predict`` can consume
     raw signatures.  Forest trees use per-tree RNG streams derived from
     (seed, tree index), so the result is independent of ``threads``, the
@@ -297,8 +301,7 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float],
 
     model = PredictorModel(kind=kind, projection=projection)
     if kind == "knn":
-        cfg = dict(config or {})
-        model.k_neighbors = int(cfg.get("k_neighbors", 5))
+        model.k_neighbors = int(k_neighbors)
         if not 1 <= model.k_neighbors <= x.shape[0]:
             raise InvalidConfig(f"k_neighbors={model.k_neighbors} not in [1, {x.shape[0]}]")
         model.knn_vectors = x.copy()
@@ -306,7 +309,7 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float],
     elif kind == "linear":
         model.linear_weights, model.linear_intercept = _fit_linear(x, y)
     else:
-        cfg = config if isinstance(config, ForestConfig) else ForestConfig(**(config or {}))
+        cfg = forest if forest is not None else ForestConfig()
         if cfg.n_trees < 1 or cfg.min_leaf < 1:
             raise InvalidConfig("forest needs n_trees >= 1 and min_leaf >= 1")
         if not 0.0 < cfg.feature_frac <= 1.0:
@@ -457,7 +460,7 @@ def save_predictor(model: PredictorModel, path: str | Path,
         arrays["linear_weights"] = model.linear_weights.reshape(1, -1)
         arrays["linear_intercept"] = np.asarray([[model.linear_intercept]])
     elif model.kind == "random_forest":
-        cfg = model.forest_config or ForestConfig()
+        cfg = model.forest_config or ForestConfig(n_trees=len(model.trees))
         header["config"] = {
             "n_trees": cfg.n_trees, "min_leaf": cfg.min_leaf,
             "feature_frac": cfg.feature_frac, "bootstrap": cfg.bootstrap,
@@ -505,13 +508,27 @@ def load_predictor(path: str | Path) -> PredictorModel:
         model.linear_intercept = float(
             dten.bundle_block(arrays, "linear_intercept", where, (1, 1))[0, 0])
     elif kind == "random_forest":
-        try:
-            model.forest_config = ForestConfig(**config)
-        except TypeError as e:
-            raise SchemaError(f"{path}: bad forest config: {e}") from e
         if "forest_nodes" not in arrays:
             raise SchemaError(f"{path}: forest bundle has no forest_nodes block")
         model.trees = _forest_from_table(
             arrays["forest_nodes"], header.get("tree_offsets"), features, where)
+        model.forest_config = _forest_config(config, len(model.trees), where)
         model.forest_walk = ForestWalk.from_trees(model.trees)
     return model
+
+
+def _forest_config(config: object, n_trees: int, where: str) -> ForestConfig:
+    """A bundle's forest config, holding exactly the fields of ForestConfig
+    with values a fit of its ``n_trees`` stored trees can record; anything
+    else raises SchemaError."""
+    if (not isinstance(config, dict)
+            or config.keys() != {f.name for f in fields(ForestConfig)}
+            or type(config["n_trees"]) is not int or config["n_trees"] != n_trees
+            or type(config["min_leaf"]) is not int or config["min_leaf"] < 1
+            or type(config["feature_frac"]) not in (int, float)
+            or not 0 < config["feature_frac"] <= 1
+            or type(config["bootstrap"]) is not bool):
+        raise SchemaError(f"{where}: forest config must hold n_trees (the {n_trees} "
+                          f"stored trees), an integer min_leaf >= 1, a feature_frac "
+                          f"in (0, 1] and a boolean bootstrap, got {config!r}")
+    return ForestConfig(**config)

@@ -19,7 +19,6 @@ from disco.harness import (
     ChronologicalSplit,
     ModelSplit,
     PredictorConfig,
-    SelectionConfig,
     median_date_cutoff,
     pearson,
     run_pipeline,
@@ -92,8 +91,8 @@ def test_criterion_3_balance_identity():
     _gate(3, "balance of deviations on 1k vectors", ok)
 
 
-DISCO_CFG = (SelectionConfig(method="topk_pds"), PredictorConfig(kind="random_forest"))
-BASELINE_CFG = (SelectionConfig(method="random"), PredictorConfig(kind="direct"))
+DISCO_CFG = ("topk_pds", PredictorConfig(kind="random_forest"))
+BASELINE_CFG = ("random", PredictorConfig(kind="direct"))
 
 
 def _paired_run(seed: int, k: int) -> tuple[float, float, float, float]:
@@ -134,9 +133,8 @@ def test_criterion_6_knn_self_prediction_exact():
     manifest, tensors = generate_population(
         SynthConfig(m_models=20, n_samples=300, c_classes=4, ability_dim=3, seed=2))
     ids = manifest.model_ids()
-    split = ModelSplit(source_ids=ids, target_ids=ids, policy="self")
-    report = run_pipeline(manifest, tensors, split,
-                          SelectionConfig(method="random"),
+    split = ModelSplit(source_ids=ids, target_ids=ids)
+    report = run_pipeline(manifest, tensors, split, "random",
                           PredictorConfig(kind="knn", k_neighbors=1), k=12, seed=0)
     exact = all(t == p for _, t, p in report.pairs)
     _gate(6, "1-NN self prediction exact", report.mae_pp == 0.0 and exact,

@@ -13,7 +13,6 @@ from disco.cli import main
 from disco.harness import (
     ChronologicalSplit,
     PredictorConfig,
-    SelectionConfig,
     condense_and_train,
     median_date_cutoff,
     run_pipeline,
@@ -175,8 +174,7 @@ class TestPipelineCommands:
         manifest = load_manifest(manifest_path)
         tensors = load_all_tensors(manifest)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="topk_pds"),
+        report = run_pipeline(manifest, tensors, split, "topk_pds",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert obj["mae_pp"] == report.mae_pp
         assert obj["spearman"] == report.spearman
@@ -196,8 +194,7 @@ class TestPipelineCommands:
         manifest = load_manifest(manifest_path)
         tensors = load_all_tensors(manifest)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="topk_pds"),
+        report = run_pipeline(manifest, tensors, split, "topk_pds",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert staged == {m: p for m, _, p in report.pairs}
 
@@ -539,8 +536,7 @@ class TestThreadsEnvFallback:
 class TestBestForValidationCommand:
     def test_select_bfv(self, synth_dir, tmp_path):
         code = run_cli("select", "--manifest", synth_dir / "data" / "manifest.json",
-                       "--method", "best_for_validation", "--k", 6,
-                       "--candidates", 15, "--cutoff", "median",
+                       "--method", "best_for_validation", "--k", 6, "--cutoff", "median",
                        "--out", tmp_path / "bfv.json")
         assert code == 0
         obj = json.loads((tmp_path / "bfv.json").read_text())
@@ -550,9 +546,8 @@ class TestBestForValidationCommand:
 
     @pytest.mark.parametrize("ratio", ["2", "-1", "nan"])
     @pytest.mark.parametrize("argv", [
-        ("select", "--method", "best_for_validation", "--candidates", 15),
         ("evaluate", "--selection", "best_for_validation", "--predictor", "direct"),
-    ], ids=["select", "evaluate"])
+    ], ids=["evaluate"])
     def test_split_ratio_outside_unit_interval_exits_2(self, synth_dir, tmp_path,
                                                        argv, ratio):
         proc = run_cli_process(*argv, "--manifest", synth_dir / "data" / "manifest.json",
@@ -562,6 +557,39 @@ class TestBestForValidationCommand:
         assert "InvalidConfig" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--criterion", "jsd_bits"),
+                                         ("--candidates", 15), ("--split-ratio", 0.5)])
+def test_select_takes_no_selector_tuning_flags(synth_dir, tmp_path, flag, value):
+    # a selector is named by its method alone, as in evaluate and sweep
+    code = run_cli("select", "--manifest", synth_dir / "data" / "manifest.json",
+                   "--method", "best_for_validation", "--k", 6, "--cutoff", "median",
+                   flag, value, "--out", tmp_path / "s.json")
+    assert code == 64
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--seed", -1, "--selection", "random", "--predictor", "direct",
+     "--k", 10),
+    ("evaluate", "--split-seed", -1, "--predictor", "direct", "--k", 10),
+    ("evaluate", "--split-seed", -1, "--cutoff", "median", "--predictor", "direct",
+     "--k", 10),
+    ("select", "--method", "kmedoids_conf", "--seed", -3, "--k", 10),
+    ("sweep", "--seeds", -1, "--budgets", 10, "--configs", "topk_pds:direct",
+     "--cutoff", "median"),
+    ("synth", "--seed", -1, "--models-count", 4, "--samples", 10),
+], ids=["evaluate-seed", "evaluate-split-seed", "evaluate-split-seed-cutoff",
+        "select-seed", "sweep-seeds", "synth-seed"])
+def test_negative_seed_exits_2(synth_dir, tmp_path, argv):
+    manifest = () if argv[0] == "synth" else ("--manifest",
+                                              synth_dir / "data" / "manifest.json")
+    proc = run_cli_process(*argv, *manifest, "--out", tmp_path / "out")
+    assert proc.returncode == 2, proc.stderr
+    assert "InvalidConfig" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("frac", ["nan", "0", "-3"])
@@ -611,8 +639,7 @@ def test_staged_chain_equals_evaluate_on_unsorted_manifest(reversed_manifest, tm
     split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
     sources = {mid: load_tensor(manifest, mid) for mid in split.source_ids}
     accuracies = {mid: manifest.model(mid).true_accuracy for mid in split.source_ids}
-    subset, _ = condense_and_train(manifest, sources, accuracies,
-                                   SelectionConfig(method=method),
+    subset, _ = condense_and_train(manifest, sources, accuracies, method,
                                    PredictorConfig(kind="linear"), k, 0)
     staged = json.loads((tmp_path / "subset.json").read_text())
     assert staged["indices"] == subset.indices.tolist()
@@ -647,3 +674,19 @@ def test_staged_readout_chain_equals_evaluate(reversed_manifest, tmp_path, metho
     predictions = json.loads((tmp_path / "pred.json").read_text())["predictions"]
     pairs = json.loads((tmp_path / "report.json").read_text())["pairs"]
     assert predictions == {mid: est for mid, _, est in pairs}
+
+
+def test_traced_cli_wraps_only_existing_functions():
+    # the traced benchmark replaces these functions by name; a renamed or
+    # deleted one would only show up in a traced benchmark run
+    import importlib
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    missing = [(mod, name) for mod, name in traced.WRAPPED
+               if not callable(getattr(importlib.import_module(f"disco.{mod}"), name,
+                                       None))]
+    assert missing == []

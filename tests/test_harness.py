@@ -12,7 +12,6 @@ from disco.harness import (
     ChronologicalSplit,
     ModelSplit,
     PredictorConfig,
-    SelectionConfig,
     SharedSources,
     UniformSplit,
     mae,
@@ -183,9 +182,8 @@ class TestRunPipeline:
     def test_self_prediction_is_exact(self, population):
         manifest, tensors = population
         ids = manifest.model_ids()
-        split = ModelSplit(source_ids=ids, target_ids=ids, policy="self")
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="random"),
+        split = ModelSplit(source_ids=ids, target_ids=ids)
+        report = run_pipeline(manifest, tensors, split, "random",
                               PredictorConfig(kind="knn", k_neighbors=1),
                               k=20, seed=0)
         assert report.mae_pp == 0.0
@@ -194,8 +192,7 @@ class TestRunPipeline:
     def test_full_budget_direct_eval_exact(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="random"),
+        report = run_pipeline(manifest, tensors, split, "random",
                               PredictorConfig(kind="direct"),
                               k=manifest.num_samples, seed=0)
         assert report.mae_pp == 0.0
@@ -204,7 +201,7 @@ class TestRunPipeline:
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         recorder = RecordingTensors(tensors)
-        run_pipeline(manifest, recorder, split, SelectionConfig(method="topk_pds"),
+        run_pipeline(manifest, recorder, split, "topk_pds",
                      PredictorConfig(kind="knn"), k=10, seed=0)
         first_target = min(recorder.accesses.index(t) for t in split.target_ids)
         last_source = max(recorder.accesses.index(s) for s in split.source_ids)
@@ -213,7 +210,7 @@ class TestRunPipeline:
     def test_target_tensors_cannot_leak_into_selection(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = (SelectionConfig(method="topk_pds"),
+        cfg = ("topk_pds",
                PredictorConfig(kind="random_forest",
                                forest=ForestConfig(n_trees=10)))
         r1 = run_pipeline(manifest, tensors, split, *cfg, k=12, seed=1)
@@ -236,7 +233,7 @@ class TestRunPipeline:
     def test_deterministic(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        args = (manifest, tensors, split, SelectionConfig(method="topk_jsd"),
+        args = (manifest, tensors, split, "topk_jsd",
                 PredictorConfig(kind="random_forest", forest=ForestConfig(n_trees=15)))
         r1 = run_pipeline(*args, k=8, seed=4)
         r2 = run_pipeline(*args, k=8, seed=4)
@@ -245,8 +242,7 @@ class TestRunPipeline:
     def test_weighted_sum_route(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="kmedoids_corr"),
+        report = run_pipeline(manifest, tensors, split, "kmedoids_corr",
                               PredictorConfig(kind="weighted_sum"), k=6, seed=0)
         assert 0 <= report.mae_pp <= 100
 
@@ -254,15 +250,13 @@ class TestRunPipeline:
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         with pytest.raises(MissingWeights):
-            run_pipeline(manifest, tensors, split,
-                         SelectionConfig(method="random"),
+            run_pipeline(manifest, tensors, split, "random",
                          PredictorConfig(kind="weighted_sum"), k=6, seed=0)
 
     def test_report_serialization(self, population, tmp_path):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="random"),
+        report = run_pipeline(manifest, tensors, split, "random",
                               PredictorConfig(kind="direct"), k=10, seed=0)
         path = tmp_path / "report.json"
         save_report(report, path, provenance={"seed": 0})
@@ -276,7 +270,7 @@ class TestSweep:
     def test_single_cell_equals_run_pipeline(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = (SelectionConfig(method="random"), PredictorConfig(kind="direct"))
+        cfg = ("random", PredictorConfig(kind="direct"))
         reports = sweep_budgets(manifest, tensors, split, [cfg], [10], [3])
         single = run_pipeline(manifest, tensors, split, *cfg, k=10, seed=3)
         assert len(reports) == 1
@@ -287,7 +281,7 @@ class TestSweep:
         # every selector and readout gives the same bytes either way
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        configs = [(SelectionConfig(method=sel), PredictorConfig(kind=pred))
+        configs = [(sel, PredictorConfig(kind=pred))
                    for sel, pred in [
                        ("random", "linear"), ("topk_pds", "knn"),
                        ("kmedoids_conf", "knn"), ("topk_jsd", "linear"),
@@ -310,7 +304,7 @@ class TestSweep:
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         forest = ForestConfig(n_trees=4)
-        configs = [(SelectionConfig(method=sel), PredictorConfig(kind=pred, forest=forest))
+        configs = [(sel, PredictorConfig(kind=pred, forest=forest))
                    for sel, pred in [
                        ("topk_pds", "knn"), ("topk_jsd", "linear"),
                        ("stratified_topk", "knn"), ("random", "linear"),
@@ -347,7 +341,7 @@ class TestSweep:
         fits_per_k = {("topk_pds", "knn"): 1, ("topk_jsd", "linear"): 1,
                       ("random", "linear"): 3, ("topk_pds", "random_forest"): 3}
         forest = ForestConfig(n_trees=3)
-        configs = [(SelectionConfig(method=sel), PredictorConfig(kind=pred, forest=forest))
+        configs = [(sel, PredictorConfig(kind=pred, forest=forest))
                    for sel, pred in fits_per_k]
         budgets, seeds = [12, 40], [0, 1, 2]
         reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
@@ -358,11 +352,11 @@ class TestSweep:
     def test_reused_shared_sources_with_other_targets(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = (SelectionConfig(method="topk_pds"), PredictorConfig(kind="knn"))
+        cfg = ("topk_pds", PredictorConfig(kind="knn"))
         shared = SharedSources(manifest, tensors, split.source_ids)
         first = run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0, shared=shared)
         for targets in (split.target_ids[:-2], split.target_ids[::-1]):
-            other = ModelSplit(split.source_ids, targets, split.policy)
+            other = ModelSplit(split.source_ids, targets)
             got = run_pipeline(manifest, tensors, other, *cfg, k=10, seed=0,
                                shared=shared)
             want = run_pipeline(manifest, tensors, other, *cfg, k=10, seed=0)
@@ -375,7 +369,7 @@ class TestSweep:
         from disco.errors import InvalidConfig
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = (SelectionConfig(method="topk_pds"), PredictorConfig(kind="knn"))
+        cfg = ("topk_pds", PredictorConfig(kind="knn"))
         other = split_models(manifest, UniformSplit(0.5, seed=1))
         for shared in (SharedSources(manifest, dict(tensors), split.source_ids),
                        SharedSources(manifest, tensors, other.source_ids)):
@@ -386,8 +380,8 @@ class TestSweep:
     def test_cardinality(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        configs = [(SelectionConfig(method="random"), PredictorConfig(kind="direct")),
-                   (SelectionConfig(method="topk_pds"), PredictorConfig(kind="knn"))]
+        configs = [("random", PredictorConfig(kind="direct")),
+                   ("topk_pds", PredictorConfig(kind="knn"))]
         reports = sweep_budgets(manifest, tensors, split, configs, [20, 40], [0, 1, 2])
         assert len(reports) == 2 * 2 * 3
 
@@ -397,7 +391,7 @@ class TestSweep:
         from disco.errors import InvalidConfig
         with pytest.raises(InvalidConfig):
             sweep_budgets(manifest, tensors, split,
-                          [(SelectionConfig(method="random"),
+                          [("random",
                             PredictorConfig(kind="direct"))], [10, 5], [0])
 
     def test_direct_eval_error_shrinks_with_budget(self):
@@ -406,7 +400,7 @@ class TestSweep:
                           seed=42, noise_temperature=0.8)
         manifest, tensors = generate_population(cfg)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        sel = SelectionConfig(method="random")
+        sel = "random"
         pred = PredictorConfig(kind="direct")
         maes = {10: [], 100: []}
         for seed in range(20):
@@ -418,7 +412,7 @@ class TestSweep:
     def test_csv_export(self, population, tmp_path):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = (SelectionConfig(method="random"), PredictorConfig(kind="direct"))
+        cfg = ("random", PredictorConfig(kind="direct"))
         reports = sweep_budgets(manifest, tensors, split, [cfg], [25], [0, 1])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(reports, path)
@@ -432,8 +426,7 @@ class TestOtherPredictorRoutes:
     def test_linear_pipeline(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="topk_pds"),
+        report = run_pipeline(manifest, tensors, split, "topk_pds",
                               PredictorConfig(kind="linear"), k=10, seed=0)
         assert 0.0 <= report.mae_pp <= 100.0
         assert all(0.0 <= p <= 1.0 for _, _, p in report.pairs)
@@ -441,8 +434,6 @@ class TestOtherPredictorRoutes:
     def test_best_for_validation_pipeline(self, population):
         manifest, tensors = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split,
-                              SelectionConfig(method="best_for_validation",
-                                              candidates=20),
+        report = run_pipeline(manifest, tensors, split, "best_for_validation",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert report.k == 10

@@ -59,26 +59,26 @@ class TestKnn:
     def test_nearest_is_self(self, rng):
         x = rng.standard_normal((8, 4))
         y = rng.random(8)
-        model = train("knn", x, y, {"k_neighbors": 1})
+        model = train("knn", x, y, k_neighbors=1)
         for i in range(8):
             assert predict(model, x[i]) == y[i]
 
     def test_all_neighbors_gives_global_mean(self, rng):
         x = rng.standard_normal((9, 3))
         y = rng.random(9)
-        model = train("knn", x, y, {"k_neighbors": 9})
+        model = train("knn", x, y, k_neighbors=9)
         assert abs(predict(model, rng.standard_normal(3)) - y.mean()) < 1e-12
 
     def test_distance_ties_break_by_index(self):
         x = np.array([[1.0], [1.0], [2.0]])
         y = np.array([0.2, 0.8, 0.5])
-        model = train("knn", x, y, {"k_neighbors": 1})
+        model = train("knn", x, y, k_neighbors=1)
         assert predict(model, np.array([1.0])) == 0.2
 
     def test_prediction_within_neighbor_range(self, rng):
         x = rng.standard_normal((20, 4))
         y = rng.random(20)
-        model = train("knn", x, y, {"k_neighbors": 5})
+        model = train("knn", x, y, k_neighbors=5)
         for _ in range(20):
             q = rng.standard_normal(4)
             d2 = ((x - q) ** 2).sum(axis=1)
@@ -90,8 +90,8 @@ class TestKnn:
         x = rng.standard_normal((15, 3))
         y = rng.random(15)
         shift = rng.standard_normal(3) * 7.0
-        a = train("knn", x, y, {"k_neighbors": 4})
-        b = train("knn", x + shift, y, {"k_neighbors": 4})
+        a = train("knn", x, y, k_neighbors=4)
+        b = train("knn", x + shift, y, k_neighbors=4)
         for _ in range(10):
             q = rng.standard_normal(3)
             assert predict(a, q) == predict(b, q + shift)
@@ -102,14 +102,14 @@ class TestForest:
         x = rng.standard_normal((16, 3))
         y = rng.random(16)
         cfg = ForestConfig(n_trees=1, min_leaf=1, bootstrap=False)
-        model = train("random_forest", x, y, cfg, seed=0)
+        model = train("random_forest", x, y, forest=cfg, seed=0)
         preds = np.array([predict(model, xi) for xi in x])
         assert np.abs(preds - y).max() < 1e-12
 
     def test_matches_per_tree_traversal_oracle(self, rng):
         x = rng.standard_normal((25, 4))
         y = rng.random(25)
-        model = train("random_forest", x, y, ForestConfig(n_trees=12), seed=3)
+        model = train("random_forest", x, y, forest=ForestConfig(n_trees=12), seed=3)
         for _ in range(10):
             q = rng.standard_normal(4)
             # independent walker over the flat node tables
@@ -127,32 +127,66 @@ class TestForest:
     def test_training_mse_not_worse_than_mean(self, rng):
         x = rng.standard_normal((30, 5))
         y = rng.random(30)
-        model = train("random_forest", x, y, ForestConfig(n_trees=50), seed=1)
+        model = train("random_forest", x, y, forest=ForestConfig(n_trees=50), seed=1)
         preds = np.array([predict(model, xi) for xi in x])
         assert np.mean((preds - y) ** 2) <= np.var(y)
 
     def test_deterministic_and_thread_invariant(self, rng):
         x = rng.standard_normal((20, 6))
         y = rng.random(20)
-        a = train("random_forest", x, y, ForestConfig(n_trees=8), seed=5)
-        b = train("random_forest", x, y, ForestConfig(n_trees=8), seed=5, threads=4)
+        a = train("random_forest", x, y, forest=ForestConfig(n_trees=8), seed=5)
+        b = train("random_forest", x, y, forest=ForestConfig(n_trees=8), seed=5,
+                  threads=4)
         q = rng.standard_normal(6)
         assert predict(a, q) == predict(b, q)
         for ta, tb in zip(a.trees, b.trees):
             assert np.array_equal(ta.threshold, tb.threshold)
             assert np.array_equal(ta.feature, tb.feature)
 
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (64, [8]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, rng, monkeypatch, cpus, pools):
+        # a fake pool records its size and fits the tree ranges in this process
+        import concurrent.futures
+        import os
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, workers, mp_context=None):
+                sizes.append(workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        x, y = rng.standard_normal((12, 3)), rng.random(12)
+        cfg = ForestConfig(n_trees=8)
+        capped = train("random_forest", x, y, forest=cfg, seed=1, threads=5000)
+        serial = train("random_forest", x, y, forest=cfg, seed=1)
+        assert sizes == pools
+        for a, b in zip(capped.trees, serial.trees, strict=True):
+            assert all(np.array_equal(getattr(a, col), getattr(b, col))
+                       for col in ("feature", "threshold", "left", "right", "value"))
+
     def test_feature_subsampling_runs(self, rng):
         x = rng.standard_normal((18, 9))
         y = rng.random(18)
         model = train("random_forest", x, y,
-                      ForestConfig(n_trees=5, feature_frac=1 / 3), seed=2)
+                      forest=ForestConfig(n_trees=5, feature_frac=1 / 3), seed=2)
         assert len(model.trees) == 5
 
     def test_leaf_structure_well_formed(self, rng):
         x = rng.standard_normal((20, 3))
         y = rng.random(20)
-        model = train("random_forest", x, y, ForestConfig(n_trees=6), seed=7)
+        model = train("random_forest", x, y, forest=ForestConfig(n_trees=6), seed=7)
         for t in model.trees:
             n = t.feature.size
             for node in range(n):
@@ -278,7 +312,7 @@ def _forest_case(draw):
 @given(_forest_case())
 def test_forest_equals_reference_builder(case):
     x, y, cfg, seed, threads = case
-    model = train("random_forest", x, y, cfg, seed=seed, threads=threads)
+    model = train("random_forest", x, y, forest=cfg, seed=seed, threads=threads)
     assert len(model.trees) == cfg.n_trees
     for t, got in enumerate(model.trees):
         want = _ref_fit_one_tree(x, y, cfg, seed, t)
@@ -347,7 +381,7 @@ class TestSerialization:
         x = rng.standard_normal((10, 4))
         y = rng.random(10)
         proj = pca_fit(rng.standard_normal((10, 6)), 4)
-        model = train("knn", x, y, {"k_neighbors": 3}, projection=proj)
+        model = train("knn", x, y, k_neighbors=3, projection=proj)
         path = tmp_path / "model.dpak"
         save_predictor(model, path)
         loaded = load_predictor(path)
@@ -372,7 +406,7 @@ class TestSerialization:
     def test_forest_round_trip_bit_exact(self, tmp_path, rng):
         x = rng.standard_normal((14, 5))
         y = rng.random(14)
-        model = train("random_forest", x, y, ForestConfig(n_trees=7), seed=9)
+        model = train("random_forest", x, y, forest=ForestConfig(n_trees=7), seed=9)
         path = tmp_path / "model.dpak"
         save_predictor(model, path, provenance={"seed": 9})
         loaded = load_predictor(path)
@@ -393,8 +427,8 @@ class TestSerialization:
         from disco.errors import SchemaError
         proj = pca_fit(rng.standard_normal((16, 8)), 4)
         x = rng.standard_normal((16, 4))
-        model = train("random_forest", x, rng.random(16), ForestConfig(n_trees=3),
-                      projection=proj)
+        model = train("random_forest", x, rng.random(16),
+                      forest=ForestConfig(n_trees=3), projection=proj)
         path = tmp_path / "model.dpak"
         save_predictor(model, path)
         header, arrays = read_bundle(path)
@@ -446,14 +480,31 @@ class TestSerialization:
         ("linear", lambda h, a: a.update(linear_weights=a["linear_weights"][:, :3])),
         ("linear", lambda h, a: a["linear_weights"].__setitem__((0, 1), np.nan)),
         ("random_forest", lambda h, a: h.pop("config")),
+        *(pytest.param("random_forest", corrupt, id=f"random_forest-config-{name}")
+          for name, corrupt in [
+              ("types", lambda h, a: h.update(config={
+                  "n_trees": "x", "min_leaf": None, "feature_frac": "nan",
+                  "bootstrap": 3})),
+              ("n_trees-999", lambda h, a: h["config"].update(n_trees=999)),
+              ("n_trees-float", lambda h, a: h["config"].update(n_trees=2.0)),
+              ("min_leaf-0", lambda h, a: h["config"].update(min_leaf=0)),
+              ("min_leaf-bool", lambda h, a: h["config"].update(min_leaf=True)),
+              ("feature_frac-bool", lambda h, a: h["config"].update(feature_frac=True)),
+              ("feature_frac-0", lambda h, a: h["config"].update(feature_frac=0)),
+              ("feature_frac-1.5", lambda h, a: h["config"].update(feature_frac=1.5)),
+              ("feature_frac-nan",
+               lambda h, a: h["config"].update(feature_frac=float("nan"))),
+              ("bootstrap-int", lambda h, a: h["config"].update(bootstrap=1)),
+              ("bootstrap-missing", lambda h, a: h["config"].pop("bootstrap")),
+              ("extra-key", lambda h, a: h["config"].update(depth=3)),
+          ]),
     ])
     def test_malformed_bundle_rejected(self, tmp_path, rng, kind, corrupt):
         from disco.dten import read_bundle, write_bundle
         from disco.errors import SchemaError
         proj = pca_fit(rng.standard_normal((10, 6)), 4)
-        config = {"k_neighbors": 3} if kind == "knn" else ForestConfig(n_trees=2)
-        model = train(kind, rng.standard_normal((10, 4)), rng.random(10), config,
-                      projection=proj)
+        model = train(kind, rng.standard_normal((10, 4)), rng.random(10),
+                      k_neighbors=3, forest=ForestConfig(n_trees=2), projection=proj)
         path = tmp_path / "model.dpak"
         save_predictor(model, path)
         header, arrays = read_bundle(path)
@@ -474,7 +525,7 @@ class TestForestWalk:
 
     def test_short_feature_vector(self, rng):
         x = rng.standard_normal((12, 4))
-        model = train("random_forest", x, rng.random(12), ForestConfig(n_trees=3))
+        model = train("random_forest", x, rng.random(12), forest=ForestConfig(n_trees=3))
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros(max(t.feature.max() for t in model.trees)))
 
@@ -482,6 +533,6 @@ class TestForestWalk:
 def test_predict_dimension_mismatch(rng):
     x = rng.standard_normal((5, 3))
     y = rng.random(5)
-    model = train("knn", x, y, {"k_neighbors": 2})
+    model = train("knn", x, y, k_neighbors=2)
     with pytest.raises(DimensionMismatch):
         predict(model, np.zeros(7))

@@ -62,6 +62,7 @@ from .signatures import MODES
 from .store import (
     BenchmarkManifest,
     TensorFiles,
+    check_tensor_file,
     load_manifest,
     load_tensor,
     read_json_object,
@@ -157,7 +158,7 @@ def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
 def cmd_validate(args) -> int:
     manifest = load_manifest(_workpath(args, args.manifest))
     for mid in manifest.model_ids():
-        load_tensor(manifest, mid)
+        check_tensor_file(manifest, mid)
     print(f"validate: ok ({manifest.num_samples} samples, "
           f"{manifest.num_classes} classes, {len(manifest.models)} models)")
     return 0
@@ -167,7 +168,7 @@ def cmd_score(args) -> int:
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     ids = _resolve_models(manifest, args, "source")
-    table = score_dataset(manifest, {mid: load_tensor(manifest, mid) for mid in ids})
+    table = score_dataset(manifest, TensorFiles(manifest, ids))
     out = _workpath(args, args.out)
     write_scores_csv(table, out)
     prov = _provenance(args.seed, manifest=manifest_path)

@@ -41,6 +41,7 @@ BUNDLE_MAGIC = b"DPAK"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 _HEADER = struct.Struct("<4sBBBBQQ")
+PAYLOAD_START = _HEADER.size  # byte offset of a DTEN file's payload
 
 
 def dten_bytes(values: np.ndarray) -> bytes:
@@ -59,8 +60,12 @@ def write_dten(path: str | Path, values: np.ndarray) -> None:
     Path(path).write_bytes(dten_bytes(values))
 
 
-def _parse_dten(buf: bytes, offset: int, name: str) -> tuple[np.ndarray, int]:
-    if len(buf) - offset < _HEADER.size:
+def _check_header(buf: bytes, offset: int, available: int,
+                  name: str) -> tuple[np.dtype, tuple[int, int], int]:
+    """Check the DTEN header at ``buf[offset:]`` and that the ``available``
+    bytes from ``offset`` on hold its payload.  Return the payload's dtype,
+    dims and size in bytes.  ``buf`` need hold no more than the header."""
+    if min(available, len(buf) - offset) < _HEADER.size:
         raise MagicMismatch(f"{name}: truncated DTEN header")
     magic, version, dtype, ndim, pad, d0, d1 = _HEADER.unpack_from(buf, offset)
     if magic != DTEN_MAGIC:
@@ -73,24 +78,64 @@ def _parse_dten(buf: bytes, offset: int, name: str) -> tuple[np.ndarray, int]:
         raise MagicMismatch(f"{name}: malformed header (ndim={ndim}, pad={pad})")
     dt = _DTYPES[dtype]
     nbytes = d0 * d1 * dt.itemsize
-    start = offset + _HEADER.size
-    if len(buf) - start < nbytes:
+    if available - _HEADER.size < nbytes:
         raise MagicMismatch(f"{name}: payload shorter than dims {d0}x{d1}")
-    values = np.frombuffer(buf, dtype=dt, count=d0 * d1, offset=start).reshape(d0, d1)
-    return values, start + nbytes
+    # an empty payload still needs dims numpy can index
+    if max(d0, d1) > np.iinfo(np.intp).max // dt.itemsize:
+        raise MagicMismatch(f"{name}: dims {d0}x{d1} are too large for an array")
+    return dt, (d0, d1), nbytes
+
+
+def _parse_dten(buf: bytes, offset: int, name: str) -> tuple[np.ndarray, int]:
+    dt, dims, nbytes = _check_header(buf, offset, len(buf) - offset, name)
+    start = offset + _HEADER.size
+    values = np.frombuffer(buf, dtype=dt, count=dims[0] * dims[1], offset=start)
+    return values.reshape(dims), start + nbytes
+
+
+def open_dten(path: str | Path) -> tuple[int, np.dtype, tuple[int, int]]:
+    """Open a DTEN file and check its header, and that the file holds its
+    payload and nothing after it.  Return the open descriptor, which the
+    caller closes, and the payload's dtype and dims.  The payload starts at
+    byte ``PAYLOAD_START``."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"no such tensor file: {path}")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        dt, dims, nbytes = _check_header(os.pread(fd, _HEADER.size, 0), 0, size, str(path))
+        if size - _HEADER.size != nbytes:
+            raise MagicMismatch(f"{path}: {size - _HEADER.size - nbytes} trailing bytes "
+                                f"after the payload")
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd, dt, dims
+
+
+def read_into(fd: int, out: np.ndarray, offset: int, name: str) -> None:
+    """Fill the C-contiguous array ``out`` with the bytes of the open file
+    ``fd`` from ``offset`` on.  MagicMismatch if the file ends first, as it
+    does when it shrank after ``open_dten`` checked its size."""
+    raw = out.reshape(-1).view(np.uint8)
+    done = 0
+    while done < raw.size:
+        got = os.preadv(fd, [raw[done:]], offset + done)
+        if got == 0:
+            raise MagicMismatch(f"{name}: file ends {raw.size - done} bytes short of "
+                                f"its payload; it changed while being read")
+        done += got
 
 
 def read_dten(path: str | Path) -> np.ndarray:
     """Read one DTEN file into a writable array that nothing else holds."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no such tensor file: {path}")
-    with path.open("rb") as f:
-        buf = bytearray(os.fstat(f.fileno()).st_size)
-        del buf[f.readinto(buf):]
-    values, end = _parse_dten(buf, 0, str(path))  # a view of buf, not a copy
-    if end != len(buf):
-        raise MagicMismatch(f"{path}: {len(buf) - end} trailing bytes after the payload")
+    fd, dt, dims = open_dten(path)
+    try:
+        values = np.empty(dims, dt)
+        read_into(fd, values, PAYLOAD_START, str(path))
+    finally:
+        os.close(fd)
     return values
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,14 +31,17 @@ from .errors import (
     ShapeMismatch,
     TooFewModels,
 )
-from .store import BenchmarkManifest, PredictionTensor
+from .store import BenchmarkManifest, PredictionTensor, TensorFiles
 
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
 
-# Samples scored together: the float64 working set is M x 256 x C for M
-# models and C classes, however many samples the benchmark has.
-_BLOCK_ROWS = 256
+# Samples are scored in blocks of about _BLOCK_BYTES of float64 (M x b x C
+# for M models and C classes), and read from tensor files as float32 about
+# _READ_BYTES at a time, so the working set does not grow with the number of
+# samples.  Small scoring blocks stay in cache; larger reads cost fewer calls.
+_BLOCK_BYTES = 1 << 19
+_READ_BYTES = 1 << 21
 
 CSV_HEADER = "sample_index,pds_env,pds_eq1,jsd_bits,mixture_entropy_bits,mean_entropy_bits"
 
@@ -220,21 +223,45 @@ def score_dataset(
     manifest: BenchmarkManifest,
     tensors: Sequence[PredictionTensor] | Mapping[str, PredictionTensor],
 ) -> ScoreTable:
-    """Score every sample of the benchmark across the given model pool."""
+    """Score every sample of the benchmark across the given model pool.
+
+    Given a ``TensorFiles``, the files are checked whole and then read one
+    block of samples at a time, so no tensor is ever held whole.
+    """
+    if isinstance(tensors, TensorFiles):
+        with tensors.checked_rows() as files:  # raises what loading would
+            _require_pool(len(tensors))
+            got = (tensors.manifest.num_samples, tensors.manifest.num_classes)
+            if got != (manifest.num_samples, manifest.num_classes):
+                raise ShapeMismatch(f"tensor files have shape {got}, expected "
+                                    f"{(manifest.num_samples, manifest.num_classes)}")
+            return _score_rows(manifest, len(tensors), files.read, _READ_BYTES)
     if isinstance(tensors, Mapping):
         pool = [tensors[k] for k in sorted(tensors)]
     else:
         pool = list(tensors)
-    if len(pool) < 2:
-        raise TooFewModels(f"scoring needs at least 2 models, got {len(pool)}")
+    _require_pool(len(pool))
     expected = (manifest.num_samples, manifest.num_classes)
     for t in pool:
         if t.values.shape != expected:
             raise ShapeMismatch(
                 f"tensor {t.model_id!r} has shape {t.values.shape}, expected {expected}")
+    # rows in memory cost nothing to gather, so they are gathered per block
+    return _score_rows(manifest, len(pool),
+                       lambda lo, hi: np.stack([t.values[lo:hi] for t in pool]), 0)
 
-    m = len(pool)
-    n, c = expected
+
+def _require_pool(m: int) -> None:
+    if m < 2:
+        raise TooFewModels(f"scoring needs at least 2 models, got {m}")
+
+
+def _score_rows(manifest: BenchmarkManifest, m: int,
+                read: Callable[[int, int], np.ndarray], read_bytes: int) -> ScoreTable:
+    """Score the samples of ``m`` models whose rows ``lo:hi`` ``read``
+    returns as an (M, hi - lo, C) float32 array, asking for as many whole
+    blocks at a time as fit in ``read_bytes``, and for at least one."""
+    n, c = manifest.num_samples, manifest.num_classes
     cap = float(min(m, c))
     env = np.empty(n)
     mean_ent = np.empty(n)
@@ -242,16 +269,22 @@ def score_dataset(
     # Every score reduces over models and classes only, so scoring a block
     # of samples gives the same floats as scoring all of them at once.  Not
     # so for a 1-sample block: numpy sums its (M, 1) column over models in
-    # another order, so a 1-sample tail joins the block before it.
-    bounds = list(range(0, n, _BLOCK_ROWS)) + [n]
+    # another order, so blocks hold at least 2 samples and a 1-sample tail
+    # joins the block before it.
+    rows = max(2, _BLOCK_BYTES // (m * c * 8))
+    bounds = list(range(0, n, rows)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        v = np.stack([t.values[lo:hi] for t in pool], dtype=np.float64)  # (M, b, C)
-        v /= v.sum(axis=2, keepdims=True)
-        env[lo:hi] = v.max(axis=0).sum(axis=1)
-        mean_ent[lo:hi] = entropy_bits(v, axis=2).mean(axis=0)
-        mix_ent[lo:hi] = entropy_bits(v.mean(axis=0), axis=1)
+    per_read = max(1, read_bytes // (m * rows * c * 4))
+    for r in range(0, len(bounds) - 1, per_read):
+        part = bounds[r:r + per_read + 1]
+        block = read(part[0], part[-1])
+        for lo, hi in zip(part[:-1], part[1:]):
+            v = block[:, lo - part[0]:hi - part[0]].astype(np.float64)  # (M, b, C)
+            v /= v.sum(axis=2, keepdims=True)
+            env[lo:hi] = v.max(axis=0).sum(axis=1)
+            mean_ent[lo:hi] = entropy_bits(v, axis=2).mean(axis=0)
+            mix_ent[lo:hi] = entropy_bits(v.mean(axis=0), axis=1)
     env = np.clip(env, 1.0, cap)
     jsd_vals = np.clip(mix_ent - mean_ent, 0.0, math.log2(cap))
 

@@ -7,8 +7,10 @@ indent, trailing newline, so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -118,26 +120,15 @@ class PredictionTensor:
     @classmethod
     def _adopt(cls, model_id: str, arr: np.ndarray) -> "PredictionTensor":
         """``from_values`` for a float32 C-contiguous array that nothing else
-        holds: its rows are renormalized in place."""
+        holds: its rows are checked and renormalized in place, one chunk of
+        ``_CHUNK_BYTES`` at a time."""
         if arr.ndim != 2:
             raise ShapeMismatch(f"tensor for {model_id!r} must be 2-D, got ndim={arr.ndim}")
-        if arr.size:
-            low, high = arr.min(), arr.max()  # a NaN propagates to both
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise InvariantViolation(f"tensor for {model_id!r} contains non-finite entries")
-            if low < 0 or high > 1:
-                i, c = np.argwhere((arr < 0) | (arr > 1))[0]
-                raise InvariantViolation(
-                    f"tensor for {model_id!r} has entry outside [0,1] at ({i},{c}): {arr[i, c]}")
-        wide = arr.astype(np.float64)
-        sums = wide.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        if (off > ROW_SUM_TOLERANCE).any():
-            i = int(np.argmax(off))
-            raise RowSumOutOfTolerance(
-                f"tensor for {model_id!r} row {i} sums to {sums[i]:.6f}, "
-                f"outside 1 +/- {ROW_SUM_TOLERANCE}")
-        _renormalize_rows(arr, wide, sums)
+        faults = _RowFaults()
+        step = _chunk_rows(arr.shape[1])
+        for lo in range(0, arr.shape[0], step):
+            _ingest_rows(arr[lo:lo + step], lo, faults)
+        faults.raise_for(model_id)
         return cls(model_id, arr)
 
     @property
@@ -171,6 +162,86 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> No
         moved = (new != rows).any(axis=1)
         idx, rows = idx[moved], new[moved]
     arr[idx] = rows
+
+
+# Bytes of float32 rows checked at once on load: the float64 working copy is
+# twice that, however many samples the tensor has.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunk_rows(c: int) -> int:
+    """Rows of ``c`` classes in one ingest chunk; at least one."""
+    return max(1, _CHUNK_BYTES // (4 * max(c, 1)))
+
+
+class _RowFaults:
+    """What the load checks found in one tensor's rows, chunk by chunk in
+    row order.  ``raise_for`` raises the error a whole-tensor check would:
+    a non-finite entry anywhere first, then the first entry outside [0,1] in
+    row-major order, then the row whose sum is furthest from 1 (the first
+    such row on ties)."""
+
+    def __init__(self) -> None:
+        self.nonfinite = False
+        self.outside: tuple | None = None  # (row, column, value)
+        self.worst: tuple | None = None    # (|sum - 1|, row, sum)
+
+    def __bool__(self) -> bool:
+        return self.nonfinite or self.outside is not None or self.worst is not None
+
+    def raise_for(self, model_id: str) -> None:
+        if self.nonfinite:
+            raise InvariantViolation(f"tensor for {model_id!r} contains non-finite entries")
+        if self.outside is not None:
+            i, c, value = self.outside
+            raise InvariantViolation(
+                f"tensor for {model_id!r} has entry outside [0,1] at ({i},{c}): {value}")
+        if self.worst is not None:
+            _, i, total = self.worst
+            raise RowSumOutOfTolerance(
+                f"tensor for {model_id!r} row {i} sums to {total:.6f}, "
+                f"outside 1 +/- {ROW_SUM_TOLERANCE}")
+
+
+def _check_rows(rows: np.ndarray, row0: int,
+                faults: _RowFaults) -> tuple[np.ndarray, np.ndarray] | None:
+    """Check a float32 chunk whose first row is row ``row0`` of its tensor,
+    recording what fails in ``faults``.  Entries must be finite and in
+    [0,1], and each row must sum to 1 within ROW_SUM_TOLERANCE.  Return the
+    chunk as float64 and its row sums, or None if the chunk failed or
+    ``faults`` already holds an error that no row sum can displace."""
+    if faults.nonfinite:
+        return None
+    if rows.size:
+        low, high = rows.min(), rows.max()  # a NaN propagates to both
+        if not (np.isfinite(low) and np.isfinite(high)):
+            faults.nonfinite = True
+            return None
+        if low < 0 or high > 1:
+            if faults.outside is None:
+                i, c = np.argwhere((rows < 0) | (rows > 1))[0]
+                faults.outside = (row0 + i, c, rows[i, c])
+            return None
+    if faults.outside is not None:
+        return None
+    wide = rows.astype(np.float64)
+    sums = wide.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if (off > ROW_SUM_TOLERANCE).any():
+        i = int(np.argmax(off))
+        if faults.worst is None or off[i] > faults.worst[0]:
+            faults.worst = (off[i], row0 + i, sums[i])
+        return None
+    return wide, sums
+
+
+def _ingest_rows(rows: np.ndarray, row0: int, faults: _RowFaults) -> None:
+    """The ingest kernel: check a C-contiguous float32 chunk as
+    ``_check_rows`` does and, if it passed, renormalize it in place.  A row
+    that failed a check is never divided."""
+    checked = _check_rows(rows, row0, faults)
+    if checked is not None:
+        _renormalize_rows(rows, *checked)
 
 
 # --- manifest serialization -------------------------------------------------
@@ -300,7 +371,7 @@ def save_tensor(tensor: PredictionTensor, path: str | Path) -> None:
     dten.write_dten(path, tensor.values)
 
 
-def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
+def _tensor_path(manifest: BenchmarkManifest, model_id: str) -> Path:
     meta = manifest.model(model_id)
     path = Path(meta.tensor_path)
     if not path.is_absolute():
@@ -308,12 +379,22 @@ def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
             raise MissingFile(
                 f"manifest has no base directory to resolve {meta.tensor_path!r}")
         path = manifest.base_dir / path
-    values = dten.read_dten(path)
-    if values.dtype != np.float32:
+    return path
+
+
+def _check_layout(manifest: BenchmarkManifest, path: Path, dtype: np.dtype,
+                  dims: tuple[int, int]) -> None:
+    if dtype != np.float32:
         raise MagicMismatch(f"{path}: prediction tensors must be float32 (dtype code 0)")
     expected = (manifest.num_samples, manifest.num_classes)
-    if values.shape != expected:
-        raise ShapeMismatch(f"{path}: expected dims {expected}, found {values.shape}")
+    if dims != expected:
+        raise ShapeMismatch(f"{path}: expected dims {expected}, found {dims}")
+
+
+def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
+    path = _tensor_path(manifest, model_id)
+    values = dten.read_dten(path)
+    _check_layout(manifest, path, values.dtype, values.shape)
     return PredictionTensor._adopt(model_id, values)
 
 
@@ -321,9 +402,45 @@ def load_all_tensors(manifest: BenchmarkManifest) -> dict[str, PredictionTensor]
     return {mid: load_tensor(manifest, mid) for mid in manifest.model_ids()}
 
 
+def _open_checked(manifest: BenchmarkManifest, model_id: str,
+                  buf: np.ndarray) -> tuple[int, str]:
+    """Open the model's tensor file and check it whole, raising what
+    ``load_tensor`` would, without loading it: the payload passes through
+    ``buf``, a float32 scratch array of at least one ingest chunk.  Return
+    the open descriptor, which the caller closes, and the file's path."""
+    path = _tensor_path(manifest, model_id)
+    fd, dtype, dims = dten.open_dten(path)
+    try:
+        _check_layout(manifest, path, dtype, dims)
+        n, c = dims
+        step = _chunk_rows(c)
+        faults = _RowFaults()
+        for lo in range(0, n, step):
+            rows = buf[:min(step, n - lo) * c].reshape(-1, c)
+            dten.read_into(fd, rows, dten.PAYLOAD_START + lo * c * 4, str(path))
+            _check_rows(rows, lo, faults)
+        faults.raise_for(model_id)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd, str(path)
+
+
+def _chunk_buffer(manifest: BenchmarkManifest) -> np.ndarray:
+    c = manifest.num_classes
+    return np.empty(_chunk_rows(c) * c, dtype=np.float32)
+
+
+def check_tensor_file(manifest: BenchmarkManifest, model_id: str) -> None:
+    """Raise what ``load_tensor`` would, reading the file one chunk at a
+    time and keeping none of it."""
+    os.close(_open_checked(manifest, model_id, _chunk_buffer(manifest))[0])
+
+
 class TensorFiles(Mapping[str, PredictionTensor]):
     """The tensors of ``model_ids``, each loaded from its file on every
-    lookup and not kept."""
+    lookup and not kept.  ``checked_rows`` reads them a block of samples at
+    a time instead."""
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
         self.manifest = manifest
@@ -339,6 +456,50 @@ class TensorFiles(Mapping[str, PredictionTensor]):
 
     def __len__(self) -> int:
         return len(self._ids)
+
+    @contextlib.contextmanager
+    def checked_rows(self) -> Iterator["RowBlocks"]:
+        """Check every file whole, in id order, raising what loading them
+        would; then serve row blocks of all of them from the files, which
+        stay open until the block ends."""
+        buf = _chunk_buffer(self.manifest)
+        with contextlib.ExitStack() as stack:
+            files = {}
+            for mid in self._ids:
+                files[mid] = _open_checked(self.manifest, mid, buf)
+                stack.callback(os.close, files[mid][0])
+            yield RowBlocks([(mid, *files[mid]) for mid in sorted(files)],
+                            self.manifest.num_classes)
+
+
+class RowBlocks:
+    """Row blocks of tensor files that ``TensorFiles.checked_rows`` checked."""
+
+    def __init__(self, files: list[tuple[str, int, str]], c: int):
+        self._files = files  # (model id, descriptor, path), in model-id order
+        self._c = c
+        self._buf = np.empty(0, dtype=np.float32)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` of every tensor, as (M, hi - lo, C) float32 in
+        model-id order, checked and renormalized as ``load_tensor`` would.
+        A file that changed since it was checked raises InvariantViolation
+        or RowSumOutOfTolerance (bad rows) or MagicMismatch (short read).
+        Each call reuses the array the last one returned."""
+        m, b, c = len(self._files), hi - lo, self._c
+        if self._buf.size < m * b * c:
+            self._buf = np.empty(m * b * c, dtype=np.float32)
+        block = self._buf[:m * b * c].reshape(m, b, c)
+        for j, (_, fd, name) in enumerate(self._files):
+            dten.read_into(fd, block[j], dten.PAYLOAD_START + lo * c * 4, name)
+        faults = _RowFaults()
+        _ingest_rows(block.reshape(m * b, c), 0, faults)
+        if faults:  # name the first model at fault
+            for j, (mid, _, _) in enumerate(self._files):
+                faults = _RowFaults()
+                _ingest_rows(block[j], lo, faults)
+                faults.raise_for(mid)
+        return block
 
 
 # --- correctness and accuracy ------------------------------------------------

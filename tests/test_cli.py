@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 import disco
+from disco import dten, store
 from disco.cli import main
+from disco.errors import RowSumOutOfTolerance
 from disco.harness import (
     ChronologicalSplit,
     PredictorConfig,
@@ -135,6 +139,77 @@ class TestScore:
         code = run_cli(*argv, "--manifest", synth_dir / "data" / "manifest.json",
                        "--out", tmp_path / "x")
         assert code == 64
+
+
+# --- score and validate read the tensor files in chunks ------------------------
+
+@pytest.mark.parametrize("command", ["score", "validate"])
+def test_never_loads_a_whole_tensor(synth_dir, tmp_path, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("a whole tensor was loaded")
+    for module, name in ((disco.cli, "load_tensor"), (store, "load_tensor"),
+                         (dten, "read_dten")):
+        monkeypatch.setattr(module, name, refuse)
+    manifest = synth_dir / "data" / "manifest.json"
+    argv = (("validate", manifest) if command == "validate" else
+            ("score", "--manifest", manifest, "--out", tmp_path / "scores.csv"))
+    assert run_cli(*argv) == 0
+
+
+def test_score_reports_what_loading_in_manifest_order_would(reversed_manifest, tmp_path,
+                                                            monkeypatch, capsys):
+    shutil.copytree(reversed_manifest.parent, tmp_path / "data")
+    manifest_path = tmp_path / "data" / "manifest.json"
+    manifest = load_manifest(manifest_path)
+    first, later = manifest.model_ids()[0], manifest.model_ids()[5]
+    assert first == max(manifest.model_ids())  # scored last
+    path = tmp_path / "data" / manifest.model(first).tensor_path
+    values = dten.read_dten(path)
+    values[-1] *= 0.9  # off tolerance, in the last of several chunks
+    dten.write_dten(path, values)
+    path = tmp_path / "data" / manifest.model(later).tensor_path
+    path.write_bytes(path.read_bytes() + b"\0")
+    monkeypatch.setattr(store, "_CHUNK_BYTES", 16 * manifest.num_classes * 4)
+    with pytest.raises(RowSumOutOfTolerance) as loading:
+        for mid in manifest.model_ids():
+            load_tensor(manifest, mid)
+    assert f"tensor for {first!r} row {manifest.num_samples - 1} sums to" in str(loading.value)
+    out = tmp_path / "scores.csv"
+    for argv in (("score", "--manifest", manifest_path, "--out", out),
+                 ("validate", manifest_path)):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (f"disco {argv[0]}: RowSumOutOfTolerance: "
+                                           f"{loading.value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, code, error", [
+    ("truncate", 3, "MagicMismatch: .*synth-0004.dten: file ends 7 bytes short"),
+    ("rows", 2, "RowSumOutOfTolerance: tensor for 'synth-0004' row 0 sums to 2.7"),
+])
+def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, capsys,
+                                            change, code, error):
+    shutil.copytree(synth_dir / "data", tmp_path / "data")
+    victim = tmp_path / "data" / "tensors" / "synth-0004.dten"
+    check = store._open_checked
+
+    def check_then_change(manifest, model_id, buf):
+        opened = check(manifest, model_id, buf)
+        if model_id == "synth-0004":
+            if change == "truncate":
+                os.truncate(victim, victim.stat().st_size - 7)
+            else:
+                with victim.open("r+b") as f:  # the file checked, not a new one
+                    f.seek(dten.PAYLOAD_START)
+                    f.write(np.float32([0.9, 0.9, 0.9]).tobytes())
+        return opened
+
+    monkeypatch.setattr(store, "_open_checked", check_then_change)
+    out = tmp_path / "scores.csv"
+    assert run_cli("score", "--manifest", tmp_path / "data" / "manifest.json",
+                   "--out", out) == code
+    assert re.search(error, capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

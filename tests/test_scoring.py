@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import tempfile
 import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from disco import dten, scoring
 from disco.errors import InvalidDistribution, LengthMismatch, NonZeroSum, TooFewModels
 from disco.scoring import (
-    _BLOCK_ROWS,
     CSV_HEADER,
     balance_identity_check,
     check_sandwich,
@@ -22,7 +26,7 @@ from disco.scoring import (
     write_scores_csv,
 )
 
-from disco.store import PredictionTensor
+from disco.store import PredictionTensor, TensorFiles, load_tensor
 
 from conftest import make_manifest, random_stack, tensor_from_rows
 
@@ -362,7 +366,16 @@ def assert_equals_reference(manifest, tensors):
         assert getattr(table, name).tobytes() == want.tobytes(), name
 
 
-B = _BLOCK_ROWS
+@contextmanager
+def block_rows(m, c, rows, per_read=1):
+    """Make score_dataset score ``rows`` samples of m models and c classes per
+    block, and gather ``per_read`` blocks at a time, by its byte budgets."""
+    with mock.patch.object(scoring, "_BLOCK_BYTES", rows * m * c * 8), \
+            mock.patch.object(scoring, "_READ_BYTES", per_read * rows * m * c * 4):
+        yield
+
+
+B = 256
 
 
 @pytest.mark.parametrize("m, n, c", [
@@ -374,15 +387,25 @@ B = _BLOCK_ROWS
     (30, 1, 100),           # a single sample
 ])
 def test_score_blocks_equal_full_stack(m, n, c):
-    assert_equals_reference(*random_population(np.random.default_rng(n), m, n, c))
+    with block_rows(m, c, B):
+        assert_equals_reference(*random_population(np.random.default_rng(n), m, n, c))
 
 
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(m=st.sampled_from([2, 3, 8, 9, 17]), c=st.sampled_from([1, 2, 4, 100]),
-       n=st.one_of(st.integers(1, 2 * B + 3), st.sampled_from([B, B + 1, 2 * B + 1])),
-       seed=st.integers(0, 2**32 - 1))
-def test_score_blocks_equal_full_stack_hypothesis(m, c, n, seed):
-    assert_equals_reference(*random_population(np.random.default_rng(seed), m, n, c))
+       rows=st.sampled_from([1, 2, 3, 8, 64, B]), n=st.integers(1, 2 * B + 3),
+       at_bound=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2**32 - 1))
+def test_score_blocks_equal_full_stack_hypothesis(m, c, rows, n, at_bound, seed):
+    # rows=1 is a budget below the 2-sample floor of a block
+    if at_bound is not None:  # a multiple of the block size, or a 1-sample tail
+        n = rows * (n % 4 + 1) + at_bound
+    with block_rows(m, c, rows):
+        assert_equals_reference(*random_population(np.random.default_rng(seed), m, n, c))
+
+
+def test_score_default_blocks_equal_full_stack():
+    # 100 models of 100 classes make the default blocks a few samples long
+    assert_equals_reference(*random_population(np.random.default_rng(5), 100, 97, 100))
 
 
 def test_score_peak_allocation_bounded():
@@ -397,3 +420,76 @@ def test_score_peak_allocation_bounded():
     finally:
         tracemalloc.stop()
     assert peak < m * n * c * 8 / 4
+
+
+# --- scoring streamed from the tensor files ------------------------------------
+
+def tensor_files(root, manifest, tensors):
+    """Write the tensors where the manifest points; their TensorFiles."""
+    manifest.base_dir = root
+    (root / "tensors").mkdir(parents=True, exist_ok=True)
+    for t in tensors:
+        dten.write_dten(root / "tensors" / f"{t.model_id}.dten", t.values)
+    return TensorFiles(manifest, [t.model_id for t in tensors])
+
+
+def assert_streamed_equals_loaded(root, manifest, tensors):
+    files = tensor_files(root, manifest, tensors)
+    loaded = {mid: load_tensor(manifest, mid) for mid in files}
+    streamed, want = score_dataset(manifest, files), score_dataset(manifest, loaded)
+    for name in ("sample_index", "pds_env", "pds_eq1", "jsd_bits",
+                 "mean_entropy_bits", "mixture_entropy_bits"):
+        assert getattr(streamed, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("m, n, c, rows, per_read", [
+    (5, 37, 4, 8, 3),             # N a multiple of neither size
+    (9, 8 * 3 * 2 + 1, 4, 8, 3),  # a 1-sample tail
+    (2, 50, 3, 4, 2),             # two models
+    (6, 41, 1, 4, 2),             # one class
+    (7, 1, 4, 8, 3),              # one sample
+    (12, 301, 100, None, None),   # the default budgets
+])
+def test_streamed_scores_equal_loaded(tmp_path, m, n, c, rows, per_read):
+    manifest, tensors = random_population(np.random.default_rng(n), m, n, c)
+    if rows is None:
+        assert_streamed_equals_loaded(tmp_path, manifest, tensors)
+    else:
+        with block_rows(m, c, rows, per_read):
+            assert_streamed_equals_loaded(tmp_path, manifest, tensors)
+
+
+@settings(max_examples=30)
+@given(m=st.sampled_from([2, 3, 9]), c=st.sampled_from([1, 4, 100]),
+       rows=st.sampled_from([2, 3, 8]), per_read=st.sampled_from([1, 2, 5]),
+       n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_streamed_scores_equal_loaded_hypothesis(m, c, rows, per_read, n, seed):
+    manifest, tensors = random_population(np.random.default_rng(seed), m, n, c)
+    with block_rows(m, c, rows, per_read), tempfile.TemporaryDirectory() as tmp:
+        assert_streamed_equals_loaded(Path(tmp), manifest, tensors)
+
+
+def streamed_peak(root, n):
+    """Traced peak of streamed scoring of 10 models x n samples x 100
+    classes, less its N-length output columns."""
+    manifest, tensors = random_population(np.random.default_rng(n), 10, n, 100)
+    files = tensor_files(root, manifest, tensors)
+    del tensors
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = score_dataset(manifest, files)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    # the peak falls inside the block loop, while the three float64 columns
+    # it fills are the only N-length arrays alive
+    return peak - 3 * n * 8
+
+
+def test_streamed_peak_does_not_grow_with_n(tmp_path):
+    small = streamed_peak(tmp_path / "small", 4000)
+    large = streamed_peak(tmp_path / "large", 16000)
+    assert abs(large - small) < 64 * 1024
+    assert large < 10 * 16000 * 100 * 4 / 4  # the tensors alone, as float32

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import struct
+import tempfile
+import warnings
 from functools import cache
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disco import dten
+from disco import dten, store
 from disco.errors import (
     InvariantViolation,
     MagicMismatch,
@@ -20,7 +25,9 @@ from disco.errors import (
 from disco.store import (
     EmptyDataset,
     PredictionTensor,
+    TensorFiles,
     accuracy,
+    check_tensor_file,
     correctness,
     load_manifest,
     load_tensor,
@@ -392,3 +399,139 @@ def test_wide_file_loads_like_reference(tmp_path):
     assert load_tensor(man, "m").values.tobytes() == first.tobytes()
     # ... but a loaded tensor is no fixed point: rewritten, it loads to other bits
     assert first.tobytes() != values.tobytes()
+
+
+# --- chunked ingest against the whole-array checks it replaced ----------------
+
+def adopt_reference(model_id, arr):
+    """The whole-array _adopt: every check over the full tensor, then one
+    renormalization of all of it."""
+    if arr.size:
+        low, high = arr.min(), arr.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise InvariantViolation(f"tensor for {model_id!r} contains non-finite entries")
+        if low < 0 or high > 1:
+            i, c = np.argwhere((arr < 0) | (arr > 1))[0]
+            raise InvariantViolation(
+                f"tensor for {model_id!r} has entry outside [0,1] at ({i},{c}): {arr[i, c]}")
+    wide = arr.astype(np.float64)
+    sums = wide.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if (off > store.ROW_SUM_TOLERANCE).any():
+        i = int(np.argmax(off))
+        raise RowSumOutOfTolerance(
+            f"tensor for {model_id!r} row {i} sums to {sums[i]:.6f}, "
+            f"outside 1 +/- {store.ROW_SUM_TOLERANCE}")
+    store._renormalize_rows(arr, wide, sums)
+    return arr
+
+
+def outcome(fn, *args):
+    """The bytes ``fn`` returns, or the class and message of what it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero-sum row must not be divided
+            result = fn(*args)
+    except (InvariantViolation, RowSumOutOfTolerance) as e:
+        return type(e), str(e)
+    return None if result is None else result.tobytes()
+
+
+CORRUPTIONS = {
+    "nan": lambda row: np.where(np.arange(row.size) == 0, np.nan, row),
+    "inf": lambda row: np.where(np.arange(row.size) == row.size - 1, np.inf, row),
+    "negative": lambda row: np.where(np.arange(row.size) == 0, -0.25, row),
+    "above-one": lambda row: np.where(np.arange(row.size) == 0, 1.5, row),
+    "low-sum": lambda row: row * 0.99,
+    "high-sum": lambda row: row * 1.0003,
+    "zero-sum": lambda row: np.zeros_like(row),
+}
+
+
+@st.composite
+def corrupt_tensors(draw):
+    raw = draw(raw_tensors())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(raw) - 1))
+        raw[i] = CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))](raw[i])
+    return raw
+
+
+def with_chunk_rows(rows, c):
+    return mock.patch.object(store, "_CHUNK_BYTES", rows * c * 4)
+
+
+@settings(max_examples=300)
+@given(raw=corrupt_tensors(), chunk=st.sampled_from([1, 2, 3, 7, None]))
+def test_chunked_ingest_equals_whole_array(raw, chunk):
+    # chunks of 1, 2, 3 and 7 rows give multi-chunk cases and 1-row tails
+    want = outcome(adopt_reference, "m", raw.copy())
+    with with_chunk_rows(chunk or 1 << 20, raw.shape[1]):
+        assert outcome(lambda a: PredictionTensor._adopt("m", a).values, raw.copy()) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            man = make_manifest([0] * len(raw), raw.shape[1], ["m"])
+            man.base_dir = Path(tmp)
+            man.models[0].tensor_path = "t.dten"
+            dten.write_dten(Path(tmp) / "t.dten", raw)
+            assert outcome(lambda: load_tensor(man, "m").values) == want
+            # the file check raises what loading does, and keeps nothing
+            assert outcome(check_tensor_file, man, "m") == (want if type(want) is tuple
+                                                           else None)
+
+
+def corrupt_case(rows):
+    """20 exact rows of 4 classes with the given rows replaced."""
+    raw = np.tile(np.float32([0.25, 0.25, 0.5, 0.0]), (20, 1))
+    for i, row in rows.items():
+        raw[i] = row
+    return raw
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # an entry out of range early, a NaN in a later chunk: the NaN wins
+    ({1: [1.5, 0, 0, 0], 17: [np.nan, 0, 0, 1]}, InvariantViolation, "non-finite"),
+    # the first entry out of range in row-major order, not the largest
+    ({6: [0.5, 0.5, 0.25, -0.25], 12: [2.0, 0, 0, -1.0]}, InvariantViolation,
+     r"outside \[0,1\] at \(6,3\): -0.25"),
+    # two rows off tolerance in different chunks: the worst is named ...
+    ({2: [0.3, 0.3, 0.3, 0.0], 15: [0.2, 0.2, 0.2, 0.0]}, RowSumOutOfTolerance,
+     "row 15 sums to 0.600000"),
+    # ... and the first of two equally bad rows
+    ({4: [0.3, 0.3, 0.3, 0.0], 19: [0.3, 0.3, 0.3, 0.0]}, RowSumOutOfTolerance,
+     "row 4 sums to 0.900000"),
+    # a zero-sum row is reported, not divided
+    ({9: [0, 0, 0, 0]}, RowSumOutOfTolerance, "row 9 sums to 0.000000"),
+], ids=["nan-after-outside", "first-outside", "worst-row", "tied-rows", "zero-sum"])
+def test_chunked_ingest_error_precedence(rows, error, message):
+    raw = corrupt_case(rows)
+    want = outcome(adopt_reference, "m", raw.copy())
+    assert want[0] is error
+    with with_chunk_rows(3, 4):
+        assert outcome(lambda a: PredictionTensor._adopt("m", a).values, raw.copy()) == want
+        with pytest.raises(error, match=message), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PredictionTensor.from_values("m", raw)
+
+
+def test_row_blocks_equal_loaded_rows(tmp_path):
+    rng = np.random.default_rng(4)
+    n, c, ids = 23, 5, ["b", "c", "a"]
+    man = make_manifest(rng.integers(0, c, n), c, ids)
+    man.base_dir = tmp_path
+    (tmp_path / "tensors").mkdir()
+    for mid in ids:
+        raw = rng.random((n, c)) ** 4
+        dten.write_dten(tmp_path / "tensors" / f"{mid}.dten",
+                        (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
+    loaded = np.stack([load_tensor(man, mid).values for mid in sorted(ids)])
+    with with_chunk_rows(2, c), TensorFiles(man, ids).checked_rows() as files:
+        for lo, hi in [(0, 23), (0, 1), (5, 12), (22, 23), (3, 3)]:
+            assert files.read(lo, hi).tobytes() == loaded[:, lo:hi].tobytes()
+
+
+def test_dims_too_large_for_an_array_rejected(tmp_path):
+    # an empty payload whose other dim no array can have
+    path = tmp_path / "t.dten"
+    path.write_bytes(b"DTEN" + bytes([1, 0, 2, 0]) + struct.pack("<QQ", 0, 2**62))
+    with pytest.raises(MagicMismatch, match="too large"):
+        dten.read_dten(path)

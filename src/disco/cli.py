@@ -62,7 +62,6 @@ from .signatures import MODES
 from .store import (
     BenchmarkManifest,
     TensorFiles,
-    check_tensor_file,
     load_manifest,
     load_tensor,
     read_json_object,
@@ -157,8 +156,7 @@ def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
 
 def cmd_validate(args) -> int:
     manifest = load_manifest(_workpath(args, args.manifest))
-    for mid in manifest.model_ids():
-        check_tensor_file(manifest, mid)
+    TensorFiles(manifest, manifest.model_ids()).check()
     print(f"validate: ok ({manifest.num_samples} samples, "
           f"{manifest.num_classes} classes, {len(manifest.models)} models)")
     return 0

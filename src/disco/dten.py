@@ -30,6 +30,7 @@ import json
 import os
 import struct
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -42,6 +43,7 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 _HEADER = struct.Struct("<4sBBBBQQ")
 PAYLOAD_START = _HEADER.size  # byte offset of a DTEN file's payload
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def dten_bytes(values: np.ndarray) -> bytes:
@@ -81,7 +83,7 @@ def _check_header(buf: bytes, offset: int, available: int,
     if available - _HEADER.size < nbytes:
         raise MagicMismatch(f"{name}: payload shorter than dims {d0}x{d1}")
     # an empty payload still needs dims numpy can index
-    if max(d0, d1) > np.iinfo(np.intp).max // dt.itemsize:
+    if max(d0, d1) > _INTP_MAX // dt.itemsize:
         raise MagicMismatch(f"{name}: dims {d0}x{d1} are too large for an array")
     return dt, (d0, d1), nbytes
 
@@ -93,49 +95,48 @@ def _parse_dten(buf: bytes, offset: int, name: str) -> tuple[np.ndarray, int]:
     return values.reshape(dims), start + nbytes
 
 
-def open_dten(path: str | Path) -> tuple[int, np.dtype, tuple[int, int]]:
-    """Open a DTEN file and check its header, and that the file holds its
-    payload and nothing after it.  Return the open descriptor, which the
+def open_dten(path: str | Path) -> tuple[BinaryIO, np.dtype, tuple[int, int]]:
+    """Open a DTEN file unbuffered and check its header, and that the file
+    holds its payload and nothing after it.  Return the open file, which the
     caller closes, and the payload's dtype and dims.  The payload starts at
     byte ``PAYLOAD_START``."""
-    path = Path(path)
-    if not path.is_file():
+    path = os.fspath(path)
+    if not os.path.isfile(path):
         raise MissingFile(f"no such tensor file: {path}")
-    fd = os.open(path, os.O_RDONLY)
+    f = open(path, "rb", buffering=0)
     try:
-        size = os.fstat(fd).st_size
-        dt, dims, nbytes = _check_header(os.pread(fd, _HEADER.size, 0), 0, size, str(path))
+        size = os.fstat(f.fileno()).st_size
+        dt, dims, nbytes = _check_header(f.read(_HEADER.size), 0, size, path)
         if size - _HEADER.size != nbytes:
             raise MagicMismatch(f"{path}: {size - _HEADER.size - nbytes} trailing bytes "
                                 f"after the payload")
     except BaseException:
-        os.close(fd)
+        f.close()
         raise
-    return fd, dt, dims
+    return f, dt, dims
 
 
-def read_into(fd: int, out: np.ndarray, offset: int, name: str) -> None:
-    """Fill the C-contiguous array ``out`` with the bytes of the open file
-    ``fd`` from ``offset`` on.  MagicMismatch if the file ends first, as it
-    does when it shrank after ``open_dten`` checked its size."""
+def read_into(f: BinaryIO, out: np.ndarray, offset: int) -> None:
+    """Fill the C-contiguous array ``out`` with the bytes of the file
+    ``open_dten`` opened from ``offset`` on.  MagicMismatch if the file ends
+    first, as it does when it shrank after ``open_dten`` checked its size."""
     raw = out.reshape(-1).view(np.uint8)
+    f.seek(offset)
     done = 0
     while done < raw.size:
-        got = os.preadv(fd, [raw[done:]], offset + done)
-        if got == 0:
-            raise MagicMismatch(f"{name}: file ends {raw.size - done} bytes short of "
+        got = f.readinto(raw[done:])
+        if not got:
+            raise MagicMismatch(f"{f.name}: file ends {raw.size - done} bytes short of "
                                 f"its payload; it changed while being read")
         done += got
 
 
 def read_dten(path: str | Path) -> np.ndarray:
     """Read one DTEN file into a writable array that nothing else holds."""
-    fd, dt, dims = open_dten(path)
-    try:
+    f, dt, dims = open_dten(path)
+    with f:
         values = np.empty(dims, dt)
-        read_into(fd, values, PAYLOAD_START, str(path))
-    finally:
-        os.close(fd)
+        read_into(f, values, PAYLOAD_START)
     return values
 
 

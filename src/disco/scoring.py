@@ -37,11 +37,12 @@ BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
 
 # Samples are scored in blocks of about _BLOCK_BYTES of float64 (M x b x C
-# for M models and C classes), and read from tensor files as float32 about
-# _READ_BYTES at a time, so the working set does not grow with the number of
-# samples.  Small scoring blocks stay in cache; larger reads cost fewer calls.
+# for M models and C classes), and gathered as float32, from tensor files or
+# memory, about _READ_BYTES at a time, so the working set does not grow with
+# the number of samples.  Small scoring blocks stay in cache; larger reads
+# cost fewer calls.
 _BLOCK_BYTES = 1 << 19
-_READ_BYTES = 1 << 21
+_READ_BYTES = 1 << 20
 
 CSV_HEADER = "sample_index,pds_env,pds_eq1,jsd_bits,mixture_entropy_bits,mean_entropy_bits"
 
@@ -229,13 +230,13 @@ def score_dataset(
     block of samples at a time, so no tensor is ever held whole.
     """
     if isinstance(tensors, TensorFiles):
-        with tensors.checked_rows() as files:  # raises what loading would
-            _require_pool(len(tensors))
-            got = (tensors.manifest.num_samples, tensors.manifest.num_classes)
-            if got != (manifest.num_samples, manifest.num_classes):
-                raise ShapeMismatch(f"tensor files have shape {got}, expected "
-                                    f"{(manifest.num_samples, manifest.num_classes)}")
-            return _score_rows(manifest, len(tensors), files.read, _READ_BYTES)
+        tensors.check()  # raises what loading would
+        _require_pool(len(tensors))
+        got = (tensors.manifest.num_samples, tensors.manifest.num_classes)
+        if got != (manifest.num_samples, manifest.num_classes):
+            raise ShapeMismatch(f"tensor files have shape {got}, expected "
+                                f"{(manifest.num_samples, manifest.num_classes)}")
+        return _score_rows(manifest, len(tensors), tensors.read_rows)
     if isinstance(tensors, Mapping):
         pool = [tensors[k] for k in sorted(tensors)]
     else:
@@ -246,9 +247,10 @@ def score_dataset(
         if t.values.shape != expected:
             raise ShapeMismatch(
                 f"tensor {t.model_id!r} has shape {t.values.shape}, expected {expected}")
-    # rows in memory cost nothing to gather, so they are gathered per block
-    return _score_rows(manifest, len(pool),
-                       lambda lo, hi: np.stack([t.values[lo:hi] for t in pool]), 0)
+    def gather(lo: int, out: np.ndarray) -> None:
+        np.stack([t.values[lo:lo + out.shape[1]] for t in pool], out=out)
+
+    return _score_rows(manifest, len(pool), gather)
 
 
 def _require_pool(m: int) -> None:
@@ -257,10 +259,11 @@ def _require_pool(m: int) -> None:
 
 
 def _score_rows(manifest: BenchmarkManifest, m: int,
-                read: Callable[[int, int], np.ndarray], read_bytes: int) -> ScoreTable:
-    """Score the samples of ``m`` models whose rows ``lo:hi`` ``read``
-    returns as an (M, hi - lo, C) float32 array, asking for as many whole
-    blocks at a time as fit in ``read_bytes``, and for at least one."""
+                read: Callable[[int, np.ndarray], None]) -> ScoreTable:
+    """Score the samples of ``m`` models.  ``read(lo, out)`` fills ``out``,
+    a C-contiguous (M, b, C) float32 array, with their rows ``lo:lo + b``;
+    it is asked for as many whole blocks at a time as fit in
+    ``_READ_BYTES``, and for at least one."""
     n, c = manifest.num_samples, manifest.num_classes
     cap = float(min(m, c))
     env = np.empty(n)
@@ -275,10 +278,12 @@ def _score_rows(manifest: BenchmarkManifest, m: int,
     bounds = list(range(0, n, rows)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
-    per_read = max(1, read_bytes // (m * rows * c * 4))
+    per_read = max(1, _READ_BYTES // (m * rows * c * 4))
+    buf = np.empty(m * min(n, rows * per_read + 1) * c, dtype=np.float32)
     for r in range(0, len(bounds) - 1, per_read):
         part = bounds[r:r + per_read + 1]
-        block = read(part[0], part[-1])
+        block = buf[:m * (part[-1] - part[0]) * c].reshape(m, -1, c)
+        read(part[0], block)
         for lo, hi in zip(part[:-1], part[1:]):
             v = block[:, lo - part[0]:hi - part[0]].astype(np.float64)  # (M, b, C)
             v /= v.sum(axis=2, keepdims=True)

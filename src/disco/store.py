@@ -7,10 +7,9 @@ indent, trailing newline, so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import datetime as _dt
+import functools
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -402,45 +401,28 @@ def load_all_tensors(manifest: BenchmarkManifest) -> dict[str, PredictionTensor]
     return {mid: load_tensor(manifest, mid) for mid in manifest.model_ids()}
 
 
-def _open_checked(manifest: BenchmarkManifest, model_id: str,
-                  buf: np.ndarray) -> tuple[int, str]:
-    """Open the model's tensor file and check it whole, raising what
-    ``load_tensor`` would, without loading it: the payload passes through
-    ``buf``, a float32 scratch array of at least one ingest chunk.  Return
-    the open descriptor, which the caller closes, and the file's path."""
+def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray) -> None:
+    """Check the model's tensor file whole, raising what ``load_tensor``
+    would, without loading it: the payload passes through ``buf``, a float32
+    scratch array of at least one ingest chunk."""
     path = _tensor_path(manifest, model_id)
-    fd, dtype, dims = dten.open_dten(path)
-    try:
+    f, dtype, dims = dten.open_dten(path)
+    with f:
         _check_layout(manifest, path, dtype, dims)
         n, c = dims
         step = _chunk_rows(c)
         faults = _RowFaults()
         for lo in range(0, n, step):
             rows = buf[:min(step, n - lo) * c].reshape(-1, c)
-            dten.read_into(fd, rows, dten.PAYLOAD_START + lo * c * 4, str(path))
+            dten.read_into(f, rows, dten.PAYLOAD_START + lo * c * 4)
             _check_rows(rows, lo, faults)
         faults.raise_for(model_id)
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd, str(path)
-
-
-def _chunk_buffer(manifest: BenchmarkManifest) -> np.ndarray:
-    c = manifest.num_classes
-    return np.empty(_chunk_rows(c) * c, dtype=np.float32)
-
-
-def check_tensor_file(manifest: BenchmarkManifest, model_id: str) -> None:
-    """Raise what ``load_tensor`` would, reading the file one chunk at a
-    time and keeping none of it."""
-    os.close(_open_checked(manifest, model_id, _chunk_buffer(manifest))[0])
 
 
 class TensorFiles(Mapping[str, PredictionTensor]):
     """The tensors of ``model_ids``, each loaded from its file on every
-    lookup and not kept.  ``checked_rows`` reads them a block of samples at
-    a time instead."""
+    lookup and not kept.  ``check`` and ``read_rows`` read them without
+    loading any whole, and keep no file open between calls."""
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
         self.manifest = manifest
@@ -457,49 +439,40 @@ class TensorFiles(Mapping[str, PredictionTensor]):
     def __len__(self) -> int:
         return len(self._ids)
 
-    @contextlib.contextmanager
-    def checked_rows(self) -> Iterator["RowBlocks"]:
-        """Check every file whole, in id order, raising what loading them
-        would; then serve row blocks of all of them from the files, which
-        stay open until the block ends."""
-        buf = _chunk_buffer(self.manifest)
-        with contextlib.ExitStack() as stack:
-            files = {}
-            for mid in self._ids:
-                files[mid] = _open_checked(self.manifest, mid, buf)
-                stack.callback(os.close, files[mid][0])
-            yield RowBlocks([(mid, *files[mid]) for mid in sorted(files)],
-                            self.manifest.num_classes)
+    def check(self) -> None:
+        """Check every file whole, in id order, one chunk at a time, raising
+        what loading them would."""
+        c = self.manifest.num_classes
+        buf = np.empty(_chunk_rows(c) * c, dtype=np.float32)
+        for mid in self._ids:
+            _check_file(self.manifest, mid, buf)
 
+    @functools.cached_property
+    def _paths(self) -> dict[str, Path]:
+        """Each tensor's file path, in model-id order."""
+        return {mid: _tensor_path(self.manifest, mid) for mid in sorted(self._ids)}
 
-class RowBlocks:
-    """Row blocks of tensor files that ``TensorFiles.checked_rows`` checked."""
-
-    def __init__(self, files: list[tuple[str, int, str]], c: int):
-        self._files = files  # (model id, descriptor, path), in model-id order
-        self._c = c
-        self._buf = np.empty(0, dtype=np.float32)
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` of every tensor, as (M, hi - lo, C) float32 in
-        model-id order, checked and renormalized as ``load_tensor`` would.
-        A file that changed since it was checked raises InvariantViolation
-        or RowSumOutOfTolerance (bad rows) or MagicMismatch (short read).
-        Each call reuses the array the last one returned."""
-        m, b, c = len(self._files), hi - lo, self._c
-        if self._buf.size < m * b * c:
-            self._buf = np.empty(m * b * c, dtype=np.float32)
-        block = self._buf[:m * b * c].reshape(m, b, c)
-        for j, (_, fd, name) in enumerate(self._files):
-            dten.read_into(fd, block[j], dten.PAYLOAD_START + lo * c * 4, name)
+    def read_rows(self, lo: int, out: np.ndarray) -> None:
+        """Fill ``out``, a C-contiguous (M, b, C) float32 array, with rows
+        ``lo:lo + b`` of every tensor in model-id order, checked and
+        renormalized as ``load_tensor`` would.  Each file is opened, its
+        header and size checked again, read and closed.  A file that changed
+        since ``check`` raises MagicMismatch or ShapeMismatch (header, size
+        or short read), or InvariantViolation or RowSumOutOfTolerance (bad
+        rows)."""
+        c = self.manifest.num_classes
+        for j, path in enumerate(self._paths.values()):
+            f, dtype, dims = dten.open_dten(path)
+            with f:
+                _check_layout(self.manifest, path, dtype, dims)
+                dten.read_into(f, out[j], dten.PAYLOAD_START + lo * c * 4)
         faults = _RowFaults()
-        _ingest_rows(block.reshape(m * b, c), 0, faults)
+        _ingest_rows(out.reshape(-1, c), 0, faults)
         if faults:  # name the first model at fault
-            for j, (mid, _, _) in enumerate(self._files):
+            for j, mid in enumerate(self._paths):
                 faults = _RowFaults()
-                _ingest_rows(block[j], lo, faults)
+                _ingest_rows(out[j], lo, faults)
                 faults.raise_for(mid)
-        return block
 
 
 # --- correctness and accuracy ------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -184,32 +185,60 @@ def test_score_reports_what_loading_in_manifest_order_would(reversed_manifest, t
 
 
 @pytest.mark.parametrize("change, code, error", [
-    ("truncate", 3, "MagicMismatch: .*synth-0004.dten: file ends 7 bytes short"),
+    ("truncate", 3, "MagicMismatch: .*synth-0004.dten: payload shorter than dims"),
     ("rows", 2, "RowSumOutOfTolerance: tensor for 'synth-0004' row 0 sums to 2.7"),
+    ("dims", 2, r"ShapeMismatch: .*synth-0004.dten: expected dims \(120, 3\), found \(3, 120\)"),
 ])
 def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, capsys,
                                             change, code, error):
     shutil.copytree(synth_dir / "data", tmp_path / "data")
     victim = tmp_path / "data" / "tensors" / "synth-0004.dten"
-    check = store._open_checked
+    check = store._check_file
 
     def check_then_change(manifest, model_id, buf):
-        opened = check(manifest, model_id, buf)
+        check(manifest, model_id, buf)
         if model_id == "synth-0004":
             if change == "truncate":
                 os.truncate(victim, victim.stat().st_size - 7)
+            elif change == "dims":  # the same payload size, read as 3 x 120
+                with victim.open("r+b") as f:
+                    f.seek(dten.PAYLOAD_START - 16)
+                    f.write(struct.pack("<QQ", 3, 120))
             else:
                 with victim.open("r+b") as f:  # the file checked, not a new one
                     f.seek(dten.PAYLOAD_START)
                     f.write(np.float32([0.9, 0.9, 0.9]).tobytes())
-        return opened
 
-    monkeypatch.setattr(store, "_open_checked", check_then_change)
+    monkeypatch.setattr(store, "_check_file", check_then_change)
     out = tmp_path / "scores.csv"
     assert run_cli("score", "--manifest", tmp_path / "data" / "manifest.json",
                    "--out", out) == code
     assert re.search(error, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="the open-file limit is POSIX")
+def test_score_keeps_no_file_open_between_reads(tmp_path):
+    # more source models than the child process may have files open at once
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--models-count", 48, "--samples", 40,
+                   "--classes", 3, "--dim", 2, "--seed", 5) == 0
+    limit = ("import resource, sys\n"
+             "from disco.cli import main\n"
+             "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+             "resource.setrlimit(resource.RLIMIT_NOFILE, (24, hard))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
+    out = tmp_path / "scores.csv"
+    for argv in (("validate", data / "manifest.json"),
+                 ("score", "--manifest", data / "manifest.json", "--out", out)):
+        proc = subprocess.run([sys.executable, "-c", limit, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+    manifest = load_manifest(data / "manifest.json")
+    want = tmp_path / "want.csv"
+    write_scores_csv(score_dataset(manifest, load_all_tensors(manifest)), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 @pytest.fixture(scope="module")

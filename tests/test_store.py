@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 import struct
 import tempfile
 import warnings
@@ -27,7 +28,6 @@ from disco.store import (
     PredictionTensor,
     TensorFiles,
     accuracy,
-    check_tensor_file,
     correctness,
     load_manifest,
     load_tensor,
@@ -475,8 +475,8 @@ def test_chunked_ingest_equals_whole_array(raw, chunk):
             dten.write_dten(Path(tmp) / "t.dten", raw)
             assert outcome(lambda: load_tensor(man, "m").values) == want
             # the file check raises what loading does, and keeps nothing
-            assert outcome(check_tensor_file, man, "m") == (want if type(want) is tuple
-                                                           else None)
+            assert outcome(TensorFiles(man, ["m"]).check) == (want if type(want) is tuple
+                                                             else None)
 
 
 def corrupt_case(rows):
@@ -513,7 +513,7 @@ def test_chunked_ingest_error_precedence(rows, error, message):
             PredictionTensor.from_values("m", raw)
 
 
-def test_row_blocks_equal_loaded_rows(tmp_path):
+def test_read_rows_equal_loaded_rows(tmp_path):
     rng = np.random.default_rng(4)
     n, c, ids = 23, 5, ["b", "c", "a"]
     man = make_manifest(rng.integers(0, c, n), c, ids)
@@ -524,9 +524,13 @@ def test_row_blocks_equal_loaded_rows(tmp_path):
         dten.write_dten(tmp_path / "tensors" / f"{mid}.dten",
                         (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
     loaded = np.stack([load_tensor(man, mid).values for mid in sorted(ids)])
-    with with_chunk_rows(2, c), TensorFiles(man, ids).checked_rows() as files:
+    files = TensorFiles(man, ids)
+    with with_chunk_rows(2, c):
+        files.check()
         for lo, hi in [(0, 23), (0, 1), (5, 12), (22, 23), (3, 3)]:
-            assert files.read(lo, hi).tobytes() == loaded[:, lo:hi].tobytes()
+            out = np.empty((len(ids), hi - lo, c), dtype=np.float32)
+            files.read_rows(lo, out)
+            assert out.tobytes() == loaded[:, lo:hi].tobytes()
 
 
 def test_dims_too_large_for_an_array_rejected(tmp_path):
@@ -535,3 +539,13 @@ def test_dims_too_large_for_an_array_rejected(tmp_path):
     path.write_bytes(b"DTEN" + bytes([1, 0, 2, 0]) + struct.pack("<QQ", 0, 2**62))
     with pytest.raises(MagicMismatch, match="too large"):
         dten.read_dten(path)
+
+
+def test_file_that_shrinks_after_open_is_a_short_read(tmp_path):
+    path = tmp_path / "t.dten"
+    dten.write_dten(path, np.full((4, 2), 0.5, dtype=np.float32))
+    f, dtype, dims = dten.open_dten(path)
+    with f:
+        os.truncate(path, path.stat().st_size - 6)
+        with pytest.raises(MagicMismatch, match="file ends 6 bytes short"):
+            dten.read_into(f, np.empty(dims, dtype), dten.PAYLOAD_START)

@@ -26,7 +26,9 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
     StaleArtifact,
+    ZeroVariance,
 )
+from .files import TensorFiles
 from .harness import (
     ChronologicalSplit,
     PredictorConfig,
@@ -35,7 +37,7 @@ from .harness import (
     fit_predictor,
     known_accuracies,
     median_date_cutoff,
-    predict_target,
+    predict_targets,
     run_pipeline,
     save_report,
     select_anchors,
@@ -59,13 +61,7 @@ from .selection import (
     save_subset,
 )
 from .signatures import MODES
-from .store import (
-    BenchmarkManifest,
-    TensorFiles,
-    load_manifest,
-    load_tensor,
-    read_json_object,
-)
+from .store import BenchmarkManifest, load_manifest, read_json_object
 from .synth import SynthConfig, generate_population, save_population
 
 EXIT_IO = 3
@@ -199,8 +195,8 @@ def cmd_select(args) -> int:
     elif method != "random":
         ids = _resolve_models(manifest, args, "source")
     subset = select_anchors(
-        SharedSources(manifest, {mid: load_tensor(manifest, mid) for mid in ids}, ids,
-                      scores=scores),
+        SharedSources(manifest, TensorFiles(manifest, ids), ids, scores=scores,
+                      methods=(method,)),
         method, args.k, args.seed)
 
     out = _workpath(args, args.out)
@@ -255,7 +251,7 @@ def cmd_predict(args) -> int:
 
     targets = SharedSources(manifest, TensorFiles(manifest, ids), [])
     config = PredictorConfig(kind=model.kind, signature_mode=mode)
-    predictions = {mid: predict_target(targets, mid, subset, config, model) for mid in ids}
+    predictions = dict(zip(ids, predict_targets(targets, ids, subset, config, model)))
 
     out = _workpath(args, args.out)
     obj = {
@@ -295,11 +291,12 @@ def cmd_evaluate(args) -> int:
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)
-    tensors = {mid: load_tensor(manifest, mid)
-               for mid in split.source_ids + split.target_ids}
-    report = run_pipeline(manifest, tensors, split, args.selection,
+    files = TensorFiles(manifest, split.source_ids + split.target_ids)
+    report = run_pipeline(manifest, files, split, args.selection,
                           _predictor_config(args, args.predictor),
                           args.k, args.seed, threads=_threads(args))
+    if report.spearman is None or report.pearson is None:
+        raise ZeroVariance("correlation undefined for a constant input")
     out = _workpath(args, args.out)
     save_report(report, out, provenance=_provenance(args.seed, manifest=manifest_path))
     print(f"evaluate: wrote {out} (mae_pp={report.mae_pp:.4f}, "
@@ -327,9 +324,8 @@ def cmd_sweep(args) -> int:
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)
-    tensors = {mid: load_tensor(manifest, mid)
-               for mid in split.source_ids + split.target_ids}
-    reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds,
+    files = TensorFiles(manifest, split.source_ids + split.target_ids)
+    reports = sweep_budgets(manifest, files, split, configs, budgets, seeds,
                             threads=_threads(args))
     out = _workpath(args, args.out)
     write_sweep_csv(reports, out)

@@ -3,7 +3,8 @@
 ``run_pipeline`` wires the stages together: score the benchmark with the
 source models, select anchors, build source signatures, fit the projection
 and predictor, then estimate every target model from its own anchor
-outputs.  Target tensors are only ever touched in that final stage.
+outputs.  Every tensor file is checked whole up front, but the targets'
+outputs are only ever read in that final stage, and only at the anchors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     TooFewModels,
     ZeroVariance,
 )
+from .files import TensorFiles, as_source
 from .predictors import (
     KINDS,
     TRAINED_KINDS,
@@ -37,7 +39,9 @@ from .predictors import (
 )
 from .scoring import ScoreTable, score_dataset
 from .selection import (
+    METHODS,
     SCORE_METHODS,
+    SUMMARY_METHODS,
     AnchorSubset,
     build_embeddings,
     distance_matrix,
@@ -48,7 +52,7 @@ from .selection import (
     select_topk,
 )
 from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
-from .store import BenchmarkManifest, PredictionTensor, accuracy, correctness
+from .store import BenchmarkManifest, PredictionTensor, accuracy, anchor_correctness
 
 
 # --- model splits ------------------------------------------------------------
@@ -183,8 +187,8 @@ class PredictorConfig:
 @dataclass
 class EvalReport:
     mae_pp: float
-    spearman: float
-    pearson: float
+    spearman: float | None        # None where undefined: a constant input
+    pearson: float | None
     k: int
     seed: int
     selection: str
@@ -200,13 +204,21 @@ class SharedSources:
     """What pipelines on one manifest and source set compute alike,
     whatever their K or seed, each part built on first use.
 
-    It holds the source models' score table, each model's correctness bits
-    (sources for best-for-validation and ``corr`` embeddings, targets for the
-    accuracy readouts) and the k-medoids embeddings and distance matrix of
-    one embedding kind.  ``sweep_budgets`` keeps one for the whole sweep;
-    ``run_pipeline`` makes a fresh one when given none, ``condense_and_train``
-    always.  ``scores``, when given, is the score table of these sources, read
-    back from a file.  Every array it hands out is read-only.
+    ``tensors`` holds every model the pipelines read, sources and targets:
+    tensor files, or loaded tensors by model id.  Building a SharedSources
+    checks every tensor file whole, in order, as loading them would.  In
+    that same pass it keeps the sources' per-sample summaries (correctness
+    bits and label-class probabilities) when one of ``methods``, the
+    selectors it will serve, reads them.  After that no tensor is read
+    whole: the pipelines read the score table's sample blocks and each
+    model's anchor rows.
+
+    It holds the source models' score table and the k-medoids embeddings
+    and distance matrix of one embedding kind.  ``sweep_budgets`` keeps one
+    for the whole sweep; ``run_pipeline`` makes a fresh one when given
+    none, ``condense_and_train`` always.  ``scores``, when given, is the
+    score table of these sources, read back from a file.  Every array it
+    hands out is read-only.
 
     ``reports`` holds the report of each distinct pipeline ``run_pipeline``
     has run on it, keyed as by ``_pipeline_key``: the metrics and pairs
@@ -214,23 +226,27 @@ class SharedSources:
     """
 
     def __init__(self, manifest: BenchmarkManifest,
-                 tensors: Mapping[str, PredictionTensor], source_ids: list[str],
-                 *, scores: ScoreTable | None = None):
+                 tensors: TensorFiles | Mapping[str, PredictionTensor],
+                 source_ids: list[str], *, scores: ScoreTable | None = None,
+                 methods: Collection[str] = METHODS):
         self.manifest = manifest
         self.tensors = tensors
-        self.sources = {mid: tensors[mid] for mid in source_ids}
+        self.models = as_source(manifest, tensors)
+        self.models.check(source_ids if set(methods) & set(SUMMARY_METHODS) else ())
+        self.sources = self.models.select(source_ids)
         self._scores = scores
-        self._bits: dict[str, np.ndarray] = {}
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
         self.reports: dict[tuple, EvalReport] = {}
 
     def check(self, manifest: BenchmarkManifest,
-              tensors: Mapping[str, PredictionTensor], source_ids: list[str]) -> None:
-        """Raise InvalidConfig unless built from this manifest, tensor
-        mapping and source models."""
+              tensors: TensorFiles | Mapping[str, PredictionTensor],
+              source_ids: list[str]) -> None:
+        """Raise InvalidConfig unless built from this manifest, these
+        tensors and source models."""
         if (manifest is not self.manifest or tensors is not self.tensors
-                or set(source_ids) != self.sources.keys()
-                or any(tensors[mid] is not t for mid, t in self.sources.items())):
+                or set(source_ids) != set(self.sources)
+                or isinstance(tensors, Mapping)
+                and any(tensors[mid] is not self.sources[mid] for mid in self.sources)):
             raise InvalidConfig("shared source data was built for other inputs")
 
     def scores(self) -> ScoreTable:
@@ -238,23 +254,12 @@ class SharedSources:
             self._scores = score_dataset(self.manifest, self.sources)
         return self._scores
 
-    def bits(self, model_id: str) -> np.ndarray:
-        """The model's correctness bits."""
-        bits = self._bits.get(model_id)
-        if bits is None:
-            bits = correctness(self.tensors[model_id], self.manifest)
-            bits.flags.writeable = False
-            self._bits[model_id] = bits
-        return bits
-
     def kmedoids_inputs(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Embeddings of ``kind`` and their distance matrix.  Only the last
         kind asked for is kept."""
         if self._kmedoids is None or self._kmedoids[0] != kind:
             self._kmedoids = None          # free the old N x N matrix first
-            bits = ({mid: self.bits(mid) for mid in self.sources}
-                    if kind == "corr" else None)
-            emb = build_embeddings(self.sources, self.manifest, kind, bits=bits)
+            emb = build_embeddings(self.sources, self.manifest, kind)
             d = distance_matrix(emb)
             emb.flags.writeable = d.flags.writeable = False
             self._kmedoids = (kind, emb, d)
@@ -289,15 +294,13 @@ def select_anchors(shared: SharedSources, method: str, k: int,
         emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
-        return select_best_for_validation(
-            shared.sources, manifest, k, seed=seed,
-            bits={mid: shared.bits(mid) for mid in shared.sources})
+        return select_best_for_validation(shared.sources, manifest, k, seed=seed)
     raise InvalidConfig(f"unknown selection method {method!r}")
 
 
 def fit_predictor(
     manifest: BenchmarkManifest,
-    source_tensors: Mapping[str, PredictionTensor],
+    source_tensors: TensorFiles | Mapping[str, PredictionTensor],
     source_accuracies: Mapping[str, float],
     subset: AnchorSubset,
     predictor: PredictorConfig,
@@ -306,8 +309,8 @@ def fit_predictor(
 ) -> PredictorModel | None:
     """The projection and predictor fitted on the source models' signatures,
     stacked in sorted model-id order; None for the accuracy readouts
-    (direct, weighted_sum).  Each source tensor is looked up once, so a
-    mapping that loads tensors on lookup holds one at a time.
+    (direct, weighted_sum).  Unchecked tensor files are checked whole
+    first, in that order; then only each source's anchor rows are read.
     """
     if predictor.kind not in KINDS:
         raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
@@ -318,10 +321,11 @@ def fit_predictor(
                            f"got {len(source_tensors)}")
 
     ids = sorted(source_tensors)
-    matrix = np.stack([build_signature(source_tensors[mid], subset,
-                                       predictor.signature_mode,
+    sources = as_source(manifest, source_tensors).select(ids)
+    sources.check()
+    matrix = np.stack([build_signature(rows, subset, predictor.signature_mode,
                                        labels=manifest.labels)
-                       for mid in ids])
+                       for rows in sources.anchor_rows(ids, subset.indices)])
     accs = np.asarray([source_accuracies[mid] for mid in ids])
 
     projection = None
@@ -336,14 +340,15 @@ def fit_predictor(
                  threads=threads)
 
 
-def _select(manifest: BenchmarkManifest, tensors: Mapping[str, PredictionTensor],
+def _select(manifest: BenchmarkManifest,
+            tensors: TensorFiles | Mapping[str, PredictionTensor],
             source_ids: list[str], method: str, k: int, seed: int,
             shared: SharedSources | None) -> tuple[AnchorSubset, SharedSources]:
     """The anchors, and the SharedSources the pipeline goes on with: ``shared``
     once checked against the inputs, else a fresh one that keeps neither the
     score table nor the k-medoids data while the predictor trains."""
     if shared is None:
-        shared = SharedSources(manifest, tensors, source_ids)
+        shared = SharedSources(manifest, tensors, source_ids, methods=(method,))
         subset = select_anchors(shared, method, k, seed)
         shared.drop_selection_data()
     else:
@@ -354,7 +359,7 @@ def _select(manifest: BenchmarkManifest, tensors: Mapping[str, PredictionTensor]
 
 def condense_and_train(
     manifest: BenchmarkManifest,
-    source_tensors: Mapping[str, PredictionTensor],
+    source_tensors: TensorFiles | Mapping[str, PredictionTensor],
     source_accuracies: Mapping[str, float],
     method: str,
     predictor: PredictorConfig,
@@ -364,25 +369,28 @@ def condense_and_train(
 ) -> tuple[AnchorSubset, PredictorModel | None]:
     """Anchor selection by selector ``method`` plus predictor training from
     source models only; the model is as from ``fit_predictor``."""
-    subset, _ = _select(manifest, source_tensors, list(source_tensors), method,
-                        k, seed, None)
-    return subset, fit_predictor(manifest, source_tensors, source_accuracies,
+    subset, shared = _select(manifest, source_tensors, list(source_tensors), method,
+                             k, seed, None)
+    return subset, fit_predictor(manifest, shared.sources, source_accuracies,
                                  subset, predictor, seed, threads=threads)
 
 
-def predict_target(shared: SharedSources, target_id: str, subset: AnchorSubset,
-                   predictor: PredictorConfig, model: PredictorModel | None) -> float:
-    """One target model's estimated accuracy: for the accuracy readouts,
-    from its correctness bits on the anchors, else ``model``'s prediction
-    from its signature."""
-    if predictor.kind not in TRAINED_KINDS:
-        bits = shared.bits(target_id)[subset.indices]
-        if predictor.kind == "weighted_sum":
-            return predict_weighted_sum(subset, bits)
-        return accuracy(bits)
-    return predict(model, build_signature(shared.tensors[target_id], subset,
-                                          predictor.signature_mode,
-                                          labels=shared.manifest.labels))
+def predict_targets(shared: SharedSources, target_ids: list[str], subset: AnchorSubset,
+                    predictor: PredictorConfig, model: PredictorModel | None
+                    ) -> list[float]:
+    """Each target model's estimated accuracy, from its anchor rows: for
+    the accuracy readouts, from its correctness bits on the anchors, else
+    ``model``'s prediction from its signature."""
+    estimates = []
+    for rows in shared.models.anchor_rows(target_ids, subset.indices):
+        if predictor.kind not in TRAINED_KINDS:
+            bits = anchor_correctness(rows, shared.manifest, subset.indices)
+            estimates.append(predict_weighted_sum(subset, bits)
+                             if predictor.kind == "weighted_sum" else accuracy(bits))
+        else:
+            estimates.append(predict(model, build_signature(
+                rows, subset, predictor.signature_mode, labels=shared.manifest.labels)))
+    return estimates
 
 
 def _pipeline_key(target_ids: list[str], subset: AnchorSubset,
@@ -398,6 +406,15 @@ def _pipeline_key(target_ids: list[str], subset: AnchorSubset,
             seed if predictor.kind == "random_forest" else None)
 
 
+def _defined(metric, true: np.ndarray, pred: np.ndarray) -> float | None:
+    """The correlation ``metric`` of the estimates, or None where it is
+    undefined because one side is constant."""
+    try:
+        return metric(true, pred)
+    except ZeroVariance:
+        return None
+
+
 def _estimate(shared: SharedSources, split: ModelSplit,
               accuracies: Mapping[str, float], subset: AnchorSubset,
               predictor: PredictorConfig, seed: int, threads: int) -> EvalReport:
@@ -405,15 +422,14 @@ def _estimate(shared: SharedSources, split: ModelSplit,
     The fitted model lives only as long as this call."""
     model = fit_predictor(shared.manifest, shared.sources, accuracies, subset,
                           predictor, seed, threads=threads)
-    pairs = [(tid, accuracies[tid],
-              predict_target(shared, tid, subset, predictor, model))
-             for tid in split.target_ids]
+    estimates = predict_targets(shared, split.target_ids, subset, predictor, model)
+    pairs = [(tid, accuracies[tid], est) for tid, est in zip(split.target_ids, estimates)]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])
     return EvalReport(
         mae_pp=mae(true, pred),
-        spearman=spearman(true, pred),
-        pearson=pearson(true, pred),
+        spearman=_defined(spearman, true, pred),
+        pearson=_defined(pearson, true, pred),
         k=subset.k, seed=seed,
         selection=subset.method,
         predictor=predictor.kind,
@@ -423,7 +439,7 @@ def _estimate(shared: SharedSources, split: ModelSplit,
 
 def run_pipeline(
     manifest: BenchmarkManifest,
-    tensors: Mapping[str, PredictionTensor],
+    tensors: TensorFiles | Mapping[str, PredictionTensor],
     split: ModelSplit,
     method: str,
     predictor: PredictorConfig,
@@ -434,7 +450,8 @@ def run_pipeline(
     shared: SharedSources | None = None,
 ) -> EvalReport:
     """Condense with the source models by selector ``method``, then evaluate
-    on the target models.
+    on the target models.  A rank or linear correlation that is undefined
+    (every target got the same estimate, or has the same accuracy) is None.
 
     ``shared``, built from ``manifest``, ``tensors`` and ``split.source_ids``,
     holds what earlier calls computed (``sweep_budgets`` keeps one per sweep).
@@ -456,7 +473,7 @@ def run_pipeline(
 
 def sweep_budgets(
     manifest: BenchmarkManifest,
-    tensors: Mapping[str, PredictionTensor],
+    tensors: TensorFiles | Mapping[str, PredictionTensor],
     split: ModelSplit,
     configs: list[tuple[str, PredictorConfig]],
     budgets: list[int],
@@ -466,13 +483,14 @@ def sweep_budgets(
     """One report per (config, budget, seed), in that loop order; a config
     is a selector name and a predictor config.
 
-    Scores, correctness bits and k-medoids distances depend on neither K nor
-    seed, so one SharedSources computes each at most once per sweep; the
-    k-medoids data lives only as long as its config.
+    Scores, per-sample summaries and k-medoids distances depend on neither
+    K nor seed, so one SharedSources computes each at most once per sweep;
+    the k-medoids data lives only as long as its config.
     """
     if list(budgets) != sorted(budgets):
         raise InvalidConfig("budgets must be sorted ascending")
-    shared = SharedSources(manifest, tensors, split.source_ids)
+    shared = SharedSources(manifest, tensors, split.source_ids,
+                           methods=[method for method, _ in configs])
     reports = []
     for method, pred_cfg in configs:
         for k in budgets:
@@ -510,9 +528,14 @@ def save_report(report: EvalReport, path: str | Path,
 SWEEP_HEADER = "method,selection,predictor,k,seed,mae_pp,spearman,pearson"
 
 
+def _field(value: float | None) -> str:
+    return "nan" if value is None else f"{value:.9g}"
+
+
 def write_sweep_csv(reports: list[EvalReport], path: str | Path) -> None:
+    """One line per report; an undefined correlation reads ``nan``."""
     lines = [SWEEP_HEADER]
     for r in reports:
         lines.append(f"{r.method},{r.selection},{r.predictor},{r.k},{r.seed},"
-                     f"{r.mae_pp:.9g},{r.spearman:.9g},{r.pearson:.9g}")
+                     f"{_field(r.mae_pp)},{_field(r.spearman)},{_field(r.pearson)}")
     Path(path).write_text("\n".join(lines) + "\n")

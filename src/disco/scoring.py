@@ -31,7 +31,8 @@ from .errors import (
     ShapeMismatch,
     TooFewModels,
 )
-from .store import BenchmarkManifest, PredictionTensor, TensorFiles
+from .files import TensorFiles
+from .store import BenchmarkManifest, PredictionTensor
 
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
@@ -226,8 +227,9 @@ def score_dataset(
 ) -> ScoreTable:
     """Score every sample of the benchmark across the given model pool.
 
-    Given a ``TensorFiles``, the files are checked whole and then read one
-    block of samples at a time, so no tensor is ever held whole.
+    Given a ``TensorFiles``, the files are checked whole (unless that
+    ``TensorFiles`` has already checked them) and then read one block of
+    samples at a time, so no tensor is ever held whole.
     """
     if isinstance(tensors, TensorFiles):
         tensors.check()  # raises what loading would

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -21,13 +21,20 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
+from .files import LoadedTensors, TensorFiles, as_source
 from .scoring import ScoreTable
-from .store import BenchmarkManifest, PredictionTensor, correctness, read_json_object
+from .store import BenchmarkManifest, PredictionTensor, read_json_object
 
-# The selectors that rank the source models' score table, and all selectors.
+# The selectors that rank the source models' score table, those that read
+# their per-sample summaries, and all selectors.
 SCORE_METHODS = ("topk_pds", "topk_jsd", "stratified_topk")
-METHODS = ("random",) + SCORE_METHODS + ("kmedoids_conf", "kmedoids_corr",
-                                          "best_for_validation")
+SUMMARY_METHODS = ("kmedoids_conf", "kmedoids_corr", "best_for_validation")
+METHODS = ("random",) + SCORE_METHODS + SUMMARY_METHODS
+
+# Where the model-reading selectors take their models from: tensor files,
+# or loaded tensors by model id or in a sequence (see ``files.as_source``).
+Source = Union[TensorFiles, LoadedTensors]
+Sources = Union[Source, Mapping[str, PredictionTensor], Sequence[PredictionTensor]]
 
 
 @dataclass
@@ -120,44 +127,28 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
                         criterion=criterion)
 
 
-def _correctness_bits(tensor: PredictionTensor, manifest: BenchmarkManifest,
-                      bits: Mapping[str, np.ndarray] | None) -> np.ndarray:
-    if bits is None:
-        return correctness(tensor, manifest)
-    return bits[tensor.model_id]
+def _pool(tensors: Sources, manifest: BenchmarkManifest) -> tuple[Source, list[str]]:
+    """The models as a source of summaries, and their ids: in sequence
+    order for a sequence of tensors, else sorted."""
+    ids = ([t.model_id for t in tensors] if isinstance(tensors, Sequence)
+           else sorted(tensors))
+    return as_source(manifest, tensors), ids
 
 
-def build_embeddings(
-    tensors: Sequence[PredictionTensor] | Mapping[str, PredictionTensor],
-    manifest: BenchmarkManifest,
-    kind: str,
-    *,
-    bits: Mapping[str, np.ndarray] | None = None,
-) -> np.ndarray:
+def build_embeddings(tensors: Sources, manifest: BenchmarkManifest,
+                     kind: str) -> np.ndarray:
     """Per-sample embedding across models: ground-truth-class probability
-    (``conf``) or correctness bit (``corr``).  Shape (N, M).
-
-    ``bits`` maps model ids to their correctness bits when the caller
-    already has them; they are computed otherwise.
-    """
-    pool = ([tensors[k] for k in sorted(tensors)] if isinstance(tensors, Mapping)
-            else list(tensors))
-    if not pool:
+    (``conf``) or correctness bit (``corr``).  Shape (N, M).  Only the
+    models' per-sample summaries are read."""
+    source, ids = _pool(tensors, manifest)
+    if not ids:
         raise InsufficientModels("embeddings need at least one model")
-    n, c = manifest.num_samples, manifest.num_classes
-    labels = np.asarray(manifest.labels)
-    cols = []
-    for t in pool:
-        if t.values.shape != (n, c):
-            raise ShapeMismatch(
-                f"tensor {t.model_id!r} shape {t.values.shape} != ({n}, {c})")
-        if kind == "conf":
-            cols.append(t.values.astype(np.float64)[np.arange(n), labels])
-        elif kind == "corr":
-            cols.append(_correctness_bits(t, manifest, bits).astype(np.float64))
-        else:
-            raise SchemaError(f"unknown embedding kind {kind!r}")
-    return np.column_stack(cols)
+    if kind not in ("conf", "corr"):
+        raise SchemaError(f"unknown embedding kind {kind!r}")
+    summaries = [source.summary(mid) for mid in ids]
+    if kind == "conf":
+        return np.column_stack([s.label_probs for s in summaries])
+    return np.column_stack([s.bits.astype(np.float64) for s in summaries])
 
 
 def kmedoids_objective(embeddings: np.ndarray, indices: Sequence[int]) -> float:
@@ -409,7 +400,7 @@ def _validation_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
 
 
 def select_best_for_validation(
-    tensors: Sequence[PredictionTensor] | Mapping[str, PredictionTensor],
+    tensors: Sources,
     manifest: BenchmarkManifest,
     k: int,
     candidates: int = 1000,
@@ -420,20 +411,20 @@ def select_best_for_validation(
 ) -> AnchorSubset:
     """Pick, among random candidate subsets, the one whose subset accuracy
     best predicts full accuracy on held-out models (lowest RMSE; the first
-    drawn wins ties).  ``bits`` is as for ``build_embeddings``.
+    drawn wins ties).  Only the models' correctness bits are read, from
+    ``bits`` (by model id) when given, else from their summaries.
 
     Candidates are drawn one at a time, in a fixed order from the seed, and
     scored in blocks.
     """
-    pool = ([tensors[key] for key in sorted(tensors)] if isinstance(tensors, Mapping)
-            else list(tensors))
+    source, ids = _pool(tensors, manifest)
     accs, bit_rows = [], []
-    for t in pool:
-        acc = manifest.model(t.model_id).true_accuracy
+    for mid in ids:
+        acc = manifest.model(mid).true_accuracy
         if acc is None:
             continue
         accs.append(acc)
-        bit_rows.append(_correctness_bits(t, manifest, bits))
+        bit_rows.append(source.summary(mid).bits if bits is None else bits[mid])
     m = len(accs)
     if m < 4:
         raise InsufficientModels(f"best-for-validation needs >= 4 models with "

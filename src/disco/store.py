@@ -8,11 +8,9 @@ indent, trailing newline, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -401,10 +399,30 @@ def load_all_tensors(manifest: BenchmarkManifest) -> dict[str, PredictionTensor]
     return {mid: load_tensor(manifest, mid) for mid in manifest.model_ids()}
 
 
-def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray) -> None:
+@dataclass(frozen=True)
+class SampleSummary:
+    """What the selectors read of one model, per sample: its correctness bit
+    and its label class's probability, from its rows as loaded."""
+
+    bits: np.ndarray          # (N,) uint8, as ``correctness`` gives them
+    label_probs: np.ndarray   # (N,) float64
+
+
+def _summary_rows(rows: np.ndarray, labels: np.ndarray,
+                  summary: SampleSummary, row0: int) -> None:
+    """Write the summaries of ``rows``, rows ``row0:`` of a loaded tensor
+    whose samples have ``labels``, into ``summary``."""
+    hi = row0 + rows.shape[0]
+    summary.bits[row0:hi] = _correct(rows, labels)
+    summary.label_probs[row0:hi] = rows[np.arange(rows.shape[0]), labels]
+
+
+def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray,
+                summary: SampleSummary | None = None) -> None:
     """Check the model's tensor file whole, raising what ``load_tensor``
     would, without loading it: the payload passes through ``buf``, a float32
-    scratch array of at least one ingest chunk."""
+    scratch array of at least one ingest chunk.  With ``summary``, each chunk
+    is also renormalized as loading does and summarized into it."""
     path = _tensor_path(manifest, model_id)
     f, dtype, dims = dten.open_dten(path)
     with f:
@@ -415,64 +433,14 @@ def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray) -> 
         for lo in range(0, n, step):
             rows = buf[:min(step, n - lo) * c].reshape(-1, c)
             dten.read_into(f, rows, dten.PAYLOAD_START + lo * c * 4)
-            _check_rows(rows, lo, faults)
+            if summary is None:
+                _check_rows(rows, lo, faults)
+            else:
+                _ingest_rows(rows, lo, faults)
+                if not faults:
+                    _summary_rows(rows, manifest.labels[lo:lo + rows.shape[0]],
+                                  summary, lo)
         faults.raise_for(model_id)
-
-
-class TensorFiles(Mapping[str, PredictionTensor]):
-    """The tensors of ``model_ids``, each loaded from its file on every
-    lookup and not kept.  ``check`` and ``read_rows`` read them without
-    loading any whole, and keep no file open between calls."""
-
-    def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
-        self.manifest = manifest
-        self._ids = dict.fromkeys(model_ids)
-
-    def __getitem__(self, model_id: str) -> PredictionTensor:
-        if model_id not in self._ids:
-            raise KeyError(model_id)
-        return load_tensor(self.manifest, model_id)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def check(self) -> None:
-        """Check every file whole, in id order, one chunk at a time, raising
-        what loading them would."""
-        c = self.manifest.num_classes
-        buf = np.empty(_chunk_rows(c) * c, dtype=np.float32)
-        for mid in self._ids:
-            _check_file(self.manifest, mid, buf)
-
-    @functools.cached_property
-    def _paths(self) -> dict[str, Path]:
-        """Each tensor's file path, in model-id order."""
-        return {mid: _tensor_path(self.manifest, mid) for mid in sorted(self._ids)}
-
-    def read_rows(self, lo: int, out: np.ndarray) -> None:
-        """Fill ``out``, a C-contiguous (M, b, C) float32 array, with rows
-        ``lo:lo + b`` of every tensor in model-id order, checked and
-        renormalized as ``load_tensor`` would.  Each file is opened, its
-        header and size checked again, read and closed.  A file that changed
-        since ``check`` raises MagicMismatch or ShapeMismatch (header, size
-        or short read), or InvariantViolation or RowSumOutOfTolerance (bad
-        rows)."""
-        c = self.manifest.num_classes
-        for j, path in enumerate(self._paths.values()):
-            f, dtype, dims = dten.open_dten(path)
-            with f:
-                _check_layout(self.manifest, path, dtype, dims)
-                dten.read_into(f, out[j], dten.PAYLOAD_START + lo * c * 4)
-        faults = _RowFaults()
-        _ingest_rows(out.reshape(-1, c), 0, faults)
-        if faults:  # name the first model at fault
-            for j, mid in enumerate(self._paths):
-                faults = _RowFaults()
-                _ingest_rows(out[j], lo, faults)
-                faults.raise_for(mid)
 
 
 # --- correctness and accuracy ------------------------------------------------
@@ -483,8 +451,18 @@ def correctness(tensor: PredictionTensor, manifest: BenchmarkManifest) -> np.nda
         raise ShapeMismatch(
             f"tensor shape {tensor.values.shape} does not match manifest "
             f"({manifest.num_samples}, {manifest.num_classes})")
-    pred = np.argmax(tensor.values, axis=1)  # first occurrence wins ties
-    return (pred == np.asarray(manifest.labels)).astype(np.uint8)
+    return _correct(tensor.values, np.asarray(manifest.labels))
+
+
+def anchor_correctness(rows: np.ndarray, manifest: BenchmarkManifest,
+                       idx: np.ndarray) -> np.ndarray:
+    """``correctness`` of a model at samples ``idx``, from its rows there."""
+    return _correct(rows, np.asarray(manifest.labels)[idx])
+
+
+def _correct(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(rows,) uint8: argmax class (ties -> lowest index) == label."""
+    return (np.argmax(rows, axis=1) == labels).astype(np.uint8)
 
 
 def accuracy(bits: np.ndarray) -> float:

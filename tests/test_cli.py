@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from disco import dten, store
 from disco.cli import main
 from disco.errors import RowSumOutOfTolerance
 from disco.harness import (
+    SWEEP_HEADER,
     ChronologicalSplit,
     PredictorConfig,
     condense_and_train,
@@ -142,19 +144,45 @@ class TestScore:
         assert code == 64
 
 
-# --- score and validate read the tensor files in chunks ------------------------
+# --- no command loads a tensor whole -----------------------------------------
 
-@pytest.mark.parametrize("command", ["score", "validate"])
-def test_never_loads_a_whole_tensor(synth_dir, tmp_path, monkeypatch, command):
+def _reading_commands(manifest, work, out):
+    """argv of each command that reads the tensor files, by name."""
+    selected = {f"select-{method}": ("select", "--manifest", manifest, "--method", method,
+                                     "--k", 5, "--cutoff", "median", "--out", out)
+                for method in ("kmedoids_conf", "kmedoids_corr", "best_for_validation")}
+    return {
+        "score": ("score", "--manifest", manifest, "--out", out),
+        "validate": ("validate", manifest),
+        **selected,
+        "fit": ("fit", "--manifest", manifest, "--subset", work / "subset.json",
+                "--predictor", "knn", "--cutoff", "median", "--out", out),
+        "fit-readout": ("fit", "--manifest", manifest, "--subset", work / "subset.json",
+                        "--predictor", "direct", "--cutoff", "median", "--out", out),
+        "predict": ("predict", "--manifest", manifest, "--model", work / "model.bin",
+                    "--subset", work / "subset.json", "--cutoff", "median", "--out", out),
+        "evaluate": ("evaluate", "--manifest", manifest, "--selection", "topk_pds",
+                     "--predictor", "knn", "--k", 10, "--cutoff", "median", "--out", out),
+        "sweep": ("sweep", "--manifest", manifest, "--budgets", "10,30", "--seeds", "0",
+                  "--configs", "random:linear,topk_pds:knn,kmedoids_conf:knn,"
+                  "kmedoids_corr:weighted_sum,best_for_validation:direct",
+                  "--cutoff", "median", "--out", out),
+    }
+
+
+@pytest.mark.parametrize("command", ["score", "validate", "select-kmedoids_conf",
+                                     "select-kmedoids_corr", "select-best_for_validation",
+                                     "fit", "fit-readout", "predict", "evaluate", "sweep"])
+def test_never_loads_a_whole_tensor(artifacts, tmp_path, monkeypatch, command):
+    work, manifest = artifacts
+    argv = _reading_commands(manifest, work, tmp_path / "out")[command]
+
     def refuse(*args):
         raise AssertionError("a whole tensor was loaded")
-    for module, name in ((disco.cli, "load_tensor"), (store, "load_tensor"),
-                         (dten, "read_dten")):
+    for module, name in ((store, "load_tensor"), (dten, "read_dten")):
         monkeypatch.setattr(module, name, refuse)
-    manifest = synth_dir / "data" / "manifest.json"
-    argv = (("validate", manifest) if command == "validate" else
-            ("score", "--manifest", manifest, "--out", tmp_path / "scores.csv"))
     assert run_cli(*argv) == 0
+    assert not hasattr(disco.cli, "load_tensor")
 
 
 def test_score_reports_what_loading_in_manifest_order_would(reversed_manifest, tmp_path,
@@ -214,6 +242,58 @@ def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, ca
     assert run_cli("score", "--manifest", tmp_path / "data" / "manifest.json",
                    "--out", out) == code
     assert re.search(error, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def change_after_check(monkeypatch, victim_id, victim, change):
+    """Make ``victim``, the tensor file of ``victim_id``, change right after
+    the pass that checks every file whole has checked it."""
+    check = store._check_file
+
+    def check_then_change(manifest, model_id, *args):
+        check(manifest, model_id, *args)
+        if model_id != victim_id:
+            return
+        if change == "truncate":
+            os.truncate(victim, victim.stat().st_size - 7)
+        elif change == "dims":  # the same payload size, read as C x N
+            n, c = manifest.num_samples, manifest.num_classes
+            with victim.open("r+b") as f:
+                f.seek(dten.PAYLOAD_START - 16)
+                f.write(struct.pack("<QQ", c, n))
+        else:  # every row sums to 2.7
+            with victim.open("r+b") as f:
+                f.seek(dten.PAYLOAD_START)
+                f.write(np.full(victim.stat().st_size // 4 - 6, 0.9, np.float32).tobytes())
+
+    monkeypatch.setattr(store, "_check_file", check_then_change)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fit"])
+@pytest.mark.parametrize("change, code, error", [
+    ("truncate", 3, "MagicMismatch: .*{file}: payload shorter than dims"),
+    ("rows", 2, "RowSumOutOfTolerance: tensor for '{id}' row [0-9]+ sums to 2.7"),
+    ("dims", 2, r"ShapeMismatch: .*{file}: expected dims \(120, 3\), found \(3, 120\)"),
+])
+def test_file_changed_before_its_anchor_rows_exits(artifacts, tmp_path, monkeypatch, capsys,
+                                                   command, change, code, error):
+    # the checked pass reads every file whole; the anchor-row read that
+    # follows reopens the file and checks it again
+    work, manifest_path = artifacts
+    shutil.copytree(manifest_path.parent, tmp_path / "data")
+    manifest = load_manifest(tmp_path / "data" / "manifest.json")
+    victim_id = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest))
+                             ).source_ids[0]
+    victim = tmp_path / "data" / manifest.model(victim_id).tensor_path
+    change_after_check(monkeypatch, victim_id, victim, change)
+    out = tmp_path / "out"
+    argv = {"evaluate": ("evaluate", "--selection", "random", "--predictor", "knn",
+                         "--k", 10),
+            "fit": ("fit", "--subset", work / "subset.json", "--predictor", "knn")}[command]
+    assert run_cli(*argv, "--manifest", tmp_path / "data" / "manifest.json",
+                   "--cutoff", "median", "--out", out) == code
+    assert re.search(error.format(file=re.escape(victim.name), id=victim_id),
+                     capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -571,12 +651,10 @@ class TestSweepCommand:
                                          "random:direct,topk_pds:knn:linear"])
     def test_unknown_config_fails_before_loading_tensors(self, synth_dir, tmp_path,
                                                          monkeypatch, configs):
-        import disco.cli
-
         def no_load(*args):
-            raise AssertionError("a tensor was loaded")
+            raise AssertionError("a tensor file was read")
 
-        monkeypatch.setattr(disco.cli, "load_tensor", no_load)
+        monkeypatch.setattr(dten, "open_dten", no_load)
         code = run_cli("sweep", "--manifest", synth_dir / "data" / "manifest.json",
                        "--budgets", "10", "--seeds", "0", "--configs", configs,
                        "--cutoff", "median", "--out", tmp_path / "s.csv")
@@ -778,6 +856,83 @@ def test_staged_readout_chain_equals_evaluate(reversed_manifest, tmp_path, metho
     predictions = json.loads((tmp_path / "pred.json").read_text())["predictions"]
     pairs = json.loads((tmp_path / "report.json").read_text())["pairs"]
     assert predictions == {mid: est for mid, _, est in pairs}
+
+
+def test_sweep_survives_an_undefined_pipeline(reversed_manifest, tmp_path):
+    # At K=10 kmedoids_conf gives every target of this population the same
+    # weighted_sum estimate: a lone evaluate ends with ZeroVariance, while a
+    # sweep writes nan for the undefined correlation and goes on.
+    m = reversed_manifest
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--manifest", m, "--configs",
+                   "random:direct,kmedoids_conf:weighted_sum", "--budgets", 10,
+                   "--seeds", "0,1", "--cutoff", "median", "--out", out) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == SWEEP_HEADER
+    fields = [row.split(",") for row in rows]
+    assert [(f[1], f[2], f[4]) for f in fields] == [
+        ("random", "direct", "0"), ("random", "direct", "1"),
+        ("kmedoids_conf", "weighted_sum", "0"), ("kmedoids_conf", "weighted_sum", "1")]
+    assert fields[2][6] == "nan"
+    for i, f in enumerate(fields):
+        report = tmp_path / f"report-{i}.json"
+        code = run_cli("evaluate", "--manifest", m, "--selection", f[1], "--predictor",
+                       f[2], "--k", 10, "--seed", f[4], "--cutoff", "median",
+                       "--out", report)
+        if "nan" in f:
+            assert code == 2 and not report.exists()
+            continue
+        assert code == 0
+        obj = json.loads(report.read_text())
+        assert f[5:] == [f"{obj[key]:.9g}" for key in ("mae_pp", "spearman", "pearson")]
+
+
+def test_undefined_correlation_is_none_in_the_report(reversed_manifest):
+    manifest = load_manifest(reversed_manifest)
+    split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+    report = run_pipeline(manifest, load_all_tensors(manifest), split, "kmedoids_conf",
+                          PredictorConfig(kind="weighted_sum"), k=10, seed=0)
+    assert report.spearman is None
+    assert len({est for _, _, est in report.pairs}) == 1
+
+
+def evaluate_peak(root, n, c, m=10, k=20):
+    """tracemalloc peak of ``disco evaluate`` (topk_pds, knn, K=k) on m
+    models of n samples and c classes, written one at a time."""
+    rng = np.random.default_rng(n)
+    models = []
+    (root / "tensors").mkdir(parents=True)
+    for i in range(m):
+        raw = rng.random((n, c)) ** 2
+        dten.write_dten(root / "tensors" / f"m{i}.dten",
+                        (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
+        models.append({"model_id": f"m{i}", "release_date": f"2024-01-{i + 1:02d}",
+                       "true_accuracy": float(rng.random()),
+                       "tensor_path": f"tensors/m{i}.dten"})
+    manifest = {"benchmark_name": "wide", "num_samples": n, "num_classes": c,
+                "labels": rng.integers(0, c, n).tolist(), "task_tags": [""] * n,
+                "models": models, "format_version": 1}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_cli("evaluate", "--manifest", root / "manifest.json", "--selection",
+                       "topk_pds", "--predictor", "knn", "--k-neighbors", 2, "--k", k,
+                       "--cutoff", "median", "--out", root / "report.json") == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_peak_does_not_grow_with_the_tensors(tmp_path):
+    # 20 times the samples x classes: the stack of 10 tensors grows from
+    # 1.6 MB to 32 MB, evaluate's peak by far less
+    m = 10
+    small = evaluate_peak(tmp_path / "small", 2000, 20, m)
+    large = evaluate_peak(tmp_path / "large", 8000, 100, m)
+    stack = m * 8000 * 100 * 4
+    assert large - small < (stack - m * 2000 * 20 * 4) / 8
+    assert large < stack / 4
 
 
 def test_traced_cli_wraps_only_existing_functions():

@@ -26,7 +26,8 @@ from disco.scoring import (
     write_scores_csv,
 )
 
-from disco.store import PredictionTensor, TensorFiles, load_tensor
+from disco.files import TensorFiles
+from disco.store import PredictionTensor, load_tensor
 
 from conftest import make_manifest, random_stack, tensor_from_rows
 

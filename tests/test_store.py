@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import disco.files
 from disco import dten, store
 from disco.errors import (
+    IndexOutOfRange,
     InvariantViolation,
     MagicMismatch,
     MissingFile,
@@ -23,10 +25,10 @@ from disco.errors import (
     SchemaError,
     ShapeMismatch,
 )
+from disco.files import LoadedTensors, TensorFiles
 from disco.store import (
     EmptyDataset,
     PredictionTensor,
-    TensorFiles,
     accuracy,
     correctness,
     load_manifest,
@@ -549,3 +551,110 @@ def test_file_that_shrinks_after_open_is_a_short_read(tmp_path):
         os.truncate(path, path.stat().st_size - 6)
         with pytest.raises(MagicMismatch, match="file ends 6 bytes short"):
             dten.read_into(f, np.empty(dims, dtype), dten.PAYLOAD_START)
+
+
+# --- summaries and anchor rows read from the files ---------------------------
+
+def write_population(root, raws, labels):
+    """A manifest over tensor files holding ``raws`` (model id -> rows)."""
+    n, c = next(iter(raws.values())).shape
+    man = make_manifest(labels, c, list(raws))
+    man.base_dir = Path(root)
+    (Path(root) / "tensors").mkdir(exist_ok=True)
+    for mid, raw in raws.items():
+        dten.write_dten(Path(root) / "tensors" / f"{mid}.dten", raw)
+    return man
+
+
+def clean_rows_except(raw, idx):
+    """``raw`` with every row not in ``idx`` replaced by an exact one-hot row,
+    so that a whole-tensor check can fail only at the rows in ``idx``."""
+    out = np.zeros_like(raw)
+    out[:, 0] = 1.0
+    out[idx] = raw[idx]
+    return out
+
+
+@settings(max_examples=200)
+@given(raw=corrupt_tensors(), data=st.data())
+def test_anchor_rows_equal_loaded_rows(raw, data):
+    n, c = raw.shape
+    idx = np.asarray(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    gap = data.draw(st.sampled_from([0, 4 * c, disco.files._GAP_BYTES, 1 << 40]))
+    # what loading the tensor would give at the anchors, or raise for them
+    want = outcome(lambda a: adopt_reference("m", a)[idx], clean_rows_except(raw, idx))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(disco.files, "_GAP_BYTES", gap):
+        man = write_population(tmp, {"m": raw}, [0] * n)
+        files = TensorFiles(man, ["m"])
+        assert outcome(lambda: files.anchor_rows(["m"], idx)[0]) == want
+        if type(want) is not tuple:
+            tensor = PredictionTensor.from_values("m", clean_rows_except(raw, idx))
+            loaded = LoadedTensors(man, {"m": tensor})
+            assert loaded.anchor_rows(["m"], idx)[0].tobytes() == want
+
+
+def test_anchor_rows_name_the_first_model_at_fault(tmp_path):
+    rng = np.random.default_rng(8)
+    n, c = 30, 4
+    raws = {}
+    for mid in ("a", "b", "c"):
+        raw = rng.random((n, c)).astype(np.float32)
+        raws[mid] = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+    raws["c"][7] *= 0.9
+    raws["b"][20] *= 0.9
+    man = write_population(tmp_path, raws, rng.integers(0, c, n))
+    files = TensorFiles(man, ["c", "b", "a"])
+    with pytest.raises(RowSumOutOfTolerance, match="'b' row 20 sums to"):
+        files.anchor_rows(["a", "b", "c"], [3, 7, 20])
+    with pytest.raises(RowSumOutOfTolerance, match="'c' row 7 sums to"):
+        files.anchor_rows(["c", "b"], [7, 20])
+    assert files.anchor_rows(["a", "c"], [3, 20]).shape == (2, 2, c)
+    with pytest.raises(IndexOutOfRange):
+        files.anchor_rows(["a"], [3, n])
+    with pytest.raises(IndexOutOfRange):
+        files.anchor_rows(["a"], [-1, 3])
+
+
+@pytest.mark.parametrize("summarize", [["b", "a"], []], ids=["in-check", "on-demand"])
+def test_summaries_equal_loaded(tmp_path, summarize):
+    rng = np.random.default_rng(9)
+    n, c = 37, 100
+    raws = {mid: still_moving_rows()[rng.integers(len(still_moving_rows()), size=n)]
+            for mid in ("a", "b", "c")}
+    man = write_population(tmp_path, raws, rng.integers(0, c, n))
+    files = TensorFiles(man, ["c", "a", "b"])
+    with with_chunk_rows(4, c):
+        files.check(summarize)
+    for mid in ("a", "b"):
+        tensor = load_tensor(man, mid)
+        for source in (files, LoadedTensors(man, {mid: tensor})):
+            summary = source.summary(mid)
+            assert summary.bits.tobytes() == correctness(tensor, man).tobytes()
+            want = tensor.values.astype(np.float64)[np.arange(n), man.labels]
+            assert summary.label_probs.tobytes() == want.tobytes()
+            assert not summary.bits.flags.writeable
+
+
+def test_files_are_checked_once(tmp_path, monkeypatch):
+    raws = {mid: np.full((5, 2), 0.5, dtype=np.float32) for mid in ("a", "b")}
+    man = write_population(tmp_path, raws, [0] * 5)
+    checked = []
+    check_file = store._check_file
+
+    def counting(manifest, model_id, *args):
+        checked.append(model_id)
+        check_file(manifest, model_id, *args)
+
+    monkeypatch.setattr(store, "_check_file", counting)
+    files = TensorFiles(man, ["b", "a"])
+    files.check(["a"])
+    assert checked == ["b", "a"]
+    view = files.select(["a"])
+    view.check()
+    files.check()
+    assert checked == ["b", "a"]
+    files.summary("b")  # not kept by the check: read once more
+    assert checked == ["b", "a", "b"]
+    with pytest.raises(KeyError):
+        files.select(["z"])

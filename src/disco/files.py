@@ -35,8 +35,36 @@ _GAP_BYTES = 1 << 14
 # Anchor rows are checked and renormalized this many bytes at a time.  The
 # kernel's float64 copies then stay small and are reused: one call over 5000
 # rows of 100 classes took 10.5 ms, 128 KiB chunks 4.7 ms, and fit's peak
-# RSS stays where loading left it.
+# RSS stays where loading left it.  512 KiB chunks, as loading uses, were
+# 10-20 % faster on 5000-30000 rows, but raised predict's peak RSS on a
+# 100 x 5000 x 100 population from 38.5 to 39.3 MB.
 _ANCHOR_CHUNK_BYTES = 1 << 17
+
+
+class _HeldRows:
+    """The rows ``TensorFiles.hold`` keeps: some models' rows at sorted,
+    distinct sample indices."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.set(np.empty(0, np.int64), [], None)
+
+    def set(self, idx: np.ndarray, model_ids: list[str], rows: np.ndarray | None) -> None:
+        self.idx, self.rows = idx, rows
+        self.where = {mid: j for j, mid in enumerate(model_ids)}
+
+    def take(self, model_ids: list[str], idx: np.ndarray) -> np.ndarray | None:
+        """Rows ``idx`` of these models, as ``anchor_rows`` returns them,
+        or None unless all of them are held."""
+        if not self.where or any(mid not in self.where for mid in model_ids):
+            return None
+        pos = np.searchsorted(self.idx, idx)
+        if not np.array_equal(self.idx.take(pos, mode="clip"), idx):
+            return None
+        js = np.asarray([self.where[mid] for mid in model_ids], dtype=np.intp)
+        return self.rows[js[:, None], pos]
 
 
 class TensorFiles:
@@ -47,7 +75,8 @@ class TensorFiles:
     order would, and keeps the per-sample summaries asked of it.  After it,
     ``anchor_rows`` and ``read_rows`` read only the rows they return, and
     check those and each file's header, size and dims again, so a file
-    that changed since raises too.
+    that changed since raises too.  ``hold`` reads the rows that several
+    ``anchor_rows`` calls will ask for at once, and keeps them.
     """
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
@@ -55,6 +84,7 @@ class TensorFiles:
         self._ids = dict.fromkeys(model_ids)
         self._summaries: dict[str, SampleSummary] = {}
         self._checked = False
+        self._held = _HeldRows()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._ids)
@@ -74,6 +104,7 @@ class TensorFiles:
         view = TensorFiles(self.manifest, model_ids)
         view._summaries = self._summaries
         view._checked = self._checked
+        view._held = self._held
         return view
 
     def check(self, summarize: Collection[str] = ()) -> None:
@@ -137,13 +168,36 @@ class TensorFiles:
     def anchor_rows(self, model_ids: list[str], idx) -> np.ndarray:
         """Rows ``idx`` of each model's tensor, as an (M, K, C) float32
         array in the given orders, checked and renormalized as
-        ``load_tensor`` would.  Each file is opened, its header, size and
-        dims checked again, and only those rows read (and the short gaps
-        between them, see ``_GAP_BYTES``).  A file that changed since
-        ``check`` raises MagicMismatch or ShapeMismatch (header, size or
-        short read), or InvariantViolation or RowSumOutOfTolerance (bad
-        rows)."""
+        ``load_tensor`` would.  ``idx`` may come in any order and repeat a
+        row.  Each file is opened, its header, size and dims checked again,
+        and only those rows read, in file order (and the short gaps between
+        them, see ``_GAP_BYTES``).  A file that changed since ``check``
+        raises MagicMismatch or ShapeMismatch (header, size or short read),
+        or InvariantViolation or RowSumOutOfTolerance (bad rows).  Rows
+        that ``hold`` keeps for all these models are taken from there."""
         idx = _anchor_index(idx, self.manifest.num_samples)
+        out = self._held.take(model_ids, idx)
+        if out is not None:
+            return out
+        rows, inverse = np.unique(idx, return_inverse=True)
+        out = self._read_rows_at(model_ids, rows)
+        return out if np.array_equal(rows, idx) else out[:, inverse]
+
+    def hold(self, model_ids: list[str], idx) -> None:
+        """Read rows ``idx`` of these models' tensors as ``anchor_rows``
+        does, each file once, and keep them for the ``anchor_rows`` calls
+        of this object and the views ``select`` made, in place of what was
+        held.  ``idx`` may come in any order and repeat a row."""
+        self.release()
+        idx = np.unique(_anchor_index(idx, self.manifest.num_samples))
+        self._held.set(idx, model_ids, self._read_rows_at(model_ids, idx))
+
+    def release(self) -> None:
+        """Free the rows ``hold`` keeps."""
+        self._held.clear()
+
+    def _read_rows_at(self, model_ids: list[str], idx: np.ndarray) -> np.ndarray:
+        """``anchor_rows`` for strictly increasing ``idx``."""
         c = self.manifest.num_classes
         out = np.empty((len(model_ids), idx.size, c), dtype=np.float32)
         if not idx.size:
@@ -247,6 +301,12 @@ class LoadedTensors(Mapping[str, PredictionTensor]):
     def anchor_rows(self, model_ids: list[str], idx) -> np.ndarray:
         idx = _anchor_index(idx, self.manifest.num_samples)
         return np.stack([self._tensors[mid].values[idx] for mid in model_ids])
+
+    def hold(self, model_ids: list[str], idx) -> None:
+        """Nothing to read: the rows are in memory."""
+
+    def release(self) -> None:
+        """Nothing is held."""
 
 
 def as_source(manifest: BenchmarkManifest,

@@ -222,7 +222,8 @@ class SharedSources:
 
     ``reports`` holds the report of each distinct pipeline ``run_pipeline``
     has run on it, keyed as by ``_pipeline_key``: the metrics and pairs
-    only, never the fitted model.
+    only, never the fitted model.  ``subsets`` holds the anchors
+    ``select_anchors`` picked, by (method, K, seed).
     """
 
     def __init__(self, manifest: BenchmarkManifest,
@@ -237,6 +238,7 @@ class SharedSources:
         self._scores = scores
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
         self.reports: dict[tuple, EvalReport] = {}
+        self.subsets: dict[tuple, AnchorSubset] = {}
 
     def check(self, manifest: BenchmarkManifest,
               tensors: TensorFiles | Mapping[str, PredictionTensor],
@@ -280,7 +282,16 @@ def select_anchors(shared: SharedSources, method: str, k: int,
     """The anchors that selector ``method`` picks from the shared source
     data; the score-ranking methods read only its score table, ``random``
     nothing.  ``stratified_topk`` ranks by ``pds_env``; best-for-validation
-    takes its library defaults (1000 candidates, a 0.8 training share)."""
+    takes its library defaults (1000 candidates, a 0.8 training share).
+    Each (method, K, seed) is selected once per SharedSources."""
+    key = (method, k, seed)
+    if key not in shared.subsets:
+        shared.subsets[key] = _pick_anchors(shared, method, k, seed)
+    return shared.subsets[key]
+
+
+def _pick_anchors(shared: SharedSources, method: str, k: int,
+                  seed: int) -> AnchorSubset:
     manifest = shared.manifest
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
@@ -485,21 +496,40 @@ def sweep_budgets(
 
     Scores, per-sample summaries and k-medoids distances depend on neither
     K nor seed, so one SharedSources computes each at most once per sweep;
-    the k-medoids data lives only as long as its config.
+    the k-medoids data lives only while its config selects.  Then, per
+    seed, the anchor rows of every budget's pipeline not run yet are read
+    at once, each file once, and held while those pipelines run: at most
+    the sum of the budgets in rows per model read.
     """
     if list(budgets) != sorted(budgets):
         raise InvalidConfig("budgets must be sorted ascending")
     shared = SharedSources(manifest, tensors, split.source_ids,
                            methods=[method for method, _ in configs])
-    reports = []
-    for method, pred_cfg in configs:
-        for k in budgets:
-            for seed in seeds:
-                reports.append(run_pipeline(manifest, tensors, split, method,
-                                            pred_cfg, k, seed, threads=threads,
-                                            shared=shared))
-        shared.drop_kmedoids()
-    return reports
+    # raise for a model with no accuracy before selecting, as run_pipeline does
+    known_accuracies(manifest, split.source_ids + split.target_ids)
+    reports = {}
+    for c, (method, pred_cfg) in enumerate(configs):
+        subsets = {(k, seed): select_anchors(shared, method, k, seed)
+                   for k in budgets for seed in seeds}
+        shared.drop_kmedoids()  # run_pipeline finds the anchors in shared.subsets
+        # the models whose anchor rows the config's pipelines read
+        readers = ((split.source_ids if pred_cfg.kind in TRAINED_KINDS else [])
+                   + split.target_ids)
+        for seed in seeds:
+            new = [subsets[k, seed].indices for k in budgets
+                   if _pipeline_key(split.target_ids, subsets[k, seed], pred_cfg,
+                                    seed) not in shared.reports]
+            try:
+                if new:
+                    shared.models.hold(readers, np.concatenate(new))
+                for k in budgets:
+                    reports[c, k, seed] = run_pipeline(manifest, tensors, split, method,
+                                                       pred_cfg, k, seed, threads=threads,
+                                                       shared=shared)
+            finally:
+                shared.models.release()
+    return [reports[c, k, seed] for c in range(len(configs))
+            for k in budgets for seed in seeds]
 
 
 # --- serialization -----------------------------------------------------------

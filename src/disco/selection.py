@@ -406,13 +406,11 @@ def select_best_for_validation(
     candidates: int = 1000,
     seed: int = 0,
     split_ratio: float = 0.8,
-    *,
-    bits: Mapping[str, np.ndarray] | None = None,
 ) -> AnchorSubset:
     """Pick, among random candidate subsets, the one whose subset accuracy
     best predicts full accuracy on held-out models (lowest RMSE; the first
     drawn wins ties).  Only the models' correctness bits are read, from
-    ``bits`` (by model id) when given, else from their summaries.
+    their summaries.
 
     Candidates are drawn one at a time, in a fixed order from the seed, and
     scored in blocks.
@@ -424,7 +422,7 @@ def select_best_for_validation(
         if acc is None:
             continue
         accs.append(acc)
-        bit_rows.append(source.summary(mid).bits if bits is None else bits[mid])
+        bit_rows.append(source.summary(mid).bits)
     m = len(accs)
     if m < 4:
         raise InsufficientModels(f"best-for-validation needs >= 4 models with "

@@ -16,37 +16,27 @@ import numpy as np
 from . import dten
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidConfig,
     LengthMismatch,
     RankDeficiencyWarning,
     TooFewModels,
 )
 from .selection import AnchorSubset
-from .store import PredictionTensor
 
 MODES = ("probs", "onehot", "correctness")
 DEFAULT_PCA_CAP = 256
 
 
-def build_signature(tensor: PredictionTensor | np.ndarray, subset: AnchorSubset,
-                    mode: str = "probs",
+def build_signature(rows: np.ndarray, subset: AnchorSubset, mode: str = "probs",
                     labels: Sequence[int] | None = None) -> np.ndarray:
     """Concatenate the model's outputs on the anchors, in subset order.
-    ``tensor`` is the model's tensor, or its rows at the anchors alone, as
-    ``TensorFiles.anchor_rows`` reads them."""
+    ``rows`` are its (K, C) rows at the anchors, as ``anchor_rows`` reads
+    them."""
     if mode not in MODES:
         raise InvalidConfig(f"unknown signature mode {mode!r}")
     idx = np.asarray(subset.indices)
-    if isinstance(tensor, PredictionTensor):
-        n = tensor.values.shape[0]
-        if idx.size and (idx[0] < 0 or idx[-1] >= n):
-            raise IndexOutOfRange(f"anchor index out of range for tensor with {n} rows")
-        rows = tensor.values[idx]
-    else:
-        rows = tensor
-        if rows.shape[0] != idx.size:
-            raise LengthMismatch(f"{rows.shape[0]} anchor rows for {idx.size} anchors")
+    if rows.shape[0] != idx.size:
+        raise LengthMismatch(f"{rows.shape[0]} anchor rows for {idx.size} anchors")
     rows = rows.astype(np.float64)
     if mode == "probs":
         return rows.reshape(-1)

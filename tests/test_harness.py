@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import datetime as dt
 import json
 from typing import Mapping
@@ -26,8 +27,10 @@ from disco.harness import (
     sweep_budgets,
     write_sweep_csv,
 )
+from disco.files import TensorFiles
 from disco.predictors import ForestConfig
-from disco.synth import SynthConfig, generate_population
+from disco.store import load_manifest
+from disco.synth import SynthConfig, generate_population, save_population
 
 from conftest import make_manifest
 
@@ -266,6 +269,45 @@ class TestRunPipeline:
         assert len(obj["pairs"]) == len(split.target_ids)
 
 
+@pytest.fixture(scope="module")
+def population_files(population, tmp_path_factory):
+    """The population's manifest read back from its files, and a factory of
+    fresh ``TensorFiles`` over all of its models."""
+    manifest, tensors = population
+    path = save_population(copy.copy(manifest), tensors,
+                           tmp_path_factory.mktemp("population"))
+    manifest = load_manifest(path)
+    return manifest, lambda: TensorFiles(manifest, [m.model_id for m in manifest.models])
+
+
+# Every selector and readout once, and each seed-free pipeline repeated
+# over seeds (a forest reads the seed, so it is not).
+SWEEP_CONFIGS = [("random", "linear"), ("topk_pds", "knn"), ("kmedoids_conf", "knn"),
+                 ("topk_jsd", "linear"), ("kmedoids_corr", "weighted_sum"),
+                 ("kmedoids_conf", "weighted_sum"), ("stratified_topk", "knn"),
+                 ("best_for_validation", "direct")]
+REPEATING_CONFIGS = [("topk_pds", "knn"), ("topk_jsd", "linear"), ("stratified_topk", "knn"),
+                     ("random", "linear"), ("kmedoids_conf", "weighted_sum"),
+                     ("topk_pds", "random_forest")]
+
+
+def assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp_path):
+    """A sweep over ``source()`` gives the bytes of one ``run_pipeline`` per
+    pipeline, each on a fresh ``source()``."""
+    split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+    configs = [(sel, PredictorConfig(kind=pred, forest=ForestConfig(n_trees=4)))
+               for sel, pred in configs]
+    budgets = [12, 40]
+    reports = sweep_budgets(manifest, source(), split, configs, budgets, seeds)
+    singles = [run_pipeline(manifest, source(), split, sel, pred, k, seed)
+               for sel, pred in configs for k in budgets for seed in seeds]
+    assert ([json.dumps(report_to_obj(r)) for r in reports]
+            == [json.dumps(report_to_obj(r)) for r in singles])
+    write_sweep_csv(reports, tmp_path / "sweep.csv")
+    write_sweep_csv(singles, tmp_path / "singles.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()
+
+
 class TestSweep:
     def test_single_cell_equals_run_pipeline(self, population):
         manifest, tensors = population
@@ -280,45 +322,24 @@ class TestSweep:
         # one SharedSources for the whole sweep, a fresh one per pipeline:
         # every selector and readout gives the same bytes either way
         manifest, tensors = population
-        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        configs = [(sel, PredictorConfig(kind=pred))
-                   for sel, pred in [
-                       ("random", "linear"), ("topk_pds", "knn"),
-                       ("kmedoids_conf", "knn"), ("topk_jsd", "linear"),
-                       ("kmedoids_corr", "weighted_sum"),
-                       ("kmedoids_conf", "weighted_sum"),
-                       ("stratified_topk", "knn"), ("best_for_validation", "direct")]]
-        budgets, seeds = [12, 40], [0, 3]
-        reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
-        singles = [run_pipeline(manifest, tensors, split, sel, pred, k, seed)
-                   for sel, pred in configs for k in budgets for seed in seeds]
-        assert ([json.dumps(report_to_obj(r)) for r in reports]
-                == [json.dumps(report_to_obj(r)) for r in singles])
-        write_sweep_csv(reports, tmp_path / "sweep.csv")
-        write_sweep_csv(singles, tmp_path / "singles.csv")
-        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()
+        assert_sweep_equals_separate_pipelines(manifest, lambda: tensors, SWEEP_CONFIGS,
+                                               [0, 3], tmp_path)
 
     def test_repeated_pipelines_equal_separate_pipelines(self, population, tmp_path):
         # seed-free selectors repeat their pipeline for every seed after the
         # first; the sweep copies those reports, a lone run computes each
         manifest, tensors = population
-        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        forest = ForestConfig(n_trees=4)
-        configs = [(sel, PredictorConfig(kind=pred, forest=forest))
-                   for sel, pred in [
-                       ("topk_pds", "knn"), ("topk_jsd", "linear"),
-                       ("stratified_topk", "knn"), ("random", "linear"),
-                       ("kmedoids_conf", "weighted_sum"),
-                       ("topk_pds", "random_forest")]]
-        budgets, seeds = [12, 40], [0, 1, 2]
-        reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
-        singles = [run_pipeline(manifest, tensors, split, sel, pred, k, seed)
-                   for sel, pred in configs for k in budgets for seed in seeds]
-        assert ([json.dumps(report_to_obj(r)) for r in reports]
-                == [json.dumps(report_to_obj(r)) for r in singles])
-        write_sweep_csv(reports, tmp_path / "sweep.csv")
-        write_sweep_csv(singles, tmp_path / "singles.csv")
-        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()
+        assert_sweep_equals_separate_pipelines(manifest, lambda: tensors,
+                                               REPEATING_CONFIGS, [0, 1, 2], tmp_path)
+
+    @pytest.mark.parametrize("configs, seeds", [(SWEEP_CONFIGS, [0, 3]),
+                                                (REPEATING_CONFIGS, [0, 1, 2])],
+                             ids=["every-selector", "repeating"])
+    def test_sweep_on_files_equals_separate_pipelines(self, population_files, configs,
+                                                      seeds, tmp_path):
+        # the sweep holds each seed's anchor rows, a lone run reads its own
+        manifest, source = population_files
+        assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp_path)
 
     def test_each_distinct_pipeline_fits_once(self, population, monkeypatch):
         import collections
@@ -348,6 +369,49 @@ class TestSweep:
         assert len(reports) == 4 * 2 * 3
         assert fits == {(sel, pred, k): n for (sel, pred), n in fits_per_k.items()
                         for k in budgets}
+
+    def test_sweep_reads_anchor_rows_once_per_seed(self, population_files, monkeypatch):
+        # per config and seed, the rows of every budget's new pipeline are
+        # read in one pass over the files; a pipeline already run reads none
+        from disco import files
+        reads = []
+        read_rows_at = files.TensorFiles._read_rows_at
+
+        def counting_read(self, model_ids, idx):
+            reads.append((len(model_ids), idx.size))
+            return read_rows_at(self, model_ids, idx)
+
+        monkeypatch.setattr(files.TensorFiles, "_read_rows_at", counting_read)
+        manifest, source = population_files
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        configs = [("random", PredictorConfig(kind="linear")),
+                   ("topk_pds", PredictorConfig(kind="knn")),
+                   ("random", PredictorConfig(kind="direct"))]
+        reports = sweep_budgets(manifest, source(), split, configs, [12, 40], [0, 1])
+        assert len(reports) == 3 * 2 * 2
+        everyone = len(split.source_ids) + len(split.target_ids)
+        targets = len(split.target_ids)
+        # random: seeds 0 and 1; topk_pds: seed 0 only, seed 1 repeats it;
+        # the readout reads the targets alone
+        assert [m for m, _ in reads] == [everyone] * 3 + [targets] * 2
+        assert all(40 <= k <= 52 for _, k in reads)
+
+    def test_sweep_selects_each_subset_once(self, population, monkeypatch):
+        from disco import harness
+        picks = []
+        select_kmedoids = harness.select_kmedoids
+
+        def counting_select(embeddings, k, seed, **kwargs):
+            picks.append((k, seed))
+            return select_kmedoids(embeddings, k, seed, **kwargs)
+
+        monkeypatch.setattr(harness, "select_kmedoids", counting_select)
+        manifest, tensors = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        configs = [("kmedoids_conf", PredictorConfig(kind="knn"))]
+        reports = sweep_budgets(manifest, tensors, split, configs, [12, 40], [0, 1])
+        assert len(reports) == 4
+        assert sorted(picks) == [(12, 0), (12, 1), (40, 0), (40, 1)]
 
     def test_reused_shared_sources_with_other_targets(self, population):
         manifest, tensors = population

@@ -536,11 +536,6 @@ def test_best_for_validation_equals_reference_loop(case):
     got = select_best_for_validation(tensors, man, k, candidates=candidates,
                                      seed=seed, split_ratio=split_ratio)
     assert got.indices.tolist() == want.tolist()
-    given_bits = {t.model_id: row for t, row in zip(tensors, bits)}
-    again = select_best_for_validation(tensors, man, k, candidates=candidates,
-                                       seed=seed, split_ratio=split_ratio,
-                                       bits=given_bits)
-    assert again.indices.tolist() == want.tolist()
 
 
 @settings(max_examples=200)

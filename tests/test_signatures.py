@@ -30,12 +30,12 @@ def subset_of(indices):
 class TestBuildSignature:
     def test_probs_concatenation(self):
         t = tensor_from_rows("m", [[0.3, 0.7]])
-        sig = build_signature(t, subset_of([0]), "probs")
+        sig = build_signature(t.values[[0]], subset_of([0]), "probs")
         assert np.allclose(sig, [0.3, 0.7], atol=1e-6)
 
     def test_onehot(self):
         t = tensor_from_rows("m", [[0.3, 0.7]])
-        sig = build_signature(t, subset_of([0]), "onehot")
+        sig = build_signature(t.values[[0]], subset_of([0]), "onehot")
         assert sig.tolist() == [0.0, 1.0]
 
     def test_correctness_mode_matches_store_oracle(self, rng):
@@ -45,7 +45,8 @@ class TestBuildSignature:
         raw /= raw.sum(axis=1, keepdims=True)
         t = tensor_from_rows("m", raw)
         idx = np.sort(rng.choice(20, size=7, replace=False))
-        sig = build_signature(t, subset_of(idx), "correctness", labels=labels)
+        sig = build_signature(t.values[idx], subset_of(idx), "correctness",
+                              labels=labels)
         oracle = correctness(t, man)[idx]
         assert sig.tolist() == oracle.astype(float).tolist()
 
@@ -53,7 +54,7 @@ class TestBuildSignature:
         raw = rng.random((10, 2)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
         t = tensor_from_rows("m", raw)
-        sig = build_signature(t, subset_of([2, 5, 9]), "probs")
+        sig = build_signature(t.values[[2, 5, 9]], subset_of([2, 5, 9]), "probs")
         expected = np.concatenate([t.values[2], t.values[5], t.values[9]])
         assert np.array_equal(sig, expected.astype(np.float64))
 
@@ -65,16 +66,15 @@ class TestBuildSignature:
         shuffled[[0, 1, 3]] = shuffled[[3, 0, 1]]  # permute non-anchor rows
         t2 = tensor_from_rows("m", shuffled)
         s = subset_of([2, 5, 9])
-        assert np.array_equal(build_signature(t1, s),
-                              build_signature(t2, s))
+        assert np.array_equal(build_signature(t1.values[s.indices], s),
+                              build_signature(t2.values[s.indices], s))
 
     def test_errors(self):
         t = tensor_from_rows("m", [[0.5, 0.5]])
-        from disco.errors import IndexOutOfRange
-        with pytest.raises(IndexOutOfRange):
-            build_signature(t, subset_of([3]), "probs")
+        with pytest.raises(LengthMismatch):
+            build_signature(t.values, subset_of([0, 3]), "probs")
         with pytest.raises(InvalidConfig):
-            build_signature(t, subset_of([0]), "correctness")
+            build_signature(t.values, subset_of([0]), "correctness")
 
 
 class TestPcaFit:

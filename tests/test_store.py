@@ -579,7 +579,10 @@ def clean_rows_except(raw, idx):
 @given(raw=corrupt_tensors(), data=st.data())
 def test_anchor_rows_equal_loaded_rows(raw, data):
     n, c = raw.shape
-    idx = np.asarray(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    # anchors as selectors give them (sorted, distinct), or in any order
+    # with repeats, as a library caller may pass them
+    drawn = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
+    idx = np.asarray(data.draw(st.sampled_from([sorted(set(drawn)), drawn])))
     gap = data.draw(st.sampled_from([0, 4 * c, disco.files._GAP_BYTES, 1 << 40]))
     # what loading the tensor would give at the anchors, or raise for them
     want = outcome(lambda a: adopt_reference("m", a)[idx], clean_rows_except(raw, idx))
@@ -614,6 +617,35 @@ def test_anchor_rows_name_the_first_model_at_fault(tmp_path):
         files.anchor_rows(["a"], [3, n])
     with pytest.raises(IndexOutOfRange):
         files.anchor_rows(["a"], [-1, 3])
+
+
+def test_held_rows_equal_rows_read(tmp_path):
+    rng = np.random.default_rng(10)
+    n, c = 40, 100
+    raws = {mid: still_moving_rows()[rng.integers(len(still_moving_rows()), size=n)]
+            for mid in ("a", "b", "c")}
+    man = write_population(tmp_path, raws, rng.integers(0, c, n))
+    files = TensorFiles(man, ["a", "b", "c"])
+    fresh = TensorFiles(man, ["a", "b", "c"])
+    asks = [(["a", "b"], [2, 5, 17, 31]), (["b"], [31, 2, 2]), ([], [5])]
+    wants = [fresh.anchor_rows(ids, idx) for ids, idx in asks]
+    files.hold(["b", "a"], [31, 2, 17, 2, 5])
+    view = files.select(["b", "a"])
+    with mock.patch.object(dten, "open_dten", side_effect=AssertionError("file read")):
+        for source in (files, view):
+            for (ids, idx), want in zip(asks, wants):
+                got = source.anchor_rows(ids, idx)
+                assert got.shape == want.shape == (len(ids), len(idx), c)
+                assert got.tobytes() == want.tobytes()
+    # a row or a model that is not held is read from its file
+    for ids, idx in ((["a"], [2, 3]), (["c"], [2])):
+        assert files.anchor_rows(ids, idx).tobytes() == fresh.anchor_rows(ids, idx).tobytes()
+    files.release()
+    with mock.patch.object(dten, "open_dten", side_effect=AssertionError("file read")):
+        with pytest.raises(AssertionError, match="file read"):
+            view.anchor_rows(["a"], [2])
+    with pytest.raises(IndexOutOfRange):
+        files.hold(["a"], [n])
 
 
 @pytest.mark.parametrize("summarize", [["b", "a"], []], ids=["in-check", "on-demand"])

@@ -249,9 +249,9 @@ def cmd_predict(args) -> int:
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "target")
 
-    targets = SharedSources(manifest, TensorFiles(manifest, ids), [])
     config = PredictorConfig(kind=model.kind, signature_mode=mode)
-    predictions = dict(zip(ids, predict_targets(targets, ids, subset, config, model)))
+    predictions = dict(zip(ids, predict_targets(manifest, TensorFiles(manifest, ids), ids,
+                                                subset, config, model)))
 
     out = _workpath(args, args.out)
     obj = {

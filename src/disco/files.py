@@ -1,23 +1,26 @@
 """Where pipelines read the models' outputs from, without a whole tensor.
 
-``TensorFiles`` reads a manifest's tensor files: one checked pass over each
-file whole, which can keep each model's per-sample summaries, then reads
-of the rows at the anchors (``anchor_rows``) or of sample blocks
-(``read_rows``, for scoring).  ``LoadedTensors`` gives tensors held in
+A source has three reads: blocks of samples of every model (``read_rows``,
+for scoring), each model's per-sample summaries, and its rows at the
+anchors (``anchor_rows``).  ``TensorFiles`` reads a manifest's tensor files:
+one checked pass over each file whole, which can keep the summaries, then
+reads of only the rows asked for.  ``LoadedTensors`` gives tensors held in
 memory the same reads.  Every row they return is checked and renormalized
-by ``store``'s ingest kernel, as loading the tensor would.
+by ``store``'s ingest kernel, as loading the tensor would.  A source
+iterates over its models in the order its reads stack them; ``as_source``
+turns what a caller passes into a source, and so decides that order.
 """
 
 from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from . import dten, store
-from .errors import IndexOutOfRange, ShapeMismatch
+from .errors import IndexOutOfRange, InvalidConfig, ShapeMismatch
 from .store import BenchmarkManifest, PredictionTensor, SampleSummary
 
 
@@ -32,13 +35,13 @@ def _anchor_index(idx, n: int) -> np.ndarray:
 # span at most this many bytes: a read call costs about as much as copying
 # that many bytes.
 _GAP_BYTES = 1 << 14
-# Anchor rows are checked and renormalized this many bytes at a time.  The
+# Rows read are checked and renormalized this many bytes at a time.  The
 # kernel's float64 copies then stay small and are reused: one call over 5000
 # rows of 100 classes took 10.5 ms, 128 KiB chunks 4.7 ms, and fit's peak
 # RSS stays where loading left it.  512 KiB chunks, as loading uses, were
 # 10-20 % faster on 5000-30000 rows, but raised predict's peak RSS on a
 # 100 x 5000 x 100 population from 38.5 to 39.3 MB.
-_ANCHOR_CHUNK_BYTES = 1 << 17
+_INGEST_BYTES = 1 << 17
 
 
 class _HeldRows:
@@ -69,12 +72,13 @@ class _HeldRows:
 
 class TensorFiles:
     """The tensors of ``model_ids``, read from their files, never loaded
-    whole; no file stays open between calls.
+    whole; no file stays open between calls.  Its reads stack the models in
+    sorted id order, whatever order they were given in.
 
-    ``check`` reads every file once, in id order, as loading them in that
-    order would, and keeps the per-sample summaries asked of it.  After it,
-    ``anchor_rows`` and ``read_rows`` read only the rows they return, and
-    check those and each file's header, size and dims again, so a file
+    ``check`` reads every file once, in the order given, as loading them in
+    that order would, and keeps the per-sample summaries asked of it.  After
+    it, ``anchor_rows`` and ``read_rows`` read only the rows they return,
+    and check those and each file's header, size and dims again, so a file
     that changed since raises too.  ``hold`` reads the rows that several
     ``anchor_rows`` calls will ask for at once, and keeps them.
     """
@@ -82,22 +86,20 @@ class TensorFiles:
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
         self.manifest = manifest
         self._ids = dict.fromkeys(model_ids)
+        self._order = sorted(self._ids)
         self._summaries: dict[str, SampleSummary] = {}
         self._checked = False
         self._held = _HeldRows()
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, model_id: object) -> bool:
-        return model_id in self._ids
-
     def select(self, model_ids: list[str]) -> "TensorFiles":
-        """The files of some of these models, in the given order, sharing
-        what this one has checked and summarized."""
+        """The files of some of these models, sharing what this one has
+        checked, summarized and holds."""
         for mid in model_ids:
             if mid not in self._ids:
                 raise KeyError(mid)
@@ -108,8 +110,8 @@ class TensorFiles:
         return view
 
     def check(self, summarize: Collection[str] = ()) -> None:
-        """Check every file whole, in id order, one chunk at a time, raising
-        what loading them would; on later calls, do nothing but summarize.
+        """Check every file whole, in the order given, one chunk at a time,
+        raising what loading them would; on later calls, only summarize.
         The models in ``summarize`` are also summarized (``summary``) in the
         same pass, from their rows renormalized as loading does."""
         if self._checked:
@@ -151,8 +153,7 @@ class TensorFiles:
 
     @functools.cached_property
     def _paths(self) -> dict[str, Path]:
-        """Each tensor's file path, in model-id order."""
-        return {mid: store._tensor_path(self.manifest, mid) for mid in sorted(self._ids)}
+        return {mid: store._tensor_path(self.manifest, mid) for mid in self._ids}
 
     def _open(self, model_id: str):
         """The model's file, open, its header, size and dims checked again."""
@@ -169,12 +170,8 @@ class TensorFiles:
         """Rows ``idx`` of each model's tensor, as an (M, K, C) float32
         array in the given orders, checked and renormalized as
         ``load_tensor`` would.  ``idx`` may come in any order and repeat a
-        row.  Each file is opened, its header, size and dims checked again,
-        and only those rows read, in file order (and the short gaps between
-        them, see ``_GAP_BYTES``).  A file that changed since ``check``
-        raises MagicMismatch or ShapeMismatch (header, size or short read),
-        or InvariantViolation or RowSumOutOfTolerance (bad rows).  Rows
-        that ``hold`` keeps for all these models are taken from there."""
+        row.  The rows are read as ``_read`` reads them, unless ``hold``
+        keeps them for all these models."""
         idx = _anchor_index(idx, self.manifest.num_samples)
         out = self._held.take(model_ids, idx)
         if out is not None:
@@ -198,13 +195,32 @@ class TensorFiles:
 
     def _read_rows_at(self, model_ids: list[str], idx: np.ndarray) -> np.ndarray:
         """``anchor_rows`` for strictly increasing ``idx``."""
-        c = self.manifest.num_classes
-        out = np.empty((len(model_ids), idx.size, c), dtype=np.float32)
+        out = np.empty((len(model_ids), idx.size, self.manifest.num_classes),
+                       dtype=np.float32)
+        self._read(model_ids, idx, out)
+        return out
+
+    def read_rows(self, lo: int, out: np.ndarray) -> None:
+        """Fill ``out``, a C-contiguous (M, b, C) float32 array, with rows
+        ``lo:lo + b`` of every tensor, read as ``_read`` reads them."""
+        self._read(self._order, np.arange(lo, lo + out.shape[1]), out)
+
+    def _read(self, model_ids: list[str], idx: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out``, a C-contiguous (M, K, C) float32 array, with rows
+        ``idx`` (strictly increasing) of each model's tensor, checked and
+        renormalized as ``load_tensor`` would.  Each file is opened, its
+        header, size and dims checked again, and only those rows read, in
+        file order (and the short gaps between them, see ``_GAP_BYTES``).
+        A file that changed since ``check`` raises MagicMismatch or
+        ShapeMismatch (header, size or short read), or InvariantViolation
+        or RowSumOutOfTolerance (bad rows), naming the first model at fault
+        in ``model_ids`` and its first row at fault."""
         if not idx.size:
-            return out
-        # Spans of rows to read: consecutive anchors, and anchors whose gap
-        # is short, share one.  With gaps, the spans are read one after
-        # another into ``spans`` and each anchor's row is taken from there.
+            return
+        c = self.manifest.num_classes
+        # Spans of rows to read: consecutive rows, and rows whose gap is
+        # short, share one.  With gaps, the spans are read one after
+        # another into ``spans`` and each row is taken from there.
         cut = np.flatnonzero((np.diff(idx) - 1) * (c * 4) > _GAP_BYTES) + 1
         first, last = np.r_[0, cut], np.r_[cut, idx.size] - 1
         span_row, span_size = idx[first], idx[last] + 1 - idx[first]
@@ -215,8 +231,6 @@ class TensorFiles:
             spans = np.empty((int(span_size.sum()), c), dtype=np.float32)
             take = idx - np.repeat(span_row - span_at, last + 1 - first)
         for j, mid in enumerate(model_ids):
-            if mid not in self._ids:
-                raise KeyError(mid)
             dest = out[j] if spans is None else spans
             with self._open(mid) as f:
                 for row, at, count in plan:
@@ -225,59 +239,62 @@ class TensorFiles:
                 np.take(spans, take, axis=0, out=out[j])
         rows = out.reshape(-1, c)
         faults = store._RowFaults()
-        step = max(1, _ANCHOR_CHUNK_BYTES // (4 * c))
+        step = max(1, _INGEST_BYTES // (4 * c))
         for lo in range(0, rows.shape[0], step):
             store._ingest_rows(rows[lo:lo + step], lo, faults)
-        if faults:  # name the first model at fault, and its row
+        if faults:  # check each model's runs of consecutive rows on their own
+            cut = np.flatnonzero(np.diff(idx) != 1) + 1
+            runs = list(zip(np.r_[0, cut].tolist(), np.r_[cut, idx.size].tolist()))
             for j, mid in enumerate(model_ids):
                 faults = store._RowFaults()
-                for i, row in enumerate(idx.tolist()):
-                    store._check_rows(out[j, i:i + 1], row, faults)
-                faults.raise_for(mid)
-        return out
-
-    def read_rows(self, lo: int, out: np.ndarray) -> None:
-        """Fill ``out``, a C-contiguous (M, b, C) float32 array, with rows
-        ``lo:lo + b`` of every tensor in model-id order, checked and
-        renormalized as ``load_tensor`` would.  Each file is opened, its
-        header, size and dims checked again, read and closed.  A file that
-        changed since ``check`` raises as for ``anchor_rows``."""
-        c = self.manifest.num_classes
-        for j, mid in enumerate(self._paths):
-            with self._open(mid) as f:
-                dten.read_into(f, out[j], dten.PAYLOAD_START + lo * c * 4)
-        faults = store._RowFaults()
-        store._ingest_rows(out.reshape(-1, c), 0, faults)
-        if faults:  # name the first model at fault
-            for j, mid in enumerate(self._paths):
-                faults = store._RowFaults()
-                store._ingest_rows(out[j], lo, faults)
+                for a, b in runs:
+                    store._check_rows(out[j, a:b], int(idx[a]), faults)
                 faults.raise_for(mid)
 
 
 class LoadedTensors(Mapping[str, PredictionTensor]):
-    """Tensors held in memory, with the reads of ``TensorFiles``, for
-    library callers; nothing is copied but the rows asked for."""
+    """Tensors held in memory, by model id, with the reads of
+    ``TensorFiles``, for library callers; nothing is copied but the rows
+    asked for, and no tensor is looked up before it is read.  Its reads
+    stack the models in the mapping's order, a ``select`` view's in sorted
+    id order.  Each read checks that the tensor has the manifest's shape
+    (ShapeMismatch), as loading checked the rest."""
 
     def __init__(self, manifest: BenchmarkManifest,
                  tensors: Mapping[str, PredictionTensor]):
         self.manifest = manifest
         self._tensors = tensors
+        self._ids = dict.fromkeys(tensors)
         self._summaries: dict[str, SampleSummary] = {}
 
     def __getitem__(self, model_id: str) -> PredictionTensor:
+        if model_id not in self._ids:
+            raise KeyError(model_id)
         return self._tensors[model_id]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._tensors)
+        return iter(self._ids)
 
     def __len__(self) -> int:
-        return len(self._tensors)
+        return len(self._ids)
 
     def select(self, model_ids: list[str]) -> "LoadedTensors":
-        view = LoadedTensors(self.manifest, {mid: self._tensors[mid] for mid in model_ids})
+        for mid in model_ids:
+            if mid not in self._ids:
+                raise KeyError(mid)
+        view = LoadedTensors(self.manifest, self._tensors)
+        view._ids = dict.fromkeys(sorted(model_ids))
         view._summaries = self._summaries
         return view
+
+    def _values(self, model_id: str) -> np.ndarray:
+        """The model's rows, checked to have the manifest's shape."""
+        t = self[model_id]
+        expected = (self.manifest.num_samples, self.manifest.num_classes)
+        if t.values.shape != expected:
+            raise ShapeMismatch(
+                f"tensor {t.model_id!r} has shape {t.values.shape}, expected {expected}")
+        return t.values
 
     def check(self, summarize: Collection[str] = ()) -> None:
         """Loading checked the tensors; only summarize."""
@@ -287,20 +304,21 @@ class LoadedTensors(Mapping[str, PredictionTensor]):
     def summary(self, model_id: str) -> SampleSummary:
         summary = self._summaries.get(model_id)
         if summary is None:
-            t = self._tensors[model_id]
-            n, c = self.manifest.num_samples, self.manifest.num_classes
-            if t.values.shape != (n, c):
-                raise ShapeMismatch(
-                    f"tensor {t.model_id!r} shape {t.values.shape} != ({n}, {c})")
+            values = self._values(model_id)
+            n = self.manifest.num_samples
             summary = SampleSummary(np.empty(n, np.uint8), np.empty(n, np.float64))
-            store._summary_rows(t.values, np.asarray(self.manifest.labels), summary, 0)
+            store._summary_rows(values, np.asarray(self.manifest.labels), summary, 0)
             summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
             self._summaries[model_id] = summary
         return summary
 
     def anchor_rows(self, model_ids: list[str], idx) -> np.ndarray:
         idx = _anchor_index(idx, self.manifest.num_samples)
-        return np.stack([self._tensors[mid].values[idx] for mid in model_ids])
+        return np.stack([self._values(mid)[idx] for mid in model_ids])
+
+    def read_rows(self, lo: int, out: np.ndarray) -> None:
+        for j, mid in enumerate(self._ids):
+            out[j] = self._values(mid)[lo:lo + out.shape[1]]
 
     def hold(self, model_ids: list[str], idx) -> None:
         """Nothing to read: the rows are in memory."""
@@ -309,14 +327,30 @@ class LoadedTensors(Mapping[str, PredictionTensor]):
         """Nothing is held."""
 
 
-def as_source(manifest: BenchmarkManifest,
-              tensors: TensorFiles | Mapping[str, PredictionTensor]
-              | Sequence[PredictionTensor]) -> TensorFiles | LoadedTensors:
-    """``tensors`` as a source of summaries and anchor rows: tensor files
-    as they are, loaded tensors (a mapping by model id, or a sequence)
-    behind ``LoadedTensors``."""
+# What ``as_source`` takes: a source, or loaded tensors by model id or in a
+# sequence.
+Tensors = Union[TensorFiles, Mapping[str, PredictionTensor], Sequence[PredictionTensor]]
+
+
+def as_source(manifest: BenchmarkManifest, tensors: Tensors) -> TensorFiles | LoadedTensors:
+    """``tensors`` as a source of ``manifest``'s models: a source as it is;
+    loaded tensors behind ``LoadedTensors``, read in their order from a
+    sequence and, as by every ``select`` view, in sorted model-id order
+    from a mapping.  ShapeMismatch unless the source's manifest has this
+    one's samples and classes; InvalidConfig if a sequence holds a model
+    twice."""
     if isinstance(tensors, (TensorFiles, LoadedTensors)):
-        return tensors
-    if not isinstance(tensors, Mapping):
-        tensors = {t.model_id: t for t in tensors}
-    return LoadedTensors(manifest, tensors)
+        source = tensors
+    elif isinstance(tensors, Mapping):
+        source = LoadedTensors(manifest, tensors).select(list(tensors))
+    else:
+        tensors = list(tensors)
+        by_id = {t.model_id: t for t in tensors}
+        if len(by_id) != len(tensors):
+            raise InvalidConfig("loaded tensors hold a model more than once")
+        source = LoadedTensors(manifest, by_id)
+    got = (source.manifest.num_samples, source.manifest.num_classes)
+    expected = (manifest.num_samples, manifest.num_classes)
+    if got != expected:
+        raise ShapeMismatch(f"the tensors' manifest has shape {got}, expected {expected}")
+    return source

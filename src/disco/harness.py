@@ -27,7 +27,7 @@ from .errors import (
     TooFewModels,
     ZeroVariance,
 )
-from .files import TensorFiles, as_source
+from .files import Tensors, as_source
 from .predictors import (
     KINDS,
     TRAINED_KINDS,
@@ -52,7 +52,7 @@ from .selection import (
     select_topk,
 )
 from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
-from .store import BenchmarkManifest, PredictionTensor, accuracy, anchor_correctness
+from .store import BenchmarkManifest, accuracy, anchor_correctness
 
 
 # --- model splits ------------------------------------------------------------
@@ -160,6 +160,9 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise LengthMismatch(f"{a.size} vs {b.size} values")
     if a.size < 2:
         raise LengthMismatch("correlation needs at least 2 points")
+    # centred, a repeated value need not come out exactly zero
+    if (a == a[0]).all() or (b == b[0]).all():
+        raise ZeroVariance("correlation undefined for a constant input")
     a = a - a.mean()
     b = b - b.mean()
     denom = math.sqrt(float((a * a).sum()) * float((b * b).sum()))
@@ -205,11 +208,11 @@ class SharedSources:
     whatever their K or seed, each part built on first use.
 
     ``tensors`` holds every model the pipelines read, sources and targets:
-    tensor files, or loaded tensors by model id.  Building a SharedSources
-    checks every tensor file whole, in order, as loading them would.  In
-    that same pass it keeps the sources' per-sample summaries (correctness
-    bits and label-class probabilities) when one of ``methods``, the
-    selectors it will serve, reads them.  After that no tensor is read
+    tensor files, or loaded tensors (see ``files.as_source``).  Building a
+    SharedSources checks every tensor file whole, in order, as loading them
+    would.  In that same pass it keeps the sources' per-sample summaries
+    (correctness bits and label-class probabilities) when one of
+    ``methods``, the selectors it will serve, reads them.  After that no tensor is read
     whole: the pipelines read the score table's sample blocks and each
     model's anchor rows.
 
@@ -226,8 +229,7 @@ class SharedSources:
     ``select_anchors`` picked, by (method, K, seed).
     """
 
-    def __init__(self, manifest: BenchmarkManifest,
-                 tensors: TensorFiles | Mapping[str, PredictionTensor],
+    def __init__(self, manifest: BenchmarkManifest, tensors: Tensors,
                  source_ids: list[str], *, scores: ScoreTable | None = None,
                  methods: Collection[str] = METHODS):
         self.manifest = manifest
@@ -240,8 +242,7 @@ class SharedSources:
         self.reports: dict[tuple, EvalReport] = {}
         self.subsets: dict[tuple, AnchorSubset] = {}
 
-    def check(self, manifest: BenchmarkManifest,
-              tensors: TensorFiles | Mapping[str, PredictionTensor],
+    def check(self, manifest: BenchmarkManifest, tensors: Tensors,
               source_ids: list[str]) -> None:
         """Raise InvalidConfig unless built from this manifest, these
         tensors and source models."""
@@ -311,7 +312,7 @@ def _pick_anchors(shared: SharedSources, method: str, k: int,
 
 def fit_predictor(
     manifest: BenchmarkManifest,
-    source_tensors: TensorFiles | Mapping[str, PredictionTensor],
+    source_tensors: Tensors,
     source_accuracies: Mapping[str, float],
     subset: AnchorSubset,
     predictor: PredictorConfig,
@@ -319,21 +320,21 @@ def fit_predictor(
     threads: int = 1,
 ) -> PredictorModel | None:
     """The projection and predictor fitted on the source models' signatures,
-    stacked in sorted model-id order; None for the accuracy readouts
-    (direct, weighted_sum).  Unchecked tensor files are checked whole
-    first, in that order; then only each source's anchor rows are read.
+    stacked in the order their source reads them (sorted model-id order for
+    tensor files and a mapping, see ``files.as_source``); None for the
+    accuracy readouts (direct, weighted_sum).  Unchecked tensor files are
+    checked whole first; then only each source's anchor rows are read.
     """
     if predictor.kind not in KINDS:
         raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
     if predictor.kind not in TRAINED_KINDS:
         return None
-    if len(source_tensors) < 2:
+    sources = as_source(manifest, source_tensors)
+    if len(sources) < 2:
         raise TooFewModels(f"fitting needs at least 2 source models, "
-                           f"got {len(source_tensors)}")
-
-    ids = sorted(source_tensors)
-    sources = as_source(manifest, source_tensors).select(ids)
+                           f"got {len(sources)}")
     sources.check()
+    ids = list(sources)
     matrix = np.stack([build_signature(rows, subset, predictor.signature_mode,
                                        labels=manifest.labels)
                        for rows in sources.anchor_rows(ids, subset.indices)])
@@ -351,8 +352,7 @@ def fit_predictor(
                  threads=threads)
 
 
-def _select(manifest: BenchmarkManifest,
-            tensors: TensorFiles | Mapping[str, PredictionTensor],
+def _select(manifest: BenchmarkManifest, tensors: Tensors,
             source_ids: list[str], method: str, k: int, seed: int,
             shared: SharedSources | None) -> tuple[AnchorSubset, SharedSources]:
     """The anchors, and the SharedSources the pipeline goes on with: ``shared``
@@ -370,7 +370,7 @@ def _select(manifest: BenchmarkManifest,
 
 def condense_and_train(
     manifest: BenchmarkManifest,
-    source_tensors: TensorFiles | Mapping[str, PredictionTensor],
+    source_tensors: Tensors,
     source_accuracies: Mapping[str, float],
     method: str,
     predictor: PredictorConfig,
@@ -386,21 +386,26 @@ def condense_and_train(
                                  subset, predictor, seed, threads=threads)
 
 
-def predict_targets(shared: SharedSources, target_ids: list[str], subset: AnchorSubset,
+def predict_targets(manifest: BenchmarkManifest, tensors: Tensors,
+                    target_ids: list[str], subset: AnchorSubset,
                     predictor: PredictorConfig, model: PredictorModel | None
                     ) -> list[float]:
-    """Each target model's estimated accuracy, from its anchor rows: for
-    the accuracy readouts, from its correctness bits on the anchors, else
-    ``model``'s prediction from its signature."""
+    """Each target model's estimated accuracy, in the order of
+    ``target_ids``, from its anchor rows: for the accuracy readouts, from
+    its correctness bits on the anchors, else ``model``'s prediction from
+    its signature.  ``tensors`` holds at least the targets; unchecked
+    tensor files are checked whole first."""
+    targets = as_source(manifest, tensors)
+    targets.check()
     estimates = []
-    for rows in shared.models.anchor_rows(target_ids, subset.indices):
+    for rows in targets.anchor_rows(target_ids, subset.indices):
         if predictor.kind not in TRAINED_KINDS:
-            bits = anchor_correctness(rows, shared.manifest, subset.indices)
+            bits = anchor_correctness(rows, manifest, subset.indices)
             estimates.append(predict_weighted_sum(subset, bits)
                              if predictor.kind == "weighted_sum" else accuracy(bits))
         else:
             estimates.append(predict(model, build_signature(
-                rows, subset, predictor.signature_mode, labels=shared.manifest.labels)))
+                rows, subset, predictor.signature_mode, labels=manifest.labels)))
     return estimates
 
 
@@ -433,7 +438,8 @@ def _estimate(shared: SharedSources, split: ModelSplit,
     The fitted model lives only as long as this call."""
     model = fit_predictor(shared.manifest, shared.sources, accuracies, subset,
                           predictor, seed, threads=threads)
-    estimates = predict_targets(shared, split.target_ids, subset, predictor, model)
+    estimates = predict_targets(shared.manifest, shared.models, split.target_ids, subset,
+                                predictor, model)
     pairs = [(tid, accuracies[tid], est) for tid, est in zip(split.target_ids, estimates)]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])
@@ -450,7 +456,7 @@ def _estimate(shared: SharedSources, split: ModelSplit,
 
 def run_pipeline(
     manifest: BenchmarkManifest,
-    tensors: TensorFiles | Mapping[str, PredictionTensor],
+    tensors: Tensors,
     split: ModelSplit,
     method: str,
     predictor: PredictorConfig,
@@ -484,7 +490,7 @@ def run_pipeline(
 
 def sweep_budgets(
     manifest: BenchmarkManifest,
-    tensors: TensorFiles | Mapping[str, PredictionTensor],
+    tensors: Tensors,
     split: ModelSplit,
     configs: list[tuple[str, PredictorConfig]],
     budgets: list[int],

@@ -122,7 +122,11 @@ def _best_split(xt: np.ndarray, y: np.ndarray, order: np.ndarray, feats: np.ndar
     j, i = divmod(int(cost.argmin()), hi - lo)
     if not np.isfinite(cost[j, i]):
         return None
-    return int(feats[j]), float(0.5 * (xs[j, lo + i] + xs[j, lo + i + 1]))
+    a, b = float(xs[j, lo + i]), float(xs[j, lo + i + 1])
+    t = 0.5 * (a + b)
+    # between adjacent doubles the midpoint rounds to one of them; rounded
+    # up, ``x <= t`` would send every row left
+    return int(feats[j]), a if t == b else t
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
@@ -323,42 +327,52 @@ def train(kind: str, features: np.ndarray, performances: Sequence[float], *,
 def _features_for(model: PredictorModel, signature: np.ndarray) -> np.ndarray:
     z = np.asarray(signature, dtype=np.float64).ravel()
     if model.projection is not None:
-        return pca_transform(model.projection, z)
+        z = pca_transform(model.projection, z)
+    if not np.isfinite(z).all():
+        raise InvariantViolation("projected features are not finite")
     return z
 
 
 def predict(model: PredictorModel, signature: np.ndarray) -> float:
-    """Predicted full-benchmark performance for one signature, in [0, 1]."""
-    if model.kind == "knn":
-        if model.knn_vectors is None:
-            raise EmptyModel("knn payload missing")
-        z = _features_for(model, signature)
-        if z.size != model.knn_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"feature length {z.size} != stored {model.knn_vectors.shape[1]}")
-        d2 = ((model.knn_vectors - z) ** 2).sum(axis=1)
-        order = np.lexsort((np.arange(d2.size), d2))  # distance, then stored index
-        value = float(model.knn_performances[order[:model.k_neighbors]].mean())
-    elif model.kind == "linear":
-        if model.linear_weights is None:
-            raise EmptyModel("linear payload missing")
-        z = _features_for(model, signature)
-        if z.size != model.linear_weights.size:
-            raise DimensionMismatch(
-                f"feature length {z.size} != weights {model.linear_weights.size}")
-        value = float(z @ model.linear_weights + model.linear_intercept)
-    elif model.kind == "random_forest":
-        walk = model.forest_walk
-        if walk is None:
-            raise EmptyModel("forest payload missing")
-        z = _features_for(model, signature)
-        if z.size < walk.n_features:
-            raise DimensionMismatch(
-                f"feature length {z.size} but the forest splits on feature "
-                f"{walk.n_features - 1}")
-        value = float(np.mean(walk.leaf_values(z)))
-    else:
-        raise InvalidConfig(f"predict does not handle kind {model.kind!r}")
+    """Predicted full-benchmark performance for one signature, in [0, 1].
+    InvariantViolation where the projected features, a knn distance or the
+    linear score are not finite, as a bundle's huge stored values make them."""
+    # overflow is caught by the checks, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.kind == "knn":
+            if model.knn_vectors is None:
+                raise EmptyModel("knn payload missing")
+            z = _features_for(model, signature)
+            if z.size != model.knn_vectors.shape[1]:
+                raise DimensionMismatch(
+                    f"feature length {z.size} != stored {model.knn_vectors.shape[1]}")
+            d2 = ((model.knn_vectors - z) ** 2).sum(axis=1)
+            if not np.isfinite(d2).all():
+                raise InvariantViolation("knn distance is not finite")
+            order = np.lexsort((np.arange(d2.size), d2))  # distance, then stored index
+            value = float(model.knn_performances[order[:model.k_neighbors]].mean())
+        elif model.kind == "linear":
+            if model.linear_weights is None:
+                raise EmptyModel("linear payload missing")
+            z = _features_for(model, signature)
+            if z.size != model.linear_weights.size:
+                raise DimensionMismatch(
+                    f"feature length {z.size} != weights {model.linear_weights.size}")
+            value = float(z @ model.linear_weights + model.linear_intercept)
+            if not np.isfinite(value):
+                raise InvariantViolation("linear score is not finite")
+        elif model.kind == "random_forest":
+            walk = model.forest_walk
+            if walk is None:
+                raise EmptyModel("forest payload missing")
+            z = _features_for(model, signature)
+            if z.size < walk.n_features:
+                raise DimensionMismatch(
+                    f"feature length {z.size} but the forest splits on feature "
+                    f"{walk.n_features - 1}")
+            value = float(np.mean(walk.leaf_values(z)))
+        else:
+            raise InvalidConfig(f"predict does not handle kind {model.kind!r}")
     return float(np.clip(value, 0.0, 1.0))
 
 

@@ -20,19 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDistribution,
-    LengthMismatch,
-    NonZeroSum,
-    ShapeMismatch,
-    TooFewModels,
-)
-from .files import TensorFiles
-from .store import BenchmarkManifest, PredictionTensor
+from .errors import InvalidDistribution, LengthMismatch, NonZeroSum, TooFewModels
+from .files import Tensors, as_source
+from .store import BenchmarkManifest
 
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
@@ -221,43 +215,17 @@ class ScoreTable:
         return getattr(self, name)
 
 
-def score_dataset(
-    manifest: BenchmarkManifest,
-    tensors: Sequence[PredictionTensor] | Mapping[str, PredictionTensor],
-) -> ScoreTable:
-    """Score every sample of the benchmark across the given model pool.
-
-    Given a ``TensorFiles``, the files are checked whole (unless that
-    ``TensorFiles`` has already checked them) and then read one block of
-    samples at a time, so no tensor is ever held whole.
-    """
-    if isinstance(tensors, TensorFiles):
-        tensors.check()  # raises what loading would
-        _require_pool(len(tensors))
-        got = (tensors.manifest.num_samples, tensors.manifest.num_classes)
-        if got != (manifest.num_samples, manifest.num_classes):
-            raise ShapeMismatch(f"tensor files have shape {got}, expected "
-                                f"{(manifest.num_samples, manifest.num_classes)}")
-        return _score_rows(manifest, len(tensors), tensors.read_rows)
-    if isinstance(tensors, Mapping):
-        pool = [tensors[k] for k in sorted(tensors)]
-    else:
-        pool = list(tensors)
-    _require_pool(len(pool))
-    expected = (manifest.num_samples, manifest.num_classes)
-    for t in pool:
-        if t.values.shape != expected:
-            raise ShapeMismatch(
-                f"tensor {t.model_id!r} has shape {t.values.shape}, expected {expected}")
-    def gather(lo: int, out: np.ndarray) -> None:
-        np.stack([t.values[lo:lo + out.shape[1]] for t in pool], out=out)
-
-    return _score_rows(manifest, len(pool), gather)
-
-
-def _require_pool(m: int) -> None:
-    if m < 2:
-        raise TooFewModels(f"scoring needs at least 2 models, got {m}")
+def score_dataset(manifest: BenchmarkManifest, tensors: Tensors) -> ScoreTable:
+    """Score every sample of the benchmark across the given model pool,
+    stacking the models in the order their source reads them (see
+    ``files.as_source``).  Tensor files are checked whole first, unless
+    already checked, and then read one block of samples at a time, so no
+    tensor is ever held whole."""
+    source = as_source(manifest, tensors)
+    source.check()  # raises what loading would
+    if len(source) < 2:
+        raise TooFewModels(f"scoring needs at least 2 models, got {len(source)}")
+    return _score_rows(manifest, len(source), source.read_rows)
 
 
 def _score_rows(manifest: BenchmarkManifest, m: int,

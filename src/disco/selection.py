@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -21,20 +21,15 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
-from .files import LoadedTensors, TensorFiles, as_source
+from .files import Tensors, as_source
 from .scoring import ScoreTable
-from .store import BenchmarkManifest, PredictionTensor, read_json_object
+from .store import BenchmarkManifest, read_json_object
 
 # The selectors that rank the source models' score table, those that read
 # their per-sample summaries, and all selectors.
 SCORE_METHODS = ("topk_pds", "topk_jsd", "stratified_topk")
 SUMMARY_METHODS = ("kmedoids_conf", "kmedoids_corr", "best_for_validation")
 METHODS = ("random",) + SCORE_METHODS + SUMMARY_METHODS
-
-# Where the model-reading selectors take their models from: tensor files,
-# or loaded tensors by model id or in a sequence (see ``files.as_source``).
-Source = Union[TensorFiles, LoadedTensors]
-Sources = Union[Source, Mapping[str, PredictionTensor], Sequence[PredictionTensor]]
 
 
 @dataclass
@@ -127,25 +122,18 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
                         criterion=criterion)
 
 
-def _pool(tensors: Sources, manifest: BenchmarkManifest) -> tuple[Source, list[str]]:
-    """The models as a source of summaries, and their ids: in sequence
-    order for a sequence of tensors, else sorted."""
-    ids = ([t.model_id for t in tensors] if isinstance(tensors, Sequence)
-           else sorted(tensors))
-    return as_source(manifest, tensors), ids
-
-
-def build_embeddings(tensors: Sources, manifest: BenchmarkManifest,
+def build_embeddings(tensors: Tensors, manifest: BenchmarkManifest,
                      kind: str) -> np.ndarray:
     """Per-sample embedding across models: ground-truth-class probability
-    (``conf``) or correctness bit (``corr``).  Shape (N, M).  Only the
+    (``conf``) or correctness bit (``corr``).  Shape (N, M), the models in
+    the order their source reads them (see ``files.as_source``).  Only the
     models' per-sample summaries are read."""
-    source, ids = _pool(tensors, manifest)
-    if not ids:
+    source = as_source(manifest, tensors)
+    if not len(source):
         raise InsufficientModels("embeddings need at least one model")
     if kind not in ("conf", "corr"):
         raise SchemaError(f"unknown embedding kind {kind!r}")
-    summaries = [source.summary(mid) for mid in ids]
+    summaries = [source.summary(mid) for mid in source]
     if kind == "conf":
         return np.column_stack([s.label_probs for s in summaries])
     return np.column_stack([s.bits.astype(np.float64) for s in summaries])
@@ -400,7 +388,7 @@ def _validation_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
 
 
 def select_best_for_validation(
-    tensors: Sources,
+    tensors: Tensors,
     manifest: BenchmarkManifest,
     k: int,
     candidates: int = 1000,
@@ -415,9 +403,9 @@ def select_best_for_validation(
     Candidates are drawn one at a time, in a fixed order from the seed, and
     scored in blocks.
     """
-    source, ids = _pool(tensors, manifest)
+    source = as_source(manifest, tensors)
     accs, bit_rows = [], []
-    for mid in ids:
+    for mid in source:
         acc = manifest.model(mid).true_accuracy
         if acc is None:
             continue

@@ -441,6 +441,22 @@ class TestPipelineCommands:
         assert "SchemaError" in proc.stderr
 
 
+    def test_knn_bundle_with_a_huge_value_exits_2(self, artifacts, tmp_path):
+        # a finite stored value whose squared distance overflows
+        from disco.dten import read_bundle, write_bundle
+        work, manifest = artifacts
+        header, arrays = read_bundle(work / "model.bin")
+        arrays["knn_vectors"][0, 0] = 1e300
+        model = tmp_path / "knn.bin"
+        write_bundle(model, header, arrays)
+        proc = run_cli_process("predict", "--manifest", manifest, "--model", model,
+                               "--subset", work / "subset.json", "--cutoff", "median",
+                               "--out", tmp_path / "p.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "InvariantViolation: knn distance is not finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("mode", [None, "bogus", 3, ["probs"]],
                              ids=["missing", "unknown", "int", "list"])
     def test_bundle_without_valid_mode_exits_1(self, artifacts, tmp_path, mode):
@@ -885,6 +901,17 @@ def test_sweep_survives_an_undefined_pipeline(reversed_manifest, tmp_path):
         assert code == 0
         obj = json.loads(report.read_text())
         assert f[5:] == [f"{obj[key]:.9g}" for key in ("mae_pp", "spearman", "pearson")]
+
+
+def test_constant_estimates_read_nan_for_both_correlations(reversed_manifest, tmp_path):
+    # every target gets the same estimate here (see above): Pearson is as
+    # undefined as Spearman
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--manifest", reversed_manifest, "--configs",
+                   "kmedoids_conf:weighted_sum", "--budgets", 10, "--seeds", 0,
+                   "--cutoff", "median", "--out", out) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[6:] == ["nan", "nan"]
 
 
 def test_undefined_correlation_is_none_in_the_report(reversed_manifest):

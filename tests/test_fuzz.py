@@ -1,7 +1,7 @@
-"""Hostile inputs: one tensor, subset or predictor bundle file is truncated,
-bit-flipped or spliced, and the CLI command that reads it must end with a
-documented exit code (0 ok, 1 schema, 2 invariant, 3 I/O), without a
-traceback and within a time bound."""
+"""Hostile inputs: one manifest, tensor, score table, subset or predictor
+bundle file is truncated, bit-flipped or spliced, and the CLI command that
+reads it must end with a documented exit code (0 ok, 1 schema, 2 invariant,
+3 I/O), without a traceback and within a time bound."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from disco.cli import main
 from disco.harness import ChronologicalSplit, median_date_cutoff, split_models
-from disco.selection import SUMMARY_METHODS
+from disco.selection import SCORE_METHODS, SUMMARY_METHODS
 from disco.store import load_manifest
 
 CASE_SECONDS = 10.0
@@ -56,7 +56,9 @@ def commands(kind: str, command: str, bundle: str, method: str) -> list[str]:
     argv = {
         "evaluate": ["evaluate", "--selection", "topk_pds", "--predictor", "knn",
                      "--k", K, "--cutoff", "median"],
-        "select": ["select", "--method", method, "--k", K, "--cutoff", "median"],
+        "score": ["score", "--cutoff", "median"],
+        "select": ["select", "--method", method, "--k", K, "--cutoff", "median"]
+        + (["--scores", "scores.csv"] if method in SCORE_METHODS else []),
         "fit": ["fit", "--subset", "subset.json", "--predictor", "knn",
                 "--cutoff", "median"],
         "predict": ["predict", "--model", bundle, "--subset", "subset.json",
@@ -68,7 +70,9 @@ def commands(kind: str, command: str, bundle: str, method: str) -> list[str]:
 # (kind of file mutated, command that reads it)
 TARGETS = [("tensor", "evaluate"), ("tensor", "select"), ("tensor", "fit"),
            ("tensor", "predict"), ("subset", "fit"), ("subset", "predict"),
-           ("bundle", "predict")]
+           ("bundle", "predict"), ("manifest", "score"), ("manifest", "select"),
+           ("manifest", "evaluate"), ("scores", "select")]
+FILES = {"manifest": "manifest.json", "scores": "scores.csv", "subset": "subset.json"}
 
 
 @st.composite
@@ -134,13 +138,15 @@ def test_mutated_input_ends_with_a_documented_exit(population, data):
     root, sources, targets = population
     kind, command = data.draw(st.sampled_from(TARGETS), label="target")
     bundle = data.draw(st.sampled_from(["knn.dpak", "forest.dpak"]), label="bundle")
-    method = data.draw(st.sampled_from(SUMMARY_METHODS), label="method")
+    # select reads the score table with a score-ranking method, else the tensors
+    method = ("topk_pds" if kind == "scores"
+              else data.draw(st.sampled_from(SUMMARY_METHODS), label="method"))
     if kind == "tensor":
         readers = {"evaluate": sources + targets, "predict": targets}.get(command, sources)
         model_id = data.draw(st.sampled_from(readers), label="model")
         name = str(Path("tensors") / f"{model_id}.dten")
     else:
-        name = "subset.json" if kind == "subset" else bundle
+        name = FILES.get(kind, bundle)
     blob = (root / name).read_bytes()
     mutate = data.draw(mutations(len(blob)), label="mutation")
     with tempfile.TemporaryDirectory() as tmp:

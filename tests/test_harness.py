@@ -164,6 +164,14 @@ class TestPearson:
         with pytest.raises(ZeroVariance):
             pearson([0.5, 0.5], [0.1, 0.2])
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 0.93])
+    def test_repeated_value_is_constant(self, value):
+        # centred, these repeated values do not all come out exactly zero
+        x = np.arange(7.0)
+        for args in ((x, [value] * 7), ([value] * 7, x)):
+            with pytest.raises(ZeroVariance):
+                pearson(*args)
+
 
 class RecordingTensors(Mapping):
     def __init__(self, inner):

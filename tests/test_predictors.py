@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from disco.errors import (
     DimensionMismatch,
     EmptyModel,
     InvalidConfig,
+    InvariantViolation,
     MissingWeights,
     TooFewModels,
 )
@@ -22,7 +25,7 @@ from disco.predictors import (
     train,
 )
 from disco.selection import AnchorSubset, build_embeddings, select_kmedoids
-from disco.signatures import pca_fit
+from disco.signatures import pca_fit, pca_transform
 from disco.store import PredictionTensor, accuracy, correctness
 
 from conftest import make_manifest
@@ -123,6 +126,23 @@ class TestForest:
                         node = int(t.right[node])
                 votes.append(t.value[node])
             assert abs(predict(model, q) - np.clip(np.mean(votes), 0, 1)) < 1e-12
+
+    def test_split_between_adjacent_doubles(self):
+        # the midpoint of a and the next double up rounds up to it: a cut
+        # there sent every row left, and growth recursed without end
+        a = 0.13387878
+        b = np.nextafter(a, 2)
+        assert 0.5 * (a + b) == b
+        x = np.array([[a], [b], [a], [b], [a], [b]])
+        y = np.array([0.1, 0.7, 0.2, 0.8, 0.3, 0.9])
+        cfg = ForestConfig(n_trees=1, min_leaf=1, bootstrap=False)
+        model = train("random_forest", x, y, forest=cfg, seed=0)
+        tree = model.trees[0]
+        assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == a
+        assert predict(model, np.array([a])) == pytest.approx(0.2)
+        assert predict(model, np.array([b])) == pytest.approx(0.8)
+        want = _ref_fit_one_tree(x, y, cfg, 0, 0)
+        assert np.array_equal(tree.threshold, want.threshold)
 
     def test_training_mse_not_worse_than_mean(self, rng):
         x = rng.standard_normal((30, 5))
@@ -226,7 +246,8 @@ def _ref_best_split(x: np.ndarray, y: np.ndarray, feats: np.ndarray,
         i = int(cost[:, j].argmin())
         c = float(cost[i, j])
         if np.isfinite(c) and (best is None or c < best[0]):
-            best = (c, int(feats[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])))
+            t = float(0.5 * (xs[i, j] + xs[i + 1, j]))
+            best = (c, int(feats[j]), float(xs[i, j]) if t == xs[i + 1, j] else t)
     if best is None:
         return None
     return best[1], best[2]
@@ -528,6 +549,27 @@ class TestForestWalk:
         model = train("random_forest", x, rng.random(12), forest=ForestConfig(n_trees=3))
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros(max(t.feature.max() for t in model.trees)))
+
+
+@pytest.mark.parametrize("kind", ["knn", "linear", "projection"])
+def test_non_finite_prediction_raises(rng, kind):
+    x = rng.standard_normal((6, 3))
+    y = rng.random(6)
+    z = np.full(3, 10.0)
+    if kind == "knn":
+        model = train("knn", x, y, k_neighbors=2)
+        model.knn_vectors[0, 0] = 1e300         # its squared distance overflows
+    elif kind == "linear":
+        model = train("linear", x, y)
+        model.linear_weights[:] = 1e308
+    else:
+        projection = pca_fit(x, 2)
+        model = train("knn", pca_transform(projection, x), y, projection=projection)
+        model.projection.components[:] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="not finite"):
+            predict(model, z)
 
 
 def test_predict_dimension_mismatch(rng):

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disco import dten, scoring
-from disco.errors import InvalidDistribution, LengthMismatch, NonZeroSum, TooFewModels
+from disco.errors import (
+    InvalidConfig,
+    InvalidDistribution,
+    LengthMismatch,
+    NonZeroSum,
+    ShapeMismatch,
+    TooFewModels,
+)
 from disco.scoring import (
     CSV_HEADER,
     balance_identity_check,
@@ -494,3 +501,15 @@ def test_streamed_peak_does_not_grow_with_n(tmp_path):
     large = streamed_peak(tmp_path / "large", 16000)
     assert abs(large - small) < 64 * 1024
     assert large < 10 * 16000 * 100 * 4 / 4  # the tensors alone, as float32
+
+
+def test_score_rejects_a_model_twice_and_a_manifest_of_other_dims(tmp_path):
+    manifest, tensors = random_population(np.random.default_rng(1), 3, 10, 4)
+    with pytest.raises(InvalidConfig, match="more than once"):
+        score_dataset(manifest, tensors + tensors[:1])
+    other = make_manifest(np.zeros(11), 4, [t.model_id for t in tensors])
+    with pytest.raises(ShapeMismatch, match=r"'m0' has shape \(10, 4\), expected \(11, 4\)"):
+        score_dataset(other, tensors)
+    files = tensor_files(tmp_path, manifest, tensors)
+    with pytest.raises(ShapeMismatch, match=r"shape \(10, 4\), expected \(11, 4\)"):
+        score_dataset(other, files)

@@ -380,7 +380,9 @@ def build_parser() -> _Parser:
     pred_common = argparse.ArgumentParser(add_help=False)
     pred_common.add_argument("--mode", default="probs", choices=MODES)
     pred_common.add_argument("--pca-dim", type=int, default=None,
-                             help="projection width; 0 disables PCA")
+                             help="projection width; 0 disables PCA; by default "
+                             "min(256, sources - 1, signature width), reduced "
+                             "to the signatures' numeric rank")
     pred_common.add_argument("--k-neighbors", type=int, default=5)
     pred_common.add_argument("--trees", type=int, default=200)
     pred_common.add_argument("--min-leaf", type=int, default=2)

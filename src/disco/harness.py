@@ -51,7 +51,7 @@ from .selection import (
     select_stratified_topk,
     select_topk,
 )
-from .signatures import build_signature, default_pca_dim, pca_fit, pca_transform
+from .signatures import build_signature, pca_fit_transform
 from .store import BenchmarkManifest, accuracy, anchor_correctness
 
 
@@ -182,7 +182,7 @@ def spearman(true: np.ndarray, pred: np.ndarray) -> float:
 class PredictorConfig:
     kind: str = "random_forest"
     signature_mode: str = "probs"
-    pca_dim: int | None = None            # None -> min(256, M_src, D); 0 -> no PCA
+    pca_dim: int | None = None            # None -> at most min(256, M_src - 1, D); 0 -> no PCA
     k_neighbors: int = 5
     forest: ForestConfig = field(default_factory=ForestConfig)
 
@@ -335,17 +335,19 @@ def fit_predictor(
                            f"got {len(sources)}")
     sources.check()
     ids = list(sources)
-    matrix = np.stack([build_signature(rows, subset, predictor.signature_mode,
-                                       labels=manifest.labels)
-                       for rows in sources.anchor_rows(ids, subset.indices)])
+    matrix = None
+    for i, rows in enumerate(sources.anchor_rows(ids, subset.indices)):
+        signature = build_signature(rows, subset, predictor.signature_mode,
+                                    labels=manifest.labels)
+        if matrix is None:
+            matrix = np.empty((len(ids), signature.size))
+        matrix[i] = signature
     accs = np.asarray([source_accuracies[mid] for mid in ids])
 
     projection = None
     features = matrix
     if predictor.pca_dim != 0:
-        d = predictor.pca_dim or default_pca_dim(matrix.shape[0], matrix.shape[1])
-        projection = pca_fit(matrix, d)
-        features = pca_transform(projection, matrix)
+        projection, features = pca_fit_transform(matrix, predictor.pca_dim)
 
     return train(predictor.kind, features, accs, k_neighbors=predictor.k_neighbors,
                  forest=predictor.forest, seed=seed, projection=projection,

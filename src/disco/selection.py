@@ -147,27 +147,53 @@ def kmedoids_objective(embeddings: np.ndarray, indices: Sequence[int]) -> float:
     return float(np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).sum())
 
 
+# Bytes per block of rows, for the tiles of squared distances (two are alive
+# while the next one is built) and the blocks of a cluster sum, and the side
+# of a square block when symmetrizing: the temporaries stay near 1 MiB
+# whatever N is.
+_TILE_BYTES = 2 ** 19
+_SYM_BLOCK = 256
+
+
+def _clip_squared_distances(g: np.ndarray) -> None:
+    """Overwrite the Gram matrix ``g`` with max(|a|^2 + |b|^2 - 2g, 0), a
+    tile of rows at a time; adding -2g equals subtracting 2g exactly."""
+    n = g.shape[0]
+    sq = np.diag(g).copy()
+    rows = max(1, _TILE_BYTES // (8 * n)) if n else 1
+    for a in range(0, n, rows):
+        tile = sq[a:a + rows, None] + sq
+        g[a:a + rows] *= -2.0
+        tile += g[a:a + rows]
+        np.maximum(tile, 0.0, out=g[a:a + rows])
+
+
 def distance_matrix(embeddings: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between the rows, as k-medoids uses them.
 
     They depend on the embeddings only, so a caller that runs k-medoids for
     several budgets or seeds can build them once and pass them in.
     """
-    # Built in place: adding -2g equals subtracting 2g exactly.  The result
-    # is exactly symmetric, so callers read rows where they need columns.
+    # Built in place over the Gram matrix, so the only N x N array is the
+    # result.  Each pair of blocks mirrored across the diagonal becomes
+    # their sum, as d2 + d2.T would be.  Every float is the one the
+    # whole-matrix expressions give, and the result is exactly symmetric,
+    # so callers read rows where they need columns.
     x = np.asarray(embeddings, dtype=np.float64)
     g = x @ x.T
-    sq = np.diag(g).copy()
-    d2 = sq[:, None] + sq[None, :]
-    g *= -2.0
-    d2 += g
-    np.maximum(d2, 0.0, out=d2)
-    d = np.add(d2, d2.T, out=g)
-    del d2
-    d *= 0.5
-    np.sqrt(d, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
+    _clip_squared_distances(g)
+    n = g.shape[0]
+    for a in range(0, n, _SYM_BLOCK):
+        rows_a = slice(a, a + _SYM_BLOCK)
+        for b in range(a, n, _SYM_BLOCK):
+            rows_b = slice(b, b + _SYM_BLOCK)
+            s = g[rows_a, rows_b] + g[rows_b, rows_a].T
+            g[rows_a, rows_b] = s
+            g[rows_b, rows_a] = s.T
+    g *= 0.5
+    np.sqrt(g, out=g)
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def _seed_medoids(d: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
@@ -218,12 +244,18 @@ def select_kmedoids(embeddings: np.ndarray, k: int, seed: int,
     return subset
 
 
+def _first_argmin(a: np.ndarray) -> np.ndarray:
+    """a.argmin(axis=0) for an array without NaN, without the copy that
+    argmin makes along a strided axis."""
+    return (a == a.min(axis=0)).argmax(axis=0)
+
+
 def _two_nearest(d: np.ndarray, medoids: list[int]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each point's nearest medoid slot (lowest slot on ties), the distance
     to it, and the distance to the next nearest (inf when k == 1)."""
     dm = d[medoids]                               # (k, n): d is symmetric
-    nearest_pos = dm.argmin(axis=0)
+    nearest_pos = _first_argmin(dm)
     points = np.arange(dm.shape[1])
     dn1 = dm[nearest_pos, points]
     dm[nearest_pos, points] = np.inf
@@ -235,6 +267,33 @@ def _rewrite_rows(m: np.ndarray, d: np.ndarray, dn: np.ndarray,
     """m[i] = min(d[i], dn[i]) for each i in rows."""
     for i in rows.tolist():
         np.minimum(d[i], dn[i], out=m[i])
+
+
+def _column_sums(m: np.ndarray, rows: np.ndarray,
+                 clip: np.ndarray | None = None) -> np.ndarray:
+    """The column sums of m[rows], or of min(m[i], clip[i]) for i in rows,
+    added row after row in the order of ``rows``.
+
+    A block of rows is gathered at a time, with the running sum as its
+    first row; numpy adds the rows of a C-ordered block in order, so the
+    floats are those of one gather summed whole.
+    """
+    if not rows.size:
+        return np.zeros(m.shape[1])
+    step = max(1, _TILE_BYTES // (8 * m.shape[1]))
+    total = None
+    for a in range(0, rows.size, step):
+        part = rows[a:a + step]
+        lead = 0 if total is None else 1
+        block = np.empty((lead + part.size, m.shape[1]))
+        if lead:
+            block[0] = total
+        # the rows are in range; mode="clip" lets take write to out unbuffered
+        np.take(m, part, axis=0, out=block[lead:], mode="clip")
+        if clip is not None:
+            np.minimum(block[lead:], clip[part, None], out=block[lead:])
+        total = block.sum(axis=0)
+    return total
 
 
 def _best_swap(m1: np.ndarray, sum1: np.ndarray, sum2: np.ndarray,
@@ -285,12 +344,13 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
     # Swapping medoid p for candidate c costs s1 - sum1[p] + sum2[p] at c,
     # where m1 = min(d, dn1) keeps each point's own medoid available,
     # m2 = min(d, dn2) removes it, and sum1/sum2 are the column sums of m1/m2
-    # over the cluster of p.  One swap moves one medoid, so each pass
-    # rewrites only the rows of m1/m2 whose dn1/dn2 changed and re-sums only
-    # the clusters whose members or member rows changed; every float is the
-    # one a full recomputation gives.
+    # over the cluster of p.  Only m1 is held: its column sums s1 span every
+    # cluster.  A cluster's m2 rows are formed from d when its sum2 is
+    # re-summed.  One swap moves one medoid, so each pass rewrites only the
+    # rows of m1 whose dn1 changed and re-sums only the clusters whose
+    # members or member rows changed; every float is the one a full
+    # recomputation gives.
     m1 = np.empty_like(d)
-    m2 = np.empty_like(d)
     sum1 = np.empty((k, n))              # row p: cluster sum of the medoid in slot p
     sum2 = np.empty((k, n))
     dn1 = dn2 = owner = None
@@ -308,12 +368,10 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
         new_owner = np.asarray(medoids)[nearest_pos]
         if owner is None:
             np.minimum(d, new1[:, None], out=m1)
-            np.minimum(d, new2[:, None], out=m2)
             dirty1 = dirty2 = set(medoids)
         else:
             ch2 = np.flatnonzero(new2 != dn2)
             _rewrite_rows(m1, d, new1, np.flatnonzero(new1 != dn1))
-            _rewrite_rows(m2, d, new2, ch2)
             # dn1 is the distance to the point's own medoid, so it changes
             # only when the point changes cluster.
             moved = np.flatnonzero(new_owner != owner)
@@ -327,8 +385,8 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
             if med in dirty2:                     # dirty1 is a subset
                 members = order[(ends[pos - 1] if pos else 0):ends[pos]]
                 if med in dirty1:
-                    sum1[pos] = m1[members].sum(axis=0)
-                sum2[pos] = m2[members].sum(axis=0)
+                    sum1[pos] = _column_sums(m1, members)
+                sum2[pos] = _column_sums(d, members, dn2)
 
         best = _best_swap(m1, sum1, sum2, medoids, base)
         if best[1] < 0 or best[0] <= 1e-12:
@@ -344,7 +402,7 @@ def kmedoids_with_trace(embeddings: np.ndarray, k: int, seed: int,
             elif q < pos:
                 s[q + 1:pos + 1] = s[q:pos]
 
-    assign = d[medoids].argmin(axis=0)
+    assign = _first_argmin(d[medoids])
     weights = np.bincount(assign, minlength=k).astype(np.float64) / n
     return AnchorSubset(indices=np.asarray(medoids, dtype=np.int64),
                         method=method_label, seed=seed, weights=weights), trace

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -921,6 +922,28 @@ def test_undefined_correlation_is_none_in_the_report(reversed_manifest):
                           PredictorConfig(kind="weighted_sum"), k=10, seed=0)
     assert report.spearman is None
     assert len({est for _, _, est in report.pairs}) == 1
+
+
+def test_default_runs_emit_no_warning(tmp_path):
+    # onehot signatures of 15 sources at 12 anchors have rank 7, below the
+    # default width 14: the default is an upper bound, not a request
+    assert run_cli("synth", "--out", tmp_path, "--models-count", 30, "--samples", 300,
+                   "--classes", 5, "--seed", 11) == 0
+    manifest = tmp_path / "manifest.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("evaluate", "--manifest", manifest, "--selection", "topk_pds",
+                       "--predictor", "knn", "--mode", "onehot", "--k", 12,
+                       "--cutoff", "median", "--out", tmp_path / "report.json") == 0
+        assert run_cli("score", "--manifest", manifest, "--cutoff", "median",
+                       "--out", tmp_path / "scores.csv") == 0
+        assert run_cli("select", "--manifest", manifest, "--method", "topk_pds",
+                       "--k", 12, "--scores", tmp_path / "scores.csv", "--cutoff",
+                       "median", "--out", tmp_path / "subset.json") == 0
+        assert run_cli("fit", "--manifest", manifest, "--subset", tmp_path / "subset.json",
+                       "--predictor", "random_forest", "--mode", "onehot", "--trees", 5,
+                       "--cutoff", "median", "--out", tmp_path / "model.dpak") == 0
+    assert [str(w.message) for w in caught] == []
 
 
 def evaluate_peak(root, n, c, m=10, k=20):

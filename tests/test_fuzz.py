@@ -63,6 +63,8 @@ def commands(kind: str, command: str, bundle: str, method: str) -> list[str]:
                 "--cutoff", "median"],
         "predict": ["predict", "--model", bundle, "--subset", "subset.json",
                     "--cutoff", "median"],
+        "sweep": ["sweep", "--configs", "topk_pds:knn,kmedoids_conf:knn",
+                  "--budgets", "5,10", "--seeds", 0, "--cutoff", "median"],
     }[command]
     return [str(a) for a in argv] + ["--manifest", "manifest.json", "--out", "out"]
 
@@ -71,7 +73,8 @@ def commands(kind: str, command: str, bundle: str, method: str) -> list[str]:
 TARGETS = [("tensor", "evaluate"), ("tensor", "select"), ("tensor", "fit"),
            ("tensor", "predict"), ("subset", "fit"), ("subset", "predict"),
            ("bundle", "predict"), ("manifest", "score"), ("manifest", "select"),
-           ("manifest", "evaluate"), ("scores", "select")]
+           ("manifest", "evaluate"), ("manifest", "sweep"), ("tensor", "sweep"),
+           ("scores", "select")]
 FILES = {"manifest": "manifest.json", "scores": "scores.csv", "subset": "subset.json"}
 
 
@@ -142,7 +145,8 @@ def test_mutated_input_ends_with_a_documented_exit(population, data):
     method = ("topk_pds" if kind == "scores"
               else data.draw(st.sampled_from(SUMMARY_METHODS), label="method"))
     if kind == "tensor":
-        readers = {"evaluate": sources + targets, "predict": targets}.get(command, sources)
+        readers = {"evaluate": sources + targets, "sweep": sources + targets,
+                   "predict": targets}.get(command, sources)
         model_id = data.draw(st.sampled_from(readers), label="model")
         name = str(Path("tensors") / f"{model_id}.dten")
     else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import datetime as dt
 import json
+import tracemalloc
 from typing import Mapping
 
 import numpy as np
@@ -13,6 +14,7 @@ from disco.harness import (
     ChronologicalSplit,
     ModelSplit,
     PredictorConfig,
+    fit_predictor,
     SharedSources,
     UniformSplit,
     mae,
@@ -29,7 +31,8 @@ from disco.harness import (
 )
 from disco.files import TensorFiles
 from disco.predictors import ForestConfig
-from disco.store import load_manifest
+from disco.selection import AnchorSubset
+from disco.store import PredictionTensor, load_manifest
 from disco.synth import SynthConfig, generate_population, save_population
 
 from conftest import make_manifest
@@ -509,3 +512,33 @@ class TestOtherPredictorRoutes:
         report = run_pipeline(manifest, tensors, split, "best_for_validation",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert report.k == 10
+
+
+def test_fit_predictor_peak_allocation_bounded():
+    # 50 sources, 50 anchors of 100 classes: D = 5000.  One signature
+    # matrix, centred in place, and the SVD's outputs; a list of the
+    # signatures, their stack, a centred copy and pca_transform's two
+    # copies read 4.99 x M*D*8 bytes.
+    m, n, c, k = 50, 200, 100, 50
+    rng = np.random.default_rng(0)
+    ids = [f"m{i}" for i in range(m)]
+    manifest = make_manifest(rng.integers(0, c, n), c, ids,
+                             accuracies=rng.random(m).tolist())
+    tensors = {}
+    for mid in ids:
+        raw = rng.random((n, c)) + 1e-3
+        tensors[mid] = PredictionTensor.from_values(
+            mid, (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
+    subset = AnchorSubset(indices=np.sort(rng.choice(n, k, replace=False)),
+                          method="random", seed=0)
+    accs = {mid: manifest.model(mid).true_accuracy for mid in ids}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = fit_predictor(manifest, tensors, accs, subset,
+                              PredictorConfig(kind="knn"), seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert model.projection.d == m - 1
+    assert peak <= 4.0 * m * k * c * 8

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,52 @@ def test_distance_matrix_exactly_symmetric(case):
     d = distance_matrix(case[0])
     assert np.array_equal(d, d.T)
     assert d.tobytes() == _ref_distance_matrix(case[0]).tobytes()
+
+
+@settings(max_examples=50)
+@given(_kmedoids_case())
+def test_small_blocks_equal_reference(case):
+    # blocks of one to three rows: the tiled distances, the mirrored
+    # blocks and the blockwise cluster sums must keep every float
+    x, k, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selection, "_TILE_BYTES", 8 * 3 * x.shape[0])
+        mp.setattr(selection, "_SYM_BLOCK", 2)
+        assert distance_matrix(x).tobytes() == _ref_distance_matrix(x).tobytes()
+        assert_kmedoids_equal_reference(x, k, seed)
+
+
+def test_column_sums_of_no_rows_are_zero():
+    m = np.random.default_rng(0).random((4, 3))
+    got = selection._column_sums(m, np.zeros(0, dtype=np.int64), m[0])
+    assert got.tobytes() == m[[]].sum(axis=0).tobytes()
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes the call allocates at its peak, beyond what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_distance_matrix_peak_allocation_bounded():
+    # the result plus tiles of about 1 MiB; a second N x N array read 2.0
+    n = 1500
+    x = np.random.default_rng(0).random((n, 50))
+    assert traced_peak(distance_matrix, x) <= 1.15 * n * n * 8
+
+
+def test_kmedoids_peak_allocation_bounded():
+    # one clipped copy of the given distances and (k, n) sums; a second
+    # clipped copy read 2.16
+    n = 1500
+    x = np.random.default_rng(0).random((n, 50))
+    d = distance_matrix(x)
+    assert traced_peak(kmedoids_with_trace, x, 50, 0, distances=d) <= 1.2 * n * n * 8
 
 
 def test_kmedoids_rejects_increasing_objective(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from disco.signatures import (
     build_signature,
     default_pca_dim,
     pca_fit,
+    pca_fit_transform,
     pca_transform,
 )
 from disco.store import correctness
@@ -137,6 +140,50 @@ class TestPcaFit:
         assert default_pca_dim(100, 200) == 99
         assert default_pca_dim(400, 300) == 256
         assert default_pca_dim(50, 20) == 20
+
+
+class TestDefaultWidth:
+    def test_reduced_to_the_rank_without_a_warning(self, rng):
+        # 12 rows of rank 2: the default width 11 is an upper bound
+        x = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj = pca_fit(x)
+        assert proj.d == 2
+        with pytest.warns(RankDeficiencyWarning):
+            explicit = pca_fit(x, 11)
+        assert explicit.components.tobytes() == proj.components.tobytes()
+
+    def test_full_rank_default_equals_explicit_width(self, rng):
+        x = rng.standard_normal((9, 20))
+        assert (pca_fit(x).components.tobytes()
+                == pca_fit(x, default_pca_dim(9, 20)).components.tobytes())
+
+
+class TestPcaFitTransform:
+    @pytest.mark.parametrize("shape, d", [((12, 40), 5), ((30, 7), None), ((6, 6), 5)])
+    def test_equals_fit_then_transform(self, rng, shape, d):
+        x = rng.standard_normal(shape)
+        want = pca_fit(x, d)
+        centred = x.copy()
+        proj, z = pca_fit_transform(centred, d)
+        assert proj.mean.tobytes() == want.mean.tobytes()
+        assert proj.components.tobytes() == want.components.tobytes()
+        assert proj.explained_variance.tobytes() == want.explained_variance.tobytes()
+        assert z.tobytes() == pca_transform(want, x).tobytes()
+        assert centred.tobytes() == (x - want.mean).tobytes()
+
+    def test_pca_fit_only_reads_its_input(self, rng):
+        x = rng.standard_normal((10, 8))
+        before = x.tobytes()
+        pca_fit(x, 4)
+        assert x.tobytes() == before
+
+    def test_errors(self, rng):
+        with pytest.raises(TooFewModels):
+            pca_fit_transform(rng.standard_normal((1, 5)), 1)
+        with pytest.raises(DimensionMismatch):
+            pca_fit_transform(rng.standard_normal((4, 5)), 5)
 
 
 class TestPcaTransform:

@@ -6,6 +6,7 @@ accuracy from its outputs on those anchors.
 """
 
 from .errors import DiscoError
+from .files import TensorFiles
 from .harness import (
     ChronologicalSplit,
     EvalReport,
@@ -63,7 +64,6 @@ from .store import (
     PredictionTensor,
     accuracy,
     correctness,
-    load_all_tensors,
     load_manifest,
     load_tensor,
     save_manifest,

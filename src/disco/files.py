@@ -1,27 +1,25 @@
 """Where pipelines read the models' outputs from, without a whole tensor.
 
-A source has three reads: blocks of samples of every model (``read_rows``,
-for scoring), each model's per-sample summaries, and its rows at the
-anchors (``anchor_rows``).  ``TensorFiles`` reads a manifest's tensor files:
-one checked pass over each file whole, which can keep the summaries, then
-reads of only the rows asked for.  ``LoadedTensors`` gives tensors held in
-memory the same reads.  Every row they return is checked and renormalized
-by ``store``'s ingest kernel, as loading the tensor would.  A source
-iterates over its models in the order its reads stack them; ``as_source``
-turns what a caller passes into a source, and so decides that order.
+Every stage reads the models through ``TensorFiles``, over a manifest's
+tensor files.  It has three reads: blocks of samples of every model
+(``read_rows``, for scoring), each model's per-sample summaries, and its
+rows at the anchors (``anchor_rows``).  One checked pass over each file
+whole, which can keep the summaries, comes first; then only the rows asked
+for are read.  Every row returned is checked and renormalized by
+``store``'s ingest kernel, as loading the tensor would.
 """
 
 from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Collection, Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterator
 
 import numpy as np
 
 from . import dten, store
 from .errors import IndexOutOfRange, InvalidConfig, ShapeMismatch
-from .store import BenchmarkManifest, PredictionTensor, SampleSummary
+from .store import BenchmarkManifest, SampleSummary
 
 
 def _anchor_index(idx, n: int) -> np.ndarray:
@@ -80,12 +78,15 @@ class TensorFiles:
     it, ``anchor_rows`` and ``read_rows`` read only the rows they return,
     and check those and each file's header, size and dims again, so a file
     that changed since raises too.  ``hold`` reads the rows that several
-    ``anchor_rows`` calls will ask for at once, and keeps them.
+    ``anchor_rows`` calls will ask for at once, and keeps them.  A model
+    named twice raises InvalidConfig.
     """
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
         self.manifest = manifest
         self._ids = dict.fromkeys(model_ids)
+        if len(self._ids) != len(model_ids):
+            raise InvalidConfig("the tensor files name a model more than once")
         self._order = sorted(self._ids)
         self._summaries: dict[str, SampleSummary] = {}
         self._checked = False
@@ -96,6 +97,15 @@ class TensorFiles:
 
     def __len__(self) -> int:
         return len(self._ids)
+
+    def check_shape(self, manifest: BenchmarkManifest) -> None:
+        """ShapeMismatch unless ``manifest`` has this one's samples and
+        classes."""
+        got = (self.manifest.num_samples, self.manifest.num_classes)
+        expected = (manifest.num_samples, manifest.num_classes)
+        if got != expected:
+            raise ShapeMismatch(
+                f"the tensor files' manifest has shape {got}, expected {expected}")
 
     def select(self, model_ids: list[str]) -> "TensorFiles":
         """The files of some of these models, sharing what this one has
@@ -250,107 +260,3 @@ class TensorFiles:
                 for a, b in runs:
                     store._check_rows(out[j, a:b], int(idx[a]), faults)
                 faults.raise_for(mid)
-
-
-class LoadedTensors(Mapping[str, PredictionTensor]):
-    """Tensors held in memory, by model id, with the reads of
-    ``TensorFiles``, for library callers; nothing is copied but the rows
-    asked for, and no tensor is looked up before it is read.  Its reads
-    stack the models in the mapping's order, a ``select`` view's in sorted
-    id order.  Each read checks that the tensor has the manifest's shape
-    (ShapeMismatch), as loading checked the rest."""
-
-    def __init__(self, manifest: BenchmarkManifest,
-                 tensors: Mapping[str, PredictionTensor]):
-        self.manifest = manifest
-        self._tensors = tensors
-        self._ids = dict.fromkeys(tensors)
-        self._summaries: dict[str, SampleSummary] = {}
-
-    def __getitem__(self, model_id: str) -> PredictionTensor:
-        if model_id not in self._ids:
-            raise KeyError(model_id)
-        return self._tensors[model_id]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def select(self, model_ids: list[str]) -> "LoadedTensors":
-        for mid in model_ids:
-            if mid not in self._ids:
-                raise KeyError(mid)
-        view = LoadedTensors(self.manifest, self._tensors)
-        view._ids = dict.fromkeys(sorted(model_ids))
-        view._summaries = self._summaries
-        return view
-
-    def _values(self, model_id: str) -> np.ndarray:
-        """The model's rows, checked to have the manifest's shape."""
-        t = self[model_id]
-        expected = (self.manifest.num_samples, self.manifest.num_classes)
-        if t.values.shape != expected:
-            raise ShapeMismatch(
-                f"tensor {t.model_id!r} has shape {t.values.shape}, expected {expected}")
-        return t.values
-
-    def check(self, summarize: Collection[str] = ()) -> None:
-        """Loading checked the tensors; only summarize."""
-        for mid in summarize:
-            self.summary(mid)
-
-    def summary(self, model_id: str) -> SampleSummary:
-        summary = self._summaries.get(model_id)
-        if summary is None:
-            values = self._values(model_id)
-            n = self.manifest.num_samples
-            summary = SampleSummary(np.empty(n, np.uint8), np.empty(n, np.float64))
-            store._summary_rows(values, np.asarray(self.manifest.labels), summary, 0)
-            summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
-            self._summaries[model_id] = summary
-        return summary
-
-    def anchor_rows(self, model_ids: list[str], idx) -> np.ndarray:
-        idx = _anchor_index(idx, self.manifest.num_samples)
-        return np.stack([self._values(mid)[idx] for mid in model_ids])
-
-    def read_rows(self, lo: int, out: np.ndarray) -> None:
-        for j, mid in enumerate(self._ids):
-            out[j] = self._values(mid)[lo:lo + out.shape[1]]
-
-    def hold(self, model_ids: list[str], idx) -> None:
-        """Nothing to read: the rows are in memory."""
-
-    def release(self) -> None:
-        """Nothing is held."""
-
-
-# What ``as_source`` takes: a source, or loaded tensors by model id or in a
-# sequence.
-Tensors = Union[TensorFiles, Mapping[str, PredictionTensor], Sequence[PredictionTensor]]
-
-
-def as_source(manifest: BenchmarkManifest, tensors: Tensors) -> TensorFiles | LoadedTensors:
-    """``tensors`` as a source of ``manifest``'s models: a source as it is;
-    loaded tensors behind ``LoadedTensors``, read in their order from a
-    sequence and, as by every ``select`` view, in sorted model-id order
-    from a mapping.  ShapeMismatch unless the source's manifest has this
-    one's samples and classes; InvalidConfig if a sequence holds a model
-    twice."""
-    if isinstance(tensors, (TensorFiles, LoadedTensors)):
-        source = tensors
-    elif isinstance(tensors, Mapping):
-        source = LoadedTensors(manifest, tensors).select(list(tensors))
-    else:
-        tensors = list(tensors)
-        by_id = {t.model_id: t for t in tensors}
-        if len(by_id) != len(tensors):
-            raise InvalidConfig("loaded tensors hold a model more than once")
-        source = LoadedTensors(manifest, by_id)
-    got = (source.manifest.num_samples, source.manifest.num_classes)
-    expected = (manifest.num_samples, manifest.num_classes)
-    if got != expected:
-        raise ShapeMismatch(f"the tensors' manifest has shape {got}, expected {expected}")
-    return source

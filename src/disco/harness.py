@@ -27,7 +27,7 @@ from .errors import (
     TooFewModels,
     ZeroVariance,
 )
-from .files import Tensors, as_source
+from .files import TensorFiles
 from .predictors import (
     KINDS,
     TRAINED_KINDS,
@@ -207,14 +207,13 @@ class SharedSources:
     """What pipelines on one manifest and source set compute alike,
     whatever their K or seed, each part built on first use.
 
-    ``tensors`` holds every model the pipelines read, sources and targets:
-    tensor files, or loaded tensors (see ``files.as_source``).  Building a
-    SharedSources checks every tensor file whole, in order, as loading them
-    would.  In that same pass it keeps the sources' per-sample summaries
-    (correctness bits and label-class probabilities) when one of
-    ``methods``, the selectors it will serve, reads them.  After that no tensor is read
-    whole: the pipelines read the score table's sample blocks and each
-    model's anchor rows.
+    ``models`` holds the files of every model the pipelines read, sources
+    and targets.  Building a SharedSources checks every tensor file whole,
+    in order, as loading them would.  In that same pass it keeps the
+    sources' per-sample summaries (correctness bits and label-class
+    probabilities) when one of ``methods``, the selectors it will serve,
+    reads them.  After that no tensor is read whole: the pipelines read the
+    score table's sample blocks and each model's anchor rows.
 
     It holds the source models' score table and the k-medoids embeddings
     and distance matrix of one embedding kind.  ``sweep_budgets`` keeps one
@@ -229,12 +228,12 @@ class SharedSources:
     ``select_anchors`` picked, by (method, K, seed).
     """
 
-    def __init__(self, manifest: BenchmarkManifest, tensors: Tensors,
+    def __init__(self, manifest: BenchmarkManifest, tensors: TensorFiles,
                  source_ids: list[str], *, scores: ScoreTable | None = None,
                  methods: Collection[str] = METHODS):
+        tensors.check_shape(manifest)
         self.manifest = manifest
-        self.tensors = tensors
-        self.models = as_source(manifest, tensors)
+        self.models = tensors
         self.models.check(source_ids if set(methods) & set(SUMMARY_METHODS) else ())
         self.sources = self.models.select(source_ids)
         self._scores = scores
@@ -242,14 +241,12 @@ class SharedSources:
         self.reports: dict[tuple, EvalReport] = {}
         self.subsets: dict[tuple, AnchorSubset] = {}
 
-    def check(self, manifest: BenchmarkManifest, tensors: Tensors,
+    def check(self, manifest: BenchmarkManifest, tensors: TensorFiles,
               source_ids: list[str]) -> None:
         """Raise InvalidConfig unless built from this manifest, these
-        tensors and source models."""
-        if (manifest is not self.manifest or tensors is not self.tensors
-                or set(source_ids) != set(self.sources)
-                or isinstance(tensors, Mapping)
-                and any(tensors[mid] is not self.sources[mid] for mid in self.sources)):
+        tensor files and source models."""
+        if (manifest is not self.manifest or tensors is not self.models
+                or set(source_ids) != set(self.sources)):
             raise InvalidConfig("shared source data was built for other inputs")
 
     def scores(self) -> ScoreTable:
@@ -312,7 +309,7 @@ def _pick_anchors(shared: SharedSources, method: str, k: int,
 
 def fit_predictor(
     manifest: BenchmarkManifest,
-    source_tensors: Tensors,
+    source_tensors: TensorFiles,
     source_accuracies: Mapping[str, float],
     subset: AnchorSubset,
     predictor: PredictorConfig,
@@ -320,23 +317,22 @@ def fit_predictor(
     threads: int = 1,
 ) -> PredictorModel | None:
     """The projection and predictor fitted on the source models' signatures,
-    stacked in the order their source reads them (sorted model-id order for
-    tensor files and a mapping, see ``files.as_source``); None for the
-    accuracy readouts (direct, weighted_sum).  Unchecked tensor files are
-    checked whole first; then only each source's anchor rows are read.
+    stacked in sorted model-id order; None for the accuracy readouts
+    (direct, weighted_sum).  Unchecked tensor files are checked whole
+    first; then only each source's anchor rows are read.
     """
     if predictor.kind not in KINDS:
         raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
     if predictor.kind not in TRAINED_KINDS:
         return None
-    sources = as_source(manifest, source_tensors)
-    if len(sources) < 2:
+    source_tensors.check_shape(manifest)
+    if len(source_tensors) < 2:
         raise TooFewModels(f"fitting needs at least 2 source models, "
-                           f"got {len(sources)}")
-    sources.check()
-    ids = list(sources)
+                           f"got {len(source_tensors)}")
+    source_tensors.check()
+    ids = list(source_tensors)
     matrix = None
-    for i, rows in enumerate(sources.anchor_rows(ids, subset.indices)):
+    for i, rows in enumerate(source_tensors.anchor_rows(ids, subset.indices)):
         signature = build_signature(rows, subset, predictor.signature_mode,
                                     labels=manifest.labels)
         if matrix is None:
@@ -354,7 +350,7 @@ def fit_predictor(
                  threads=threads)
 
 
-def _select(manifest: BenchmarkManifest, tensors: Tensors,
+def _select(manifest: BenchmarkManifest, tensors: TensorFiles,
             source_ids: list[str], method: str, k: int, seed: int,
             shared: SharedSources | None) -> tuple[AnchorSubset, SharedSources]:
     """The anchors, and the SharedSources the pipeline goes on with: ``shared``
@@ -372,7 +368,7 @@ def _select(manifest: BenchmarkManifest, tensors: Tensors,
 
 def condense_and_train(
     manifest: BenchmarkManifest,
-    source_tensors: Tensors,
+    source_tensors: TensorFiles,
     source_accuracies: Mapping[str, float],
     method: str,
     predictor: PredictorConfig,
@@ -388,7 +384,7 @@ def condense_and_train(
                                  subset, predictor, seed, threads=threads)
 
 
-def predict_targets(manifest: BenchmarkManifest, tensors: Tensors,
+def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
                     target_ids: list[str], subset: AnchorSubset,
                     predictor: PredictorConfig, model: PredictorModel | None
                     ) -> list[float]:
@@ -397,10 +393,10 @@ def predict_targets(manifest: BenchmarkManifest, tensors: Tensors,
     its correctness bits on the anchors, else ``model``'s prediction from
     its signature.  ``tensors`` holds at least the targets; unchecked
     tensor files are checked whole first."""
-    targets = as_source(manifest, tensors)
-    targets.check()
+    tensors.check_shape(manifest)
+    tensors.check()
     estimates = []
-    for rows in targets.anchor_rows(target_ids, subset.indices):
+    for rows in tensors.anchor_rows(target_ids, subset.indices):
         if predictor.kind not in TRAINED_KINDS:
             bits = anchor_correctness(rows, manifest, subset.indices)
             estimates.append(predict_weighted_sum(subset, bits)
@@ -458,7 +454,7 @@ def _estimate(shared: SharedSources, split: ModelSplit,
 
 def run_pipeline(
     manifest: BenchmarkManifest,
-    tensors: Tensors,
+    tensors: TensorFiles,
     split: ModelSplit,
     method: str,
     predictor: PredictorConfig,
@@ -492,7 +488,7 @@ def run_pipeline(
 
 def sweep_budgets(
     manifest: BenchmarkManifest,
-    tensors: Tensors,
+    tensors: TensorFiles,
     split: ModelSplit,
     configs: list[tuple[str, PredictorConfig]],
     budgets: list[int],

@@ -25,15 +25,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidDistribution, LengthMismatch, NonZeroSum, TooFewModels
-from .files import Tensors, as_source
+from .files import TensorFiles
 from .store import BenchmarkManifest
 
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
 
 # Samples are scored in blocks of about _BLOCK_BYTES of float64 (M x b x C
-# for M models and C classes), and gathered as float32, from tensor files or
-# memory, about _READ_BYTES at a time, so the working set does not grow with
+# for M models and C classes), and gathered as float32 from the tensor
+# files, about _READ_BYTES at a time, so the working set does not grow with
 # the number of samples.  Small scoring blocks stay in cache; larger reads
 # cost fewer calls.
 _BLOCK_BYTES = 1 << 19
@@ -215,17 +215,16 @@ class ScoreTable:
         return getattr(self, name)
 
 
-def score_dataset(manifest: BenchmarkManifest, tensors: Tensors) -> ScoreTable:
+def score_dataset(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTable:
     """Score every sample of the benchmark across the given model pool,
-    stacking the models in the order their source reads them (see
-    ``files.as_source``).  Tensor files are checked whole first, unless
-    already checked, and then read one block of samples at a time, so no
-    tensor is ever held whole."""
-    source = as_source(manifest, tensors)
-    source.check()  # raises what loading would
-    if len(source) < 2:
-        raise TooFewModels(f"scoring needs at least 2 models, got {len(source)}")
-    return _score_rows(manifest, len(source), source.read_rows)
+    stacked in sorted model-id order.  The files are checked whole first,
+    unless already checked, and then read one block of samples at a time,
+    so no tensor is ever held whole."""
+    tensors.check_shape(manifest)
+    tensors.check()  # raises what loading would
+    if len(tensors) < 2:
+        raise TooFewModels(f"scoring needs at least 2 models, got {len(tensors)}")
+    return _score_rows(manifest, len(tensors), tensors.read_rows)
 
 
 def _score_rows(manifest: BenchmarkManifest, m: int,

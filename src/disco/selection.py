@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
-from .files import Tensors, as_source
+from .files import TensorFiles
 from .scoring import ScoreTable
 from .store import BenchmarkManifest, read_json_object
 
@@ -122,18 +122,18 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
                         criterion=criterion)
 
 
-def build_embeddings(tensors: Tensors, manifest: BenchmarkManifest,
+def build_embeddings(tensors: TensorFiles, manifest: BenchmarkManifest,
                      kind: str) -> np.ndarray:
     """Per-sample embedding across models: ground-truth-class probability
     (``conf``) or correctness bit (``corr``).  Shape (N, M), the models in
-    the order their source reads them (see ``files.as_source``).  Only the
-    models' per-sample summaries are read."""
-    source = as_source(manifest, tensors)
-    if not len(source):
+    sorted model-id order.  Only the models' per-sample summaries are
+    read."""
+    tensors.check_shape(manifest)
+    if not len(tensors):
         raise InsufficientModels("embeddings need at least one model")
     if kind not in ("conf", "corr"):
         raise SchemaError(f"unknown embedding kind {kind!r}")
-    summaries = [source.summary(mid) for mid in source]
+    summaries = [tensors.summary(mid) for mid in tensors]
     if kind == "conf":
         return np.column_stack([s.label_probs for s in summaries])
     return np.column_stack([s.bits.astype(np.float64) for s in summaries])
@@ -446,7 +446,7 @@ def _validation_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
 
 
 def select_best_for_validation(
-    tensors: Tensors,
+    tensors: TensorFiles,
     manifest: BenchmarkManifest,
     k: int,
     candidates: int = 1000,
@@ -456,19 +456,19 @@ def select_best_for_validation(
     """Pick, among random candidate subsets, the one whose subset accuracy
     best predicts full accuracy on held-out models (lowest RMSE; the first
     drawn wins ties).  Only the models' correctness bits are read, from
-    their summaries.
+    their summaries, in sorted model-id order.
 
     Candidates are drawn one at a time, in a fixed order from the seed, and
     scored in blocks.
     """
-    source = as_source(manifest, tensors)
+    tensors.check_shape(manifest)
     accs, bit_rows = [], []
-    for mid in source:
+    for mid in tensors:
         acc = manifest.model(mid).true_accuracy
         if acc is None:
             continue
         accs.append(acc)
-        bit_rows.append(source.summary(mid).bits)
+        bit_rows.append(tensors.summary(mid).bits)
     m = len(accs)
     if m < 4:
         raise InsufficientModels(f"best-for-validation needs >= 4 models with "

@@ -140,9 +140,10 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> No
     ``sums`` its row sums.  A row stops at a float32 fixed point, once a pass
     leaves its bits unchanged (as it does when the row sums to exactly 1.0),
     or after 8 passes.  Rows do not interact, so after the first pass only
-    the rows still moving are recomputed.  At many classes some rows still
-    move after the 8th pass, so saving a loaded tensor and loading it again
-    can change those rows: pipelines only ever read tensors from files.
+    the rows still moving are recomputed.  Some rows still move after the
+    8th pass, even at 4 classes, so saving a loaded tensor and loading it
+    again can change those rows: pipelines only ever read tensors from
+    files.
     """
     wide /= sums[:, None]
     new = wide.astype(np.float32)
@@ -395,10 +396,6 @@ def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
     return PredictionTensor._adopt(model_id, values)
 
 
-def load_all_tensors(manifest: BenchmarkManifest) -> dict[str, PredictionTensor]:
-    return {mid: load_tensor(manifest, mid) for mid in manifest.model_ids()}
-
-
 @dataclass(frozen=True)
 class SampleSummary:
     """What the selectors read of one model, per sample: its correctness bit
@@ -406,15 +403,6 @@ class SampleSummary:
 
     bits: np.ndarray          # (N,) uint8, as ``correctness`` gives them
     label_probs: np.ndarray   # (N,) float64
-
-
-def _summary_rows(rows: np.ndarray, labels: np.ndarray,
-                  summary: SampleSummary, row0: int) -> None:
-    """Write the summaries of ``rows``, rows ``row0:`` of a loaded tensor
-    whose samples have ``labels``, into ``summary``."""
-    hi = row0 + rows.shape[0]
-    summary.bits[row0:hi] = _correct(rows, labels)
-    summary.label_probs[row0:hi] = rows[np.arange(rows.shape[0]), labels]
 
 
 def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray,
@@ -438,8 +426,10 @@ def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray,
             else:
                 _ingest_rows(rows, lo, faults)
                 if not faults:
-                    _summary_rows(rows, manifest.labels[lo:lo + rows.shape[0]],
-                                  summary, lo)
+                    hi = lo + rows.shape[0]
+                    labels = manifest.labels[lo:hi]
+                    summary.bits[lo:hi] = _correct(rows, labels)
+                    summary.label_probs[lo:hi] = rows[np.arange(rows.shape[0]), labels]
         faults.raise_for(model_id)
 
 

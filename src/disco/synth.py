@@ -130,6 +130,12 @@ def generate_population(
     The RNG draw order (labels, theta, alpha, alignment flips, beta,
     distractor logits) is part of the contract: identical configs give
     byte-identical artifacts.
+
+    The tensors are as built, not as their files load: loading renormalizes
+    each row again, and at the default config 280 of the 400 000 rows come
+    back an ulp apart.  The stages read the models only from their files,
+    so write the population with ``save_population`` and read it through
+    ``files.TensorFiles``.
     """
     config.validate()
     m, n, c, dim = (config.m_models, config.n_samples, config.c_classes,

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
 import datetime as dt
+from typing import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from disco.store import BenchmarkManifest, ModelMeta, PredictionTensor
+from disco.files import TensorFiles
+from disco.store import BenchmarkManifest, ModelMeta, PredictionTensor, load_manifest
+from disco.synth import save_population
 
 # Example times vary with the machine's load, so no example has a deadline.
 settings.register_profile("disco", deadline=None)
@@ -35,6 +39,16 @@ def make_manifest(labels, num_classes, model_ids=(), accuracies=None, dates=None
 
 def tensor_from_rows(model_id, rows):
     return PredictionTensor.from_values(model_id, np.asarray(rows, dtype=np.float32))
+
+
+def saved_population(manifest, tensors, out_dir):
+    """Write ``tensors`` (by model id, or a sequence) where a copy of
+    ``manifest`` points, with ``save_population``; return the manifest read
+    back and a ``TensorFiles`` over all of its models."""
+    if not isinstance(tensors, Mapping):
+        tensors = {t.model_id: t for t in tensors}
+    manifest = load_manifest(save_population(copy.copy(manifest), tensors, out_dir))
+    return manifest, TensorFiles(manifest, manifest.model_ids())
 
 
 def random_stack(rng, m=None, c=None, peaked=False):

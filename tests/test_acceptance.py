@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tempfile
 import time
 
 import numpy as np
@@ -36,6 +37,8 @@ from disco.scoring import (
 from disco.selection import kmedoids_objective, select_kmedoids, select_topk
 from disco.signatures import pca_fit, pca_transform
 from disco.synth import SynthConfig, generate_population
+
+from conftest import saved_population
 
 
 def _gate(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -96,10 +99,11 @@ BASELINE_CFG = ("random", PredictorConfig(kind="direct"))
 
 
 def _paired_run(seed: int, k: int) -> tuple[float, float, float, float]:
-    manifest, tensors = generate_population(SynthConfig(seed=seed))
-    split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-    disco = run_pipeline(manifest, tensors, split, *DISCO_CFG, k=k, seed=seed)
-    rand = run_pipeline(manifest, tensors, split, *BASELINE_CFG, k=k, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, files = saved_population(*generate_population(SynthConfig(seed=seed)), tmp)
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        disco = run_pipeline(manifest, files, split, *DISCO_CFG, k=k, seed=seed)
+        rand = run_pipeline(manifest, files, split, *BASELINE_CFG, k=k, seed=seed)
     return disco.mae_pp, disco.spearman, rand.mae_pp, rand.spearman
 
 
@@ -120,21 +124,21 @@ def test_criterion_4_end_to_end_beats_baseline():
           f"wins {wins}/20, {elapsed:.0f}s)")
 
 
-def test_criterion_5_score_criteria_overlap():
-    manifest, tensors = generate_population(SynthConfig(seed=0))
-    table = score_dataset(manifest, tensors)
+def test_criterion_5_score_criteria_overlap(tmp_path):
+    manifest, files = saved_population(*generate_population(SynthConfig(seed=0)), tmp_path)
+    table = score_dataset(manifest, files)
     by_pds = set(select_topk(table, 100, "pds_env").indices.tolist())
     by_jsd = set(select_topk(table, 100, "jsd_bits").indices.tolist())
     overlap = len(by_pds & by_jsd) / 100.0
     _gate(5, "pds/jsd top-100 overlap", overlap >= 0.5, f"(overlap {overlap:.2f})")
 
 
-def test_criterion_6_knn_self_prediction_exact():
-    manifest, tensors = generate_population(
-        SynthConfig(m_models=20, n_samples=300, c_classes=4, ability_dim=3, seed=2))
+def test_criterion_6_knn_self_prediction_exact(tmp_path):
+    manifest, files = saved_population(*generate_population(
+        SynthConfig(m_models=20, n_samples=300, c_classes=4, ability_dim=3, seed=2)), tmp_path)
     ids = manifest.model_ids()
     split = ModelSplit(source_ids=ids, target_ids=ids)
-    report = run_pipeline(manifest, tensors, split, "random",
+    report = run_pipeline(manifest, files, split, "random",
                           PredictorConfig(kind="knn", k_neighbors=1), k=12, seed=0)
     exact = all(t == p for _, t, p in report.pairs)
     _gate(6, "1-NN self prediction exact", report.mae_pp == 0.0 and exact,
@@ -238,13 +242,15 @@ def test_criterion_8_cli_chain_deterministic(tmp_path):
 def test_criterion_9_budget_monotonicity():
     maes = {10: [], 100: []}
     for seed in range(20):
-        manifest, tensors = generate_population(SynthConfig(seed=seed))
-        split = split_models(manifest,
-                             ChronologicalSplit(median_date_cutoff(manifest)))
-        for k in (10, 100):
-            report = run_pipeline(manifest, tensors, split, *DISCO_CFG,
-                                  k=k, seed=seed)
-            maes[k].append(report.mae_pp)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest, files = saved_population(*generate_population(SynthConfig(seed=seed)),
+                                               tmp)
+            split = split_models(manifest,
+                                 ChronologicalSplit(median_date_cutoff(manifest)))
+            for k in (10, 100):
+                report = run_pipeline(manifest, files, split, *DISCO_CFG,
+                                      k=k, seed=seed)
+                maes[k].append(report.mae_pp)
     lo, hi = float(np.mean(maes[100])), float(np.mean(maes[10]))
     _gate(9, "mean MAE at K=100 <= K=10", lo <= hi,
           f"(K=100 {lo:.2f} vs K=10 {hi:.2f})")

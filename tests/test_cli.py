@@ -17,6 +17,7 @@ import disco
 from disco import dten, store
 from disco.cli import main
 from disco.errors import RowSumOutOfTolerance
+from disco.files import TensorFiles
 from disco.harness import (
     SWEEP_HEADER,
     ChronologicalSplit,
@@ -28,7 +29,7 @@ from disco.harness import (
 )
 from disco.scoring import score_dataset, write_scores_csv
 from disco.selection import METHODS
-from disco.store import load_all_tensors, load_manifest, load_tensor
+from disco.store import load_manifest, load_tensor
 
 
 def run_cli(*argv: str) -> int:
@@ -106,7 +107,7 @@ class TestScore:
         out = tmp_path / "scores.csv"
         assert run_cli("score", "--manifest", manifest_path, "--out", out) == 0
         manifest = load_manifest(manifest_path)
-        table = score_dataset(manifest, load_all_tensors(manifest))
+        table = score_dataset(manifest, TensorFiles(manifest, manifest.model_ids()))
         expected = tmp_path / "expected.csv"
         write_scores_csv(table, expected)
         assert out.read_bytes() == expected.read_bytes()
@@ -318,7 +319,8 @@ def test_score_keeps_no_file_open_between_reads(tmp_path):
         assert proc.returncode == 0, proc.stderr
     manifest = load_manifest(data / "manifest.json")
     want = tmp_path / "want.csv"
-    write_scores_csv(score_dataset(manifest, load_all_tensors(manifest)), want)
+    write_scores_csv(score_dataset(manifest, TensorFiles(manifest, manifest.model_ids())),
+                     want)
     assert out.read_bytes() == want.read_bytes()
 
 
@@ -357,9 +359,9 @@ class TestPipelineCommands:
         obj = json.loads(out.read_text())
 
         manifest = load_manifest(manifest_path)
-        tensors = load_all_tensors(manifest)
+        files = TensorFiles(manifest, manifest.model_ids())
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "topk_pds",
+        report = run_pipeline(manifest, files, split, "topk_pds",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert obj["mae_pp"] == report.mae_pp
         assert obj["spearman"] == report.spearman
@@ -377,9 +379,9 @@ class TestPipelineCommands:
         staged = json.loads(out.read_text())["predictions"]
 
         manifest = load_manifest(manifest_path)
-        tensors = load_all_tensors(manifest)
+        files = TensorFiles(manifest, manifest.model_ids())
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "topk_pds",
+        report = run_pipeline(manifest, files, split, "topk_pds",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert staged == {m: p for m, _, p in report.pairs}
 
@@ -836,9 +838,9 @@ def test_staged_chain_equals_evaluate_on_unsorted_manifest(reversed_manifest, tm
 
     manifest = load_manifest(m)
     split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-    sources = {mid: load_tensor(manifest, mid) for mid in split.source_ids}
     accuracies = {mid: manifest.model(mid).true_accuracy for mid in split.source_ids}
-    subset, _ = condense_and_train(manifest, sources, accuracies, method,
+    subset, _ = condense_and_train(manifest, TensorFiles(manifest, split.source_ids),
+                                   accuracies, method,
                                    PredictorConfig(kind="linear"), k, 0)
     staged = json.loads((tmp_path / "subset.json").read_text())
     assert staged["indices"] == subset.indices.tolist()
@@ -918,8 +920,9 @@ def test_constant_estimates_read_nan_for_both_correlations(reversed_manifest, tm
 def test_undefined_correlation_is_none_in_the_report(reversed_manifest):
     manifest = load_manifest(reversed_manifest)
     split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-    report = run_pipeline(manifest, load_all_tensors(manifest), split, "kmedoids_conf",
-                          PredictorConfig(kind="weighted_sum"), k=10, seed=0)
+    report = run_pipeline(manifest, TensorFiles(manifest, manifest.model_ids()), split,
+                          "kmedoids_conf", PredictorConfig(kind="weighted_sum"),
+                          k=10, seed=0)
     assert report.spearman is None
     assert len({est for _, _, est in report.pairs}) == 1
 

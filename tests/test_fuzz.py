@@ -1,5 +1,6 @@
 """Hostile inputs: one manifest, tensor, score table, subset or predictor
-bundle file is truncated, bit-flipped or spliced, and the CLI command that
+bundle file, or two files at once (the manifest and a tensor, or two
+tensors), is truncated, bit-flipped or spliced, and the CLI command that
 reads it must end with a documented exit code (0 ok, 1 schema, 2 invariant,
 3 I/O), without a traceback and within a time bound."""
 
@@ -147,20 +148,48 @@ def test_mutated_input_ends_with_a_documented_exit(population, data):
     if kind == "tensor":
         readers = {"evaluate": sources + targets, "sweep": sources + targets,
                    "predict": targets}.get(command, sources)
-        model_id = data.draw(st.sampled_from(readers), label="model")
-        name = str(Path("tensors") / f"{model_id}.dten")
+        name = tensor_name(data.draw(st.sampled_from(readers), label="model"))
     else:
         name = FILES.get(kind, bundle)
-    blob = (root / name).read_bytes()
-    mutate = data.draw(mutations(len(blob)), label="mutation")
+    assert_documented_exit(root, [name], commands(kind, command, bundle, method), data,
+                           f"{kind} read by {command}")
+
+
+def tensor_name(model_id: str) -> str:
+    return str(Path("tensors") / f"{model_id}.dten")
+
+
+def assert_documented_exit(root: Path, names: list[str], argv: list[str], data,
+                           label: str) -> None:
+    """Run ``argv`` on a copy of ``root`` whose files ``names`` are each
+    mutated as drawn from ``data``: a documented exit, no traceback, in
+    time."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "data"
         shutil.copytree(root, work)
-        (work / name).write_bytes(mutate(blob))
+        for name in names:
+            blob = (root / name).read_bytes()
+            mutate = data.draw(mutations(len(blob)), label=f"mutation of {name}")
+            (work / name).write_bytes(mutate(blob))
         t0 = time.perf_counter()
-        code, err = run(commands(kind, command, bundle, method), work)
+        code, err = run(argv, work)
         elapsed = time.perf_counter() - t0
-    event(f"{kind} read by {command}: exit {code}")
+    event(f"{label}: exit {code}")
     assert "Traceback" not in err, err
     assert code in (0, 1, 2, 3), err
     assert elapsed < CASE_SECONDS
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_two_mutated_files_end_with_a_documented_exit(population, data):
+    # the manifest and one tensor, or two tensors, read by a whole pipeline
+    root, sources, targets = population
+    command = data.draw(st.sampled_from(["evaluate", "sweep"]), label="command")
+    manifest = data.draw(st.sampled_from([["manifest.json"], []]), label="manifest")
+    count = 2 - len(manifest)
+    models = data.draw(st.lists(st.sampled_from(sources + targets), unique=True,
+                                min_size=count, max_size=count), label="models")
+    names = manifest + [tensor_name(mid) for mid in models]
+    assert_documented_exit(root, names, commands("tensor", command, "", ""), data,
+                           f"{' and '.join(names)} read by {command}")

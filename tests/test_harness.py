@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import copy
 import datetime as dt
 import json
 import tracemalloc
-from typing import Mapping
 
 import numpy as np
 import pytest
@@ -32,17 +30,29 @@ from disco.harness import (
 from disco.files import TensorFiles
 from disco.predictors import ForestConfig
 from disco.selection import AnchorSubset
-from disco.store import PredictionTensor, load_manifest
-from disco.synth import SynthConfig, generate_population, save_population
+from disco.store import PredictionTensor, save_tensor
+from disco.synth import SynthConfig, generate_population
 
-from conftest import make_manifest
+from conftest import make_manifest, saved_population
+
+POPULATION = SynthConfig(m_models=14, n_samples=160, c_classes=3, ability_dim=2,
+                         seed=5, noise_temperature=0.8)
 
 
 @pytest.fixture(scope="module")
-def population():
-    cfg = SynthConfig(m_models=14, n_samples=160, c_classes=3, ability_dim=2,
-                      seed=5, noise_temperature=0.8)
-    return generate_population(cfg)
+def population_manifest(tmp_path_factory):
+    """The population's manifest, read back from the files it was written to."""
+    manifest, _ = saved_population(*generate_population(POPULATION),
+                                   tmp_path_factory.mktemp("population"))
+    return manifest
+
+
+@pytest.fixture
+def population(population_manifest):
+    """The population's manifest and fresh ``TensorFiles`` over all of its
+    models."""
+    return population_manifest, TensorFiles(population_manifest,
+                                            population_manifest.model_ids())
 
 
 class TestSplits:
@@ -176,101 +186,95 @@ class TestPearson:
                 pearson(*args)
 
 
-class RecordingTensors(Mapping):
-    def __init__(self, inner):
-        self.inner = inner
-        self.accesses = []
-
-    def __getitem__(self, key):
-        self.accesses.append(key)
-        return self.inner[key]
-
-    def __iter__(self):
-        return iter(self.inner)
-
-    def __len__(self):
-        return len(self.inner)
-
-
 class TestRunPipeline:
     def test_self_prediction_is_exact(self, population):
-        manifest, tensors = population
+        manifest, files = population
         ids = manifest.model_ids()
         split = ModelSplit(source_ids=ids, target_ids=ids)
-        report = run_pipeline(manifest, tensors, split, "random",
+        report = run_pipeline(manifest, files, split, "random",
                               PredictorConfig(kind="knn", k_neighbors=1),
                               k=20, seed=0)
         assert report.mae_pp == 0.0
         assert report.spearman == 1.0
 
     def test_full_budget_direct_eval_exact(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "random",
+        report = run_pipeline(manifest, files, split, "random",
                               PredictorConfig(kind="direct"),
                               k=manifest.num_samples, seed=0)
         assert report.mae_pp == 0.0
 
-    def test_sources_read_before_targets(self, population):
-        manifest, tensors = population
+    def test_sources_read_before_targets(self, population, monkeypatch):
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        recorder = RecordingTensors(tensors)
-        run_pipeline(manifest, recorder, split, "topk_pds",
+        # every read of rows, in order: the models of each one
+        reads = []
+        read = TensorFiles._read
+
+        def recording_read(self, model_ids, idx, out):
+            reads.extend(model_ids)
+            return read(self, model_ids, idx, out)
+
+        monkeypatch.setattr(TensorFiles, "_read", recording_read)
+        run_pipeline(manifest, files, split, "topk_pds",
                      PredictorConfig(kind="knn"), k=10, seed=0)
-        first_target = min(recorder.accesses.index(t) for t in split.target_ids)
-        last_source = max(recorder.accesses.index(s) for s in split.source_ids)
+        first_target = min(reads.index(t) for t in split.target_ids)
+        last_source = max(reads.index(s) for s in split.source_ids)
         assert last_source < first_target
 
-    def test_target_tensors_cannot_leak_into_selection(self, population):
-        manifest, tensors = population
+    def test_target_tensors_cannot_leak_into_selection(self, tmp_path):
+        manifest, files = saved_population(*generate_population(POPULATION), tmp_path)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("topk_pds",
                PredictorConfig(kind="random_forest",
                                forest=ForestConfig(n_trees=10)))
-        r1 = run_pipeline(manifest, tensors, split, *cfg, k=12, seed=1)
+        r1 = run_pipeline(manifest, files, split, *cfg, k=12, seed=1)
 
-        # corrupt one target model's tensor; all other targets' predictions
-        # must be unchanged (selection, PCA, and training saw sources only)
+        # corrupt one target model's tensor file; all other targets'
+        # predictions must be unchanged (selection, PCA, and training saw
+        # sources only)
         victim = split.target_ids[0]
-        mutated = dict(tensors)
         rng = np.random.default_rng(99)
         raw = rng.random((manifest.num_samples, manifest.num_classes)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        from disco.store import PredictionTensor
-        mutated[victim] = PredictionTensor.from_values(victim, raw.astype(np.float32))
-        r2 = run_pipeline(manifest, mutated, split, *cfg, k=12, seed=1)
+        save_tensor(PredictionTensor.from_values(victim, raw.astype(np.float32)),
+                    tmp_path / manifest.model(victim).tensor_path)
+        r2 = run_pipeline(manifest, TensorFiles(manifest, manifest.model_ids()), split,
+                          *cfg, k=12, seed=1)
+        assert r1.pairs != r2.pairs
         for (m1, _, p1), (m2, _, p2) in zip(r1.pairs, r2.pairs):
             assert m1 == m2
             if m1 != victim:
                 assert p1 == p2
 
     def test_deterministic(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        args = (manifest, tensors, split, "topk_jsd",
+        args = (manifest, files, split, "topk_jsd",
                 PredictorConfig(kind="random_forest", forest=ForestConfig(n_trees=15)))
         r1 = run_pipeline(*args, k=8, seed=4)
         r2 = run_pipeline(*args, k=8, seed=4)
         assert r1.pairs == r2.pairs
 
     def test_weighted_sum_route(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "kmedoids_corr",
+        report = run_pipeline(manifest, files, split, "kmedoids_corr",
                               PredictorConfig(kind="weighted_sum"), k=6, seed=0)
         assert 0 <= report.mae_pp <= 100
 
     def test_weighted_sum_needs_weights(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         with pytest.raises(MissingWeights):
-            run_pipeline(manifest, tensors, split, "random",
+            run_pipeline(manifest, files, split, "random",
                          PredictorConfig(kind="weighted_sum"), k=6, seed=0)
 
     def test_report_serialization(self, population, tmp_path):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "random",
+        report = run_pipeline(manifest, files, split, "random",
                               PredictorConfig(kind="direct"), k=10, seed=0)
         path = tmp_path / "report.json"
         save_report(report, path, provenance={"seed": 0})
@@ -280,15 +284,12 @@ class TestRunPipeline:
         assert len(obj["pairs"]) == len(split.target_ids)
 
 
-@pytest.fixture(scope="module")
-def population_files(population, tmp_path_factory):
-    """The population's manifest read back from its files, and a factory of
-    fresh ``TensorFiles`` over all of its models."""
-    manifest, tensors = population
-    path = save_population(copy.copy(manifest), tensors,
-                           tmp_path_factory.mktemp("population"))
-    manifest = load_manifest(path)
-    return manifest, lambda: TensorFiles(manifest, [m.model_id for m in manifest.models])
+@pytest.fixture
+def population_files(population_manifest):
+    """The population's manifest, and a factory of fresh ``TensorFiles``
+    over all of its models."""
+    manifest = population_manifest
+    return manifest, lambda: TensorFiles(manifest, manifest.model_ids())
 
 
 # Every selector and readout once, and each seed-free pipeline repeated
@@ -321,26 +322,27 @@ def assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp
 
 class TestSweep:
     def test_single_cell_equals_run_pipeline(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("random", PredictorConfig(kind="direct"))
-        reports = sweep_budgets(manifest, tensors, split, [cfg], [10], [3])
-        single = run_pipeline(manifest, tensors, split, *cfg, k=10, seed=3)
+        reports = sweep_budgets(manifest, files, split, [cfg], [10], [3])
+        single = run_pipeline(manifest, files, split, *cfg, k=10, seed=3)
         assert len(reports) == 1
         assert reports[0].pairs == single.pairs
 
     def test_sweep_equals_separate_pipelines(self, population, tmp_path):
-        # one SharedSources for the whole sweep, a fresh one per pipeline:
-        # every selector and readout gives the same bytes either way
-        manifest, tensors = population
-        assert_sweep_equals_separate_pipelines(manifest, lambda: tensors, SWEEP_CONFIGS,
+        # one SharedSources for the whole sweep, a fresh one per pipeline,
+        # all over one TensorFiles: every selector and readout gives the
+        # same bytes either way
+        manifest, files = population
+        assert_sweep_equals_separate_pipelines(manifest, lambda: files, SWEEP_CONFIGS,
                                                [0, 3], tmp_path)
 
     def test_repeated_pipelines_equal_separate_pipelines(self, population, tmp_path):
         # seed-free selectors repeat their pipeline for every seed after the
         # first; the sweep copies those reports, a lone run computes each
-        manifest, tensors = population
-        assert_sweep_equals_separate_pipelines(manifest, lambda: tensors,
+        manifest, files = population
+        assert_sweep_equals_separate_pipelines(manifest, lambda: files,
                                                REPEATING_CONFIGS, [0, 1, 2], tmp_path)
 
     @pytest.mark.parametrize("configs, seeds", [(SWEEP_CONFIGS, [0, 3]),
@@ -366,7 +368,7 @@ class TestSweep:
                                  seed, **kwargs)
 
         monkeypatch.setattr(harness, "fit_predictor", counting_fit)
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         # seed-free anchors and training fit once per (config, K); the random
         # selector and forest training read the seed, so fit once per seed
@@ -376,7 +378,7 @@ class TestSweep:
         configs = [(sel, PredictorConfig(kind=pred, forest=forest))
                    for sel, pred in fits_per_k]
         budgets, seeds = [12, 40], [0, 1, 2]
-        reports = sweep_budgets(manifest, tensors, split, configs, budgets, seeds)
+        reports = sweep_budgets(manifest, files, split, configs, budgets, seeds)
         assert len(reports) == 4 * 2 * 3
         assert fits == {(sel, pred, k): n for (sel, pred), n in fits_per_k.items()
                         for k in budgets}
@@ -417,78 +419,79 @@ class TestSweep:
             return select_kmedoids(embeddings, k, seed, **kwargs)
 
         monkeypatch.setattr(harness, "select_kmedoids", counting_select)
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         configs = [("kmedoids_conf", PredictorConfig(kind="knn"))]
-        reports = sweep_budgets(manifest, tensors, split, configs, [12, 40], [0, 1])
+        reports = sweep_budgets(manifest, files, split, configs, [12, 40], [0, 1])
         assert len(reports) == 4
         assert sorted(picks) == [(12, 0), (12, 1), (40, 0), (40, 1)]
 
     def test_reused_shared_sources_with_other_targets(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("topk_pds", PredictorConfig(kind="knn"))
-        shared = SharedSources(manifest, tensors, split.source_ids)
-        first = run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0, shared=shared)
+        shared = SharedSources(manifest, files, split.source_ids)
+        first = run_pipeline(manifest, files, split, *cfg, k=10, seed=0, shared=shared)
         for targets in (split.target_ids[:-2], split.target_ids[::-1]):
             other = ModelSplit(split.source_ids, targets)
-            got = run_pipeline(manifest, tensors, other, *cfg, k=10, seed=0,
+            got = run_pipeline(manifest, files, other, *cfg, k=10, seed=0,
                                shared=shared)
-            want = run_pipeline(manifest, tensors, other, *cfg, k=10, seed=0)
+            want = run_pipeline(manifest, files, other, *cfg, k=10, seed=0)
             assert [p[0] for p in got.pairs] == targets
             assert report_to_obj(got) == report_to_obj(want)
         assert report_to_obj(first) == report_to_obj(
-            run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0, shared=shared))
+            run_pipeline(manifest, files, split, *cfg, k=10, seed=0, shared=shared))
 
     def test_shared_sources_must_match_inputs(self, population):
         from disco.errors import InvalidConfig
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("topk_pds", PredictorConfig(kind="knn"))
         other = split_models(manifest, UniformSplit(0.5, seed=1))
-        for shared in (SharedSources(manifest, dict(tensors), split.source_ids),
-                       SharedSources(manifest, tensors, other.source_ids)):
+        for shared in (SharedSources(manifest, TensorFiles(manifest, manifest.model_ids()),
+                                     split.source_ids),
+                       SharedSources(manifest, files, other.source_ids)):
             with pytest.raises(InvalidConfig):
-                run_pipeline(manifest, tensors, split, *cfg, k=10, seed=0,
+                run_pipeline(manifest, files, split, *cfg, k=10, seed=0,
                              shared=shared)
 
     def test_cardinality(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         configs = [("random", PredictorConfig(kind="direct")),
                    ("topk_pds", PredictorConfig(kind="knn"))]
-        reports = sweep_budgets(manifest, tensors, split, configs, [20, 40], [0, 1, 2])
+        reports = sweep_budgets(manifest, files, split, configs, [20, 40], [0, 1, 2])
         assert len(reports) == 2 * 2 * 3
 
     def test_budgets_must_be_sorted(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         from disco.errors import InvalidConfig
         with pytest.raises(InvalidConfig):
-            sweep_budgets(manifest, tensors, split,
+            sweep_budgets(manifest, files, split,
                           [("random",
                             PredictorConfig(kind="direct"))], [10, 5], [0])
 
-    def test_direct_eval_error_shrinks_with_budget(self):
+    def test_direct_eval_error_shrinks_with_budget(self, tmp_path):
         # sampling error at K=100 should beat K=10 on average over seeds
         cfg = SynthConfig(m_models=24, n_samples=400, c_classes=3, ability_dim=2,
                           seed=42, noise_temperature=0.8)
-        manifest, tensors = generate_population(cfg)
+        manifest, files = saved_population(*generate_population(cfg), tmp_path)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         sel = "random"
         pred = PredictorConfig(kind="direct")
         maes = {10: [], 100: []}
         for seed in range(20):
             for k in (10, 100):
-                r = run_pipeline(manifest, tensors, split, sel, pred, k, seed)
+                r = run_pipeline(manifest, files, split, sel, pred, k, seed)
                 maes[k].append(r.mae_pp)
         assert np.mean(maes[100]) <= np.mean(maes[10])
 
     def test_csv_export(self, population, tmp_path):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("random", PredictorConfig(kind="direct"))
-        reports = sweep_budgets(manifest, tensors, split, [cfg], [25], [0, 1])
+        reports = sweep_budgets(manifest, files, split, [cfg], [25], [0, 1])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(reports, path)
         lines = path.read_text().splitlines()
@@ -499,22 +502,22 @@ class TestSweep:
 
 class TestOtherPredictorRoutes:
     def test_linear_pipeline(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "topk_pds",
+        report = run_pipeline(manifest, files, split, "topk_pds",
                               PredictorConfig(kind="linear"), k=10, seed=0)
         assert 0.0 <= report.mae_pp <= 100.0
         assert all(0.0 <= p <= 1.0 for _, _, p in report.pairs)
 
     def test_best_for_validation_pipeline(self, population):
-        manifest, tensors = population
+        manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, tensors, split, "best_for_validation",
+        report = run_pipeline(manifest, files, split, "best_for_validation",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert report.k == 10
 
 
-def test_fit_predictor_peak_allocation_bounded():
+def test_fit_predictor_peak_allocation_bounded(tmp_path):
     # 50 sources, 50 anchors of 100 classes: D = 5000.  One signature
     # matrix, centred in place, and the SVD's outputs; a list of the
     # signatures, their stack, a centred copy and pca_transform's two
@@ -531,11 +534,12 @@ def test_fit_predictor_peak_allocation_bounded():
             mid, (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
     subset = AnchorSubset(indices=np.sort(rng.choice(n, k, replace=False)),
                           method="random", seed=0)
+    manifest, files = saved_population(manifest, tensors, tmp_path)
     accs = {mid: manifest.model(mid).true_accuracy for mid in ids}
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model = fit_predictor(manifest, tensors, accs, subset,
+        model = fit_predictor(manifest, files, accs, subset,
                               PredictorConfig(kind="knn"), seed=0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

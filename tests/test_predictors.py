@@ -26,9 +26,9 @@ from disco.predictors import (
 )
 from disco.selection import AnchorSubset, build_embeddings, select_kmedoids
 from disco.signatures import pca_fit, pca_transform
-from disco.store import PredictionTensor, accuracy, correctness
+from disco.store import PredictionTensor, accuracy, correctness, load_tensor
 
-from conftest import make_manifest
+from conftest import make_manifest, saved_population
 
 
 class TestLinear:
@@ -381,16 +381,17 @@ class TestWeightedSum:
         with pytest.raises(MissingWeights):
             predict_weighted_sum(s, [1, 0])
 
-    def test_cluster_constant_correctness_recovers_accuracy(self, rng):
+    def test_cluster_constant_correctness_recovers_accuracy(self, rng, tmp_path):
         # two tight clusters; correctness constant within each cluster
         n, c = 16, 2
         labels = np.zeros(n, dtype=np.int64)
         rows = np.zeros((n, c), dtype=np.float32)
         rows[:4] = [0.9, 0.1]    # cluster A: correct
         rows[4:] = [0.2, 0.8]    # cluster B: wrong
-        man = make_manifest(labels, c, ["m"])
-        t = PredictionTensor.from_values("m", rows)
-        emb = build_embeddings([t], man, "conf")
+        man, files = saved_population(make_manifest(labels, c, ["m"]),
+                                      [PredictionTensor.from_values("m", rows)], tmp_path)
+        t = load_tensor(man, "m")
+        emb = build_embeddings(files, man, "conf")
         subset = select_kmedoids(emb, 2, seed=0)
         bits = correctness(t, man)[subset.indices]
         ws = predict_weighted_sum(subset, bits)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disco import dten, scoring
+from disco import scoring
 from disco.errors import (
     InvalidConfig,
     InvalidDistribution,
@@ -36,7 +36,7 @@ from disco.scoring import (
 from disco.files import TensorFiles
 from disco.store import PredictionTensor, load_tensor
 
-from conftest import make_manifest, random_stack, tensor_from_rows
+from conftest import make_manifest, random_stack, saved_population, tensor_from_rows
 
 
 def entropy2_naive(p):
@@ -237,38 +237,41 @@ class TestStackProperties:
 
 
 class TestScoreDataset:
-    def _population(self, rows_per_model, labels, c):
+    def _population(self, root, rows_per_model, labels, c):
+        """The manifest of these models' files, their TensorFiles, and
+        their tensors as loaded, in the files' order."""
         man = make_manifest(labels, c, [f"m{i}" for i in range(len(rows_per_model))])
         tensors = [tensor_from_rows(f"m{i}", rows)
                    for i, rows in enumerate(rows_per_model)]
-        return man, tensors
+        man, files = saved_population(man, tensors, root)
+        return man, files, [load_tensor(man, mid) for mid in files]
 
-    def test_agreeing_models(self):
+    def test_agreeing_models(self, tmp_path):
         rows = [[0.6, 0.4], [0.1, 0.9], [0.5, 0.5]]
-        man, tensors = self._population([rows, rows], [0, 1, 0], 2)
-        table = score_dataset(man, tensors)
+        man, files, _ = self._population(tmp_path, [rows, rows], [0, 1, 0], 2)
+        table = score_dataset(man, files)
         assert np.allclose(table.jsd_bits, 0.0, atol=1e-9)
         assert np.allclose(table.pds_env, 1.0, atol=1e-6)
 
-    def test_single_sample_consistency(self, rng):
+    def test_single_sample_consistency(self, rng, tmp_path):
         stack = random_stack(rng, m=3, c=4)
-        man, tensors = self._population(
-            [stack[i:i + 1] for i in range(3)], [0], 4)
-        table = score_dataset(man, tensors)
+        man, files, tensors = self._population(
+            tmp_path, [stack[i:i + 1] for i in range(3)], [0], 4)
+        table = score_dataset(man, files)
         stack64 = np.stack([t.values[0].astype(np.float64) for t in tensors])
         stack64 /= stack64.sum(axis=1, keepdims=True)
         assert abs(table.pds_env[0] - pds(stack64)[0]) < 1e-12
         assert abs(table.jsd_bits[0] - jsd(stack64)) < 1e-12
 
-    def test_matches_per_sample_loop_oracle(self, rng):
+    def test_matches_per_sample_loop_oracle(self, rng, tmp_path):
         n, c, m = 40, 4, 5
         labels = rng.integers(0, c, n)
         rows = []
         for _ in range(m):
             raw = rng.random((n, c)) + 1e-6
             rows.append(raw / raw.sum(axis=1, keepdims=True))
-        man, tensors = self._population(rows, labels, c)
-        table = score_dataset(man, tensors)
+        man, files, tensors = self._population(tmp_path, rows, labels, c)
+        table = score_dataset(man, files)
         for i in range(n):
             stack = np.stack([t.values[i].astype(np.float64) for t in tensors])
             stack /= stack.sum(axis=1, keepdims=True)
@@ -277,25 +280,25 @@ class TestScoreDataset:
             assert abs(table.mean_entropy_bits[i]
                        - np.mean([entropy2_naive(r) for r in stack])) < 1e-12
 
-    def test_table_invariants(self, rng):
+    def test_table_invariants(self, rng, tmp_path):
         n, c, m = 30, 3, 4
         labels = rng.integers(0, c, n)
         rows = []
         for _ in range(m):
             raw = rng.random((n, c)) + 1e-6
             rows.append(raw / raw.sum(axis=1, keepdims=True))
-        man, tensors = self._population(rows, labels, c)
-        table = score_dataset(man, tensors)
+        man, files, _ = self._population(tmp_path, rows, labels, c)
+        table = score_dataset(man, files)
         assert np.array_equal(table.pds_eq1, table.pds_env / c)
         raw_gap = table.mixture_entropy_bits - table.mean_entropy_bits
         assert (raw_gap >= -1e-9).all()
         assert (table.jsd_bits >= 0.0).all()
         assert np.array_equal(table.sample_index, np.arange(n))
 
-    def test_too_few_models(self):
-        man, tensors = self._population([[[1.0, 0.0]]], [0], 2)
+    def test_too_few_models(self, tmp_path):
+        man, files, _ = self._population(tmp_path, [[[1.0, 0.0]]], [0], 2)
         with pytest.raises(TooFewModels):
-            score_dataset(man, tensors)
+            score_dataset(man, files)
 
     def test_csv_round_trip(self, tmp_path, rng):
         n, c = 12, 3
@@ -304,8 +307,8 @@ class TestScoreDataset:
         for _ in range(3):
             raw = rng.random((n, c)) + 1e-6
             rows.append(raw / raw.sum(axis=1, keepdims=True))
-        man, tensors = self._population(rows, labels, c)
-        table = score_dataset(man, tensors)
+        man, files, _ = self._population(tmp_path / "pop", rows, labels, c)
+        table = score_dataset(man, files)
         path = tmp_path / "scores.csv"
         write_scores_csv(table, path)
         lines = path.read_text().splitlines()
@@ -319,14 +322,13 @@ class TestScoreDataset:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-def test_score_dataset_shape_mismatch(rng):
-    from disco.errors import ShapeMismatch
-    from conftest import make_manifest, tensor_from_rows
+def test_score_dataset_shape_mismatch(tmp_path):
     man = make_manifest([0, 1], 2, ["a", "b"])
     good = tensor_from_rows("a", [[1, 0], [0, 1]])
     bad = tensor_from_rows("b", [[1, 0]])
+    man, files = saved_population(man, [good, bad], tmp_path)
     with pytest.raises(ShapeMismatch):
-        score_dataset(man, [good, bad])
+        score_dataset(man, files)
 
 
 # --- block-wise scoring against the full-stack version it replaced -------------
@@ -368,9 +370,14 @@ def random_population(rng, m, n, c):
     return make_manifest(rng.integers(0, c, n), c, [t.model_id for t in tensors]), tensors
 
 
-def assert_equals_reference(manifest, tensors):
-    table = score_dataset(manifest, tensors)
-    for name, want in score_dataset_reference(tensors).items():
+def assert_equals_reference(root, manifest, tensors):
+    """Scores of the tensors' files, against the reference of their rows as
+    loaded, stacked in the files' order."""
+    manifest, files = saved_population(manifest, tensors, root)
+    table = score_dataset(manifest, files)
+    assert table.sample_index.tobytes() == np.arange(manifest.num_samples).tobytes()
+    loaded = [load_tensor(manifest, mid) for mid in files]
+    for name, want in score_dataset_reference(loaded).items():
         assert getattr(table, name).tobytes() == want.tobytes(), name
 
 
@@ -394,9 +401,10 @@ B = 256
     (2, 3 * B + 5, 4),      # two models
     (30, 1, 100),           # a single sample
 ])
-def test_score_blocks_equal_full_stack(m, n, c):
+def test_score_blocks_equal_full_stack(tmp_path, m, n, c):
     with block_rows(m, c, B):
-        assert_equals_reference(*random_population(np.random.default_rng(n), m, n, c))
+        assert_equals_reference(tmp_path, *random_population(np.random.default_rng(n),
+                                                             m, n, c))
 
 
 @settings(max_examples=60)
@@ -407,23 +415,26 @@ def test_score_blocks_equal_full_stack_hypothesis(m, c, rows, n, at_bound, seed)
     # rows=1 is a budget below the 2-sample floor of a block
     if at_bound is not None:  # a multiple of the block size, or a 1-sample tail
         n = rows * (n % 4 + 1) + at_bound
-    with block_rows(m, c, rows):
-        assert_equals_reference(*random_population(np.random.default_rng(seed), m, n, c))
+    with block_rows(m, c, rows), tempfile.TemporaryDirectory() as tmp:
+        assert_equals_reference(Path(tmp), *random_population(np.random.default_rng(seed),
+                                                              m, n, c))
 
 
-def test_score_default_blocks_equal_full_stack():
+def test_score_default_blocks_equal_full_stack(tmp_path):
     # 100 models of 100 classes make the default blocks a few samples long
-    assert_equals_reference(*random_population(np.random.default_rng(5), 100, 97, 100))
+    assert_equals_reference(tmp_path, *random_population(np.random.default_rng(5),
+                                                         100, 97, 100))
 
 
-def test_score_peak_allocation_bounded():
+def test_score_peak_allocation_bounded(tmp_path):
     # the old full stack alone took M*N*C*8 bytes
     m, n, c = 10, 40 * B, 20
-    manifest, tensors = random_population(np.random.default_rng(0), m, n, c)
+    manifest, files = saved_population(
+        *random_population(np.random.default_rng(0), m, n, c), tmp_path)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        score_dataset(manifest, tensors)
+        score_dataset(manifest, files)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -431,24 +442,6 @@ def test_score_peak_allocation_bounded():
 
 
 # --- scoring streamed from the tensor files ------------------------------------
-
-def tensor_files(root, manifest, tensors):
-    """Write the tensors where the manifest points; their TensorFiles."""
-    manifest.base_dir = root
-    (root / "tensors").mkdir(parents=True, exist_ok=True)
-    for t in tensors:
-        dten.write_dten(root / "tensors" / f"{t.model_id}.dten", t.values)
-    return TensorFiles(manifest, [t.model_id for t in tensors])
-
-
-def assert_streamed_equals_loaded(root, manifest, tensors):
-    files = tensor_files(root, manifest, tensors)
-    loaded = {mid: load_tensor(manifest, mid) for mid in files}
-    streamed, want = score_dataset(manifest, files), score_dataset(manifest, loaded)
-    for name in ("sample_index", "pds_env", "pds_eq1", "jsd_bits",
-                 "mean_entropy_bits", "mixture_entropy_bits"):
-        assert getattr(streamed, name).tobytes() == getattr(want, name).tobytes(), name
-
 
 @pytest.mark.parametrize("m, n, c, rows, per_read", [
     (5, 37, 4, 8, 3),             # N a multiple of neither size
@@ -461,10 +454,10 @@ def assert_streamed_equals_loaded(root, manifest, tensors):
 def test_streamed_scores_equal_loaded(tmp_path, m, n, c, rows, per_read):
     manifest, tensors = random_population(np.random.default_rng(n), m, n, c)
     if rows is None:
-        assert_streamed_equals_loaded(tmp_path, manifest, tensors)
+        assert_equals_reference(tmp_path, manifest, tensors)
     else:
         with block_rows(m, c, rows, per_read):
-            assert_streamed_equals_loaded(tmp_path, manifest, tensors)
+            assert_equals_reference(tmp_path, manifest, tensors)
 
 
 @settings(max_examples=30)
@@ -474,15 +467,14 @@ def test_streamed_scores_equal_loaded(tmp_path, m, n, c, rows, per_read):
 def test_streamed_scores_equal_loaded_hypothesis(m, c, rows, per_read, n, seed):
     manifest, tensors = random_population(np.random.default_rng(seed), m, n, c)
     with block_rows(m, c, rows, per_read), tempfile.TemporaryDirectory() as tmp:
-        assert_streamed_equals_loaded(Path(tmp), manifest, tensors)
+        assert_equals_reference(Path(tmp), manifest, tensors)
 
 
 def streamed_peak(root, n):
     """Traced peak of streamed scoring of 10 models x n samples x 100
     classes, less its N-length output columns."""
-    manifest, tensors = random_population(np.random.default_rng(n), 10, n, 100)
-    files = tensor_files(root, manifest, tensors)
-    del tensors
+    manifest, files = saved_population(
+        *random_population(np.random.default_rng(n), 10, n, 100), root)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -504,12 +496,11 @@ def test_streamed_peak_does_not_grow_with_n(tmp_path):
 
 
 def test_score_rejects_a_model_twice_and_a_manifest_of_other_dims(tmp_path):
-    manifest, tensors = random_population(np.random.default_rng(1), 3, 10, 4)
+    manifest, files = saved_population(
+        *random_population(np.random.default_rng(1), 3, 10, 4), tmp_path)
+    ids = manifest.model_ids()
     with pytest.raises(InvalidConfig, match="more than once"):
-        score_dataset(manifest, tensors + tensors[:1])
-    other = make_manifest(np.zeros(11), 4, [t.model_id for t in tensors])
-    with pytest.raises(ShapeMismatch, match=r"'m0' has shape \(10, 4\), expected \(11, 4\)"):
-        score_dataset(other, tensors)
-    files = tensor_files(tmp_path, manifest, tensors)
+        score_dataset(manifest, TensorFiles(manifest, ids + ids[:1]))
+    other = make_manifest(np.zeros(11), 4, ids)
     with pytest.raises(ShapeMismatch, match=r"shape \(10, 4\), expected \(11, 4\)"):
         score_dataset(other, files)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -30,9 +31,9 @@ from disco.selection import (
     select_stratified_topk,
     select_topk,
 )
-from disco.store import PredictionTensor, accuracy, correctness
+from disco.store import PredictionTensor, accuracy, correctness, load_tensor
 
-from conftest import make_manifest, tensor_from_rows
+from conftest import make_manifest, saved_population, tensor_from_rows
 
 
 def table_from_scores(scores):
@@ -129,19 +130,20 @@ class TestStratified:
 
 
 class TestEmbeddings:
-    def test_conf_single_model(self):
-        man = make_manifest([1], 2, ["m"])
-        emb = build_embeddings([tensor_from_rows("m", [[0.3, 0.7]])], man, "conf")
+    def test_conf_single_model(self, tmp_path):
+        man, files = saved_population(make_manifest([1], 2, ["m"]),
+                                      [tensor_from_rows("m", [[0.3, 0.7]])], tmp_path)
+        emb = build_embeddings(files, man, "conf")
         assert emb.shape == (1, 1)
         assert abs(emb[0, 0] - 0.7) < 1e-6
 
-    def test_corr_perfect_model(self):
-        man = make_manifest([0, 1, 0], 2, ["m"])
+    def test_corr_perfect_model(self, tmp_path):
         t = tensor_from_rows("m", [[0.9, 0.1], [0.2, 0.8], [1.0, 0.0]])
-        emb = build_embeddings([t], man, "corr")
+        man, files = saved_population(make_manifest([0, 1, 0], 2, ["m"]), [t], tmp_path)
+        emb = build_embeddings(files, man, "corr")
         assert emb[:, 0].tolist() == [1.0, 1.0, 1.0]
 
-    def test_corr_column_means_are_accuracies(self, rng):
+    def test_corr_column_means_are_accuracies(self, rng, tmp_path):
         n, c, m = 30, 3, 4
         labels = rng.integers(0, c, n)
         man = make_manifest(labels, c, [f"m{i}" for i in range(m)])
@@ -150,8 +152,10 @@ class TestEmbeddings:
             raw = rng.random((n, c)) + 1e-6
             raw /= raw.sum(axis=1, keepdims=True)
             tensors.append(PredictionTensor.from_values(f"m{i}", raw.astype(np.float32)))
-        emb = build_embeddings(tensors, man, "corr")
-        for i, t in enumerate(tensors):
+        man, files = saved_population(man, tensors, tmp_path)
+        emb = build_embeddings(files, man, "corr")
+        for i, mid in enumerate(files):
+            t = load_tensor(man, mid)
             assert abs(emb[:, i].mean() - accuracy(correctness(t, man))) < 1e-12
 
 
@@ -433,33 +437,35 @@ def test_kmedoids_rejects_increasing_objective(monkeypatch):
         kmedoids_with_trace(x, 1, seed=0)
 
 
-def _bfv_population(rng, m=8, n=60, c=3):
+def _bfv_population(root, rng, m=8, n=60, c=3):
+    """The manifest of m models' files, each model's accuracy that of its
+    loaded tensor; their TensorFiles; the loaded tensors, in manifest order."""
     labels = rng.integers(0, c, n)
-    accs = []
     tensors = []
     man = make_manifest(labels, c, [f"m{i}" for i in range(m)],
                         accuracies=[0.0] * m)
     for i in range(m):
         raw = rng.random((n, c)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        t = PredictionTensor.from_values(f"m{i}", raw.astype(np.float32))
-        tensors.append(t)
-        man.models[i].true_accuracy = accuracy(correctness(t, man))
-        accs.append(man.models[i].true_accuracy)
-    return man, tensors
+        tensors.append(PredictionTensor.from_values(f"m{i}", raw.astype(np.float32)))
+    man, files = saved_population(man, tensors, root)
+    loaded = [load_tensor(man, mid) for mid in man.model_ids()]
+    for meta, t in zip(man.models, loaded):
+        meta.true_accuracy = accuracy(correctness(t, man))
+    return man, files, loaded
 
 
 class TestBestForValidation:
-    def test_single_candidate_returned(self, rng):
-        man, tensors = _bfv_population(rng)
-        subset = select_best_for_validation(tensors, man, 5, candidates=1, seed=0)
-        expect = select_best_for_validation(tensors, man, 5, candidates=1, seed=0)
+    def test_single_candidate_returned(self, rng, tmp_path):
+        man, files, _ = _bfv_population(tmp_path, rng)
+        subset = select_best_for_validation(files, man, 5, candidates=1, seed=0)
+        expect = select_best_for_validation(files, man, 5, candidates=1, seed=0)
         assert subset.indices.tolist() == expect.indices.tolist()
         assert subset.k == 5
 
-    def test_perfect_proxy_wins(self, rng):
+    def test_perfect_proxy_wins(self, rng, tmp_path):
         # doctor the accuracies so one candidate is an exact proxy
-        man, tensors = _bfv_population(rng, m=6, n=40)
+        man, files, tensors = _bfv_population(tmp_path, rng, m=6, n=40)
         # find the candidate drawn second for this seed and make it perfect
         probe = np.random.default_rng(7)
         probe.permutation(6)
@@ -468,13 +474,13 @@ class TestBestForValidation:
         target = cand[1]
         for i, m in enumerate(man.models):
             m.true_accuracy = float(bits[i, target].mean())
-        subset = select_best_for_validation(tensors, man, 4, candidates=3, seed=7)
+        subset = select_best_for_validation(files, man, 4, candidates=3, seed=7)
         assert subset.indices.tolist() == target.tolist()
 
-    def test_winner_beats_median_candidate(self, rng):
-        man, tensors = _bfv_population(rng, m=10, n=80)
+    def test_winner_beats_median_candidate(self, rng, tmp_path):
+        man, files, tensors = _bfv_population(tmp_path, rng, m=10, n=80)
         k, cands, seed = 6, 50, 11
-        subset = select_best_for_validation(tensors, man, k, candidates=cands,
+        subset = select_best_for_validation(files, man, k, candidates=cands,
                                             seed=seed)
 
         # independent oracle: replay the candidate draws, score each with a
@@ -501,10 +507,10 @@ class TestBestForValidation:
         assert winner_rmse <= np.median(rmses) + 1e-12
         assert winner_rmse <= min(rmses) + 1e-9
 
-    def test_insufficient_models(self, rng):
-        man, tensors = _bfv_population(rng, m=3)
+    def test_insufficient_models(self, rng, tmp_path):
+        man, files, _ = _bfv_population(tmp_path, rng, m=3)
         with pytest.raises(InsufficientModels):
-            select_best_for_validation(tensors, man, 4, candidates=2, seed=0)
+            select_best_for_validation(files, man, 4, candidates=2, seed=0)
 
 
 # The loop that scored one candidate at a time.  The blocked scoring in
@@ -544,14 +550,16 @@ def _ref_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
     return float(np.sqrt(np.mean(resid ** 2)))
 
 
-def _population_from_bits(bits: np.ndarray, accuracies: np.ndarray):
-    """Two-class tensors (label 0 everywhere) whose correctness is ``bits``."""
+def _population_from_bits(root, bits: np.ndarray, accuracies: np.ndarray):
+    """The manifest and TensorFiles of two-class tensors (label 0
+    everywhere) whose correctness is ``bits``."""
     m, n = bits.shape
     ids = [f"m{i:02d}" for i in range(m)]
     man = make_manifest(np.zeros(n, dtype=np.int64), 2, ids,
                         accuracies=[float(a) for a in accuracies])
     rows = np.where(bits[:, :, None] == 1, [0.75, 0.25], [0.25, 0.75])
-    return man, [tensor_from_rows(mid, r) for mid, r in zip(ids, rows)]
+    return saved_population(man, [tensor_from_rows(mid, r) for mid, r in zip(ids, rows)],
+                            root)
 
 
 @st.composite
@@ -578,10 +586,11 @@ def _bfv_case(draw):
 @given(_bfv_case())
 def test_best_for_validation_equals_reference_loop(case):
     bits, accuracies, k, candidates, seed, split_ratio = case
-    man, tensors = _population_from_bits(bits, accuracies)
     want = _ref_best_for_validation(bits, accuracies, k, candidates, seed, split_ratio)
-    got = select_best_for_validation(tensors, man, k, candidates=candidates,
-                                     seed=seed, split_ratio=split_ratio)
+    with tempfile.TemporaryDirectory() as tmp:
+        man, files = _population_from_bits(tmp, bits, accuracies)
+        got = select_best_for_validation(files, man, k, candidates=candidates,
+                                         seed=seed, split_ratio=split_ratio)
     assert got.indices.tolist() == want.tolist()
 
 
@@ -603,17 +612,17 @@ def test_validation_rmse_equals_reference_bits(m, k, rows, seed):
     assert got.tobytes() == want.tobytes()
 
 
-def test_best_for_validation_flat_branch_equals_reference_loop():
+def test_best_for_validation_flat_branch_equals_reference_loop(tmp_path):
     # Half the samples are answered alike by every model, so many candidates
     # take the constant-fit branch; the rest compete on a fitted line.
     rng = np.random.default_rng(5)
     bits = (rng.random((40, 30)) < rng.random((40, 1))).astype(np.uint8)
     bits[:, :15] = 1
     accuracies = bits.mean(axis=1)
-    man, tensors = _population_from_bits(bits, accuracies)
+    man, files = _population_from_bits(tmp_path, bits, accuracies)
     for k, split_ratio in ((3, 0.8), (10, 0.5), (2, 0.0)):
         want = _ref_best_for_validation(bits, accuracies, k, 1000, 1, split_ratio)
-        got = select_best_for_validation(tensors, man, k, candidates=1000, seed=1,
+        got = select_best_for_validation(files, man, k, candidates=1000, seed=1,
                                          split_ratio=split_ratio)
         assert got.indices.tolist() == want.tolist()
 

@@ -25,7 +25,7 @@ from disco.errors import (
     SchemaError,
     ShapeMismatch,
 )
-from disco.files import LoadedTensors, TensorFiles
+from disco.files import TensorFiles
 from disco.store import (
     EmptyDataset,
     PredictionTensor,
@@ -591,10 +591,6 @@ def test_anchor_rows_equal_loaded_rows(raw, data):
         man = write_population(tmp, {"m": raw}, [0] * n)
         files = TensorFiles(man, ["m"])
         assert outcome(lambda: files.anchor_rows(["m"], idx)[0]) == want
-        if type(want) is not tuple:
-            tensor = PredictionTensor.from_values("m", clean_rows_except(raw, idx))
-            loaded = LoadedTensors(man, {"m": tensor})
-            assert loaded.anchor_rows(["m"], idx)[0].tobytes() == want
 
 
 def test_anchor_rows_name_the_first_model_at_fault(tmp_path):
@@ -660,12 +656,11 @@ def test_summaries_equal_loaded(tmp_path, summarize):
         files.check(summarize)
     for mid in ("a", "b"):
         tensor = load_tensor(man, mid)
-        for source in (files, LoadedTensors(man, {mid: tensor})):
-            summary = source.summary(mid)
-            assert summary.bits.tobytes() == correctness(tensor, man).tobytes()
-            want = tensor.values.astype(np.float64)[np.arange(n), man.labels]
-            assert summary.label_probs.tobytes() == want.tobytes()
-            assert not summary.bits.flags.writeable
+        summary = files.summary(mid)
+        assert summary.bits.tobytes() == correctness(tensor, man).tobytes()
+        want = tensor.values.astype(np.float64)[np.arange(n), man.labels]
+        assert summary.label_probs.tobytes() == want.tobytes()
+        assert not summary.bits.flags.writeable
 
 
 def test_files_are_checked_once(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from disco.errors import InvalidConfig
 from disco.harness import spearman
 from disco.scoring import score_dataset
-from disco.store import accuracy, correctness, load_all_tensors, load_manifest, manifest_bytes
+from disco.store import accuracy, correctness, load_manifest, load_tensor, manifest_bytes
 from disco.synth import (
     SynthConfig,
     assemble_tensors,
@@ -44,7 +44,7 @@ class TestGenerate:
         for t in tensors.values():
             assert accuracy(correctness(t, man)) == 1.0
 
-    def test_zero_ability_gives_identical_tensors_and_zero_jsd(self):
+    def test_zero_ability_gives_identical_tensors_and_zero_jsd(self, tmp_path):
         # equal abilities -> equal correctness probabilities -> because the
         # distractor profile is shared per sample, identical tensors
         rng = np.random.default_rng(3)
@@ -58,9 +58,9 @@ class TestGenerate:
         base = tensors["m0"].values.tobytes()
         for mid in ids[1:]:
             assert tensors[mid].values.tobytes() == base
-        from conftest import make_manifest
-        man = make_manifest(labels, 3, ids)
-        table = score_dataset(man, tensors)
+        from conftest import make_manifest, saved_population
+        man, files = saved_population(make_manifest(labels, 3, ids), tensors, tmp_path)
+        table = score_dataset(man, files)
         assert np.all(table.jsd_bits < 1e-12)
 
     def test_mean_p_correct_matches_formula_reevaluation(self):
@@ -147,9 +147,9 @@ class TestSavePopulation:
         path = save_population(man, tensors, tmp_path / "pop")
         loaded = load_manifest(path)
         loaded.validate()
-        disk = load_all_tensors(loaded)
         for mid in man.model_ids():
-            assert disk[mid].values.tobytes() == tensors[mid].values.tobytes()
+            disk = load_tensor(loaded, mid)
+            assert disk.values.tobytes() == tensors[mid].values.tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         man, tensors = generate_population(SMALL)

@@ -42,32 +42,6 @@ _GAP_BYTES = 1 << 14
 _INGEST_BYTES = 1 << 17
 
 
-class _HeldRows:
-    """The rows ``TensorFiles.hold`` keeps: some models' rows at sorted,
-    distinct sample indices."""
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.set(np.empty(0, np.int64), [], None)
-
-    def set(self, idx: np.ndarray, model_ids: list[str], rows: np.ndarray | None) -> None:
-        self.idx, self.rows = idx, rows
-        self.where = {mid: j for j, mid in enumerate(model_ids)}
-
-    def take(self, model_ids: list[str], idx: np.ndarray) -> np.ndarray | None:
-        """Rows ``idx`` of these models, as ``anchor_rows`` returns them,
-        or None unless all of them are held."""
-        if not self.where or any(mid not in self.where for mid in model_ids):
-            return None
-        pos = np.searchsorted(self.idx, idx)
-        if not np.array_equal(self.idx.take(pos, mode="clip"), idx):
-            return None
-        js = np.asarray([self.where[mid] for mid in model_ids], dtype=np.intp)
-        return self.rows[js[:, None], pos]
-
-
 class TensorFiles:
     """The tensors of ``model_ids``, read from their files, never loaded
     whole; no file stays open between calls.  Its reads stack the models in
@@ -77,9 +51,8 @@ class TensorFiles:
     that order would, and keeps the per-sample summaries asked of it.  After
     it, ``anchor_rows`` and ``read_rows`` read only the rows they return,
     and check those and each file's header, size and dims again, so a file
-    that changed since raises too.  ``hold`` reads the rows that several
-    ``anchor_rows`` calls will ask for at once, and keeps them.  A model
-    named twice raises InvalidConfig.
+    that changed since raises too.  A model named twice raises
+    InvalidConfig.
     """
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
@@ -90,7 +63,6 @@ class TensorFiles:
         self._order = sorted(self._ids)
         self._summaries: dict[str, SampleSummary] = {}
         self._checked = False
-        self._held = _HeldRows()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._order)
@@ -109,14 +81,13 @@ class TensorFiles:
 
     def select(self, model_ids: list[str]) -> "TensorFiles":
         """The files of some of these models, sharing what this one has
-        checked, summarized and holds."""
+        checked and summarized."""
         for mid in model_ids:
             if mid not in self._ids:
                 raise KeyError(mid)
         view = TensorFiles(self.manifest, model_ids)
         view._summaries = self._summaries
         view._checked = self._checked
-        view._held = self._held
         return view
 
     def check(self, summarize: Collection[str] = ()) -> None:
@@ -180,28 +151,11 @@ class TensorFiles:
         """Rows ``idx`` of each model's tensor, as an (M, K, C) float32
         array in the given orders, checked and renormalized as
         ``load_tensor`` would.  ``idx`` may come in any order and repeat a
-        row.  The rows are read as ``_read`` reads them, unless ``hold``
-        keeps them for all these models."""
+        row; each distinct row is read once, as ``_read`` reads it."""
         idx = _anchor_index(idx, self.manifest.num_samples)
-        out = self._held.take(model_ids, idx)
-        if out is not None:
-            return out
         rows, inverse = np.unique(idx, return_inverse=True)
         out = self._read_rows_at(model_ids, rows)
         return out if np.array_equal(rows, idx) else out[:, inverse]
-
-    def hold(self, model_ids: list[str], idx) -> None:
-        """Read rows ``idx`` of these models' tensors as ``anchor_rows``
-        does, each file once, and keep them for the ``anchor_rows`` calls
-        of this object and the views ``select`` made, in place of what was
-        held.  ``idx`` may come in any order and repeat a row."""
-        self.release()
-        idx = np.unique(_anchor_index(idx, self.manifest.num_samples))
-        self._held.set(idx, model_ids, self._read_rows_at(model_ids, idx))
-
-    def release(self) -> None:
-        """Free the rows ``hold`` keeps."""
-        self._held.clear()
 
     def _read_rows_at(self, model_ids: list[str], idx: np.ndarray) -> np.ndarray:
         """``anchor_rows`` for strictly increasing ``idx``."""

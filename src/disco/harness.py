@@ -1,10 +1,11 @@
 """Model splits, prediction-quality metrics, and end-to-end pipelines.
 
-``run_pipeline`` wires the stages together: score the benchmark with the
+``sweep_budgets`` wires the stages together: score the benchmark with the
 source models, select anchors, build source signatures, fit the projection
 and predictor, then estimate every target model from its own anchor
-outputs.  Every tensor file is checked whole up front, but the targets'
-outputs are only ever read in that final stage, and only at the anchors.
+outputs.  ``run_pipeline`` is a sweep of one pipeline.  Every tensor file
+is checked whole up front, but the targets' outputs are read only once the
+anchors are selected, and only at the anchors.
 """
 
 from __future__ import annotations
@@ -216,16 +217,9 @@ class SharedSources:
     score table's sample blocks and each model's anchor rows.
 
     It holds the source models' score table and the k-medoids embeddings
-    and distance matrix of one embedding kind.  ``sweep_budgets`` keeps one
-    for the whole sweep; ``run_pipeline`` makes a fresh one when given
-    none, ``condense_and_train`` always.  ``scores``, when given, is the
-    score table of these sources, read back from a file.  Every array it
-    hands out is read-only.
-
-    ``reports`` holds the report of each distinct pipeline ``run_pipeline``
-    has run on it, keyed as by ``_pipeline_key``: the metrics and pairs
-    only, never the fitted model.  ``subsets`` holds the anchors
-    ``select_anchors`` picked, by (method, K, seed).
+    and distance matrix of one embedding kind.  ``scores``, when given, is
+    the score table of these sources, read back from a file.  Every array
+    it hands out is read-only.
     """
 
     def __init__(self, manifest: BenchmarkManifest, tensors: TensorFiles,
@@ -238,16 +232,6 @@ class SharedSources:
         self.sources = self.models.select(source_ids)
         self._scores = scores
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
-        self.reports: dict[tuple, EvalReport] = {}
-        self.subsets: dict[tuple, AnchorSubset] = {}
-
-    def check(self, manifest: BenchmarkManifest, tensors: TensorFiles,
-              source_ids: list[str]) -> None:
-        """Raise InvalidConfig unless built from this manifest, these
-        tensor files and source models."""
-        if (manifest is not self.manifest or tensors is not self.models
-                or set(source_ids) != set(self.sources)):
-            raise InvalidConfig("shared source data was built for other inputs")
 
     def scores(self) -> ScoreTable:
         if self._scores is None:
@@ -268,28 +252,13 @@ class SharedSources:
     def drop_kmedoids(self) -> None:
         self._kmedoids = None
 
-    def drop_selection_data(self) -> None:
-        """Free the score table and the k-medoids data, for a caller that
-        selects once and then trains."""
-        self._scores = None
-        self._kmedoids = None
-
 
 def select_anchors(shared: SharedSources, method: str, k: int,
                    seed: int) -> AnchorSubset:
     """The anchors that selector ``method`` picks from the shared source
     data; the score-ranking methods read only its score table, ``random``
     nothing.  ``stratified_topk`` ranks by ``pds_env``; best-for-validation
-    takes its library defaults (1000 candidates, a 0.8 training share).
-    Each (method, K, seed) is selected once per SharedSources."""
-    key = (method, k, seed)
-    if key not in shared.subsets:
-        shared.subsets[key] = _pick_anchors(shared, method, k, seed)
-    return shared.subsets[key]
-
-
-def _pick_anchors(shared: SharedSources, method: str, k: int,
-                  seed: int) -> AnchorSubset:
+    takes its library defaults (1000 candidates, a 0.8 training share)."""
     manifest = shared.manifest
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
@@ -307,6 +276,45 @@ def _pick_anchors(shared: SharedSources, method: str, k: int,
     raise InvalidConfig(f"unknown selection method {method!r}")
 
 
+def _trains(predictor: PredictorConfig, n_sources: int) -> bool:
+    """Whether ``predictor`` is fitted on the sources rather than a readout
+    of the anchors (direct, weighted_sum).  InvalidConfig for an unknown
+    kind, TooFewModels for a fit on fewer than 2 sources."""
+    if predictor.kind not in KINDS:
+        raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
+    if predictor.kind not in TRAINED_KINDS:
+        return False
+    if n_sources < 2:
+        raise TooFewModels(f"fitting needs at least 2 source models, got {n_sources}")
+    return True
+
+
+def _signature_matrix(manifest: BenchmarkManifest, rows: np.ndarray,
+                      subset: AnchorSubset, mode: str) -> np.ndarray:
+    """The (M, D) stack of the signatures of ``rows``, M models' (K, C)
+    rows at the anchors."""
+    matrix = None
+    for i, model_rows in enumerate(rows):
+        signature = build_signature(model_rows, subset, mode, labels=manifest.labels)
+        if matrix is None:
+            matrix = np.empty((len(rows), signature.size))
+        matrix[i] = signature
+    return matrix
+
+
+def _fit(matrix: np.ndarray, accuracies: list[float], predictor: PredictorConfig,
+         seed: int, threads: int) -> PredictorModel:
+    """The projection and predictor fitted on the signature matrix of models
+    of these accuracies."""
+    projection = None
+    features = matrix
+    if predictor.pca_dim != 0:
+        projection, features = pca_fit_transform(matrix, predictor.pca_dim)
+    return train(predictor.kind, features, np.asarray(accuracies),
+                 k_neighbors=predictor.k_neighbors, forest=predictor.forest, seed=seed,
+                 projection=projection, threads=threads)
+
+
 def fit_predictor(
     manifest: BenchmarkManifest,
     source_tensors: TensorFiles,
@@ -321,49 +329,14 @@ def fit_predictor(
     (direct, weighted_sum).  Unchecked tensor files are checked whole
     first; then only each source's anchor rows are read.
     """
-    if predictor.kind not in KINDS:
-        raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
-    if predictor.kind not in TRAINED_KINDS:
+    if not _trains(predictor, len(source_tensors)):
         return None
     source_tensors.check_shape(manifest)
-    if len(source_tensors) < 2:
-        raise TooFewModels(f"fitting needs at least 2 source models, "
-                           f"got {len(source_tensors)}")
     source_tensors.check()
     ids = list(source_tensors)
-    matrix = None
-    for i, rows in enumerate(source_tensors.anchor_rows(ids, subset.indices)):
-        signature = build_signature(rows, subset, predictor.signature_mode,
-                                    labels=manifest.labels)
-        if matrix is None:
-            matrix = np.empty((len(ids), signature.size))
-        matrix[i] = signature
-    accs = np.asarray([source_accuracies[mid] for mid in ids])
-
-    projection = None
-    features = matrix
-    if predictor.pca_dim != 0:
-        projection, features = pca_fit_transform(matrix, predictor.pca_dim)
-
-    return train(predictor.kind, features, accs, k_neighbors=predictor.k_neighbors,
-                 forest=predictor.forest, seed=seed, projection=projection,
-                 threads=threads)
-
-
-def _select(manifest: BenchmarkManifest, tensors: TensorFiles,
-            source_ids: list[str], method: str, k: int, seed: int,
-            shared: SharedSources | None) -> tuple[AnchorSubset, SharedSources]:
-    """The anchors, and the SharedSources the pipeline goes on with: ``shared``
-    once checked against the inputs, else a fresh one that keeps neither the
-    score table nor the k-medoids data while the predictor trains."""
-    if shared is None:
-        shared = SharedSources(manifest, tensors, source_ids, methods=(method,))
-        subset = select_anchors(shared, method, k, seed)
-        shared.drop_selection_data()
-    else:
-        shared.check(manifest, tensors, source_ids)
-        subset = select_anchors(shared, method, k, seed)
-    return subset, shared
+    matrix = _signature_matrix(manifest, source_tensors.anchor_rows(ids, subset.indices),
+                               subset, predictor.signature_mode)
+    return _fit(matrix, [source_accuracies[mid] for mid in ids], predictor, seed, threads)
 
 
 def condense_and_train(
@@ -378,10 +351,27 @@ def condense_and_train(
 ) -> tuple[AnchorSubset, PredictorModel | None]:
     """Anchor selection by selector ``method`` plus predictor training from
     source models only; the model is as from ``fit_predictor``."""
-    subset, shared = _select(manifest, source_tensors, list(source_tensors), method,
-                             k, seed, None)
-    return subset, fit_predictor(manifest, shared.sources, source_accuracies,
-                                 subset, predictor, seed, threads=threads)
+    subset = select_anchors(SharedSources(manifest, source_tensors, list(source_tensors),
+                                          methods=(method,)), method, k, seed)
+    return subset, fit_predictor(manifest, source_tensors, source_accuracies, subset,
+                                 predictor, seed, threads=threads)
+
+
+def _estimates(manifest: BenchmarkManifest, rows: np.ndarray, subset: AnchorSubset,
+               predictor: PredictorConfig, model: PredictorModel | None) -> list[float]:
+    """Each model's estimated accuracy from ``rows``, its (K, C) rows at the
+    anchors: for the accuracy readouts, from its correctness bits on the
+    anchors, else ``model``'s prediction from its signature."""
+    estimates = []
+    for model_rows in rows:
+        if predictor.kind not in TRAINED_KINDS:
+            bits = anchor_correctness(model_rows, manifest, subset.indices)
+            estimates.append(predict_weighted_sum(subset, bits)
+                             if predictor.kind == "weighted_sum" else accuracy(bits))
+        else:
+            estimates.append(predict(model, build_signature(
+                model_rows, subset, predictor.signature_mode, labels=manifest.labels)))
+    return estimates
 
 
 def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
@@ -389,22 +379,13 @@ def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
                     predictor: PredictorConfig, model: PredictorModel | None
                     ) -> list[float]:
     """Each target model's estimated accuracy, in the order of
-    ``target_ids``, from its anchor rows: for the accuracy readouts, from
-    its correctness bits on the anchors, else ``model``'s prediction from
-    its signature.  ``tensors`` holds at least the targets; unchecked
-    tensor files are checked whole first."""
+    ``target_ids``, as ``_estimates`` gives it from its anchor rows.
+    ``tensors`` holds at least the targets; unchecked tensor files are
+    checked whole first."""
     tensors.check_shape(manifest)
     tensors.check()
-    estimates = []
-    for rows in tensors.anchor_rows(target_ids, subset.indices):
-        if predictor.kind not in TRAINED_KINDS:
-            bits = anchor_correctness(rows, manifest, subset.indices)
-            estimates.append(predict_weighted_sum(subset, bits)
-                             if predictor.kind == "weighted_sum" else accuracy(bits))
-        else:
-            estimates.append(predict(model, build_signature(
-                rows, subset, predictor.signature_mode, labels=manifest.labels)))
-    return estimates
+    return _estimates(manifest, tensors.anchor_rows(target_ids, subset.indices), subset,
+                      predictor, model)
 
 
 def _pipeline_key(target_ids: list[str], subset: AnchorSubset,
@@ -429,16 +410,19 @@ def _defined(metric, true: np.ndarray, pred: np.ndarray) -> float | None:
         return None
 
 
-def _estimate(shared: SharedSources, split: ModelSplit,
-              accuracies: Mapping[str, float], subset: AnchorSubset,
-              predictor: PredictorConfig, seed: int, threads: int) -> EvalReport:
-    """Fit on the sources, estimate every target and score the estimates.
-    The fitted model lives only as long as this call."""
-    model = fit_predictor(shared.manifest, shared.sources, accuracies, subset,
-                          predictor, seed, threads=threads)
-    estimates = predict_targets(shared.manifest, shared.models, split.target_ids, subset,
-                                predictor, model)
-    pairs = [(tid, accuracies[tid], est) for tid, est in zip(split.target_ids, estimates)]
+def _estimate(manifest: BenchmarkManifest, rows: np.ndarray, sources: list[str],
+              target_ids: list[str], accuracies: Mapping[str, float],
+              subset: AnchorSubset, predictor: PredictorConfig, seed: int,
+              threads: int) -> EvalReport:
+    """Fit on the anchor rows of ``sources``, the first ``len(sources)`` of
+    ``rows`` (none for a readout), estimate every target from the rest and
+    score the estimates.  The fitted model lives only as long as this call."""
+    n = len(sources)
+    model = (_fit(_signature_matrix(manifest, rows[:n], subset, predictor.signature_mode),
+                  [accuracies[mid] for mid in sources], predictor, seed, threads)
+             if n else None)
+    estimates = _estimates(manifest, rows[n:], subset, predictor, model)
+    pairs = [(tid, accuracies[tid], est) for tid, est in zip(target_ids, estimates)]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])
     return EvalReport(
@@ -452,6 +436,25 @@ def _estimate(shared: SharedSources, split: ModelSplit,
     )
 
 
+def _run(manifest: BenchmarkManifest, tensors: TensorFiles, sources: list[str],
+         target_ids: list[str], accuracies: Mapping[str, float],
+         subsets: list[AnchorSubset], predictor: PredictorConfig, seed: int,
+         threads: int) -> list[EvalReport]:
+    """One report per subset.  The anchor rows of all of them are read at
+    once, each file once: those of ``sources`` (sorted; none for a
+    readout), then those of the targets.  The rows live only during this
+    call; each pipeline takes its own slice of them."""
+    rows = tensors.anchor_rows(sources + target_ids,
+                               np.concatenate([s.indices for s in subsets]))
+    reports, at = [], 0
+    for subset in subsets:
+        k = len(subset.indices)
+        reports.append(_estimate(manifest, rows[:, at:at + k], sources, target_ids,
+                                 accuracies, subset, predictor, seed, threads))
+        at += k
+    return reports
+
+
 def run_pipeline(
     manifest: BenchmarkManifest,
     tensors: TensorFiles,
@@ -461,29 +464,13 @@ def run_pipeline(
     k: int,
     seed: int,
     threads: int = 1,
-    *,
-    shared: SharedSources | None = None,
 ) -> EvalReport:
     """Condense with the source models by selector ``method``, then evaluate
-    on the target models.  A rank or linear correlation that is undefined
-    (every target got the same estimate, or has the same accuracy) is None.
-
-    ``shared``, built from ``manifest``, ``tensors`` and ``split.source_ids``,
-    holds what earlier calls computed (``sweep_budgets`` keeps one per sweep).
-    A pipeline whose targets, anchors, anchor weights and predictor config
-    (and seed, for a forest) match one already run on ``shared`` is not run
-    again: its report is copied, with this call's K, seed and selection method.
-    """
-    accuracies = known_accuracies(manifest, split.source_ids + split.target_ids)
-    subset, shared = _select(manifest, tensors, split.source_ids, method, k,
-                             seed, shared)
-    key = _pipeline_key(split.target_ids, subset, predictor, seed)
-    report = shared.reports.get(key)
-    if report is None:
-        report = shared.reports[key] = _estimate(shared, split, accuracies, subset,
-                                                 predictor, seed, threads)
-    return replace(report, k=k, seed=seed, selection=method,
-                   pairs=list(report.pairs))
+    on the target models: a sweep of this one pipeline.  A rank or linear
+    correlation that is undefined (every target got the same estimate, or
+    has the same accuracy) is None."""
+    return sweep_budgets(manifest, tensors, split, [(method, predictor)], [k], [seed],
+                         threads)[0]
 
 
 def sweep_budgets(
@@ -500,40 +487,43 @@ def sweep_budgets(
 
     Scores, per-sample summaries and k-medoids distances depend on neither
     K nor seed, so one SharedSources computes each at most once per sweep;
-    the k-medoids data lives only while its config selects.  Then, per
-    seed, the anchor rows of every budget's pipeline not run yet are read
-    at once, each file once, and held while those pipelines run: at most
-    the sum of the budgets in rows per model read.
+    the k-medoids data lives only while its config selects.  Each (selector,
+    K, seed) is selected once.  A pipeline whose targets, anchors, anchor
+    weights and predictor config (and seed, for a forest) match one already
+    run is not run again: its report is copied, with this cell's K, seed and
+    selector.  Per config and seed, the anchor rows of every pipeline not
+    run yet are read at once, each file once: at most the sum of the
+    budgets in rows per model read.
     """
     if list(budgets) != sorted(budgets):
         raise InvalidConfig("budgets must be sorted ascending")
+    accuracies = known_accuracies(manifest, split.source_ids + split.target_ids)
     shared = SharedSources(manifest, tensors, split.source_ids,
                            methods=[method for method, _ in configs])
-    # raise for a model with no accuracy before selecting, as run_pipeline does
-    known_accuracies(manifest, split.source_ids + split.target_ids)
-    reports = {}
-    for c, (method, pred_cfg) in enumerate(configs):
-        subsets = {(k, seed): select_anchors(shared, method, k, seed)
-                   for k in budgets for seed in seeds}
-        shared.drop_kmedoids()  # run_pipeline finds the anchors in shared.subsets
-        # the models whose anchor rows the config's pipelines read
-        readers = ((split.source_ids if pred_cfg.kind in TRAINED_KINDS else [])
-                   + split.target_ids)
+    subsets: dict[tuple, AnchorSubset] = {}
+    done: dict[tuple, EvalReport] = {}
+    reports = []
+    for method, predictor in configs:
+        for k in budgets:
+            for seed in seeds:
+                if (method, k, seed) not in subsets:
+                    subsets[method, k, seed] = select_anchors(shared, method, k, seed)
+        shared.drop_kmedoids()
+        sources = list(shared.sources) if _trains(predictor, len(shared.sources)) else []
+        keys = {(k, seed): _pipeline_key(split.target_ids, subsets[method, k, seed],
+                                         predictor, seed)
+                for k in budgets for seed in seeds}
         for seed in seeds:
-            new = [subsets[k, seed].indices for k in budgets
-                   if _pipeline_key(split.target_ids, subsets[k, seed], pred_cfg,
-                                    seed) not in shared.reports]
-            try:
-                if new:
-                    shared.models.hold(readers, np.concatenate(new))
-                for k in budgets:
-                    reports[c, k, seed] = run_pipeline(manifest, tensors, split, method,
-                                                       pred_cfg, k, seed, threads=threads,
-                                                       shared=shared)
-            finally:
-                shared.models.release()
-    return [reports[c, k, seed] for c in range(len(configs))
-            for k in budgets for seed in seeds]
+            new = {keys[k, seed]: subsets[method, k, seed] for k in budgets
+                   if keys[k, seed] not in done}
+            if new:
+                done.update(zip(new, _run(manifest, tensors, sources, split.target_ids,
+                                          accuracies, list(new.values()), predictor,
+                                          seed, threads)))
+        reports += [replace(done[keys[k, seed]], k=k, seed=seed, selection=method,
+                            pairs=list(done[keys[k, seed]].pairs))
+                    for k in budgets for seed in seeds]
+    return reports
 
 
 # --- serialization -----------------------------------------------------------

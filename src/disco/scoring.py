@@ -20,11 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution, LengthMismatch, NonZeroSum, TooFewModels
+from .errors import (
+    InvalidDistribution,
+    LengthMismatch,
+    MissingFile,
+    NonZeroSum,
+    SchemaError,
+    TooFewModels,
+)
 from .files import TensorFiles
 from .store import BenchmarkManifest
 
@@ -224,16 +231,14 @@ def score_dataset(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTab
     tensors.check()  # raises what loading would
     if len(tensors) < 2:
         raise TooFewModels(f"scoring needs at least 2 models, got {len(tensors)}")
-    return _score_rows(manifest, len(tensors), tensors.read_rows)
+    return _score_rows(manifest, tensors)
 
 
-def _score_rows(manifest: BenchmarkManifest, m: int,
-                read: Callable[[int, np.ndarray], None]) -> ScoreTable:
-    """Score the samples of ``m`` models.  ``read(lo, out)`` fills ``out``,
-    a C-contiguous (M, b, C) float32 array, with their rows ``lo:lo + b``;
-    it is asked for as many whole blocks at a time as fit in
-    ``_READ_BYTES``, and for at least one."""
-    n, c = manifest.num_samples, manifest.num_classes
+def _score_rows(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTable:
+    """Score the samples of the models of ``tensors``, reading their rows
+    through ``read_rows`` as many whole blocks at a time as fit in
+    ``_READ_BYTES``, and at least one."""
+    m, n, c = len(tensors), manifest.num_samples, manifest.num_classes
     cap = float(min(m, c))
     env = np.empty(n)
     mean_ent = np.empty(n)
@@ -252,7 +257,7 @@ def _score_rows(manifest: BenchmarkManifest, m: int,
     for r in range(0, len(bounds) - 1, per_read):
         part = bounds[r:r + per_read + 1]
         block = buf[:m * (part[-1] - part[0]) * c].reshape(m, -1, c)
-        read(part[0], block)
+        tensors.read_rows(part[0], block)
         for lo, hi in zip(part[:-1], part[1:]):
             v = block[:, lo - part[0]:hi - part[0]].astype(np.float64)  # (M, b, C)
             v /= v.sum(axis=2, keepdims=True)
@@ -285,8 +290,6 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
 def read_scores_csv(path: str | Path) -> ScoreTable:
     """The table ``write_scores_csv`` wrote.  SchemaError unless every field
     parses, every score is finite and ``sample_index`` counts 0..n-1."""
-    from .errors import MissingFile, SchemaError
-
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such score table: {path}")

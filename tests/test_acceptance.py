@@ -8,7 +8,6 @@ distribution stacks at their stated tolerances.
 from __future__ import annotations
 
 import itertools
-import json
 import tempfile
 import time
 

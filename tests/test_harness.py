@@ -13,7 +13,6 @@ from disco.harness import (
     ModelSplit,
     PredictorConfig,
     fit_predictor,
-    SharedSources,
     UniformSplit,
     mae,
     median_date_cutoff,
@@ -223,6 +222,39 @@ class TestRunPipeline:
         last_source = max(reads.index(s) for s in split.source_ids)
         assert last_source < first_target
 
+    @pytest.mark.parametrize("kind", ["knn", "direct"])
+    def test_anchor_rows_read_once(self, population, monkeypatch, kind):
+        # one read of the anchor rows: the sorted sources' and then the
+        # targets' for a fitted predictor, the targets' alone for a readout
+        manifest, files = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        reads = []
+        read_rows_at = TensorFiles._read_rows_at
+
+        def recording_read(self, model_ids, idx):
+            reads.append((list(model_ids), idx.size))
+            return read_rows_at(self, model_ids, idx)
+
+        monkeypatch.setattr(TensorFiles, "_read_rows_at", recording_read)
+        report = run_pipeline(manifest, files, split, "topk_pds",
+                              PredictorConfig(kind=kind), k=10, seed=0)
+        sources = sorted(split.source_ids) if kind == "knn" else []
+        assert len(reads) == 1
+        assert reads[0][0] == sources + split.target_ids
+        assert reads[0][1] == report.k == 10
+
+    def test_pairs_follow_target_order(self, population):
+        manifest, files = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        cfg = ("topk_pds", PredictorConfig(kind="knn"))
+        first = run_pipeline(manifest, files, split, *cfg, k=10, seed=0)
+        estimates = {mid: pred for mid, _, pred in first.pairs}
+        for targets in (split.target_ids[:-2], split.target_ids[::-1]):
+            other = ModelSplit(split.source_ids, targets)
+            got = run_pipeline(manifest, files, other, *cfg, k=10, seed=0)
+            assert [p[0] for p in got.pairs] == targets
+            assert all(pred == estimates[mid] for mid, _, pred in got.pairs)
+
     def test_target_tensors_cannot_leak_into_selection(self, tmp_path):
         manifest, files = saved_population(*generate_population(POPULATION), tmp_path)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
@@ -331,9 +363,9 @@ class TestSweep:
         assert reports[0].pairs == single.pairs
 
     def test_sweep_equals_separate_pipelines(self, population, tmp_path):
-        # one SharedSources for the whole sweep, a fresh one per pipeline,
-        # all over one TensorFiles: every selector and readout gives the
-        # same bytes either way
+        # one sweep, or one run_pipeline per pipeline, all over one
+        # TensorFiles: every selector and readout gives the same bytes
+        # either way
         manifest, files = population
         assert_sweep_equals_separate_pipelines(manifest, lambda: files, SWEEP_CONFIGS,
                                                [0, 3], tmp_path)
@@ -350,7 +382,7 @@ class TestSweep:
                              ids=["every-selector", "repeating"])
     def test_sweep_on_files_equals_separate_pipelines(self, population_files, configs,
                                                       seeds, tmp_path):
-        # the sweep holds each seed's anchor rows, a lone run reads its own
+        # the sweep reads each seed's anchor rows at once, a lone run its own
         manifest, source = population_files
         assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp_path)
 
@@ -359,15 +391,21 @@ class TestSweep:
 
         from disco import harness
         fits = collections.Counter()
-        fit_predictor = harness.fit_predictor
+        # the subset of the last signature built: the training subset, when
+        # a model is trained
+        last = {}
+        build_signature, train = harness.build_signature, harness.train
 
-        def counting_fit(manifest, sources, accuracies, subset, predictor, seed,
-                         **kwargs):
-            fits[subset.method, predictor.kind, subset.k] += 1
-            return fit_predictor(manifest, sources, accuracies, subset, predictor,
-                                 seed, **kwargs)
+        def recording_signature(rows, subset, *args, **kwargs):
+            last["subset"] = subset
+            return build_signature(rows, subset, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_predictor", counting_fit)
+        def counting_train(kind, *args, **kwargs):
+            fits[last["subset"].method, kind, last["subset"].k] += 1
+            return train(kind, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_signature", recording_signature)
+        monkeypatch.setattr(harness, "train", counting_train)
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         # seed-free anchors and training fit once per (config, K); the random
@@ -425,35 +463,6 @@ class TestSweep:
         reports = sweep_budgets(manifest, files, split, configs, [12, 40], [0, 1])
         assert len(reports) == 4
         assert sorted(picks) == [(12, 0), (12, 1), (40, 0), (40, 1)]
-
-    def test_reused_shared_sources_with_other_targets(self, population):
-        manifest, files = population
-        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = ("topk_pds", PredictorConfig(kind="knn"))
-        shared = SharedSources(manifest, files, split.source_ids)
-        first = run_pipeline(manifest, files, split, *cfg, k=10, seed=0, shared=shared)
-        for targets in (split.target_ids[:-2], split.target_ids[::-1]):
-            other = ModelSplit(split.source_ids, targets)
-            got = run_pipeline(manifest, files, other, *cfg, k=10, seed=0,
-                               shared=shared)
-            want = run_pipeline(manifest, files, other, *cfg, k=10, seed=0)
-            assert [p[0] for p in got.pairs] == targets
-            assert report_to_obj(got) == report_to_obj(want)
-        assert report_to_obj(first) == report_to_obj(
-            run_pipeline(manifest, files, split, *cfg, k=10, seed=0, shared=shared))
-
-    def test_shared_sources_must_match_inputs(self, population):
-        from disco.errors import InvalidConfig
-        manifest, files = population
-        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        cfg = ("topk_pds", PredictorConfig(kind="knn"))
-        other = split_models(manifest, UniformSplit(0.5, seed=1))
-        for shared in (SharedSources(manifest, TensorFiles(manifest, manifest.model_ids()),
-                                     split.source_ids),
-                       SharedSources(manifest, files, other.source_ids)):
-            with pytest.raises(InvalidConfig):
-                run_pipeline(manifest, files, split, *cfg, k=10, seed=0,
-                             shared=shared)
 
     def test_cardinality(self, population):
         manifest, files = population

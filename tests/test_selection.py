@@ -17,7 +17,7 @@ from disco.errors import (
     SchemaError,
     ShapeMismatch,
 )
-from disco.scoring import ScoreTable, score_dataset
+from disco.scoring import ScoreTable
 from disco.selection import (
     build_embeddings,
     distance_matrix,

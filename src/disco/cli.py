@@ -100,7 +100,7 @@ def _check_fresh(recorded: dict | None, name: str, path: Path) -> None:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    raw = args.threads if args.threads is not None else os.environ.get("DISCO_THREADS", "1")
+    raw = args.threads
     if raw == "auto":
         return os.cpu_count() or 1
     try:
@@ -368,14 +368,17 @@ def cmd_synth(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workdir", default=".", help="base directory for relative paths")
+    workdir = argparse.ArgumentParser(add_help=False)
+    workdir.add_argument("--workdir", default=".", help="base directory for relative paths")
+    common = argparse.ArgumentParser(add_help=False, parents=[workdir])
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", default=None,
-                        help="worker processes for random-forest training "
-                             "(forked; serial where fork is unavailable): "
-                             "integer or 'auto' (env DISCO_THREADS as fallback); "
-                             "artifacts are byte-identical for any value")
+
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", default="1",
+                         help="worker processes for random-forest training "
+                              "(forked; serial where fork is unavailable): "
+                              "integer or 'auto'; artifacts are byte-identical "
+                              "for any value")
 
     pred_common = argparse.ArgumentParser(add_help=False)
     pred_common.add_argument("--mode", default="probs", choices=MODES)
@@ -398,7 +401,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common])
+    p = sub.add_parser("validate", parents=[workdir])
     p.add_argument("manifest")
     p.set_defaults(func=cmd_validate)
 
@@ -419,7 +422,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("fit", parents=[common, pred_common])
+    p = sub.add_parser("fit", parents=[common, threads, pred_common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--subset", required=True)
     p.add_argument("--predictor", required=True, choices=KINDS)
@@ -437,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=[common, pred_common, split_common])
+    p = sub.add_parser("evaluate", parents=[common, threads, pred_common, split_common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--selection", default="topk_pds", choices=METHODS)
     p.add_argument("--predictor", default="random_forest", choices=KINDS)
@@ -445,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[common, pred_common, split_common])
+    p = sub.add_parser("sweep", parents=[common, threads, pred_common, split_common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--budgets", required=True, help="comma-separated K values")
     p.add_argument("--seeds", required=True, help="comma-separated seeds")
@@ -472,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (DiscoError, OSError) as e:     # OSError: e.g. an unwritable output path

@@ -103,34 +103,32 @@ class TensorFiles:
         for mid in wanted:
             if mid not in self._ids:
                 raise KeyError(mid)
-        c = self.manifest.num_classes
-        buf = np.empty(store._chunk_rows(c) * c, dtype=np.float32)
+        buf = None
         for mid in self._ids:
-            if mid in wanted and mid not in self._summaries:
-                self._summarize(mid, buf)
-            else:
-                store._check_file(self.manifest, mid, buf)
+            buf = self._check_file(mid, buf, mid in wanted and mid not in self._summaries)
         self._checked = True
 
-    def _summarize(self, model_id: str, buf: np.ndarray) -> SampleSummary:
+    def _check_file(self, model_id: str, buf: np.ndarray | None,
+                    summarize: bool) -> np.ndarray:
+        """``store._check_file`` of the model's file through ``buf``, keeping
+        its summaries if ``summarize``; returns the scratch array used."""
+        if not summarize:
+            return store._check_file(self.manifest, model_id, buf)
         n = self.manifest.num_samples
         summary = SampleSummary(np.empty(n, np.uint8), np.empty(n, np.float64))
-        store._check_file(self.manifest, model_id, buf, summary)
+        buf = store._check_file(self.manifest, model_id, buf, summary)
         summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
         self._summaries[model_id] = summary
-        return summary
+        return buf
 
     def summary(self, model_id: str) -> SampleSummary:
         """The model's per-sample summaries; read-only.  Unless ``check``
         kept them, its file is read whole once more to compute them."""
         if model_id not in self._ids:
             raise KeyError(model_id)
-        summary = self._summaries.get(model_id)
-        if summary is None:
-            c = self.manifest.num_classes
-            buf = np.empty(store._chunk_rows(c) * c, dtype=np.float32)
-            summary = self._summarize(model_id, buf)
-        return summary
+        if model_id not in self._summaries:
+            self._check_file(model_id, None, summarize=True)
+        return self._summaries[model_id]
 
     @functools.cached_property
     def _paths(self) -> dict[str, Path]:

@@ -208,7 +208,7 @@ class SharedSources:
     """What pipelines on one manifest and source set compute alike,
     whatever their K or seed, each part built on first use.
 
-    ``models`` holds the files of every model the pipelines read, sources
+    ``tensors`` holds the files of every model the pipelines read, sources
     and targets.  Building a SharedSources checks every tensor file whole,
     in order, as loading them would.  In that same pass it keeps the
     sources' per-sample summaries (correctness bits and label-class
@@ -227,9 +227,8 @@ class SharedSources:
                  methods: Collection[str] = METHODS):
         tensors.check_shape(manifest)
         self.manifest = manifest
-        self.models = tensors
-        self.models.check(source_ids if set(methods) & set(SUMMARY_METHODS) else ())
-        self.sources = self.models.select(source_ids)
+        tensors.check(source_ids if set(methods) & set(SUMMARY_METHODS) else ())
+        self.sources = tensors.select(source_ids)
         self._scores = scores
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
 
@@ -289,19 +288,6 @@ def _trains(predictor: PredictorConfig, n_sources: int) -> bool:
     return True
 
 
-def _signature_matrix(manifest: BenchmarkManifest, rows: np.ndarray,
-                      subset: AnchorSubset, mode: str) -> np.ndarray:
-    """The (M, D) stack of the signatures of ``rows``, M models' (K, C)
-    rows at the anchors."""
-    matrix = None
-    for i, model_rows in enumerate(rows):
-        signature = build_signature(model_rows, subset, mode, labels=manifest.labels)
-        if matrix is None:
-            matrix = np.empty((len(rows), signature.size))
-        matrix[i] = signature
-    return matrix
-
-
 def _fit(matrix: np.ndarray, accuracies: list[float], predictor: PredictorConfig,
          seed: int, threads: int) -> PredictorModel:
     """The projection and predictor fitted on the signature matrix of models
@@ -334,8 +320,8 @@ def fit_predictor(
     source_tensors.check_shape(manifest)
     source_tensors.check()
     ids = list(source_tensors)
-    matrix = _signature_matrix(manifest, source_tensors.anchor_rows(ids, subset.indices),
-                               subset, predictor.signature_mode)
+    matrix = build_signature(source_tensors.anchor_rows(ids, subset.indices), subset,
+                             predictor.signature_mode, labels=manifest.labels)
     return _fit(matrix, [source_accuracies[mid] for mid in ids], predictor, seed, threads)
 
 
@@ -359,19 +345,18 @@ def condense_and_train(
 
 def _estimates(manifest: BenchmarkManifest, rows: np.ndarray, subset: AnchorSubset,
                predictor: PredictorConfig, model: PredictorModel | None) -> list[float]:
-    """Each model's estimated accuracy from ``rows``, its (K, C) rows at the
-    anchors: for the accuracy readouts, from its correctness bits on the
-    anchors, else ``model``'s prediction from its signature."""
-    estimates = []
-    for model_rows in rows:
-        if predictor.kind not in TRAINED_KINDS:
-            bits = anchor_correctness(model_rows, manifest, subset.indices)
-            estimates.append(predict_weighted_sum(subset, bits)
-                             if predictor.kind == "weighted_sum" else accuracy(bits))
-        else:
-            estimates.append(predict(model, build_signature(
-                model_rows, subset, predictor.signature_mode, labels=manifest.labels)))
-    return estimates
+    """Each model's estimated accuracy from ``rows``, the (M, K, C) stack of
+    the models' rows at the anchors: for the accuracy readouts, from its
+    correctness bits on the anchors, else ``model``'s prediction from its
+    signature."""
+    if predictor.kind in TRAINED_KINDS:
+        signatures = build_signature(rows, subset, predictor.signature_mode,
+                                     labels=manifest.labels)
+        return [predict(model, signature) for signature in signatures]
+    bits = anchor_correctness(rows, manifest, subset.indices)
+    if predictor.kind == "weighted_sum":
+        return [predict_weighted_sum(subset, model_bits) for model_bits in bits]
+    return [accuracy(model_bits) for model_bits in bits]
 
 
 def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
@@ -418,7 +403,8 @@ def _estimate(manifest: BenchmarkManifest, rows: np.ndarray, sources: list[str],
     ``rows`` (none for a readout), estimate every target from the rest and
     score the estimates.  The fitted model lives only as long as this call."""
     n = len(sources)
-    model = (_fit(_signature_matrix(manifest, rows[:n], subset, predictor.signature_mode),
+    model = (_fit(build_signature(rows[:n], subset, predictor.signature_mode,
+                                  labels=manifest.labels),
                   [accuracies[mid] for mid in sources], predictor, seed, threads)
              if n else None)
     estimates = _estimates(manifest, rows[n:], subset, predictor, model)

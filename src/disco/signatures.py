@@ -29,24 +29,25 @@ DEFAULT_PCA_CAP = 256
 
 def build_signature(rows: np.ndarray, subset: AnchorSubset, mode: str = "probs",
                     labels: Sequence[int] | None = None) -> np.ndarray:
-    """Concatenate the model's outputs on the anchors, in subset order.
+    """Concatenate a model's outputs on the anchors, in subset order.
     ``rows`` are its (K, C) rows at the anchors, as ``anchor_rows`` reads
-    them."""
+    them, and give a (D,) signature; a stack of such rows, shaped
+    (..., K, C), gives the stack of their signatures, shaped (..., D).
+    The result is a new C-contiguous float64 array."""
     if mode not in MODES:
         raise InvalidConfig(f"unknown signature mode {mode!r}")
     idx = np.asarray(subset.indices)
-    if rows.shape[0] != idx.size:
-        raise LengthMismatch(f"{rows.shape[0]} anchor rows for {idx.size} anchors")
-    rows = rows.astype(np.float64)
-    if mode == "probs":
-        return rows.reshape(-1)
+    if rows.ndim < 2 or rows.shape[-2] != idx.size:
+        raise LengthMismatch(f"anchor rows of shape {rows.shape} for {idx.size} anchors")
+    # argmax on the float32 rows: the float64 cast is exact, so it is the same
+    if mode == "correctness":
+        if labels is None:
+            raise InvalidConfig("correctness mode needs ground-truth labels")
+        return (rows.argmax(axis=-1) == np.asarray(labels)[idx]).astype(np.float64)
     if mode == "onehot":
-        vec = np.zeros_like(rows)
-        vec[np.arange(idx.size), rows.argmax(axis=1)] = 1.0
-        return vec.reshape(-1)
-    if labels is None:
-        raise InvalidConfig("correctness mode needs ground-truth labels")
-    return (rows.argmax(axis=1) == np.asarray(labels)[idx]).astype(np.float64)
+        rows = np.arange(rows.shape[-1]) == rows.argmax(axis=-1)[..., None]
+    return rows.astype(np.float64, order="C").reshape(
+        rows.shape[:-2] + (rows.shape[-2] * rows.shape[-1],))
 
 
 @dataclass

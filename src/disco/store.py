@@ -405,18 +405,23 @@ class SampleSummary:
     label_probs: np.ndarray   # (N,) float64
 
 
-def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray,
-                summary: SampleSummary | None = None) -> None:
+def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray | None,
+                summary: SampleSummary | None = None) -> np.ndarray:
     """Check the model's tensor file whole, raising what ``load_tensor``
     would, without loading it: the payload passes through ``buf``, a float32
-    scratch array of at least one ingest chunk.  With ``summary``, each chunk
-    is also renormalized as loading does and summarized into it."""
+    scratch array of at least one ingest chunk.  ``buf`` None allocates one,
+    only once the file's header, size and dims have passed, so its size is
+    bounded by the file's.  With ``summary``, each chunk is also renormalized
+    as loading does and summarized into it.  Returns the scratch array, for
+    the next file."""
     path = _tensor_path(manifest, model_id)
     f, dtype, dims = dten.open_dten(path)
     with f:
         _check_layout(manifest, path, dtype, dims)
         n, c = dims
         step = _chunk_rows(c)
+        if buf is None:
+            buf = np.empty(step * c, dtype=np.float32)
         faults = _RowFaults()
         for lo in range(0, n, step):
             rows = buf[:min(step, n - lo) * c].reshape(-1, c)
@@ -431,6 +436,7 @@ def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray,
                     summary.bits[lo:hi] = _correct(rows, labels)
                     summary.label_probs[lo:hi] = rows[np.arange(rows.shape[0]), labels]
         faults.raise_for(model_id)
+    return buf
 
 
 # --- correctness and accuracy ------------------------------------------------
@@ -446,13 +452,15 @@ def correctness(tensor: PredictionTensor, manifest: BenchmarkManifest) -> np.nda
 
 def anchor_correctness(rows: np.ndarray, manifest: BenchmarkManifest,
                        idx: np.ndarray) -> np.ndarray:
-    """``correctness`` of a model at samples ``idx``, from its rows there."""
+    """``correctness`` of a model at samples ``idx``, from its (K, C) rows
+    there; a stack of such rows, shaped (..., K, C), gives bits shaped
+    (..., K)."""
     return _correct(rows, np.asarray(manifest.labels)[idx])
 
 
 def _correct(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(rows,) uint8: argmax class (ties -> lowest index) == label."""
-    return (np.argmax(rows, axis=1) == labels).astype(np.uint8)
+    """uint8 bits, one per row: argmax class (ties -> lowest index) == label."""
+    return (np.argmax(rows, axis=-1) == labels).astype(np.uint8)
 
 
 def accuracy(bits: np.ndarray) -> float:

@@ -201,7 +201,7 @@ def _run_cli_chain(workdir, threads: int) -> dict[str, bytes]:
     run("synth", "--workdir", w, "--out", "data", "--models-count", 16,
         "--samples", 150, "--classes", 3, "--dim", 2, "--seed", 13)
     run("score", "--workdir", w, "--manifest", "data/manifest.json",
-        "--cutoff", "median", "--out", "scores.csv", "--threads", threads)
+        "--cutoff", "median", "--out", "scores.csv")
     run("select", "--workdir", w, "--manifest", "data/manifest.json",
         "--method", "topk_pds", "--k", 8, "--scores", "scores.csv",
         "--out", "subset.json")

@@ -719,13 +719,6 @@ class TestSynthCommand:
 
 
 class TestThreadsEnvFallback:
-    def test_disco_threads_env(self, synth_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("DISCO_THREADS", "3")
-        code = run_cli("evaluate", "--manifest", synth_dir / "data" / "manifest.json",
-                       "--selection", "random", "--predictor", "direct",
-                       "--k", 30, "--cutoff", "median", "--out", tmp_path / "r.json")
-        assert code == 0
-
     def test_bad_threads_value_exits_2(self, synth_dir, tmp_path):
         code = run_cli("evaluate", "--manifest", synth_dir / "data" / "manifest.json",
                        "--selection", "random", "--predictor", "direct",
@@ -769,6 +762,52 @@ def test_select_takes_no_selector_tuning_flags(synth_dir, tmp_path, flag, value)
                    flag, value, "--out", tmp_path / "s.json")
     assert code == 64
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--threads"), ("score", "--threads"), ("select", "--threads"),
+    ("predict", "--threads"), ("synth", "--threads"), ("validate", "--seed")])
+def test_flags_a_command_does_not_read_are_usage_errors(artifacts, tmp_path, capsys,
+                                                        command, flag):
+    # --threads reaches only fit, evaluate and sweep; validate stamps no seed
+    work, manifest = artifacts
+    out = tmp_path / "out"
+    argv = {**_reading_commands(manifest, work, out),
+            "select": ("select", "--manifest", manifest, "--method", "random",
+                       "--k", 5, "--out", out),
+            "synth": ("synth", "--out", out, "--models-count", 4, "--samples", 10),
+            }[command]
+    assert run_cli(*argv, flag, 1 if flag == "--seed" else 2) == 64
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_num_classes_allocates_nothing_before_the_dims_pass(tmp_path):
+    assert run_cli("synth", "--out", tmp_path / "data", "--models-count", 4,
+                   "--samples", 3, "--classes", 2) == 0
+    path = tmp_path / "data" / "manifest.json"
+    obj = json.loads(path.read_text())
+    obj["num_classes"] = 2 ** 40
+    path.write_text(json.dumps(obj))
+    first = obj["models"][0]["tensor_path"]
+
+    proc = run_cli_process("validate", path)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(rf"ShapeMismatch: .*{re.escape(first)}: expected dims", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    proc = run_cli_process("select", "--manifest", path, "--method", "random",
+                           "--k", 2, "--out", tmp_path / "s.json")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    big = load_manifest(path)
+    tracemalloc.start()
+    try:
+        TensorFiles(big, []).check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv", [

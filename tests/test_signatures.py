@@ -20,7 +20,7 @@ from disco.signatures import (
     pca_fit_transform,
     pca_transform,
 )
-from disco.store import correctness
+from disco.store import anchor_correctness, correctness
 
 from conftest import make_manifest, tensor_from_rows
 
@@ -71,6 +71,31 @@ class TestBuildSignature:
         s = subset_of([2, 5, 9])
         assert np.array_equal(build_signature(t1.values[s.indices], s),
                               build_signature(t2.values[s.indices], s))
+
+    @pytest.mark.parametrize("mode", ["probs", "onehot", "correctness"])
+    def test_stack_equals_per_model_signatures(self, rng, mode):
+        labels = rng.integers(0, 4, 30)
+        idx = np.asarray([7, 2, 19, 2, 25])
+        raw = rng.random((3, 2, 5, 4), dtype=np.float32)
+        raw[0, 0, 1] = raw[1, 1, :] = 0.25       # tied maxima
+        raw[2, 0, 3, [1, 3]] = 2.0
+        stack = build_signature(raw, subset_of(idx), mode, labels=labels)
+        per_model = np.stack([[build_signature(rows, subset_of(idx), mode, labels=labels)
+                               for rows in block] for block in raw])
+        assert stack.dtype == np.float64 and stack.flags.c_contiguous
+        assert stack.shape == per_model.shape == (3, 2, 5 if mode == "correctness" else 20)
+        assert stack.tobytes() == per_model.tobytes()
+
+    def test_anchor_correctness_of_a_stack(self, rng):
+        labels = rng.integers(0, 3, 12)
+        man = make_manifest(labels, 3, ["m"])
+        idx = np.asarray([4, 0, 9])
+        raw = rng.random((5, 3, 3), dtype=np.float32)
+        raw[1, 2] = raw[3, 0, [0, 2]] = 0.5       # tied maxima
+        bits = anchor_correctness(raw, man, idx)
+        assert bits.dtype == np.uint8 and bits.shape == (5, 3)
+        assert bits.tobytes() == np.stack(
+            [anchor_correctness(rows, man, idx) for rows in raw]).tobytes()
 
     def test_errors(self):
         t = tensor_from_rows("m", [[0.5, 0.5]])

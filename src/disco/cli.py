@@ -2,8 +2,9 @@
 
 Subcommands: validate, score, select, fit, predict, evaluate, sweep, synth.
 Every output artifact embeds (or sits next to) a provenance stanza with the
-SHA-256 of its inputs, the seed, and the package version, so any artifact
-can be re-derived and staleness can be detected.
+SHA-256 of its inputs, the seed (0 for a command that takes none), and the
+package version, so any artifact can be re-derived and staleness can be
+detected.
 
 Exit codes: 0 ok, 1 schema, 2 invariant/contract, 3 I/O, 64 usage.
 """
@@ -79,7 +80,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _provenance(seed: int, **inputs: Path) -> dict:
+def _provenance(seed: int = 0, **inputs: Path) -> dict:
     return {
         "inputs": {name: _sha256(p) for name, p in inputs.items()},
         "seed": seed,
@@ -165,7 +166,7 @@ def cmd_score(args) -> int:
     table = score_dataset(manifest, TensorFiles(manifest, ids))
     out = _workpath(args, args.out)
     write_scores_csv(table, out)
-    prov = _provenance(args.seed, manifest=manifest_path)
+    prov = _provenance(manifest=manifest_path)
     prov["models"] = ids
     Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
     print(f"score: wrote {out} ({len(table)} samples, {len(ids)} models)")
@@ -256,8 +257,8 @@ def cmd_predict(args) -> int:
     out = _workpath(args, args.out)
     obj = {
         "predictions": predictions,
-        "provenance": _provenance(args.seed, manifest=manifest_path,
-                                  model=model_path, subset=subset_path),
+        "provenance": _provenance(manifest=manifest_path, model=model_path,
+                                  subset=subset_path),
     }
     out.write_text(json.dumps(obj, indent=2) + "\n")
     print(f"predict: wrote {out} ({len(predictions)} models)")
@@ -329,7 +330,7 @@ def cmd_sweep(args) -> int:
                             threads=_threads(args))
     out = _workpath(args, args.out)
     write_sweep_csv(reports, out)
-    prov = _provenance(args.seed, manifest=manifest_path)
+    prov = _provenance(manifest=manifest_path)
     prov["budgets"] = budgets
     prov["seeds"] = seeds
     Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
@@ -405,7 +406,7 @@ def build_parser() -> _Parser:
     p.add_argument("manifest")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("score", parents=[common])
+    p = sub.add_parser("score", parents=[workdir])
     p.add_argument("--manifest", required=True)
     p.add_argument("--models", default=None, help="comma-separated model ids")
     p.add_argument("--cutoff", default=None, help="use models before this date")
@@ -431,7 +432,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", parents=[common])
+    p = sub.add_parser("predict", parents=[workdir])
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--subset", required=True)
@@ -448,7 +449,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[common, threads, pred_common, split_common])
+    # no abbreviations, or a --seed would be taken for --seeds
+    p = sub.add_parser("sweep", parents=[workdir, threads, pred_common, split_common],
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--budgets", required=True, help="comma-separated K values")
     p.add_argument("--seeds", required=True, help="comma-separated seeds")

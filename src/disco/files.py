@@ -1,24 +1,24 @@
 """Where pipelines read the models' outputs from, without a whole tensor.
 
 Every stage reads the models through ``TensorFiles``, over a manifest's
-tensor files.  It has three reads: blocks of samples of every model
-(``read_rows``, for scoring), each model's per-sample summaries, and its
-rows at the anchors (``anchor_rows``).  One checked pass over each file
-whole, which can keep the summaries, comes first; then only the rows asked
-for are read.  Every row returned is checked and renormalized by
-``store``'s ingest kernel, as loading the tensor would.
+tensor files.  It has three reads.  ``stripes`` is one checked pass over
+every file that hands scoring each stripe of samples of each model once, so
+scoring reads each file once.  ``check`` is a checked pass over each file
+whole that can keep each model's per-sample summaries.  After a checked
+pass, ``anchor_rows`` reads only the rows at the anchors.  Every row
+returned is checked and renormalized by ``store``'s ingest kernel, as
+loading the tensor would.
 """
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
 from typing import Collection, Iterator
 
 import numpy as np
 
 from . import dten, store
-from .errors import IndexOutOfRange, InvalidConfig, ShapeMismatch
+from .errors import DiscoError, IndexOutOfRange, InvalidConfig, ShapeMismatch
 from .store import BenchmarkManifest, SampleSummary
 
 
@@ -48,11 +48,11 @@ class TensorFiles:
     sorted id order, whatever order they were given in.
 
     ``check`` reads every file once, in the order given, as loading them in
-    that order would, and keeps the per-sample summaries asked of it.  After
-    it, ``anchor_rows`` and ``read_rows`` read only the rows they return,
-    and check those and each file's header, size and dims again, so a file
-    that changed since raises too.  A model named twice raises
-    InvalidConfig.
+    that order would, and keeps the per-sample summaries asked of it;
+    ``stripes`` reads every file once too and raises what ``check`` would.
+    After either, ``anchor_rows`` reads only the rows it returns, and checks
+    those and each file's header, size and dims again, so a file that
+    changed since raises too.  A model named twice raises InvalidConfig.
     """
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
@@ -61,6 +61,7 @@ class TensorFiles:
         if len(self._ids) != len(model_ids):
             raise InvalidConfig("the tensor files name a model more than once")
         self._order = sorted(self._ids)
+        self._paths: dict[str, Path] = {}
         self._summaries: dict[str, SampleSummary] = {}
         self._checked = False
 
@@ -130,13 +131,11 @@ class TensorFiles:
             self._check_file(model_id, None, summarize=True)
         return self._summaries[model_id]
 
-    @functools.cached_property
-    def _paths(self) -> dict[str, Path]:
-        return {mid: store._tensor_path(self.manifest, mid) for mid in self._ids}
-
     def _open(self, model_id: str):
         """The model's file, open, its header, size and dims checked again."""
-        path = self._paths[model_id]
+        path = self._paths.get(model_id)
+        if path is None:
+            path = self._paths[model_id] = store._tensor_path(self.manifest, model_id)
         f, dtype, dims = dten.open_dten(path)
         try:
             store._check_layout(self.manifest, path, dtype, dims)
@@ -162,10 +161,52 @@ class TensorFiles:
         self._read(model_ids, idx, out)
         return out
 
-    def read_rows(self, lo: int, out: np.ndarray) -> None:
-        """Fill ``out``, a C-contiguous (M, b, C) float32 array, with rows
-        ``lo:lo + b`` of every tensor, read as ``_read`` reads them."""
-        self._read(self._order, np.arange(lo, lo + out.shape[1]), out)
+    def stripes(self, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """One checked pass over every file, ``rows`` samples at a time.
+
+        For each stripe of samples ``lo:lo + b``, in order, each file is
+        opened once, in sorted id order, and its rows there are read,
+        checked and renormalized by the ingest kernel.  Yields ``(lo, j,
+        p)`` for the j-th model in sorted order: ``p`` holds its rows as
+        loaded, as float64, each divided by its float64 sum, in a scratch
+        array that the next step overwrites.  Once any model is at fault
+        nothing more is yielded, but every file is still read through, and
+        the pass then raises what ``check`` would: the fault of the first
+        model at fault in the order given.  A clean pass marks the files
+        checked."""
+        n, c = self.manifest.num_samples, self.manifest.num_classes
+        rows = max(1, min(rows, n))
+        narrow = np.empty((rows, c), dtype=np.float32)
+        wide = np.empty((rows, c))
+        faults = {mid: store._RowFaults() for mid in self._ids}
+        broken: dict[str, Exception] = {}  # header, size, dims or I/O faults
+        clean = True
+        for lo in range(0, n, rows):
+            b = min(rows, n - lo)
+            for j, mid in enumerate(self._order):
+                if mid in broken:
+                    continue
+                try:
+                    with self._open(mid) as f:
+                        dten.read_into(f, narrow[:b], dten.PAYLOAD_START + lo * c * 4)
+                except (DiscoError, OSError) as e:
+                    broken[mid] = e
+                    clean = False
+                    continue
+                got = store._ingest_rows(narrow[:b], lo, faults[mid], wide[:b])
+                clean = clean and got is not None
+                if not clean:
+                    continue
+                p, moved = got
+                if moved.size:  # divide the rows renormalization changed as they are now
+                    x = narrow[moved].astype(np.float64)
+                    p[moved] = x / x.sum(axis=1)[:, None]
+                yield lo, j, p
+        for mid in self._ids:
+            if mid in broken:
+                raise broken[mid]
+            faults[mid].raise_for(mid)
+        self._checked = True
 
     def _read(self, model_ids: list[str], idx: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out``, a C-contiguous (M, K, C) float32 array, with rows

@@ -38,13 +38,11 @@ from .store import BenchmarkManifest
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
 
-# Samples are scored in blocks of about _BLOCK_BYTES of float64 (M x b x C
-# for M models and C classes), and gathered as float32 from the tensor
-# files, about _READ_BYTES at a time, so the working set does not grow with
-# the number of samples.  Small scoring blocks stay in cache; larger reads
-# cost fewer calls.
-_BLOCK_BYTES = 1 << 19
-_READ_BYTES = 1 << 20
+# Samples are scored in stripes of about _STRIPE_BYTES of float64 rows (b
+# samples x C classes), one model at a time, so the working set grows with
+# neither the number of samples nor the number of models.  On 50 models of
+# 5000 x 100, 256 KiB stripes scored as fast as 512 KiB ones.
+_STRIPE_BYTES = 1 << 18
 
 CSV_HEADER = "sample_index,pds_env,pds_eq1,jsd_bits,mixture_entropy_bits,mean_entropy_bits"
 
@@ -224,57 +222,70 @@ class ScoreTable:
 
 def score_dataset(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTable:
     """Score every sample of the benchmark across the given model pool,
-    stacked in sorted model-id order.  The files are checked whole first,
-    unless already checked, and then read one block of samples at a time,
-    so no tensor is ever held whole."""
+    stacked in sorted model-id order.  One checked pass reads each file
+    once, a stripe of samples at a time, and raises what loading the files
+    in the order given would; no tensor is ever held whole."""
     tensors.check_shape(manifest)
-    tensors.check()  # raises what loading would
-    if len(tensors) < 2:
-        raise TooFewModels(f"scoring needs at least 2 models, got {len(tensors)}")
-    return _score_rows(manifest, tensors)
-
-
-def _score_rows(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTable:
-    """Score the samples of the models of ``tensors``, reading their rows
-    through ``read_rows`` as many whole blocks at a time as fit in
-    ``_READ_BYTES``, and at least one."""
     m, n, c = len(tensors), manifest.num_samples, manifest.num_classes
+    if m < 2:
+        tensors.check()  # raises what loading would
+        raise TooFewModels(f"scoring needs at least 2 models, got {m}")
+    env, mean_ent, mix_ent = _fold_models(tensors, n, c)
     cap = float(min(m, c))
-    env = np.empty(n)
-    mean_ent = np.empty(n)
-    mix_ent = np.empty(n)
-    # Every score reduces over models and classes only, so scoring a block
-    # of samples gives the same floats as scoring all of them at once.  Not
-    # so for a 1-sample block: numpy sums its (M, 1) column over models in
-    # another order, so blocks hold at least 2 samples and a 1-sample tail
-    # joins the block before it.
-    rows = max(2, _BLOCK_BYTES // (m * c * 8))
-    bounds = list(range(0, n, rows)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
-    per_read = max(1, _READ_BYTES // (m * rows * c * 4))
-    buf = np.empty(m * min(n, rows * per_read + 1) * c, dtype=np.float32)
-    for r in range(0, len(bounds) - 1, per_read):
-        part = bounds[r:r + per_read + 1]
-        block = buf[:m * (part[-1] - part[0]) * c].reshape(m, -1, c)
-        tensors.read_rows(part[0], block)
-        for lo, hi in zip(part[:-1], part[1:]):
-            v = block[:, lo - part[0]:hi - part[0]].astype(np.float64)  # (M, b, C)
-            v /= v.sum(axis=2, keepdims=True)
-            env[lo:hi] = v.max(axis=0).sum(axis=1)
-            mean_ent[lo:hi] = entropy_bits(v, axis=2).mean(axis=0)
-            mix_ent[lo:hi] = entropy_bits(v.mean(axis=0), axis=1)
-    env = np.clip(env, 1.0, cap)
-    jsd_vals = np.clip(mix_ent - mean_ent, 0.0, math.log2(cap))
-
+    np.clip(env, 1.0, cap, out=env)
     return ScoreTable(
         sample_index=np.arange(n, dtype=np.int64),
         pds_env=env,
         pds_eq1=env / c,
-        jsd_bits=jsd_vals,
+        jsd_bits=np.clip(mix_ent - mean_ent, 0.0, math.log2(cap)),
         mean_entropy_bits=mean_ent,
         mixture_entropy_bits=mix_ent,
     )
+
+
+def _fold_models(tensors: TensorFiles, n: int, c: int) -> tuple[np.ndarray, ...]:
+    """Per sample: the sum over classes of the models' elementwise maximum,
+    the mean model entropy and the mixture's entropy, in bits.  Each stripe
+    of samples folds the models in, in sorted id order, as numpy reduces an
+    (M, N, C) stack over its models: one after another, from +0.0, then
+    divided by M.  So the scores are those of the whole stack, bit for bit."""
+    m = len(tensors)
+    rows = min(n, max(1, _STRIPE_BYTES // (8 * max(c, 1))))
+    env, mix_ent = np.empty(n), np.empty(n)
+    mean_ent = np.zeros(n)  # entropy sums, until divided by M
+    top, mix, work = (np.empty((rows, c)) for _ in range(3))
+    # numpy sums the M entropies of a lone sample pairwise, not in order
+    ents = np.zeros((m, 1)) if n == 1 else None
+    for lo, j, p in tensors.stripes(rows):
+        b = p.shape[0]
+        hi = lo + b
+        t, s, w = top[:b], mix[:b], work[:b]
+        if j == 0:
+            np.copyto(t, p)
+            np.copyto(s, p)
+        else:
+            np.maximum(t, p, out=t)
+            s += p
+        acc = mean_ent[lo:hi] if ents is None else ents[j]
+        acc -= _plogp_sums(w, p)
+        if j == m - 1:
+            env[lo:hi] = t.sum(axis=1)
+            s /= m
+            mix_ent[lo:hi] = -_plogp_sums(w, s)
+    if ents is not None:
+        mean_ent[:] = ents.sum(axis=0)
+    mean_ent /= m
+    return env, mean_ent, mix_ent
+
+
+def _plogp_sums(work: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row sums of p * log2(p), with 0 * log2(0) = 0, computed in ``work``
+    as ``entropy_bits`` computes them: each is minus its row's entropy."""
+    np.copyto(work, p)
+    work[p == 0.0] = 1.0  # p is never negative, and log2(1.0) == 0.0
+    np.log2(work, out=work)
+    work *= p
+    return work.sum(axis=1)
 
 
 def write_scores_csv(table: ScoreTable, path: str | Path) -> None:

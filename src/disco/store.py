@@ -133,7 +133,7 @@ class PredictionTensor:
         return self.values.shape
 
 
-def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> None:
+def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Divide each row by its float64 sum and round to float32, in place.
 
     ``wide`` is ``arr.astype(np.float64)``, which this overwrites, and
@@ -143,11 +143,14 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> No
     the rows still moving are recomputed.  Some rows still move after the
     8th pass, even at 4 classes, so saving a loaded tensor and loading it
     again can change those rows: pipelines only ever read tensors from
-    files.
+    files.  Returns the indices of the rows it changed; ``wide`` holds every
+    row as it was, divided by its sum.
     """
     wide /= sums[:, None]
     new = wide.astype(np.float32)
-    idx = np.flatnonzero((new != arr).any(axis=1))
+    diff = new != arr
+    # most chunks have no row to move, and counting is faster than any()
+    changed = idx = np.flatnonzero(diff.any(axis=1) if np.count_nonzero(diff) else ())
     rows = new[idx]
     for _ in range(7):
         if idx.size == 0:
@@ -160,6 +163,7 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> No
         moved = (new != rows).any(axis=1)
         idx, rows = idx[moved], new[moved]
     arr[idx] = rows
+    return changed
 
 
 # Bytes of float32 rows checked at once on load: the float64 working copy is
@@ -201,13 +205,14 @@ class _RowFaults:
                 f"outside 1 +/- {ROW_SUM_TOLERANCE}")
 
 
-def _check_rows(rows: np.ndarray, row0: int,
-                faults: _RowFaults) -> tuple[np.ndarray, np.ndarray] | None:
+def _check_rows(rows: np.ndarray, row0: int, faults: _RowFaults,
+                wide: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Check a float32 chunk whose first row is row ``row0`` of its tensor,
     recording what fails in ``faults``.  Entries must be finite and in
     [0,1], and each row must sum to 1 within ROW_SUM_TOLERANCE.  Return the
-    chunk as float64 and its row sums, or None if the chunk failed or
-    ``faults`` already holds an error that no row sum can displace."""
+    chunk as float64 (cast into ``wide``, if given, a float64 array of its
+    shape) and its row sums, or None if the chunk failed or ``faults``
+    already holds an error that no row sum can displace."""
     if faults.nonfinite:
         return None
     if rows.size:
@@ -222,7 +227,10 @@ def _check_rows(rows: np.ndarray, row0: int,
             return None
     if faults.outside is not None:
         return None
-    wide = rows.astype(np.float64)
+    if wide is None:
+        wide = rows.astype(np.float64)
+    else:
+        np.copyto(wide, rows)
     sums = wide.sum(axis=1)
     off = np.abs(sums - 1.0)
     if (off > ROW_SUM_TOLERANCE).any():
@@ -233,13 +241,19 @@ def _check_rows(rows: np.ndarray, row0: int,
     return wide, sums
 
 
-def _ingest_rows(rows: np.ndarray, row0: int, faults: _RowFaults) -> None:
+def _ingest_rows(rows: np.ndarray, row0: int, faults: _RowFaults,
+                 wide: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """The ingest kernel: check a C-contiguous float32 chunk as
     ``_check_rows`` does and, if it passed, renormalize it in place.  A row
-    that failed a check is never divided."""
-    checked = _check_rows(rows, row0, faults)
-    if checked is not None:
-        _renormalize_rows(rows, *checked)
+    that failed a check is never divided.  Returns what
+    ``_renormalize_rows`` leaves: the chunk as float64, each row divided by
+    its float64 sum as it was (in ``wide``, if given), and the indices of the
+    rows it changed; or None if the chunk failed."""
+    checked = _check_rows(rows, row0, faults, wide)
+    if checked is None:
+        return None
+    wide, sums = checked
+    return wide, _renormalize_rows(rows, wide, sums)
 
 
 # --- manifest serialization -------------------------------------------------

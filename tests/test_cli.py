@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import disco
-from disco import dten, store
+from disco import dten, scoring, store
 from disco.cli import main
 from disco.errors import RowSumOutOfTolerance
 from disco.files import TensorFiles
@@ -221,13 +221,19 @@ def test_score_reports_what_loading_in_manifest_order_would(reversed_manifest, t
 ])
 def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, capsys,
                                             change, code, error):
+    # score's one pass opens each file once per stripe of 40 samples and
+    # checks its header each time; the victim changes right after its first
+    # header check, so its rows are read changed in that stripe, and its
+    # size and dims are caught when the next stripe opens it
     shutil.copytree(synth_dir / "data", tmp_path / "data")
     victim = tmp_path / "data" / "tensors" / "synth-0004.dten"
-    check = store._check_file
+    check = store._check_layout
+    changed = []
 
-    def check_then_change(manifest, model_id, buf):
-        check(manifest, model_id, buf)
-        if model_id == "synth-0004":
+    def check_then_change(manifest, path, dtype, dims):
+        check(manifest, path, dtype, dims)
+        if path == victim and not changed:
+            changed.append(path)
             if change == "truncate":
                 os.truncate(victim, victim.stat().st_size - 7)
             elif change == "dims":  # the same payload size, read as 3 x 120
@@ -239,7 +245,8 @@ def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, ca
                     f.seek(dten.PAYLOAD_START)
                     f.write(np.float32([0.9, 0.9, 0.9]).tobytes())
 
-    monkeypatch.setattr(store, "_check_file", check_then_change)
+    monkeypatch.setattr(store, "_check_layout", check_then_change)
+    monkeypatch.setattr(scoring, "_STRIPE_BYTES", 40 * 3 * 8)
     out = tmp_path / "scores.csv"
     assert run_cli("score", "--manifest", tmp_path / "data" / "manifest.json",
                    "--out", out) == code
@@ -766,10 +773,12 @@ def test_select_takes_no_selector_tuning_flags(synth_dir, tmp_path, flag, value)
 
 @pytest.mark.parametrize("command, flag", [
     ("validate", "--threads"), ("score", "--threads"), ("select", "--threads"),
-    ("predict", "--threads"), ("synth", "--threads"), ("validate", "--seed")])
+    ("predict", "--threads"), ("synth", "--threads"), ("validate", "--seed"),
+    ("score", "--seed"), ("predict", "--seed"), ("sweep", "--seed")])
 def test_flags_a_command_does_not_read_are_usage_errors(artifacts, tmp_path, capsys,
                                                         command, flag):
-    # --threads reaches only fit, evaluate and sweep; validate stamps no seed
+    # --threads reaches only fit, evaluate and sweep; validate, score, predict
+    # and sweep draw no random number, so they take no --seed
     work, manifest = artifacts
     out = tmp_path / "out"
     argv = {**_reading_commands(manifest, work, out),

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import math
+import struct
 import tempfile
 import tracemalloc
+import warnings
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -11,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disco import scoring
+from disco import dten, scoring
 from disco.errors import (
+    DiscoError,
     InvalidConfig,
     InvalidDistribution,
     LengthMismatch,
@@ -331,7 +335,7 @@ def test_score_dataset_shape_mismatch(tmp_path):
         score_dataset(man, files)
 
 
-# --- block-wise scoring against the full-stack version it replaced -------------
+# --- striped scoring against the full-stack version it replaced ---------------
 
 def entropy_bits_reference(dist, axis=-1):
     """entropy_bits with its former outer np.where, which changes no bit."""
@@ -382,11 +386,10 @@ def assert_equals_reference(root, manifest, tensors):
 
 
 @contextmanager
-def block_rows(m, c, rows, per_read=1):
-    """Make score_dataset score ``rows`` samples of m models and c classes per
-    block, and gather ``per_read`` blocks at a time, by its byte budgets."""
-    with mock.patch.object(scoring, "_BLOCK_BYTES", rows * m * c * 8), \
-            mock.patch.object(scoring, "_READ_BYTES", per_read * rows * m * c * 4):
+def block_rows(c, rows):
+    """Make score_dataset read and score ``rows`` samples of c classes per
+    stripe, by its byte budget."""
+    with mock.patch.object(scoring, "_STRIPE_BYTES", rows * c * 8):
         yield
 
 
@@ -394,15 +397,17 @@ B = 256
 
 
 @pytest.mark.parametrize("m, n, c", [
-    (5, 37, 4),             # below one block
-    (9, 2 * B, 4),          # a multiple of the block size
+    (5, 37, 4),             # below one stripe
+    (9, 2 * B, 4),          # a multiple of the stripe size
     (12, 2 * B + 45, 100),  # not a multiple
     (9, B + 1, 3),          # a 1-sample tail
     (2, 3 * B + 5, 4),      # two models
     (30, 1, 100),           # a single sample
+    (17, 1, 4),             # a single sample of 8 or more models, whose entropies
+    (17, 1, 10),            # numpy sums pairwise (this seed tells the orders apart)
 ])
 def test_score_blocks_equal_full_stack(tmp_path, m, n, c):
-    with block_rows(m, c, B):
+    with block_rows(c, B):
         assert_equals_reference(tmp_path, *random_population(np.random.default_rng(n),
                                                              m, n, c))
 
@@ -412,16 +417,16 @@ def test_score_blocks_equal_full_stack(tmp_path, m, n, c):
        rows=st.sampled_from([1, 2, 3, 8, 64, B]), n=st.integers(1, 2 * B + 3),
        at_bound=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2**32 - 1))
 def test_score_blocks_equal_full_stack_hypothesis(m, c, rows, n, at_bound, seed):
-    # rows=1 is a budget below the 2-sample floor of a block
-    if at_bound is not None:  # a multiple of the block size, or a 1-sample tail
+    # rows=1 scores one sample per stripe
+    if at_bound is not None:  # a multiple of the stripe size, or a 1-sample tail
         n = rows * (n % 4 + 1) + at_bound
-    with block_rows(m, c, rows), tempfile.TemporaryDirectory() as tmp:
+    with block_rows(c, rows), tempfile.TemporaryDirectory() as tmp:
         assert_equals_reference(Path(tmp), *random_population(np.random.default_rng(seed),
                                                               m, n, c))
 
 
 def test_score_default_blocks_equal_full_stack(tmp_path):
-    # 100 models of 100 classes make the default blocks a few samples long
+    # the default stripe holds all 97 samples of 100 classes of 100 models
     assert_equals_reference(tmp_path, *random_population(np.random.default_rng(5),
                                                          100, 97, 100))
 
@@ -443,6 +448,8 @@ def test_score_peak_allocation_bounded(tmp_path):
 
 # --- scoring streamed from the tensor files ------------------------------------
 
+# A case's stripe reads ``per_read`` blocks of ``rows`` samples at once, as
+# the separate read and scoring budgets once did.
 @pytest.mark.parametrize("m, n, c, rows, per_read", [
     (5, 37, 4, 8, 3),             # N a multiple of neither size
     (9, 8 * 3 * 2 + 1, 4, 8, 3),  # a 1-sample tail
@@ -456,7 +463,7 @@ def test_streamed_scores_equal_loaded(tmp_path, m, n, c, rows, per_read):
     if rows is None:
         assert_equals_reference(tmp_path, manifest, tensors)
     else:
-        with block_rows(m, c, rows, per_read):
+        with block_rows(c, rows * per_read):
             assert_equals_reference(tmp_path, manifest, tensors)
 
 
@@ -466,8 +473,92 @@ def test_streamed_scores_equal_loaded(tmp_path, m, n, c, rows, per_read):
        n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_streamed_scores_equal_loaded_hypothesis(m, c, rows, per_read, n, seed):
     manifest, tensors = random_population(np.random.default_rng(seed), m, n, c)
-    with block_rows(m, c, rows, per_read), tempfile.TemporaryDirectory() as tmp:
+    with block_rows(c, rows * per_read), tempfile.TemporaryDirectory() as tmp:
         assert_equals_reference(Path(tmp), manifest, tensors)
+
+
+def test_score_reads_each_payload_byte_once(tmp_path, monkeypatch):
+    m, n, c, rows = 6, 50, 4, 8
+    manifest, files = saved_population(
+        *random_population(np.random.default_rng(2), m, n, c), tmp_path)
+    opened, read = [], []
+    open_dten, read_into = dten.open_dten, dten.read_into
+
+    def counting_open(path):
+        opened.append(Path(path).name)
+        return open_dten(path)
+
+    def counting_read(f, out, offset):
+        read.append(out.nbytes)
+        read_into(f, out, offset)
+
+    monkeypatch.setattr(dten, "open_dten", counting_open)
+    monkeypatch.setattr(dten, "read_into", counting_read)
+    with block_rows(c, rows):
+        score_dataset(manifest, files)
+    assert sum(read) == m * n * c * 4
+    stripes = -(-n // rows)
+    assert sorted(Counter(opened).values()) == [stripes] * m  # once per model per stripe
+    read.clear()
+    files.check()  # the pass left the files checked
+    assert read == []
+
+
+ROW_FAULTS = {"nan": np.nan, "outside": 1.5, "negative": -0.25, "sum": None}
+
+
+def write_faulty(path, raw, row_faults, file_fault):
+    """Write ``raw`` to ``path`` with the given (fault, row) pairs and file
+    fault: a trailing byte, swapped dims or no file at all."""
+    raw = raw.copy()
+    for fault, row in row_faults:
+        if ROW_FAULTS[fault] is None:
+            raw[row] *= 0.99
+        else:
+            raw[row, row % raw.shape[1]] = ROW_FAULTS[fault]
+    data = dten.dten_bytes(raw)
+    if file_fault == "trailing":
+        data += b"\0"
+    elif file_fault == "dims":
+        data = data[:8] + struct.pack("<QQ", raw.shape[1], raw.shape[0]) + data[24:]
+    if file_fault != "missing":
+        path.write_bytes(data)
+
+
+def raised(fn):
+    """The class and message of what ``fn`` raises, or None."""
+    try:
+        fn()
+    except DiscoError as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=80)
+@given(row_faults=st.lists(st.lists(st.tuples(st.sampled_from(sorted(ROW_FAULTS)),
+                                              st.integers(0, 12)), max_size=2),
+                           min_size=4, max_size=4),
+       file_faults=st.lists(st.sampled_from([None, None, None, "trailing", "dims",
+                                             "missing"]), min_size=4, max_size=4),
+       rows=st.sampled_from([1, 4, 13]), seed=st.integers(0, 2**32 - 1))
+def test_score_raises_what_check_raises(row_faults, file_faults, rows, seed):
+    # the one pass reads the models in sorted order, stripe by stripe, but
+    # raises for the first model at fault in the order given, as check does
+    n, c, ids = 13, 4, ["m2", "m0", "m3", "m1"]
+    rng = np.random.default_rng(seed)
+    manifest = make_manifest(rng.integers(0, c, n), c, ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest.base_dir = Path(tmp)
+        (Path(tmp) / "tensors").mkdir()
+        for mid, faults, file_fault in zip(ids, row_faults, file_faults):
+            raw = rng.random((n, c)) ** 4
+            write_faulty(Path(tmp) / "tensors" / f"{mid}.dten",
+                         (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32),
+                         faults, file_fault)
+        want = raised(TensorFiles(manifest, ids).check)
+        with block_rows(c, rows), warnings.catch_warnings():
+            warnings.simplefilter("error")  # no row at fault is scored
+            assert raised(lambda: score_dataset(manifest, TensorFiles(manifest, ids))) == want
 
 
 def streamed_peak(root, n):
@@ -483,7 +574,7 @@ def streamed_peak(root, n):
     finally:
         tracemalloc.stop()
     assert len(table) == n
-    # the peak falls inside the block loop, while the three float64 columns
+    # the peak falls inside the stripe loop, while the three float64 columns
     # it fills are the only N-length arrays alive
     return peak - 3 * n * 8
 

@@ -515,26 +515,6 @@ def test_chunked_ingest_error_precedence(rows, error, message):
             PredictionTensor.from_values("m", raw)
 
 
-def test_read_rows_equal_loaded_rows(tmp_path):
-    rng = np.random.default_rng(4)
-    n, c, ids = 23, 5, ["b", "c", "a"]
-    man = make_manifest(rng.integers(0, c, n), c, ids)
-    man.base_dir = tmp_path
-    (tmp_path / "tensors").mkdir()
-    for mid in ids:
-        raw = rng.random((n, c)) ** 4
-        dten.write_dten(tmp_path / "tensors" / f"{mid}.dten",
-                        (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
-    loaded = np.stack([load_tensor(man, mid).values for mid in sorted(ids)])
-    files = TensorFiles(man, ids)
-    with with_chunk_rows(2, c):
-        files.check()
-        for lo, hi in [(0, 23), (0, 1), (5, 12), (22, 23), (3, 3)]:
-            out = np.empty((len(ids), hi - lo, c), dtype=np.float32)
-            files.read_rows(lo, out)
-            assert out.tobytes() == loaded[:, lo:hi].tobytes()
-
-
 def test_dims_too_large_for_an_array_rejected(tmp_path):
     # an empty payload whose other dim no array can have
     path = tmp_path / "t.dten"

@@ -70,6 +70,13 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """No option is taken for a prefix of it, so a misspelt or removed flag
+    cannot set another one; ``add_subparsers`` builds every subcommand's
+    parser as one of these."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):  # usage errors exit 64 for scripting
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -449,9 +456,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    # no abbreviations, or a --seed would be taken for --seeds
-    p = sub.add_parser("sweep", parents=[workdir, threads, pred_common, split_common],
-                       allow_abbrev=False)
+    p = sub.add_parser("sweep", parents=[workdir, threads, pred_common, split_common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--budgets", required=True, help="comma-separated K values")
     p.add_argument("--seeds", required=True, help="comma-separated seeds")

@@ -151,15 +151,10 @@ class TensorFiles:
         row; each distinct row is read once, as ``_read`` reads it."""
         idx = _anchor_index(idx, self.manifest.num_samples)
         rows, inverse = np.unique(idx, return_inverse=True)
-        out = self._read_rows_at(model_ids, rows)
-        return out if np.array_equal(rows, idx) else out[:, inverse]
-
-    def _read_rows_at(self, model_ids: list[str], idx: np.ndarray) -> np.ndarray:
-        """``anchor_rows`` for strictly increasing ``idx``."""
-        out = np.empty((len(model_ids), idx.size, self.manifest.num_classes),
+        out = np.empty((len(model_ids), rows.size, self.manifest.num_classes),
                        dtype=np.float32)
-        self._read(model_ids, idx, out)
-        return out
+        self._read(model_ids, rows, out)
+        return out if np.array_equal(rows, idx) else out[:, inverse]
 
     def stripes(self, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
         """One checked pass over every file, ``rows`` samples at a time.

@@ -1,11 +1,13 @@
 """Model splits, prediction-quality metrics, and end-to-end pipelines.
 
 ``sweep_budgets`` wires the stages together: score the benchmark with the
-source models, select anchors, build source signatures, fit the projection
-and predictor, then estimate every target model from its own anchor
-outputs.  ``run_pipeline`` is a sweep of one pipeline.  Every tensor file
-is checked whole up front, but the targets' outputs are read only once the
-anchors are selected, and only at the anchors.
+source models, select anchors, then, per pipeline, fit the projection and
+predictor on the source signatures (``fit_predictor``) and estimate every
+target model from its own anchor outputs (``predict_targets``), the two
+functions ``disco fit`` and ``disco predict`` call.  ``run_pipeline`` is a
+sweep of one pipeline.  Every tensor file is checked whole up front, but
+each side's outputs are read only once the anchors are selected, only at
+the anchors, and one pipeline's side at a time.
 """
 
 from __future__ import annotations
@@ -275,32 +277,6 @@ def select_anchors(shared: SharedSources, method: str, k: int,
     raise InvalidConfig(f"unknown selection method {method!r}")
 
 
-def _trains(predictor: PredictorConfig, n_sources: int) -> bool:
-    """Whether ``predictor`` is fitted on the sources rather than a readout
-    of the anchors (direct, weighted_sum).  InvalidConfig for an unknown
-    kind, TooFewModels for a fit on fewer than 2 sources."""
-    if predictor.kind not in KINDS:
-        raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
-    if predictor.kind not in TRAINED_KINDS:
-        return False
-    if n_sources < 2:
-        raise TooFewModels(f"fitting needs at least 2 source models, got {n_sources}")
-    return True
-
-
-def _fit(matrix: np.ndarray, accuracies: list[float], predictor: PredictorConfig,
-         seed: int, threads: int) -> PredictorModel:
-    """The projection and predictor fitted on the signature matrix of models
-    of these accuracies."""
-    projection = None
-    features = matrix
-    if predictor.pca_dim != 0:
-        projection, features = pca_fit_transform(matrix, predictor.pca_dim)
-    return train(predictor.kind, features, np.asarray(accuracies),
-                 k_neighbors=predictor.k_neighbors, forest=predictor.forest, seed=seed,
-                 projection=projection, threads=threads)
-
-
 def fit_predictor(
     manifest: BenchmarkManifest,
     source_tensors: TensorFiles,
@@ -312,17 +288,29 @@ def fit_predictor(
 ) -> PredictorModel | None:
     """The projection and predictor fitted on the source models' signatures,
     stacked in sorted model-id order; None for the accuracy readouts
-    (direct, weighted_sum).  Unchecked tensor files are checked whole
-    first; then only each source's anchor rows are read.
+    (direct, weighted_sum).  InvalidConfig for an unknown kind, TooFewModels
+    for a fit on fewer than 2 sources.  Unchecked tensor files are checked
+    whole first; then only each source's anchor rows are read, and they are
+    freed once the signatures are built.
     """
-    if not _trains(predictor, len(source_tensors)):
+    if predictor.kind not in KINDS:
+        raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
+    if predictor.kind not in TRAINED_KINDS:
         return None
+    if len(source_tensors) < 2:
+        raise TooFewModels(
+            f"fitting needs at least 2 source models, got {len(source_tensors)}")
     source_tensors.check_shape(manifest)
     source_tensors.check()
     ids = list(source_tensors)
-    matrix = build_signature(source_tensors.anchor_rows(ids, subset.indices), subset,
-                             predictor.signature_mode, labels=manifest.labels)
-    return _fit(matrix, [source_accuracies[mid] for mid in ids], predictor, seed, threads)
+    features = build_signature(source_tensors.anchor_rows(ids, subset.indices), subset,
+                               predictor.signature_mode, labels=manifest.labels)
+    projection = None
+    if predictor.pca_dim != 0:
+        projection, features = pca_fit_transform(features, predictor.pca_dim)
+    accuracies = np.asarray([source_accuracies[mid] for mid in ids])
+    return train(predictor.kind, features, accuracies, k_neighbors=predictor.k_neighbors,
+                 forest=predictor.forest, seed=seed, projection=projection, threads=threads)
 
 
 def condense_and_train(
@@ -343,12 +331,18 @@ def condense_and_train(
                                  predictor, seed, threads=threads)
 
 
-def _estimates(manifest: BenchmarkManifest, rows: np.ndarray, subset: AnchorSubset,
-               predictor: PredictorConfig, model: PredictorModel | None) -> list[float]:
-    """Each model's estimated accuracy from ``rows``, the (M, K, C) stack of
-    the models' rows at the anchors: for the accuracy readouts, from its
-    correctness bits on the anchors, else ``model``'s prediction from its
-    signature."""
+def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
+                    target_ids: list[str], subset: AnchorSubset,
+                    predictor: PredictorConfig, model: PredictorModel | None
+                    ) -> list[float]:
+    """Each target model's estimated accuracy, in the order of
+    ``target_ids``, from its rows at the anchors: for the accuracy readouts,
+    from its correctness bits on the anchors, else ``model``'s prediction
+    from its signature.  ``tensors`` holds at least the targets; unchecked
+    tensor files are checked whole first."""
+    tensors.check_shape(manifest)
+    tensors.check()
+    rows = tensors.anchor_rows(target_ids, subset.indices)
     if predictor.kind in TRAINED_KINDS:
         signatures = build_signature(rows, subset, predictor.signature_mode,
                                      labels=manifest.labels)
@@ -357,20 +351,6 @@ def _estimates(manifest: BenchmarkManifest, rows: np.ndarray, subset: AnchorSubs
     if predictor.kind == "weighted_sum":
         return [predict_weighted_sum(subset, model_bits) for model_bits in bits]
     return [accuracy(model_bits) for model_bits in bits]
-
-
-def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
-                    target_ids: list[str], subset: AnchorSubset,
-                    predictor: PredictorConfig, model: PredictorModel | None
-                    ) -> list[float]:
-    """Each target model's estimated accuracy, in the order of
-    ``target_ids``, as ``_estimates`` gives it from its anchor rows.
-    ``tensors`` holds at least the targets; unchecked tensor files are
-    checked whole first."""
-    tensors.check_shape(manifest)
-    tensors.check()
-    return _estimates(manifest, tensors.anchor_rows(target_ids, subset.indices), subset,
-                      predictor, model)
 
 
 def _pipeline_key(target_ids: list[str], subset: AnchorSubset,
@@ -395,19 +375,15 @@ def _defined(metric, true: np.ndarray, pred: np.ndarray) -> float | None:
         return None
 
 
-def _estimate(manifest: BenchmarkManifest, rows: np.ndarray, sources: list[str],
+def _estimate(manifest: BenchmarkManifest, tensors: TensorFiles, sources: TensorFiles,
               target_ids: list[str], accuracies: Mapping[str, float],
               subset: AnchorSubset, predictor: PredictorConfig, seed: int,
               threads: int) -> EvalReport:
-    """Fit on the anchor rows of ``sources``, the first ``len(sources)`` of
-    ``rows`` (none for a readout), estimate every target from the rest and
-    score the estimates.  The fitted model lives only as long as this call."""
-    n = len(sources)
-    model = (_fit(build_signature(rows[:n], subset, predictor.signature_mode,
-                                  labels=manifest.labels),
-                  [accuracies[mid] for mid in sources], predictor, seed, threads)
-             if n else None)
-    estimates = _estimates(manifest, rows[n:], subset, predictor, model)
+    """Fit on ``sources`` as ``fit_predictor`` does, estimate every target
+    as ``predict_targets`` does and score the estimates.  The fitted model
+    lives only as long as this call."""
+    model = fit_predictor(manifest, sources, accuracies, subset, predictor, seed, threads)
+    estimates = predict_targets(manifest, tensors, target_ids, subset, predictor, model)
     pairs = [(tid, accuracies[tid], est) for tid, est in zip(target_ids, estimates)]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])
@@ -420,25 +396,6 @@ def _estimate(manifest: BenchmarkManifest, rows: np.ndarray, sources: list[str],
         predictor=predictor.kind,
         pairs=pairs,
     )
-
-
-def _run(manifest: BenchmarkManifest, tensors: TensorFiles, sources: list[str],
-         target_ids: list[str], accuracies: Mapping[str, float],
-         subsets: list[AnchorSubset], predictor: PredictorConfig, seed: int,
-         threads: int) -> list[EvalReport]:
-    """One report per subset.  The anchor rows of all of them are read at
-    once, each file once: those of ``sources`` (sorted; none for a
-    readout), then those of the targets.  The rows live only during this
-    call; each pipeline takes its own slice of them."""
-    rows = tensors.anchor_rows(sources + target_ids,
-                               np.concatenate([s.indices for s in subsets]))
-    reports, at = [], 0
-    for subset in subsets:
-        k = len(subset.indices)
-        reports.append(_estimate(manifest, rows[:, at:at + k], sources, target_ids,
-                                 accuracies, subset, predictor, seed, threads))
-        at += k
-    return reports
 
 
 def run_pipeline(
@@ -477,9 +434,12 @@ def sweep_budgets(
     K, seed) is selected once.  A pipeline whose targets, anchors, anchor
     weights and predictor config (and seed, for a forest) match one already
     run is not run again: its report is copied, with this cell's K, seed and
-    selector.  Per config and seed, the anchor rows of every pipeline not
-    run yet are read at once, each file once: at most the sum of the
-    budgets in rows per model read.
+    selector.  Each pipeline run fits through ``fit_predictor`` and
+    estimates through ``predict_targets``, as ``disco fit`` and ``disco
+    predict`` do: it reads the sources' rows at its own anchors (none for a
+    readout), frees them once their signatures are built, then reads the
+    targets' rows.  So at most one pipeline's rows of one side are held at
+    a time.
     """
     if list(budgets) != sorted(budgets):
         raise InvalidConfig("budgets must be sorted ascending")
@@ -495,20 +455,16 @@ def sweep_budgets(
                 if (method, k, seed) not in subsets:
                     subsets[method, k, seed] = select_anchors(shared, method, k, seed)
         shared.drop_kmedoids()
-        sources = list(shared.sources) if _trains(predictor, len(shared.sources)) else []
-        keys = {(k, seed): _pipeline_key(split.target_ids, subsets[method, k, seed],
-                                         predictor, seed)
-                for k in budgets for seed in seeds}
-        for seed in seeds:
-            new = {keys[k, seed]: subsets[method, k, seed] for k in budgets
-                   if keys[k, seed] not in done}
-            if new:
-                done.update(zip(new, _run(manifest, tensors, sources, split.target_ids,
-                                          accuracies, list(new.values()), predictor,
-                                          seed, threads)))
-        reports += [replace(done[keys[k, seed]], k=k, seed=seed, selection=method,
-                            pairs=list(done[keys[k, seed]].pairs))
-                    for k in budgets for seed in seeds]
+        for k in budgets:
+            for seed in seeds:
+                subset = subsets[method, k, seed]
+                key = _pipeline_key(split.target_ids, subset, predictor, seed)
+                if key not in done:
+                    done[key] = _estimate(manifest, tensors, shared.sources,
+                                          split.target_ids, accuracies, subset,
+                                          predictor, seed, threads)
+                reports.append(replace(done[key], k=k, seed=seed, selection=method,
+                                       pairs=list(done[key].pairs)))
     return reports
 
 

@@ -291,6 +291,16 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int64(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
+
+
+def _first_failing(values: list, ok) -> int | None:
+    """The index of the first of ``values`` that ``ok`` rejects, or None;
+    a message is then built for that one alone, not for every entry."""
+    return next((i for i, v in enumerate(values) if not ok(v)), None)
+
+
 def _manifest_from_obj(obj: dict, base_dir: Path | None) -> BenchmarkManifest:
     _require(isinstance(obj, dict), "manifest root must be a JSON object")
     extra = set(obj) - set(_MANIFEST_KEYS)
@@ -303,12 +313,11 @@ def _manifest_from_obj(obj: dict, base_dir: Path | None) -> BenchmarkManifest:
     _require(isinstance(obj["num_classes"], int) and not isinstance(obj["num_classes"], bool),
              "num_classes must be an integer")
     _require(isinstance(obj["labels"], list), "labels must be an array")
-    for i, v in enumerate(obj["labels"]):
-        _require(isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63,
-                 f"labels[{i}] must be a 64-bit integer")
+    bad = _first_failing(obj["labels"], _is_int64)
+    _require(bad is None, f"labels[{bad}] must be a 64-bit integer")
     _require(isinstance(obj["task_tags"], list), "task_tags must be an array")
-    for i, v in enumerate(obj["task_tags"]):
-        _require(isinstance(v, str), f"task_tags[{i}] must be a string")
+    bad = _first_failing(obj["task_tags"], lambda v: isinstance(v, str))
+    _require(bad is None, f"task_tags[{bad}] must be a string")
     _require(isinstance(obj["models"], list), "models must be an array")
     _require(type(obj["format_version"]) is int and obj["format_version"] == 1,
              "format_version must be the integer 1")

@@ -791,6 +791,27 @@ def test_flags_a_command_does_not_read_are_usage_errors(artifacts, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, prefix, value", [
+    ("score", "--model", "synth-0000,synth-0001"), ("select", "--meth", "random"),
+    ("fit", "--subs", "{work}/subset.json"), ("predict", "--subs", "{work}/subset.json"),
+    ("evaluate", "--select", "topk_pds"), ("synth", "--samp", "10"),
+    ("validate", "--work", ".")])
+def test_option_prefixes_are_usage_errors(artifacts, tmp_path, capsys, command, prefix,
+                                          value):
+    # no command takes a prefix for the option it abbreviates, so a misspelt
+    # or removed flag cannot set another one
+    work, manifest = artifacts
+    out = tmp_path / "out"
+    argv = {**_reading_commands(manifest, work, out),
+            "select": ("select", "--manifest", manifest, "--method", "random",
+                       "--k", 5, "--out", out),
+            "synth": ("synth", "--out", out, "--models-count", 4, "--samples", 10),
+            }[command]
+    assert run_cli(*argv, prefix, value.format(work=work)) == 64
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_huge_num_classes_allocates_nothing_before_the_dims_pass(tmp_path):
     assert run_cli("synth", "--out", tmp_path / "data", "--models-count", 4,
                    "--samples", 3, "--classes", 2) == 0

@@ -223,25 +223,24 @@ class TestRunPipeline:
         assert last_source < first_target
 
     @pytest.mark.parametrize("kind", ["knn", "direct"])
-    def test_anchor_rows_read_once(self, population, monkeypatch, kind):
-        # one read of the anchor rows: the sorted sources' and then the
-        # targets' for a fitted predictor, the targets' alone for a readout
+    def test_each_side_reads_its_anchor_rows_once(self, population, monkeypatch, kind):
+        # a fitted predictor reads the sorted sources' rows, then the
+        # targets'; a readout reads the targets' alone; each read is of K rows
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         reads = []
-        read_rows_at = TensorFiles._read_rows_at
+        anchor_rows = TensorFiles.anchor_rows
 
         def recording_read(self, model_ids, idx):
-            reads.append((list(model_ids), idx.size))
-            return read_rows_at(self, model_ids, idx)
+            reads.append((list(model_ids), len(idx)))
+            return anchor_rows(self, model_ids, idx)
 
-        monkeypatch.setattr(TensorFiles, "_read_rows_at", recording_read)
+        monkeypatch.setattr(TensorFiles, "anchor_rows", recording_read)
         report = run_pipeline(manifest, files, split, "topk_pds",
                               PredictorConfig(kind=kind), k=10, seed=0)
-        sources = sorted(split.source_ids) if kind == "knn" else []
-        assert len(reads) == 1
-        assert reads[0][0] == sources + split.target_ids
-        assert reads[0][1] == report.k == 10
+        sides = [sorted(split.source_ids)] if kind == "knn" else []
+        assert reads == [(ids, 10) for ids in sides + [split.target_ids]]
+        assert report.k == 10
 
     def test_pairs_follow_target_order(self, population):
         manifest, files = population
@@ -421,18 +420,19 @@ class TestSweep:
         assert fits == {(sel, pred, k): n for (sel, pred), n in fits_per_k.items()
                         for k in budgets}
 
-    def test_sweep_reads_anchor_rows_once_per_seed(self, population_files, monkeypatch):
-        # per config and seed, the rows of every budget's new pipeline are
-        # read in one pass over the files; a pipeline already run reads none
+    def test_sweep_reads_anchor_rows_once_per_pipeline(self, population_files,
+                                                       monkeypatch):
+        # each pipeline run reads its sources' rows (none for a readout),
+        # then its targets', at its own K; a pipeline already run reads none
         from disco import files
         reads = []
-        read_rows_at = files.TensorFiles._read_rows_at
+        anchor_rows = files.TensorFiles.anchor_rows
 
         def counting_read(self, model_ids, idx):
-            reads.append((len(model_ids), idx.size))
-            return read_rows_at(self, model_ids, idx)
+            reads.append((len(model_ids), len(idx)))
+            return anchor_rows(self, model_ids, idx)
 
-        monkeypatch.setattr(files.TensorFiles, "_read_rows_at", counting_read)
+        monkeypatch.setattr(files.TensorFiles, "anchor_rows", counting_read)
         manifest, source = population_files
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         configs = [("random", PredictorConfig(kind="linear")),
@@ -440,12 +440,12 @@ class TestSweep:
                    ("random", PredictorConfig(kind="direct"))]
         reports = sweep_budgets(manifest, source(), split, configs, [12, 40], [0, 1])
         assert len(reports) == 3 * 2 * 2
-        everyone = len(split.source_ids) + len(split.target_ids)
-        targets = len(split.target_ids)
+        sources, targets = len(split.source_ids), len(split.target_ids)
         # random: seeds 0 and 1; topk_pds: seed 0 only, seed 1 repeats it;
         # the readout reads the targets alone
-        assert [m for m, _ in reads] == [everyone] * 3 + [targets] * 2
-        assert all(40 <= k <= 52 for _, k in reads)
+        fitted = {k: [(sources, k), (targets, k)] for k in (12, 40)}
+        assert reads == (fitted[12] * 2 + fitted[40] * 2 + fitted[12] + fitted[40]
+                         + [(targets, 12)] * 2 + [(targets, 40)] * 2)
 
     def test_sweep_selects_each_subset_once(self, population, monkeypatch):
         from disco import harness
@@ -555,3 +555,26 @@ def test_fit_predictor_peak_allocation_bounded(tmp_path):
         tracemalloc.stop()
     assert model.projection.d == m - 1
     assert peak <= 4.0 * m * k * c * 8
+
+
+@pytest.mark.parametrize("kind", ["direct", "knn"])
+def test_sweep_anchor_rows_bounded_by_largest_budget(tmp_path, kind):
+    # each pipeline holds one side's rows at its own K, so smaller budgets
+    # swept before the largest add nothing to the peak; reading every
+    # budget's rows at once would hold their sum
+    manifest, _ = saved_population(*generate_population(SynthConfig(
+        m_models=40, n_samples=500, c_classes=100, ability_dim=2, seed=1)), tmp_path)
+    split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+    config = [("random", PredictorConfig(kind=kind))]
+
+    def peak(budgets):
+        files = TensorFiles(manifest, manifest.model_ids())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep_budgets(manifest, files, split, config, budgets, [0])
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak([10, 40, 80]) <= 1.1 * peak([80])

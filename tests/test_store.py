@@ -126,6 +126,22 @@ class TestManifest:
         with pytest.raises(SchemaError, match=field):
             load_manifest(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("labels", True, r"labels\[3\] must be a 64-bit integer"),
+        ("labels", 1.5, r"labels\[3\] must be a 64-bit integer"),
+        ("labels", 2**63, r"labels\[3\] must be a 64-bit integer"),
+        ("task_tags", 7, r"task_tags\[2\] must be a string"),
+    ], ids=["label-true", "label-float", "label-2**63", "tag-int"])
+    def test_first_bad_entry_is_named(self, tmp_path, key, value, message):
+        obj = json.loads(manifest_bytes(make_manifest([0, 1, 0, 1, 0, 1], 2, ["a"])))
+        at = 3 if key == "labels" else 2
+        obj[key][at] = value
+        obj[key][at + 1] = value      # only the first bad entry is named
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_manifest(path)
+
     def test_unparseable_date_is_invariant_violation(self, tmp_path):
         man = make_manifest([0, 1], 2, ["a"])
         obj = json.loads(manifest_bytes(man))

@@ -476,12 +476,16 @@ def build_parser() -> _Parser:
     p.add_argument("--date-end", default="2024-12-31")
     p.set_defaults(func=cmd_synth)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported with the chosen subcommand's usage, not the top level's
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if getattr(args, "seed", 0) < 0:
             raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")

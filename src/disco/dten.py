@@ -131,15 +131,6 @@ def read_into(f: BinaryIO, out: np.ndarray, offset: int) -> None:
         done += got
 
 
-def read_dten(path: str | Path) -> np.ndarray:
-    """Read one DTEN file into a writable array that nothing else holds."""
-    f, dt, dims = open_dten(path)
-    with f:
-        values = np.empty(dims, dt)
-        read_into(f, values, PAYLOAD_START)
-    return values
-
-
 def bundle_bytes(header: dict, arrays: dict[str, np.ndarray]) -> bytes:
     """Serialize named arrays plus a JSON header into one bundle."""
     head = dict(header)

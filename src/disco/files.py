@@ -6,8 +6,9 @@ every file that hands scoring each stripe of samples of each model once, so
 scoring reads each file once.  ``check`` is a checked pass over each file
 whole that can keep each model's per-sample summaries.  After a checked
 pass, ``anchor_rows`` reads only the rows at the anchors.  Every row
-returned is checked and renormalized by ``store``'s ingest kernel, as
-loading the tensor would.
+returned is checked and renormalized by ``store``'s ingest kernel, one
+``store._CHUNK_BYTES`` chunk at a time.  ``store.load_tensor`` is itself a
+read of every row through ``anchor_rows``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ def _anchor_index(idx, n: int) -> np.ndarray:
 # span at most this many bytes: a read call costs about as much as copying
 # that many bytes.
 _GAP_BYTES = 1 << 14
-# Rows read are checked and renormalized this many bytes at a time.  The
-# kernel's float64 copies then stay small and are reused: one call over 5000
-# rows of 100 classes took 10.5 ms, 128 KiB chunks 4.7 ms, and fit's peak
-# RSS stays where loading left it.  512 KiB chunks, as loading uses, were
-# 10-20 % faster on 5000-30000 rows, but raised predict's peak RSS on a
-# 100 x 5000 x 100 population from 38.5 to 39.3 MB.
-_INGEST_BYTES = 1 << 17
 
 
 class TensorFiles:
@@ -111,15 +105,35 @@ class TensorFiles:
 
     def _check_file(self, model_id: str, buf: np.ndarray | None,
                     summarize: bool) -> np.ndarray:
-        """``store._check_file`` of the model's file through ``buf``, keeping
-        its summaries if ``summarize``; returns the scratch array used."""
-        if not summarize:
-            return store._check_file(self.manifest, model_id, buf)
-        n = self.manifest.num_samples
-        summary = SampleSummary(np.empty(n, np.uint8), np.empty(n, np.float64))
-        buf = store._check_file(self.manifest, model_id, buf, summary)
-        summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
-        self._summaries[model_id] = summary
+        """Check the model's file whole, raising what ``load_tensor`` would,
+        one ingest chunk at a time through ``buf``, a float32 scratch array
+        of at least one chunk.  ``buf`` None allocates one, only once the
+        file's header, size and dims have passed, so its size is bounded by
+        the file's.  If ``summarize``, each chunk is also renormalized as
+        loading does and the model's summaries kept.  Returns the scratch
+        array, for the next file."""
+        n, c = self.manifest.num_samples, self.manifest.num_classes
+        step = store._chunk_rows(c)
+        faults = store._RowFaults()
+        with self._open(model_id) as f:
+            if buf is None:
+                buf = np.empty(step * c, dtype=np.float32)
+            if summarize:
+                summary = SampleSummary(np.empty(n, np.uint8), np.empty(n, np.float64))
+            for lo in range(0, n, step):
+                rows = buf[:min(step, n - lo) * c].reshape(-1, c)
+                dten.read_into(f, rows, dten.PAYLOAD_START + lo * c * 4)
+                if not summarize:
+                    store._check_rows(rows, lo, faults)
+                elif store._ingest_rows(rows, lo, faults) is not None:
+                    hi = lo + rows.shape[0]
+                    labels = self.manifest.labels[lo:hi]
+                    summary.bits[lo:hi] = store._correct(rows, labels)
+                    summary.label_probs[lo:hi] = rows[np.arange(rows.shape[0]), labels]
+        faults.raise_for(model_id)
+        if summarize:
+            summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
+            self._summaries[model_id] = summary
         return buf
 
     def summary(self, model_id: str) -> SampleSummary:
@@ -146,9 +160,10 @@ class TensorFiles:
 
     def anchor_rows(self, model_ids: list[str], idx) -> np.ndarray:
         """Rows ``idx`` of each model's tensor, as an (M, K, C) float32
-        array in the given orders, checked and renormalized as
-        ``load_tensor`` would.  ``idx`` may come in any order and repeat a
-        row; each distinct row is read once, as ``_read`` reads it."""
+        array in the given orders, checked and renormalized by the ingest
+        kernel, as ``PredictionTensor.from_values`` would the whole file.
+        ``idx`` may come in any order and repeat a row; each distinct row is
+        read once, as ``_read`` reads it."""
         idx = _anchor_index(idx, self.manifest.num_samples)
         rows, inverse = np.unique(idx, return_inverse=True)
         out = np.empty((len(model_ids), rows.size, self.manifest.num_classes),
@@ -206,7 +221,7 @@ class TensorFiles:
     def _read(self, model_ids: list[str], idx: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out``, a C-contiguous (M, K, C) float32 array, with rows
         ``idx`` (strictly increasing) of each model's tensor, checked and
-        renormalized as ``load_tensor`` would.  Each file is opened, its
+        renormalized by the ingest kernel.  Each file is opened, its
         header, size and dims checked again, and only those rows read, in
         file order (and the short gaps between them, see ``_GAP_BYTES``).
         A file that changed since ``check`` raises MagicMismatch or
@@ -237,7 +252,7 @@ class TensorFiles:
                 np.take(spans, take, axis=0, out=out[j])
         rows = out.reshape(-1, c)
         faults = store._RowFaults()
-        step = max(1, _INGEST_BYTES // (4 * c))
+        step = store._chunk_rows(c)
         for lo in range(0, rows.shape[0], step):
             store._ingest_rows(rows[lo:lo + step], lo, faults)
         if faults:  # check each model's runs of consecutive rows on their own

@@ -33,16 +33,10 @@ from .errors import (
     TooFewModels,
 )
 from .files import TensorFiles
-from .store import BenchmarkManifest
+from .store import BenchmarkManifest, _chunk_rows
 
 BOUND_SLACK = 1e-9
 _ROW_TOL = 1e-9
-
-# Samples are scored in stripes of about _STRIPE_BYTES of float64 rows (b
-# samples x C classes), one model at a time, so the working set grows with
-# neither the number of samples nor the number of models.  On 50 models of
-# 5000 x 100, 256 KiB stripes scored as fast as 512 KiB ones.
-_STRIPE_BYTES = 1 << 18
 
 CSV_HEADER = "sample_index,pds_env,pds_eq1,jsd_bits,mixture_entropy_bits,mean_entropy_bits"
 
@@ -248,9 +242,11 @@ def _fold_models(tensors: TensorFiles, n: int, c: int) -> tuple[np.ndarray, ...]
     the mean model entropy and the mixture's entropy, in bits.  Each stripe
     of samples folds the models in, in sorted id order, as numpy reduces an
     (M, N, C) stack over its models: one after another, from +0.0, then
-    divided by M.  So the scores are those of the whole stack, bit for bit."""
+    divided by M.  So the scores are those of the whole stack, bit for bit.
+    A stripe has as many samples as an ingest chunk has rows, so the working
+    set grows with neither the number of samples nor of models."""
     m = len(tensors)
-    rows = min(n, max(1, _STRIPE_BYTES // (8 * max(c, 1))))
+    rows = min(n, _chunk_rows(c))
     env, mix_ent = np.empty(n), np.empty(n)
     mean_ent = np.zeros(n)  # entropy sums, until divided by M
     top, mix, work = (np.empty((rows, c)) for _ in range(3))

@@ -2,7 +2,9 @@
 
 A benchmark directory holds one ``manifest.json`` plus one DTEN file per
 registered model.  The manifest is canonical JSON: fixed key order, 2-space
-indent, trailing newline, so save -> load -> save is byte-identical.
+indent, trailing newline, so save -> load -> save is byte-identical.  Every
+read of a model's file goes through ``files.TensorFiles``: ``load_tensor``
+reads all its rows through ``anchor_rows``.
 """
 
 from __future__ import annotations
@@ -112,13 +114,7 @@ class PredictionTensor:
         input bits, so a given file always loads to the same values.  The
         caller's array is never modified.
         """
-        return cls._adopt(model_id, np.array(values, dtype=np.float32, order="C"))
-
-    @classmethod
-    def _adopt(cls, model_id: str, arr: np.ndarray) -> "PredictionTensor":
-        """``from_values`` for a float32 C-contiguous array that nothing else
-        holds: its rows are checked and renormalized in place, one chunk of
-        ``_CHUNK_BYTES`` at a time."""
+        arr = np.array(values, dtype=np.float32, order="C")
         if arr.ndim != 2:
             raise ShapeMismatch(f"tensor for {model_id!r} must be 2-D, got ndim={arr.ndim}")
         faults = _RowFaults()
@@ -166,9 +162,10 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> np
     return changed
 
 
-# Bytes of float32 rows checked at once on load: the float64 working copy is
-# twice that, however many samples the tensor has.
-_CHUNK_BYTES = 1 << 19
+# Bytes of float32 rows ingested at once, by every read of a tensor file
+# and by ``from_values``: the float64 working copy is twice that, however
+# many samples the tensor has.  Scoring's stripes have as many rows.
+_CHUNK_BYTES = 1 << 17
 
 
 def _chunk_rows(c: int) -> int:
@@ -413,10 +410,13 @@ def _check_layout(manifest: BenchmarkManifest, path: Path, dtype: np.dtype,
 
 
 def load_tensor(manifest: BenchmarkManifest, model_id: str) -> PredictionTensor:
-    path = _tensor_path(manifest, model_id)
-    values = dten.read_dten(path)
-    _check_layout(manifest, path, values.dtype, values.shape)
-    return PredictionTensor._adopt(model_id, values)
+    """The model's whole tensor: every row read through ``TensorFiles``,
+    checked and renormalized as any read of its file is."""
+    from .files import TensorFiles  # files imports store
+
+    rows = TensorFiles(manifest, [model_id]).anchor_rows(
+        [model_id], np.arange(manifest.num_samples))
+    return PredictionTensor(model_id, rows[0])
 
 
 @dataclass(frozen=True)
@@ -426,40 +426,6 @@ class SampleSummary:
 
     bits: np.ndarray          # (N,) uint8, as ``correctness`` gives them
     label_probs: np.ndarray   # (N,) float64
-
-
-def _check_file(manifest: BenchmarkManifest, model_id: str, buf: np.ndarray | None,
-                summary: SampleSummary | None = None) -> np.ndarray:
-    """Check the model's tensor file whole, raising what ``load_tensor``
-    would, without loading it: the payload passes through ``buf``, a float32
-    scratch array of at least one ingest chunk.  ``buf`` None allocates one,
-    only once the file's header, size and dims have passed, so its size is
-    bounded by the file's.  With ``summary``, each chunk is also renormalized
-    as loading does and summarized into it.  Returns the scratch array, for
-    the next file."""
-    path = _tensor_path(manifest, model_id)
-    f, dtype, dims = dten.open_dten(path)
-    with f:
-        _check_layout(manifest, path, dtype, dims)
-        n, c = dims
-        step = _chunk_rows(c)
-        if buf is None:
-            buf = np.empty(step * c, dtype=np.float32)
-        faults = _RowFaults()
-        for lo in range(0, n, step):
-            rows = buf[:min(step, n - lo) * c].reshape(-1, c)
-            dten.read_into(f, rows, dten.PAYLOAD_START + lo * c * 4)
-            if summary is None:
-                _check_rows(rows, lo, faults)
-            else:
-                _ingest_rows(rows, lo, faults)
-                if not faults:
-                    hi = lo + rows.shape[0]
-                    labels = manifest.labels[lo:hi]
-                    summary.bits[lo:hi] = _correct(rows, labels)
-                    summary.label_probs[lo:hi] = rows[np.arange(rows.shape[0]), labels]
-        faults.raise_for(model_id)
-    return buf
 
 
 # --- correctness and accuracy ------------------------------------------------

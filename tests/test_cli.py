@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import disco
-from disco import dten, scoring, store
+from disco import dten, store
 from disco.cli import main
 from disco.errors import RowSumOutOfTolerance
 from disco.files import TensorFiles
@@ -181,8 +181,14 @@ def test_never_loads_a_whole_tensor(artifacts, tmp_path, monkeypatch, command):
 
     def refuse(*args):
         raise AssertionError("a whole tensor was loaded")
-    for module, name in ((store, "load_tensor"), (dten, "read_dten")):
-        monkeypatch.setattr(module, name, refuse)
+    anchor_rows = TensorFiles.anchor_rows
+
+    def some_rows(self, model_ids, idx):
+        if np.unique(idx).size == self.manifest.num_samples:
+            raise AssertionError("every row of a tensor was read")
+        return anchor_rows(self, model_ids, idx)
+    monkeypatch.setattr(store, "load_tensor", refuse)
+    monkeypatch.setattr(TensorFiles, "anchor_rows", some_rows)
     assert run_cli(*argv) == 0
     assert not hasattr(disco.cli, "load_tensor")
 
@@ -195,7 +201,7 @@ def test_score_reports_what_loading_in_manifest_order_would(reversed_manifest, t
     first, later = manifest.model_ids()[0], manifest.model_ids()[5]
     assert first == max(manifest.model_ids())  # scored last
     path = tmp_path / "data" / manifest.model(first).tensor_path
-    values = dten.read_dten(path)
+    values = load_tensor(manifest, first).values
     values[-1] *= 0.9  # off tolerance, in the last of several chunks
     dten.write_dten(path, values)
     path = tmp_path / "data" / manifest.model(later).tensor_path
@@ -246,7 +252,7 @@ def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, ca
                     f.write(np.float32([0.9, 0.9, 0.9]).tobytes())
 
     monkeypatch.setattr(store, "_check_layout", check_then_change)
-    monkeypatch.setattr(scoring, "_STRIPE_BYTES", 40 * 3 * 8)
+    monkeypatch.setattr(store, "_CHUNK_BYTES", 40 * 3 * 4)
     out = tmp_path / "scores.csv"
     assert run_cli("score", "--manifest", tmp_path / "data" / "manifest.json",
                    "--out", out) == code
@@ -257,16 +263,16 @@ def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, ca
 def change_after_check(monkeypatch, victim_id, victim, change):
     """Make ``victim``, the tensor file of ``victim_id``, change right after
     the pass that checks every file whole has checked it."""
-    check = store._check_file
+    check = TensorFiles._check_file
 
-    def check_then_change(manifest, model_id, *args):
-        check(manifest, model_id, *args)
+    def check_then_change(self, model_id, *args, **kwargs):
+        buf = check(self, model_id, *args, **kwargs)
         if model_id != victim_id:
-            return
+            return buf
         if change == "truncate":
             os.truncate(victim, victim.stat().st_size - 7)
         elif change == "dims":  # the same payload size, read as C x N
-            n, c = manifest.num_samples, manifest.num_classes
+            n, c = self.manifest.num_samples, self.manifest.num_classes
             with victim.open("r+b") as f:
                 f.seek(dten.PAYLOAD_START - 16)
                 f.write(struct.pack("<QQ", c, n))
@@ -274,8 +280,9 @@ def change_after_check(monkeypatch, victim_id, victim, change):
             with victim.open("r+b") as f:
                 f.seek(dten.PAYLOAD_START)
                 f.write(np.full(victim.stat().st_size // 4 - 6, 0.9, np.float32).tobytes())
+        return buf
 
-    monkeypatch.setattr(store, "_check_file", check_then_change)
+    monkeypatch.setattr(TensorFiles, "_check_file", check_then_change)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "fit"])
@@ -808,7 +815,9 @@ def test_option_prefixes_are_usage_errors(artifacts, tmp_path, capsys, command, 
             "synth": ("synth", "--out", out, "--models-count", 4, "--samples", 10),
             }[command]
     assert run_cli(*argv, prefix, value.format(work=work)) == 64
-    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {prefix}" in err
+    assert err.startswith(f"usage: disco {command} ")  # the subcommand's own usage
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disco import dten, scoring
+from disco import dten, store
 from disco.errors import (
     DiscoError,
     InvalidConfig,
@@ -389,7 +389,7 @@ def assert_equals_reference(root, manifest, tensors):
 def block_rows(c, rows):
     """Make score_dataset read and score ``rows`` samples of c classes per
     stripe, by its byte budget."""
-    with mock.patch.object(scoring, "_STRIPE_BYTES", rows * c * 8):
+    with mock.patch.object(store, "_CHUNK_BYTES", rows * c * 4):
         yield
 
 

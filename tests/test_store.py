@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from functools import cache
 from pathlib import Path
@@ -200,13 +201,13 @@ class TestTensorIO:
         save_tensor(tensor_from_rows("m", [[0.5, 0.5], [0.25, 0.75]]), path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(MagicMismatch, match="1 trailing bytes"):
-            dten.read_dten(path)
+            dten.open_dten(path)
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.dten"
         path.write_bytes(b"NOPE" + bytes(60))
         with pytest.raises(MagicMismatch, match="bad.dten"):
-            dten.read_dten(path)
+            dten.open_dten(path)
 
     def test_shape_mismatch(self, tmp_path):
         t = tensor_from_rows("m", [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
@@ -422,7 +423,7 @@ def test_wide_file_loads_like_reference(tmp_path):
 # --- chunked ingest against the whole-array checks it replaced ----------------
 
 def adopt_reference(model_id, arr):
-    """The whole-array _adopt: every check over the full tensor, then one
+    """The whole-array from_values: every check over the full tensor, then one
     renormalization of all of it."""
     if arr.size:
         low, high = arr.min(), arr.max()
@@ -485,7 +486,8 @@ def test_chunked_ingest_equals_whole_array(raw, chunk):
     # chunks of 1, 2, 3 and 7 rows give multi-chunk cases and 1-row tails
     want = outcome(adopt_reference, "m", raw.copy())
     with with_chunk_rows(chunk or 1 << 20, raw.shape[1]):
-        assert outcome(lambda a: PredictionTensor._adopt("m", a).values, raw.copy()) == want
+        got = outcome(lambda a: PredictionTensor.from_values("m", a).values, raw.copy())
+        assert got == want
         with tempfile.TemporaryDirectory() as tmp:
             man = make_manifest([0] * len(raw), raw.shape[1], ["m"])
             man.base_dir = Path(tmp)
@@ -525,7 +527,8 @@ def test_chunked_ingest_error_precedence(rows, error, message):
     want = outcome(adopt_reference, "m", raw.copy())
     assert want[0] is error
     with with_chunk_rows(3, 4):
-        assert outcome(lambda a: PredictionTensor._adopt("m", a).values, raw.copy()) == want
+        got = outcome(lambda a: PredictionTensor.from_values("m", a).values, raw.copy())
+        assert got == want
         with pytest.raises(error, match=message), warnings.catch_warnings():
             warnings.simplefilter("error")
             PredictionTensor.from_values("m", raw)
@@ -536,7 +539,7 @@ def test_dims_too_large_for_an_array_rejected(tmp_path):
     path = tmp_path / "t.dten"
     path.write_bytes(b"DTEN" + bytes([1, 0, 2, 0]) + struct.pack("<QQ", 0, 2**62))
     with pytest.raises(MagicMismatch, match="too large"):
-        dten.read_dten(path)
+        dten.open_dten(path)
 
 
 def test_file_that_shrinks_after_open_is_a_short_read(tmp_path):
@@ -634,13 +637,13 @@ def test_files_are_checked_once(tmp_path, monkeypatch):
     raws = {mid: np.full((5, 2), 0.5, dtype=np.float32) for mid in ("a", "b")}
     man = write_population(tmp_path, raws, [0] * 5)
     checked = []
-    check_file = store._check_file
+    check_file = TensorFiles._check_file
 
-    def counting(manifest, model_id, *args):
+    def counting(self, model_id, *args, **kwargs):
         checked.append(model_id)
-        check_file(manifest, model_id, *args)
+        return check_file(self, model_id, *args, **kwargs)
 
-    monkeypatch.setattr(store, "_check_file", counting)
+    monkeypatch.setattr(TensorFiles, "_check_file", counting)
     files = TensorFiles(man, ["b", "a"])
     files.check(["a"])
     assert checked == ["b", "a"]
@@ -652,3 +655,21 @@ def test_files_are_checked_once(tmp_path, monkeypatch):
     assert checked == ["b", "a", "b"]
     with pytest.raises(KeyError):
         files.select(["z"])
+
+
+def test_check_peak_allocation_bounded(tmp_path):
+    # the whole-file check reads through one ingest chunk, so its peak is a
+    # few chunks (128 KiB of float32 rows each), not a file (2 MB each here)
+    rng = np.random.default_rng(4)
+    n, c = 5000, 100
+    raws = {mid: rng.dirichlet(np.ones(c), n).astype(np.float32) for mid in "abcd"}
+    man = write_population(tmp_path, raws, rng.integers(0, c, n))
+    for summarize, bound in (((), 512 << 10), (list(raws), 1 << 20)):
+        files = TensorFiles(man, list(raws))
+        tracemalloc.start()
+        try:
+            files.check(summarize)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (summarize, peak)

@@ -1,14 +1,14 @@
 """Where pipelines read the models' outputs from, without a whole tensor.
 
 Every stage reads the models through ``TensorFiles``, over a manifest's
-tensor files.  It has three reads.  ``stripes`` is one checked pass over
-every file that hands scoring each stripe of samples of each model once, so
-scoring reads each file once.  ``check`` is a checked pass over each file
-whole that can keep each model's per-sample summaries.  After a checked
-pass, ``anchor_rows`` reads only the rows at the anchors.  Every row
-returned is checked and renormalized by ``store``'s ingest kernel, one
-``store._CHUNK_BYTES`` chunk at a time.  ``store.load_tensor`` is itself a
-read of every row through ``anchor_rows``.
+tensor files.  It has one whole-file read: a checked pass over every file,
+a stripe of samples at a time, that scoring folds (``stripes``), that
+``check`` drains, and that can keep each model's per-sample summaries.  So
+a command reads each file whole once.  After that pass, ``anchor_rows``
+reads only the rows at the anchors.  Every row returned is checked and
+renormalized by ``store``'s ingest kernel, one ``store._CHUNK_BYTES`` chunk
+at a time.  ``store.load_tensor`` is itself a read of every row through
+``anchor_rows``.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ class TensorFiles:
     whole; no file stays open between calls.  Its reads stack the models in
     sorted id order, whatever order they were given in.
 
-    ``check`` reads every file once, in the order given, as loading them in
-    that order would, and keeps the per-sample summaries asked of it;
-    ``stripes`` reads every file once too and raises what ``check`` would.
-    After either, ``anchor_rows`` reads only the rows it returns, and checks
-    those and each file's header, size and dims again, so a file that
-    changed since raises too.  A model named twice raises InvalidConfig.
+    ``stripes`` is its one whole-file pass, which ``check`` drains; a file
+    that has passed it is not checked again, by this object or by any
+    ``select`` view of it.  After that, ``anchor_rows`` reads only the rows
+    it returns, and checks those and each file's header, size and dims
+    again, so a file that changed since raises too.  A model named twice
+    raises InvalidConfig.
     """
 
     def __init__(self, manifest: BenchmarkManifest, model_ids: list[str]):
@@ -57,7 +57,11 @@ class TensorFiles:
         self._order = sorted(self._ids)
         self._paths: dict[str, Path] = {}
         self._summaries: dict[str, SampleSummary] = {}
-        self._checked = False
+        self._checked: set[str] = set()  # the files that passed a whole-file pass
+        # The files ``stripes`` checks, in the order given, and the models
+        # whose summaries it keeps; see ``_view``.
+        self._pass_ids = list(self._ids)
+        self._keep: Collection[str] = ()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._order)
@@ -81,68 +85,37 @@ class TensorFiles:
             if mid not in self._ids:
                 raise KeyError(mid)
         view = TensorFiles(self.manifest, model_ids)
-        view._summaries = self._summaries
-        view._checked = self._checked
+        view._paths, view._summaries, view._checked = self._paths, self._summaries, self._checked
+        return view
+
+    def _view(self, model_ids: list[str], summarize: Collection[str]) -> "TensorFiles":
+        """``select(model_ids)``, whose ``stripes`` pass also checks every
+        file that this one's checks, in the same order, and keeps the
+        summaries of the models in ``summarize``: one pass to score some
+        models, summarize some and check all."""
+        for mid in summarize:
+            if mid not in self._ids:
+                raise KeyError(mid)
+        view = self.select(model_ids)
+        view._pass_ids, view._keep = self._pass_ids, summarize
         return view
 
     def check(self, summarize: Collection[str] = ()) -> None:
-        """Check every file whole, in the order given, one chunk at a time,
-        raising what loading them would; on later calls, only summarize.
-        The models in ``summarize`` are also summarized (``summary``) in the
-        same pass, from their rows renormalized as loading does."""
-        if self._checked:
-            for mid in summarize:
-                self.summary(mid)
-            return
-        wanted = set(summarize)
-        for mid in wanted:
-            if mid not in self._ids:
-                raise KeyError(mid)
-        buf = None
-        for mid in self._ids:
-            buf = self._check_file(mid, buf, mid in wanted and mid not in self._summaries)
-        self._checked = True
-
-    def _check_file(self, model_id: str, buf: np.ndarray | None,
-                    summarize: bool) -> np.ndarray:
-        """Check the model's file whole, raising what ``load_tensor`` would,
-        one ingest chunk at a time through ``buf``, a float32 scratch array
-        of at least one chunk.  ``buf`` None allocates one, only once the
-        file's header, size and dims have passed, so its size is bounded by
-        the file's.  If ``summarize``, each chunk is also renormalized as
-        loading does and the model's summaries kept.  Returns the scratch
-        array, for the next file."""
-        n, c = self.manifest.num_samples, self.manifest.num_classes
-        step = store._chunk_rows(c)
-        faults = store._RowFaults()
-        with self._open(model_id) as f:
-            if buf is None:
-                buf = np.empty(step * c, dtype=np.float32)
-            if summarize:
-                summary = SampleSummary(np.empty(n, np.uint8), np.empty(n, np.float64))
-            for lo in range(0, n, step):
-                rows = buf[:min(step, n - lo) * c].reshape(-1, c)
-                dten.read_into(f, rows, dten.PAYLOAD_START + lo * c * 4)
-                if not summarize:
-                    store._check_rows(rows, lo, faults)
-                elif store._ingest_rows(rows, lo, faults) is not None:
-                    hi = lo + rows.shape[0]
-                    labels = self.manifest.labels[lo:hi]
-                    summary.bits[lo:hi] = store._correct(rows, labels)
-                    summary.label_probs[lo:hi] = rows[np.arange(rows.shape[0]), labels]
-        faults.raise_for(model_id)
-        if summarize:
-            summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
-            self._summaries[model_id] = summary
-        return buf
+        """Check every file whole, in the order given, one ingest chunk at
+        a time, raising what loading them would; files already checked are
+        not read again.  The models in ``summarize`` are also summarized
+        (``summary``) in the same pass, from their rows renormalized as
+        loading does."""
+        for _ in self._view([], summarize).stripes(store._chunk_rows(self.manifest.num_classes)):
+            pass
 
     def summary(self, model_id: str) -> SampleSummary:
-        """The model's per-sample summaries; read-only.  Unless ``check``
-        kept them, its file is read whole once more to compute them."""
+        """The model's per-sample summaries; read-only.  Unless a pass kept
+        them, ``check`` reads its file whole once more to keep them."""
         if model_id not in self._ids:
             raise KeyError(model_id)
         if model_id not in self._summaries:
-            self._check_file(model_id, None, summarize=True)
+            self.select([model_id]).check([model_id])
         return self._summaries[model_id]
 
     def _open(self, model_id: str):
@@ -172,51 +145,74 @@ class TensorFiles:
         return out if np.array_equal(rows, idx) else out[:, inverse]
 
     def stripes(self, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        """One checked pass over every file, ``rows`` samples at a time.
+        """The one whole-file read: a checked pass, ``rows`` samples at a
+        time, over every file not yet checked and those of this one's
+        models, and of the models whose summaries it is to keep.
 
         For each stripe of samples ``lo:lo + b``, in order, each file is
-        opened once, in sorted id order, and its rows there are read,
-        checked and renormalized by the ingest kernel.  Yields ``(lo, j,
-        p)`` for the j-th model in sorted order: ``p`` holds its rows as
-        loaded, as float64, each divided by its float64 sum, in a scratch
-        array that the next step overwrites.  Once any model is at fault
-        nothing more is yielded, but every file is still read through, and
-        the pass then raises what ``check`` would: the fault of the first
-        model at fault in the order given.  A clean pass marks the files
-        checked."""
+        opened once, in sorted id order, and its rows there are read.  A
+        model that is only checked has its rows checked as they are stored;
+        any other model's rows are checked and renormalized by the ingest
+        kernel.  Yields ``(lo, j, p)`` for the j-th of this one's models in
+        sorted order: ``p`` holds its rows as loaded, as float64, each
+        divided by its float64 sum, in a scratch array that the next step
+        overwrites.  Once any model is at fault nothing more is yielded, but
+        every file is still read through, and the pass then raises what
+        loading the files in the order given would: the fault of the first
+        model at fault in that order.  A clean pass marks its files checked
+        and keeps the summaries."""
         n, c = self.manifest.num_samples, self.manifest.num_classes
+        keep = {mid: SampleSummary(np.empty(n, np.uint8), np.empty(n))
+                for mid in self._keep if mid not in self._summaries}
+        scored = {mid: j for j, mid in enumerate(self._order)}
+        read = [mid for mid in self._pass_ids
+                if mid not in self._checked or mid in scored or mid in keep]
+        order = sorted(read)
         rows = max(1, min(rows, n))
-        narrow = np.empty((rows, c), dtype=np.float32)
-        wide = np.empty((rows, c))
-        faults = {mid: store._RowFaults() for mid in self._ids}
+        narrow = wide = None  # allocated once a file's dims have passed
+        faults = {mid: store._RowFaults() for mid in read}
         broken: dict[str, Exception] = {}  # header, size, dims or I/O faults
         clean = True
         for lo in range(0, n, rows):
             b = min(rows, n - lo)
-            for j, mid in enumerate(self._order):
+            for mid in order:
                 if mid in broken:
                     continue
                 try:
                     with self._open(mid) as f:
+                        if narrow is None:
+                            narrow = np.empty((rows, c), dtype=np.float32)
+                            wide = np.empty((rows, c))
                         dten.read_into(f, narrow[:b], dten.PAYLOAD_START + lo * c * 4)
                 except (DiscoError, OSError) as e:
                     broken[mid] = e
                     clean = False
                     continue
-                got = store._ingest_rows(narrow[:b], lo, faults[mid], wide[:b])
+                chunk, w = narrow[:b], wide[:b]
+                if mid not in scored and mid not in keep:
+                    clean = store._check_rows(chunk, lo, faults[mid], w) is not None and clean
+                    continue
+                got = store._ingest_rows(chunk, lo, faults[mid], w)
                 clean = clean and got is not None
-                if not clean:
+                if got is not None and mid in keep:
+                    labels = self.manifest.labels[lo:lo + b]
+                    keep[mid].bits[lo:lo + b] = store._correct(chunk, labels)
+                    keep[mid].label_probs[lo:lo + b] = chunk[np.arange(b), labels]
+                if not clean or mid not in scored:
                     continue
                 p, moved = got
                 if moved.size:  # divide the rows renormalization changed as they are now
                     x = narrow[moved].astype(np.float64)
                     p[moved] = x / x.sum(axis=1)[:, None]
-                yield lo, j, p
-        for mid in self._ids:
+                yield lo, scored[mid], p
+        for mid in read:  # in the order given
             if mid in broken:
                 raise broken[mid]
             faults[mid].raise_for(mid)
-        self._checked = True
+        for summary in keep.values():
+            summary.bits.flags.writeable = summary.label_probs.flags.writeable = False
+        self._summaries.update(keep)
+        self._checked.update(read)
 
     def _read(self, model_ids: list[str], idx: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out``, a C-contiguous (M, K, C) float32 array, with rows

@@ -208,20 +208,21 @@ class EvalReport:
 
 class SharedSources:
     """What pipelines on one manifest and source set compute alike,
-    whatever their K or seed, each part built on first use.
+    whatever their K or seed.
 
     ``tensors`` holds the files of every model the pipelines read, sources
-    and targets.  Building a SharedSources checks every tensor file whole,
-    in order, as loading them would.  In that same pass it keeps the
-    sources' per-sample summaries (correctness bits and label-class
-    probabilities) when one of ``methods``, the selectors it will serve,
-    reads them.  After that no tensor is read whole: the pipelines read the
-    score table's sample blocks and each model's anchor rows.
+    and targets.  Building a SharedSources makes one pass over every tensor
+    file, in order, that checks each file whole as loading them would.  The
+    same pass keeps the sources' per-sample summaries (correctness bits and
+    label-class probabilities) when one of ``methods``, the selectors it
+    will serve, reads them, and folds the sources' score table
+    (``scores``) when one of them ranks by score.  After that no tensor is
+    read whole: the pipelines read the score table's sample blocks and each
+    model's anchor rows.
 
-    It holds the source models' score table and the k-medoids embeddings
-    and distance matrix of one embedding kind.  ``scores``, when given, is
-    the score table of these sources, read back from a file.  Every array
-    it hands out is read-only.
+    ``scores``, when given, is the score table of these sources, read back
+    from a file.  It also holds, built on first use, the k-medoids
+    embeddings and distance matrix of one embedding kind, read-only.
     """
 
     def __init__(self, manifest: BenchmarkManifest, tensors: TensorFiles,
@@ -229,15 +230,14 @@ class SharedSources:
                  methods: Collection[str] = METHODS):
         tensors.check_shape(manifest)
         self.manifest = manifest
-        tensors.check(source_ids if set(methods) & set(SUMMARY_METHODS) else ())
+        summarize = source_ids if set(methods) & set(SUMMARY_METHODS) else ()
+        if scores is None and set(methods) & set(SCORE_METHODS):
+            scores = score_dataset(manifest, tensors._view(source_ids, summarize))
+        else:
+            tensors.check(summarize)
         self.sources = tensors.select(source_ids)
-        self._scores = scores
+        self.scores = scores
         self._kmedoids: tuple[str, np.ndarray, np.ndarray] | None = None
-
-    def scores(self) -> ScoreTable:
-        if self._scores is None:
-            self._scores = score_dataset(self.manifest, self.sources)
-        return self._scores
 
     def kmedoids_inputs(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Embeddings of ``kind`` and their distance matrix.  Only the last
@@ -265,10 +265,10 @@ def select_anchors(shared: SharedSources, method: str, k: int,
         return select_random(manifest.num_samples, k, seed)
     if method in SCORE_METHODS:
         if method == "stratified_topk":
-            return select_stratified_topk(shared.scores(), manifest.task_tags, k,
+            return select_stratified_topk(shared.scores, manifest.task_tags, k,
                                           seed=seed)
         criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
-        return select_topk(shared.scores(), k, criterion, seed=seed)
+        return select_topk(shared.scores, k, criterion, seed=seed)
     if method in ("kmedoids_conf", "kmedoids_corr"):
         emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)

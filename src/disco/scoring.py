@@ -244,15 +244,18 @@ def _fold_models(tensors: TensorFiles, n: int, c: int) -> tuple[np.ndarray, ...]
     (M, N, C) stack over its models: one after another, from +0.0, then
     divided by M.  So the scores are those of the whole stack, bit for bit.
     A stripe has as many samples as an ingest chunk has rows, so the working
-    set grows with neither the number of samples nor of models."""
+    set grows with neither the number of samples nor of models; it is
+    allocated at the first stripe, once a file's dims have passed."""
     m = len(tensors)
     rows = min(n, _chunk_rows(c))
     env, mix_ent = np.empty(n), np.empty(n)
     mean_ent = np.zeros(n)  # entropy sums, until divided by M
-    top, mix, work = (np.empty((rows, c)) for _ in range(3))
+    top = mix = work = None
     # numpy sums the M entropies of a lone sample pairwise, not in order
     ents = np.zeros((m, 1)) if n == 1 else None
     for lo, j, p in tensors.stripes(rows):
+        if top is None:
+            top, mix, work = (np.empty((rows, c)) for _ in range(3))
         b = p.shape[0]
         hi = lo + b
         t, s, w = top[:b], mix[:b], work[:b]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,6 +194,37 @@ def test_never_loads_a_whole_tensor(artifacts, tmp_path, monkeypatch, command):
     assert not hasattr(disco.cli, "load_tensor")
 
 
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--selection", "topk_pds", "--predictor", "knn", "--k", 10),
+    ("sweep", "--configs", "topk_pds:knn,kmedoids_conf:knn", "--budgets", "5,10",
+     "--seeds", "0"),
+], ids=["evaluate", "sweep"])
+def test_one_pass_reads_each_payload_once(synth_dir, tmp_path, monkeypatch, argv):
+    # the check of every file, the sources' scores and their summaries come
+    # from one pass, before any anchor row is read
+    manifest_path = synth_dir / "data" / "manifest.json"
+    manifest = load_manifest(manifest_path)
+    read, anchored = Counter(), []
+    read_into, anchor_rows = dten.read_into, TensorFiles.anchor_rows
+
+    def counting_read(f, out, offset):
+        if not anchored:
+            read[os.path.basename(f.name)] += out.nbytes
+        read_into(f, out, offset)
+
+    def first_anchor_rows(self, *args):
+        anchored.append(True)
+        return anchor_rows(self, *args)
+
+    monkeypatch.setattr(dten, "read_into", counting_read)
+    monkeypatch.setattr(TensorFiles, "anchor_rows", first_anchor_rows)
+    assert run_cli(*argv, "--manifest", manifest_path, "--cutoff", "median",
+                   "--out", tmp_path / "out") == 0
+    m, n, c = len(manifest.models), manifest.num_samples, manifest.num_classes
+    assert sum(read.values()) == m * n * c * 4
+    assert read == {os.path.basename(meta.tensor_path): n * c * 4 for meta in manifest.models}
+
+
 def test_score_reports_what_loading_in_manifest_order_would(reversed_manifest, tmp_path,
                                                             monkeypatch, capsys):
     shutil.copytree(reversed_manifest.parent, tmp_path / "data")
@@ -263,12 +295,13 @@ def test_file_changed_after_its_check_exits(synth_dir, tmp_path, monkeypatch, ca
 def change_after_check(monkeypatch, victim_id, victim, change):
     """Make ``victim``, the tensor file of ``victim_id``, change right after
     the pass that checks every file whole has checked it."""
-    check = TensorFiles._check_file
+    stripes = TensorFiles.stripes
 
-    def check_then_change(self, model_id, *args, **kwargs):
-        buf = check(self, model_id, *args, **kwargs)
-        if model_id != victim_id:
-            return buf
+    def pass_then_change(self, *args, **kwargs):
+        unchecked = victim_id not in self._checked
+        yield from stripes(self, *args, **kwargs)
+        if not unchecked or victim_id not in self._checked:
+            return
         if change == "truncate":
             os.truncate(victim, victim.stat().st_size - 7)
         elif change == "dims":  # the same payload size, read as C x N
@@ -280,9 +313,8 @@ def change_after_check(monkeypatch, victim_id, victim, change):
             with victim.open("r+b") as f:
                 f.seek(dten.PAYLOAD_START)
                 f.write(np.full(victim.stat().st_size // 4 - 6, 0.9, np.float32).tobytes())
-        return buf
 
-    monkeypatch.setattr(TensorFiles, "_check_file", check_then_change)
+    monkeypatch.setattr(TensorFiles, "stripes", pass_then_change)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "fit"])
@@ -311,6 +343,22 @@ def test_file_changed_before_its_anchor_rows_exits(artifacts, tmp_path, monkeypa
     assert re.search(error.format(file=re.escape(victim.name), id=victim_id),
                      capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_one_source_reports_a_cut_target_before_too_few_models(synth_dir, tmp_path, capsys):
+    # the one pass that would score the lone source also checks the targets,
+    # and a fault in them comes before TooFewModels, as loading would raise it
+    shutil.copytree(synth_dir / "data", tmp_path / "data")
+    manifest = load_manifest(tmp_path / "data" / "manifest.json")
+    models = sorted(manifest.models, key=lambda meta: meta.release_date)
+    victim = tmp_path / "data" / models[-1].tensor_path
+    os.truncate(victim, victim.stat().st_size - 4)
+    assert run_cli("evaluate", "--manifest", tmp_path / "data" / "manifest.json",
+                   "--selection", "topk_pds", "--predictor", "direct", "--k", 10,
+                   "--cutoff", models[1].release_date.isoformat(),
+                   "--out", tmp_path / "out") == 3
+    assert re.search(rf"MagicMismatch: .*{re.escape(victim.name)}: payload shorter",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="the open-file limit is POSIX")
@@ -831,6 +879,10 @@ def test_huge_num_classes_allocates_nothing_before_the_dims_pass(tmp_path):
     first = obj["models"][0]["tensor_path"]
 
     proc = run_cli_process("validate", path)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(rf"ShapeMismatch: .*{re.escape(first)}: expected dims", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    proc = run_cli_process("score", "--manifest", path, "--out", tmp_path / "scores.csv")
     assert proc.returncode == 2, proc.stderr
     assert re.search(rf"ShapeMismatch: .*{re.escape(first)}: expected dims", proc.stderr)
     assert "Traceback" not in proc.stderr

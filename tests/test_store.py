@@ -43,14 +43,6 @@ from disco.synth import SynthConfig, generate_population
 from conftest import make_manifest, tensor_from_rows
 
 
-def write_population(tmp_path, manifest, tensors):
-    (tmp_path / "tensors").mkdir(exist_ok=True)
-    for t in tensors:
-        save_tensor(t, tmp_path / "tensors" / f"{t.model_id}.dten")
-    save_manifest(manifest, tmp_path / "manifest.json")
-    return tmp_path / "manifest.json"
-
-
 class TestManifest:
     def test_round_trip_counts(self, tmp_path):
         man = make_manifest([0, 1, 1, 0], 2, ["a", "b", "c"], accuracies=[0.5, None, 1.0])
@@ -637,13 +629,13 @@ def test_files_are_checked_once(tmp_path, monkeypatch):
     raws = {mid: np.full((5, 2), 0.5, dtype=np.float32) for mid in ("a", "b")}
     man = write_population(tmp_path, raws, [0] * 5)
     checked = []
-    check_file = TensorFiles._check_file
+    raise_for = store._RowFaults.raise_for
 
-    def counting(self, model_id, *args, **kwargs):
+    def counting(self, model_id):  # the whole-file pass's verdict on each file it read
         checked.append(model_id)
-        return check_file(self, model_id, *args, **kwargs)
+        raise_for(self, model_id)
 
-    monkeypatch.setattr(TensorFiles, "_check_file", counting)
+    monkeypatch.setattr(store._RowFaults, "raise_for", counting)
     files = TensorFiles(man, ["b", "a"])
     files.check(["a"])
     assert checked == ["b", "a"]

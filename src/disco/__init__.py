@@ -67,8 +67,7 @@ from .store import (
     load_manifest,
     load_tensor,
     save_manifest,
-    save_tensor,
 )
-from .synth import SynthConfig, generate_population, oracle_true_performance, save_population
+from .synth import SynthConfig, generate_population, save_population
 
 __version__ = "0.1.0"

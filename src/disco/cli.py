@@ -493,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DiscoError, OSError) as e:     # OSError: e.g. an unwritable output path
         sys.stderr.write(f"disco {args.command}: {type(e).__name__}: {e}\n")
         return e.exit_code if isinstance(e, DiscoError) else EXIT_IO
+    except MemoryError as e:  # a size the input asked for that cannot be allocated
+        sys.stderr.write(f"disco {args.command}: MemoryError: {e}\n")
+        return DiscoError.exit_code
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ class TensorFiles:
     def anchor_rows(self, model_ids: list[str], idx) -> np.ndarray:
         """Rows ``idx`` of each model's tensor, as an (M, K, C) float32
         array in the given orders, checked and renormalized by the ingest
-        kernel, as ``PredictionTensor.from_values`` would the whole file.
+        kernel, as a whole-file read would.
         ``idx`` may come in any order and repeat a row; each distinct row is
         read once, as ``_read`` reads it."""
         idx = _anchor_index(idx, self.manifest.num_samples)
@@ -149,52 +149,63 @@ class TensorFiles:
         time, over every file not yet checked and those of this one's
         models, and of the models whose summaries it is to keep.
 
-        For each stripe of samples ``lo:lo + b``, in order, each file is
-        opened once, in sorted id order, and its rows there are read.  A
-        model that is only checked has its rows checked as they are stored;
-        any other model's rows are checked and renormalized by the ingest
-        kernel.  Yields ``(lo, j, p)`` for the j-th of this one's models in
-        sorted order: ``p`` holds its rows as loaded, as float64, each
-        divided by its float64 sum, in a scratch array that the next step
-        overwrites.  Once any model is at fault nothing more is yielded, but
-        every file is still read through, and the pass then raises what
-        loading the files in the order given would: the fault of the first
-        model at fault in that order.  A clean pass marks its files checked
-        and keeps the summaries."""
+        A model that is only checked is read first, in sorted id order,
+        each file in one open, and its rows are checked as they are stored.
+        Then, for each stripe of samples ``lo:lo + b``, in order, each other
+        file is opened once, in sorted id order, and its rows there are read,
+        checked and renormalized by the ingest kernel.  Yields ``(lo, j, p)``
+        for the j-th of this one's models in sorted order: ``p`` holds its
+        rows as loaded, as float64, each divided by its float64 sum, in a
+        scratch array that the next step overwrites.  Once any model is at
+        fault nothing more is yielded, but every file is still read through,
+        and the pass then raises what loading the files in the order given
+        would: the fault of the first model at fault in that order.  A clean
+        pass marks its files checked and keeps the summaries."""
         n, c = self.manifest.num_samples, self.manifest.num_classes
         keep = {mid: SampleSummary(np.empty(n, np.uint8), np.empty(n))
                 for mid in self._keep if mid not in self._summaries}
         scored = {mid: j for j, mid in enumerate(self._order)}
         read = [mid for mid in self._pass_ids
                 if mid not in self._checked or mid in scored or mid in keep]
-        order = sorted(read)
+        ingested = sorted(mid for mid in read if mid in scored or mid in keep)
         rows = max(1, min(rows, n))
-        narrow = wide = None  # allocated once a file's dims have passed
+        scratch: list[np.ndarray] = []  # allocated once a file's dims have passed
         faults = {mid: store._RowFaults() for mid in read}
         broken: dict[str, Exception] = {}  # header, size, dims or I/O faults
-        clean = True
+
+        def read_stripes(mid: str, starts) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+            """Open the model's file once and read its rows ``lo:lo + b`` for
+            each ``lo`` in ``starts``: yields ``lo``, those rows as float32
+            and a float64 scratch of their shape.  A fault of the file is
+            kept in ``broken``."""
+            try:
+                with self._open(mid) as f:
+                    if not scratch:
+                        scratch[:] = np.empty((rows, c), dtype=np.float32), np.empty((rows, c))
+                    narrow, wide = scratch
+                    for lo in starts:
+                        b = min(rows, n - lo)
+                        dten.read_into(f, narrow[:b], dten.PAYLOAD_START + lo * c * 4)
+                        yield lo, narrow[:b], wide[:b]
+            except (DiscoError, OSError) as e:
+                broken[mid] = e
+
+        for mid in sorted(set(read).difference(ingested)):
+            for lo, chunk, w in read_stripes(mid, range(0, n, rows)):
+                store._check_rows(chunk, lo, faults[mid], w)
+        clean = not broken and not any(faults.values())
         for lo in range(0, n, rows):
-            b = min(rows, n - lo)
-            for mid in order:
+            for mid in ingested:
                 if mid in broken:
                     continue
-                try:
-                    with self._open(mid) as f:
-                        if narrow is None:
-                            narrow = np.empty((rows, c), dtype=np.float32)
-                            wide = np.empty((rows, c))
-                        dten.read_into(f, narrow[:b], dten.PAYLOAD_START + lo * c * 4)
-                except (DiscoError, OSError) as e:
-                    broken[mid] = e
+                got = None  # stays None if the file is broken
+                for _, chunk, w in read_stripes(mid, (lo,)):
+                    got = store._ingest_rows(chunk, lo, faults[mid], w)
+                if got is None:
                     clean = False
                     continue
-                chunk, w = narrow[:b], wide[:b]
-                if mid not in scored and mid not in keep:
-                    clean = store._check_rows(chunk, lo, faults[mid], w) is not None and clean
-                    continue
-                got = store._ingest_rows(chunk, lo, faults[mid], w)
-                clean = clean and got is not None
-                if got is not None and mid in keep:
+                if mid in keep:
+                    b = chunk.shape[0]
                     labels = self.manifest.labels[lo:lo + b]
                     keep[mid].bits[lo:lo + b] = store._correct(chunk, labels)
                     keep[mid].label_probs[lo:lo + b] = chunk[np.arange(b), labels]
@@ -202,7 +213,7 @@ class TensorFiles:
                     continue
                 p, moved = got
                 if moved.size:  # divide the rows renormalization changed as they are now
-                    x = narrow[moved].astype(np.float64)
+                    x = chunk[moved].astype(np.float64)
                     p[moved] = x / x.sum(axis=1)[:, None]
                 yield lo, scored[mid], p
         for mid in read:  # in the order given

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dten
 from .errors import (
     EmptyDataset,
     InvariantViolation,
@@ -99,34 +98,11 @@ class BenchmarkManifest:
 
 @dataclass
 class PredictionTensor:
-    """One model's class-probability matrix, float32 rows over the benchmark."""
+    """One model's class-probability matrix, float32 rows over the
+    benchmark, as ``load_tensor`` reads it from the model's file."""
 
     model_id: str
     values: np.ndarray  # (N, C) float32, rows renormalized
-
-    @classmethod
-    def from_values(cls, model_id: str, values: np.ndarray) -> "PredictionTensor":
-        """Validate raw probabilities and renormalize rows.
-
-        Entries must lie in [0,1] and each row must sum to 1 within
-        ROW_SUM_TOLERANCE.  Rows are then renormalized toward a float32 fixed
-        point (see ``_renormalize_rows``).  The result depends only on the
-        input bits, so a given file always loads to the same values.  The
-        caller's array is never modified.
-        """
-        arr = np.array(values, dtype=np.float32, order="C")
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"tensor for {model_id!r} must be 2-D, got ndim={arr.ndim}")
-        faults = _RowFaults()
-        step = _chunk_rows(arr.shape[1])
-        for lo in range(0, arr.shape[0], step):
-            _ingest_rows(arr[lo:lo + step], lo, faults)
-        faults.raise_for(model_id)
-        return cls(model_id, arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -163,8 +139,8 @@ def _renormalize_rows(arr: np.ndarray, wide: np.ndarray, sums: np.ndarray) -> np
 
 
 # Bytes of float32 rows ingested at once, by every read of a tensor file
-# and by ``from_values``: the float64 working copy is twice that, however
-# many samples the tensor has.  Scoring's stripes have as many rows.
+# and by ``synth``: the float64 working copy is twice that, however many
+# samples the tensor has.  Scoring's stripes have as many rows.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -384,10 +360,6 @@ def load_manifest(path: str | Path) -> BenchmarkManifest:
 
 
 # --- tensor I/O --------------------------------------------------------------
-
-def save_tensor(tensor: PredictionTensor, path: str | Path) -> None:
-    dten.write_dten(path, tensor.values)
-
 
 def _tensor_path(manifest: BenchmarkManifest, model_id: str) -> Path:
     meta = manifest.model(model_id)

@@ -26,16 +26,9 @@ from typing import Mapping
 
 import numpy as np
 
+from . import dten, store
 from .errors import InvalidConfig, ShapeMismatch
-from .store import (
-    BenchmarkManifest,
-    ModelMeta,
-    PredictionTensor,
-    accuracy,
-    correctness,
-    manifest_bytes,
-    save_tensor,
-)
+from .store import BenchmarkManifest, ModelMeta, accuracy, manifest_bytes
 
 ALIGN_PROB = 0.85
 
@@ -97,8 +90,10 @@ def assemble_tensors(
     distractor_logits: np.ndarray,
     temperature: float,
     model_ids: list[str],
-) -> dict[str, PredictionTensor]:
-    """Build per-model class distributions from correctness probabilities.
+) -> dict[str, np.ndarray]:
+    """Build per-model class distributions from correctness probabilities:
+    each model's (N, C) float32 rows, checked and renormalized by the
+    ingest kernel one chunk at a time, as a read of a file is.
 
     The distractor profile depends on the sample only; models with equal
     p_correct rows therefore receive identical tensors.
@@ -113,25 +108,33 @@ def assemble_tensors(
     mask[np.arange(n), labels] = False
     w_full[mask] = w.ravel()   # row-major: ascending class order per sample
 
-    tensors: dict[str, PredictionTensor] = {}
+    tensors: dict[str, np.ndarray] = {}
+    step = store._chunk_rows(c)
     for j, mid in enumerate(model_ids):
         values = (1.0 - p_correct[j])[:, None] * w_full
         values[np.arange(n), labels] = p_correct[j]
-        tensors[mid] = PredictionTensor.from_values(mid, values)
+        arr = np.array(values, dtype=np.float32, order="C")
+        faults = store._RowFaults()
+        for lo in range(0, n, step):
+            store._ingest_rows(arr[lo:lo + step], lo, faults)
+        faults.raise_for(mid)
+        tensors[mid] = arr
     return tensors
 
 
 def generate_population(
     config: SynthConfig, return_latents: bool = False,
-) -> tuple[BenchmarkManifest, dict[str, PredictionTensor]] | tuple[
-        BenchmarkManifest, dict[str, PredictionTensor], SynthLatents]:
-    """Draw a synthetic benchmark: manifest plus one tensor per model.
+) -> tuple[BenchmarkManifest, dict[str, np.ndarray]] | tuple[
+        BenchmarkManifest, dict[str, np.ndarray], SynthLatents]:
+    """Draw a synthetic benchmark: the manifest, and each model's (N, C)
+    float32 rows by model id, as ``save_population`` writes them.  Each
+    model's true accuracy is the argmax accuracy of those rows.
 
     The RNG draw order (labels, theta, alpha, alignment flips, beta,
     distractor logits) is part of the contract: identical configs give
     byte-identical artifacts.
 
-    The tensors are as built, not as their files load: loading renormalizes
+    The rows are as written, not as their files load: loading renormalizes
     each row again, and at the default config 280 of the 400 000 rows come
     back an ulp apart.  The stages read the models only from their files,
     so write the population with ``save_population`` and read it through
@@ -173,7 +176,7 @@ def generate_population(
         format_version=1,
     )
     for j, mid in enumerate(model_ids):
-        acc = accuracy(correctness(tensors[mid], manifest))
+        acc = accuracy(store._correct(tensors[mid], labels))
         manifest.models.append(ModelMeta(
             model_id=mid,
             release_date=dates[j],
@@ -194,25 +197,15 @@ def generate_population(
     return manifest, tensors
 
 
-def oracle_true_performance(
-    manifest: BenchmarkManifest,
-    tensors: Mapping[str, PredictionTensor],
-) -> dict[str, float]:
-    """Exact argmax accuracy per model, recomputed from the tensors."""
-    out = {}
-    for mid in manifest.model_ids():
-        out[mid] = accuracy(correctness(tensors[mid], manifest))
-    return out
-
-
 def save_population(manifest: BenchmarkManifest,
-                    tensors: Mapping[str, PredictionTensor],
+                    tensors: Mapping[str, np.ndarray],
                     out_dir: str | Path) -> Path:
-    """Write a self-contained benchmark directory; returns the manifest path."""
+    """Write a self-contained benchmark directory, each model's float32
+    rows (by model id) to its tensor file; returns the manifest path."""
     out_dir = Path(out_dir)
     (out_dir / "tensors").mkdir(parents=True, exist_ok=True)
     for meta in manifest.models:
-        save_tensor(tensors[meta.model_id], out_dir / meta.tensor_path)
+        dten.write_dten(out_dir / meta.tensor_path, tensors[meta.model_id])
     path = out_dir / "manifest.json"
     path.write_bytes(manifest_bytes(manifest))
     manifest.base_dir = out_dir

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from disco.files import TensorFiles
-from disco.store import BenchmarkManifest, ModelMeta, PredictionTensor, load_manifest
+from disco.store import BenchmarkManifest, ModelMeta, load_manifest
 from disco.synth import save_population
 
 # Example times vary with the machine's load, so no example has a deadline.
@@ -37,16 +37,19 @@ def make_manifest(labels, num_classes, model_ids=(), accuracies=None, dates=None
     )
 
 
-def tensor_from_rows(model_id, rows):
-    return PredictionTensor.from_values(model_id, np.asarray(rows, dtype=np.float32))
+def tensor_from_rows(rows):
+    """``rows`` as a model's float32 tensor, as its file stores them: a
+    read of the file checks and renormalizes them."""
+    return np.array(rows, dtype=np.float32, order="C")
 
 
 def saved_population(manifest, tensors, out_dir):
-    """Write ``tensors`` (by model id, or a sequence) where a copy of
-    ``manifest`` points, with ``save_population``; return the manifest read
-    back and a ``TensorFiles`` over all of its models."""
+    """Write ``tensors`` (float32 rows by model id, or a sequence in the
+    manifest's model order) where a copy of ``manifest`` points, with
+    ``save_population``; return the manifest read back and a
+    ``TensorFiles`` over all of its models."""
     if not isinstance(tensors, Mapping):
-        tensors = {t.model_id: t for t in tensors}
+        tensors = dict(zip(manifest.model_ids(), tensors, strict=True))
     manifest = load_manifest(save_population(copy.copy(manifest), tensors, out_dir))
     return manifest, TensorFiles(manifest, manifest.model_ids())
 

@@ -769,6 +769,20 @@ class TestSynthCommand:
                        "--out", tmp_path / "r.json")
         assert code == 0
 
+    def test_failed_allocation_exits_2(self, tmp_path, monkeypatch, capsys):
+        # numpy raises a subclass of MemoryError for a size it cannot allocate
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def too_large(config):
+            raise ArrayMemoryError("Unable to allocate 14.9 GiB for an array")
+
+        monkeypatch.setattr(disco.cli, "generate_population", too_large)
+        assert run_cli("synth", "--out", tmp_path / "data", "--models-count", 4) == 2
+        assert capsys.readouterr().err == (
+            "disco synth: MemoryError: Unable to allocate 14.9 GiB for an array\n")
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("flag, value", [("--date-start", "2024-13-01"),
                                              ("--date-end", "nope")])
     def test_bad_date_exits_2(self, tmp_path, flag, value):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from disco import dten
 from disco.errors import EmptySide, LengthMismatch, MissingWeights, ZeroVariance
 from disco.harness import (
     ChronologicalSplit,
@@ -29,7 +30,6 @@ from disco.harness import (
 from disco.files import TensorFiles
 from disco.predictors import ForestConfig
 from disco.selection import AnchorSubset
-from disco.store import PredictionTensor, save_tensor
 from disco.synth import SynthConfig, generate_population
 
 from conftest import make_manifest, saved_population
@@ -269,8 +269,8 @@ class TestRunPipeline:
         rng = np.random.default_rng(99)
         raw = rng.random((manifest.num_samples, manifest.num_classes)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        save_tensor(PredictionTensor.from_values(victim, raw.astype(np.float32)),
-                    tmp_path / manifest.model(victim).tensor_path)
+        dten.write_dten(tmp_path / manifest.model(victim).tensor_path,
+                        raw.astype(np.float32))
         r2 = run_pipeline(manifest, TensorFiles(manifest, manifest.model_ids()), split,
                           *cfg, k=12, seed=1)
         assert r1.pairs != r2.pairs
@@ -539,8 +539,7 @@ def test_fit_predictor_peak_allocation_bounded(tmp_path):
     tensors = {}
     for mid in ids:
         raw = rng.random((n, c)) + 1e-3
-        tensors[mid] = PredictionTensor.from_values(
-            mid, (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
+        tensors[mid] = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
     subset = AnchorSubset(indices=np.sort(rng.choice(n, k, replace=False)),
                           method="random", seed=0)
     manifest, files = saved_population(manifest, tensors, tmp_path)

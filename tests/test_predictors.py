@@ -26,7 +26,7 @@ from disco.predictors import (
 )
 from disco.selection import AnchorSubset, build_embeddings, select_kmedoids
 from disco.signatures import pca_fit, pca_transform
-from disco.store import PredictionTensor, accuracy, correctness, load_tensor
+from disco.store import accuracy, correctness, load_tensor
 
 from conftest import make_manifest, saved_population
 
@@ -389,7 +389,7 @@ class TestWeightedSum:
         rows[:4] = [0.9, 0.1]    # cluster A: correct
         rows[4:] = [0.2, 0.8]    # cluster B: wrong
         man, files = saved_population(make_manifest(labels, c, ["m"]),
-                                      [PredictionTensor.from_values("m", rows)], tmp_path)
+                                      [rows], tmp_path)
         t = load_tensor(man, "m")
         emb = build_embeddings(files, man, "conf")
         subset = select_kmedoids(emb, 2, seed=0)

@@ -38,7 +38,7 @@ from disco.scoring import (
 )
 
 from disco.files import TensorFiles
-from disco.store import PredictionTensor, load_tensor
+from disco.store import load_tensor
 
 from conftest import make_manifest, random_stack, saved_population, tensor_from_rows
 
@@ -245,8 +245,7 @@ class TestScoreDataset:
         """The manifest of these models' files, their TensorFiles, and
         their tensors as loaded, in the files' order."""
         man = make_manifest(labels, c, [f"m{i}" for i in range(len(rows_per_model))])
-        tensors = [tensor_from_rows(f"m{i}", rows)
-                   for i, rows in enumerate(rows_per_model)]
+        tensors = [tensor_from_rows(rows) for rows in rows_per_model]
         man, files = saved_population(man, tensors, root)
         return man, files, [load_tensor(man, mid) for mid in files]
 
@@ -328,8 +327,8 @@ class TestScoreDataset:
 
 def test_score_dataset_shape_mismatch(tmp_path):
     man = make_manifest([0, 1], 2, ["a", "b"])
-    good = tensor_from_rows("a", [[1, 0], [0, 1]])
-    bad = tensor_from_rows("b", [[1, 0]])
+    good = tensor_from_rows([[1, 0], [0, 1]])
+    bad = tensor_from_rows([[1, 0]])
     man, files = saved_population(man, [good, bad], tmp_path)
     with pytest.raises(ShapeMismatch):
         score_dataset(man, files)
@@ -369,9 +368,8 @@ def random_population(rng, m, n, c):
         raw = rng.random((n, c)) ** rng.choice([1.0, 8.0], size=(n, 1))
         onehot = rng.random(n) < 0.1
         raw[onehot] = np.eye(c)[rng.integers(0, c, onehot.sum())]
-        tensors.append(PredictionTensor.from_values(
-            f"m{i}", (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)))
-    return make_manifest(rng.integers(0, c, n), c, [t.model_id for t in tensors]), tensors
+        tensors.append((raw / raw.sum(axis=1, keepdims=True)).astype(np.float32))
+    return make_manifest(rng.integers(0, c, n), c, [f"m{i}" for i in range(m)]), tensors
 
 
 def assert_equals_reference(root, manifest, tensors):

@@ -31,7 +31,7 @@ from disco.selection import (
     select_stratified_topk,
     select_topk,
 )
-from disco.store import PredictionTensor, accuracy, correctness, load_tensor
+from disco.store import accuracy, correctness, load_tensor
 
 from conftest import make_manifest, saved_population, tensor_from_rows
 
@@ -132,13 +132,13 @@ class TestStratified:
 class TestEmbeddings:
     def test_conf_single_model(self, tmp_path):
         man, files = saved_population(make_manifest([1], 2, ["m"]),
-                                      [tensor_from_rows("m", [[0.3, 0.7]])], tmp_path)
+                                      [tensor_from_rows([[0.3, 0.7]])], tmp_path)
         emb = build_embeddings(files, man, "conf")
         assert emb.shape == (1, 1)
         assert abs(emb[0, 0] - 0.7) < 1e-6
 
     def test_corr_perfect_model(self, tmp_path):
-        t = tensor_from_rows("m", [[0.9, 0.1], [0.2, 0.8], [1.0, 0.0]])
+        t = tensor_from_rows([[0.9, 0.1], [0.2, 0.8], [1.0, 0.0]])
         man, files = saved_population(make_manifest([0, 1, 0], 2, ["m"]), [t], tmp_path)
         emb = build_embeddings(files, man, "corr")
         assert emb[:, 0].tolist() == [1.0, 1.0, 1.0]
@@ -151,7 +151,7 @@ class TestEmbeddings:
         for i in range(m):
             raw = rng.random((n, c)) + 1e-6
             raw /= raw.sum(axis=1, keepdims=True)
-            tensors.append(PredictionTensor.from_values(f"m{i}", raw.astype(np.float32)))
+            tensors.append(raw.astype(np.float32))
         man, files = saved_population(man, tensors, tmp_path)
         emb = build_embeddings(files, man, "corr")
         for i, mid in enumerate(files):
@@ -447,7 +447,7 @@ def _bfv_population(root, rng, m=8, n=60, c=3):
     for i in range(m):
         raw = rng.random((n, c)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        tensors.append(PredictionTensor.from_values(f"m{i}", raw.astype(np.float32)))
+        tensors.append(raw.astype(np.float32))
     man, files = saved_population(man, tensors, root)
     loaded = [load_tensor(man, mid) for mid in man.model_ids()]
     for meta, t in zip(man.models, loaded):
@@ -558,8 +558,7 @@ def _population_from_bits(root, bits: np.ndarray, accuracies: np.ndarray):
     man = make_manifest(np.zeros(n, dtype=np.int64), 2, ids,
                         accuracies=[float(a) for a in accuracies])
     rows = np.where(bits[:, :, None] == 1, [0.75, 0.25], [0.25, 0.75])
-    return saved_population(man, [tensor_from_rows(mid, r) for mid, r in zip(ids, rows)],
-                            root)
+    return saved_population(man, [tensor_from_rows(r) for r in rows], root)
 
 
 @st.composite

@@ -20,7 +20,7 @@ from disco.signatures import (
     pca_fit_transform,
     pca_transform,
 )
-from disco.store import anchor_correctness, correctness
+from disco.store import anchor_correctness
 
 from conftest import make_manifest, tensor_from_rows
 
@@ -32,13 +32,13 @@ def subset_of(indices):
 
 class TestBuildSignature:
     def test_probs_concatenation(self):
-        t = tensor_from_rows("m", [[0.3, 0.7]])
-        sig = build_signature(t.values[[0]], subset_of([0]), "probs")
+        t = tensor_from_rows([[0.3, 0.7]])
+        sig = build_signature(t[[0]], subset_of([0]), "probs")
         assert np.allclose(sig, [0.3, 0.7], atol=1e-6)
 
     def test_onehot(self):
-        t = tensor_from_rows("m", [[0.3, 0.7]])
-        sig = build_signature(t.values[[0]], subset_of([0]), "onehot")
+        t = tensor_from_rows([[0.3, 0.7]])
+        sig = build_signature(t[[0]], subset_of([0]), "onehot")
         assert sig.tolist() == [0.0, 1.0]
 
     def test_correctness_mode_matches_store_oracle(self, rng):
@@ -46,31 +46,31 @@ class TestBuildSignature:
         man = make_manifest(labels, 3, ["m"])
         raw = rng.random((20, 3)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        t = tensor_from_rows("m", raw)
+        t = tensor_from_rows(raw)
         idx = np.sort(rng.choice(20, size=7, replace=False))
-        sig = build_signature(t.values[idx], subset_of(idx), "correctness",
+        sig = build_signature(t[idx], subset_of(idx), "correctness",
                               labels=labels)
-        oracle = correctness(t, man)[idx]
+        oracle = anchor_correctness(t[idx], man, idx)
         assert sig.tolist() == oracle.astype(float).tolist()
 
     def test_subset_order_concatenation(self, rng):
         raw = rng.random((10, 2)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        t = tensor_from_rows("m", raw)
-        sig = build_signature(t.values[[2, 5, 9]], subset_of([2, 5, 9]), "probs")
-        expected = np.concatenate([t.values[2], t.values[5], t.values[9]])
+        t = tensor_from_rows(raw)
+        sig = build_signature(t[[2, 5, 9]], subset_of([2, 5, 9]), "probs")
+        expected = np.concatenate([t[2], t[5], t[9]])
         assert np.array_equal(sig, expected.astype(np.float64))
 
     def test_rows_outside_subset_irrelevant(self, rng):
         raw = rng.random((10, 2)) + 1e-6
         raw /= raw.sum(axis=1, keepdims=True)
-        t1 = tensor_from_rows("m", raw)
+        t1 = tensor_from_rows(raw)
         shuffled = raw.copy()
         shuffled[[0, 1, 3]] = shuffled[[3, 0, 1]]  # permute non-anchor rows
-        t2 = tensor_from_rows("m", shuffled)
+        t2 = tensor_from_rows(shuffled)
         s = subset_of([2, 5, 9])
-        assert np.array_equal(build_signature(t1.values[s.indices], s),
-                              build_signature(t2.values[s.indices], s))
+        assert np.array_equal(build_signature(t1[s.indices], s),
+                              build_signature(t2[s.indices], s))
 
     @pytest.mark.parametrize("mode", ["probs", "onehot", "correctness"])
     def test_stack_equals_per_model_signatures(self, rng, mode):
@@ -98,11 +98,11 @@ class TestBuildSignature:
             [anchor_correctness(rows, man, idx) for rows in raw]).tobytes()
 
     def test_errors(self):
-        t = tensor_from_rows("m", [[0.5, 0.5]])
+        t = tensor_from_rows([[0.5, 0.5]])
         with pytest.raises(LengthMismatch):
-            build_signature(t.values, subset_of([0, 3]), "probs")
+            build_signature(t, subset_of([0, 3]), "probs")
         with pytest.raises(InvalidConfig):
-            build_signature(t.values, subset_of([0]), "correctness")
+            build_signature(t, subset_of([0]), "correctness")
 
 
 class TestPcaFit:

@@ -29,14 +29,12 @@ from disco.errors import (
 from disco.files import TensorFiles
 from disco.store import (
     EmptyDataset,
-    PredictionTensor,
     accuracy,
     correctness,
     load_manifest,
     load_tensor,
     manifest_bytes,
     save_manifest,
-    save_tensor,
 )
 from disco.synth import SynthConfig, generate_population
 
@@ -150,47 +148,47 @@ class TestManifest:
             man.validate()
 
 
+def load_rows(root, rows, labels=None):
+    """The manifest of one model "m" whose file holds ``rows``, and the
+    model's tensor as loaded."""
+    rows = tensor_from_rows(rows)
+    man = write_population(root, {"m": rows}, [0] * len(rows) if labels is None else labels)
+    return man, load_tensor(man, "m")
+
+
 class TestTensorIO:
     def test_round_trip_bit_exact(self, tmp_path):
-        t = tensor_from_rows("m", [[1.0, 0.0], [0.5, 0.5]])
-        path = tmp_path / "t.dten"
-        save_tensor(t, path)
-        man = make_manifest([0, 0], 2, ["m"])
-        man.base_dir = tmp_path
-        man.models[0].tensor_path = "t.dten"
-        loaded = load_tensor(man, "m")
-        assert loaded.values.tobytes() == t.values.tobytes()
+        t = tensor_from_rows([[1.0, 0.0], [0.5, 0.5]])
+        _, loaded = load_rows(tmp_path, t)
+        assert loaded.values.tobytes() == t.tobytes()
 
     def test_save_load_save_idempotent(self, tmp_path, rng):
         # fixed-point renormalization makes reserialization byte-stable
         for trial in range(25):
             raw = rng.random((6, 5)).astype(np.float32) + 1e-3
             raw /= raw.sum(axis=1, keepdims=True)
-            t = PredictionTensor.from_values("m", raw)
-            path = tmp_path / "t.dten"
-            save_tensor(t, path)
+            man, t = load_rows(tmp_path, raw)
+            path = tmp_path / "tensors" / "m.dten"
+            dten.write_dten(path, t.values)
             first = path.read_bytes()
-            man = make_manifest([0] * 6, 5, ["m"])
-            man.base_dir = tmp_path
-            man.models[0].tensor_path = "t.dten"
-            save_tensor(load_tensor(man, "m"), path)
+            dten.write_dten(path, load_tensor(man, "m").values)
             assert path.read_bytes() == first
 
-    def test_row_sum_out_of_tolerance(self):
+    def test_row_sum_out_of_tolerance(self, tmp_path):
         with pytest.raises(RowSumOutOfTolerance, match="row 0"):
-            tensor_from_rows("m", [[0.6, 0.39]])
+            load_rows(tmp_path, [[0.6, 0.39]])
 
-    def test_mild_row_sum_error_renormalized(self):
-        t = tensor_from_rows("m", [[0.30001, 0.69999]])
+    def test_mild_row_sum_error_renormalized(self, tmp_path):
+        _, t = load_rows(tmp_path, [[0.30001, 0.69999]])
         assert abs(t.values.astype(np.float64).sum() - 1.0) < 1e-6
 
-    def test_entry_out_of_bounds(self):
+    def test_entry_out_of_bounds(self, tmp_path):
         with pytest.raises(InvariantViolation, match="outside"):
-            tensor_from_rows("m", [[1.2, -0.2]])
+            load_rows(tmp_path, [[1.2, -0.2]])
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.dten"
-        save_tensor(tensor_from_rows("m", [[0.5, 0.5], [0.25, 0.75]]), path)
+        dten.write_dten(path, tensor_from_rows([[0.5, 0.5], [0.25, 0.75]]))
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(MagicMismatch, match="1 trailing bytes"):
             dten.open_dten(path)
@@ -202,8 +200,8 @@ class TestTensorIO:
             dten.open_dten(path)
 
     def test_shape_mismatch(self, tmp_path):
-        t = tensor_from_rows("m", [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
-        save_tensor(t, tmp_path / "t.dten")
+        t = tensor_from_rows([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
+        dten.write_dten(tmp_path / "t.dten", t)
         man = make_manifest([0, 0], 2, ["m"])  # expects 2 rows, file has 3
         man.base_dir = tmp_path
         man.models[0].tensor_path = "t.dten"
@@ -218,23 +216,20 @@ class TestTensorIO:
 
 
 class TestCorrectness:
-    def test_exact_match(self):
-        man = make_manifest([0, 1], 2, ["m"])
-        t = tensor_from_rows("m", [[1, 0], [0, 1]])
+    def test_exact_match(self, tmp_path):
+        man, t = load_rows(tmp_path, [[1, 0], [0, 1]], [0, 1])
         assert correctness(t, man).tolist() == [1, 1]
 
-    def test_argmax_tie_breaks_low(self):
-        man = make_manifest([1], 2, ["m"])
-        t = tensor_from_rows("m", [[0.5, 0.5]])
+    def test_argmax_tie_breaks_low(self, tmp_path):
+        man, t = load_rows(tmp_path, [[0.5, 0.5]], [1])
         assert correctness(t, man).tolist() == [0]
 
-    def test_matches_bruteforce_argmax(self, rng):
+    def test_matches_bruteforce_argmax(self, rng, tmp_path):
         # independent oracle: per-row python argmax with explicit tie scan
         labels = rng.integers(0, 4, size=10)
-        man = make_manifest(labels, 4, ["m"])
         raw = rng.random((10, 4)) + 1e-9
         raw /= raw.sum(axis=1, keepdims=True)
-        t = PredictionTensor.from_values("m", raw.astype(np.float32))
+        man, t = load_rows(tmp_path, raw, labels)
         expected = []
         for i in range(10):
             row = t.values[i]
@@ -245,27 +240,25 @@ class TestCorrectness:
             expected.append(1 if best_c == labels[i] else 0)
         assert correctness(t, man).tolist() == expected
 
-    def test_invariant_to_row_rescaling(self, rng):
+    def test_invariant_to_row_rescaling(self, rng, tmp_path):
         # scaling a row within the ingest tolerance must not move the argmax
         labels = rng.integers(0, 3, size=8)
-        man = make_manifest(labels, 3, ["m"])
         raw = rng.random((8, 3)) + 0.05
         raw /= raw.sum(axis=1, keepdims=True)
-        base = PredictionTensor.from_values("m", raw.astype(np.float32))
-        scaled = PredictionTensor.from_values("m", (raw * 0.99996).astype(np.float32))
+        man = write_population(tmp_path, {"base": raw.astype(np.float32),
+                                          "scaled": (raw * 0.99996).astype(np.float32)}, labels)
+        base, scaled = load_tensor(man, "base"), load_tensor(man, "scaled")
         assert np.array_equal(correctness(base, man), correctness(scaled, man))
 
-    def test_shape_mismatch(self):
-        man = make_manifest([0, 1], 2, ["m"])
-        t = tensor_from_rows("m", [[1, 0]])
+    def test_shape_mismatch(self, tmp_path):
+        _, t = load_rows(tmp_path, [[1, 0]])
         with pytest.raises(ShapeMismatch):
-            correctness(t, man)
+            correctness(t, make_manifest([0, 1], 2, ["m"]))
 
 
 class TestAccuracy:
-    def test_all_correct(self):
-        man = make_manifest([0] * 4, 2, ["m"])
-        t = tensor_from_rows("m", [[1, 0]] * 4)
+    def test_all_correct(self, tmp_path):
+        man, t = load_rows(tmp_path, [[1, 0]] * 4)
         assert accuracy(correctness(t, man)) == 1.0
 
     def test_half_correct(self):
@@ -328,6 +321,18 @@ class TestBundle:
 
 # --- row renormalization against the loop it replaced --------------------------
 
+def ingest(raw, model_id="m"):
+    """``raw``, a float32 tensor, checked and renormalized in place by the
+    ingest kernel one ``store._chunk_rows`` chunk at a time, as synth and
+    every read of a file do; returns it."""
+    faults = store._RowFaults()
+    step = store._chunk_rows(raw.shape[1])
+    for lo in range(0, raw.shape[0], step):
+        store._ingest_rows(raw[lo:lo + step], lo, faults)
+    faults.raise_for(model_id)
+    return raw
+
+
 def renormalize_rows_reference(arr):
     """The whole-array divide-and-round loop, with its global exit tests."""
     for _ in range(8):
@@ -346,7 +351,7 @@ def synthetic_wide_values():
     """Loaded rows of four synthetic 2000 x 100 tensors, stacked."""
     _, tensors = generate_population(SynthConfig(m_models=4, n_samples=2000,
                                                  c_classes=100, seed=0))
-    return np.concatenate([t.values for t in tensors.values()])
+    return np.concatenate(list(tensors.values()))
 
 
 @cache
@@ -389,11 +394,7 @@ def raw_tensors(draw):
 @settings(max_examples=300)
 @given(raw=raw_tensors())
 def test_renormalize_equals_reference_loop(raw):
-    before = raw.tobytes()
-    values = PredictionTensor.from_values("m", raw).values
-    assert values.dtype == np.float32
-    assert values.tobytes() == renormalize_rows_reference(raw).tobytes()
-    assert raw.tobytes() == before  # the caller's array is left alone
+    assert ingest(raw.copy()).tobytes() == renormalize_rows_reference(raw).tobytes()
 
 
 def test_wide_file_loads_like_reference(tmp_path):
@@ -415,7 +416,7 @@ def test_wide_file_loads_like_reference(tmp_path):
 # --- chunked ingest against the whole-array checks it replaced ----------------
 
 def adopt_reference(model_id, arr):
-    """The whole-array from_values: every check over the full tensor, then one
+    """The whole-array ingest: every check over the full tensor, then one
     renormalization of all of it."""
     if arr.size:
         low, high = arr.min(), arr.max()
@@ -478,8 +479,7 @@ def test_chunked_ingest_equals_whole_array(raw, chunk):
     # chunks of 1, 2, 3 and 7 rows give multi-chunk cases and 1-row tails
     want = outcome(adopt_reference, "m", raw.copy())
     with with_chunk_rows(chunk or 1 << 20, raw.shape[1]):
-        got = outcome(lambda a: PredictionTensor.from_values("m", a).values, raw.copy())
-        assert got == want
+        assert outcome(ingest, raw.copy()) == want
         with tempfile.TemporaryDirectory() as tmp:
             man = make_manifest([0] * len(raw), raw.shape[1], ["m"])
             man.base_dir = Path(tmp)
@@ -519,11 +519,10 @@ def test_chunked_ingest_error_precedence(rows, error, message):
     want = outcome(adopt_reference, "m", raw.copy())
     assert want[0] is error
     with with_chunk_rows(3, 4):
-        got = outcome(lambda a: PredictionTensor.from_values("m", a).values, raw.copy())
-        assert got == want
+        assert outcome(ingest, raw.copy()) == want
         with pytest.raises(error, match=message), warnings.catch_warnings():
             warnings.simplefilter("error")
-            PredictionTensor.from_values("m", raw)
+            ingest(raw)
 
 
 def test_dims_too_large_for_an_array_rejected(tmp_path):
@@ -647,6 +646,27 @@ def test_files_are_checked_once(tmp_path, monkeypatch):
     assert checked == ["b", "a", "b"]
     with pytest.raises(KeyError):
         files.select(["z"])
+
+
+def test_check_opens_each_file_once(tmp_path, monkeypatch):
+    # a file that is only checked is read in one open, however many stripes
+    # it has; a file summarized in the same pass is opened once per stripe
+    raws = {mid: np.full((40, 2), 0.5, dtype=np.float32) for mid in ("c", "a", "b")}
+    man = write_population(tmp_path, raws, [0] * 40)
+    opened = []
+    open_dten = dten.open_dten
+
+    def counting(path):
+        opened.append(Path(path).stem)
+        return open_dten(path)
+
+    monkeypatch.setattr(dten, "open_dten", counting)
+    with with_chunk_rows(4, 2):  # 10 stripes a file
+        TensorFiles(man, list(raws)).check()
+        assert sorted(opened) == ["a", "b", "c"]
+        opened.clear()
+        TensorFiles(man, list(raws)).check(["a"])
+    assert sorted(opened) == ["a"] * 10 + ["b", "c"]
 
 
 def test_check_peak_allocation_bounded(tmp_path):

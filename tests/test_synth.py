@@ -5,6 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from disco import dten, store
 from disco.errors import InvalidConfig
 from disco.harness import spearman
 from disco.scoring import score_dataset
@@ -13,7 +14,6 @@ from disco.synth import (
     SynthConfig,
     assemble_tensors,
     generate_population,
-    oracle_true_performance,
     save_population,
     sigmoid,
 )
@@ -28,7 +28,8 @@ class TestGenerate:
         man2, t2 = generate_population(SMALL)
         assert manifest_bytes(man1) == manifest_bytes(man2)
         for mid in man1.model_ids():
-            assert t1[mid].values.tobytes() == t2[mid].values.tobytes()
+            assert t1[mid].dtype == np.float32
+            assert t1[mid].tobytes() == t2[mid].tobytes()
 
     def test_saturation_when_all_p_above_half(self):
         # temperature -> 0 concentrates the distractor mass on one class;
@@ -39,10 +40,8 @@ class TestGenerate:
         logits = rng.standard_normal((30, 3))
         tensors = assemble_tensors(labels, p, logits, 1e-9,
                                    [f"m{i}" for i in range(4)])
-        from conftest import make_manifest
-        man = make_manifest(labels, 4, [f"m{i}" for i in range(4)])
         for t in tensors.values():
-            assert accuracy(correctness(t, man)) == 1.0
+            assert accuracy(store._correct(t, labels)) == 1.0
 
     def test_zero_ability_gives_identical_tensors_and_zero_jsd(self, tmp_path):
         # equal abilities -> equal correctness probabilities -> because the
@@ -55,9 +54,9 @@ class TestGenerate:
         logits = rng.standard_normal((25, 2))
         ids = [f"m{i}" for i in range(5)]
         tensors = assemble_tensors(labels, p, logits, 0.8, ids)
-        base = tensors["m0"].values.tobytes()
+        base = tensors["m0"].tobytes()
         for mid in ids[1:]:
-            assert tensors[mid].values.tobytes() == base
+            assert tensors[mid].tobytes() == base
         from conftest import make_manifest, saved_population
         man, files = saved_population(make_manifest(labels, 3, ids), tensors, tmp_path)
         table = score_dataset(man, files)
@@ -82,7 +81,7 @@ class TestGenerate:
 
     def test_sample_difficulty_heterogeneous(self):
         man, tensors = generate_population(SMALL)
-        bits = np.stack([correctness(t, man) for t in tensors.values()])
+        bits = np.stack([store._correct(t, man.labels) for t in tensors.values()])
         per_sample = bits.mean(axis=0)
         assert per_sample.var() > 0.0
 
@@ -98,36 +97,29 @@ class TestGenerate:
                                             date_end=dt.date(2024, 1, 1)))
 
 
-class TestOracle:
-    def test_matches_stored_accuracy_bit_for_bit(self):
+class TestTrueAccuracy:
+    def test_matches_stored_accuracy_bit_for_bit(self, tmp_path):
+        # the accuracy a reader of the written files computes
         man, tensors = generate_population(SMALL)
-        perf = oracle_true_performance(man, tensors)
-        for meta in man.models:
-            assert perf[meta.model_id] == meta.true_accuracy
-
-    def test_hand_built_toy(self):
-        from conftest import make_manifest, tensor_from_rows
-        man = make_manifest([0, 1], 2, ["right", "wrong"])
-        tensors = {
-            "right": tensor_from_rows("right", [[1, 0], [0, 1]]),
-            "wrong": tensor_from_rows("wrong", [[0, 1], [1, 0]]),
-        }
-        perf = oracle_true_performance(man, tensors)
-        assert perf == {"right": 1.0, "wrong": 0.0}
+        loaded = load_manifest(save_population(man, tensors, tmp_path))
+        for meta in loaded.models:
+            t = load_tensor(loaded, meta.model_id)
+            assert accuracy(correctness(t, loaded)) == meta.true_accuracy
 
     def test_matches_independent_argmax_loop(self):
         man, tensors = generate_population(SMALL)
         labels = np.asarray(man.labels)
-        for mid, t in tensors.items():
+        for meta in man.models:
+            t = tensors[meta.model_id]
             hits = 0
             for i in range(man.num_samples):
-                row = t.values[i]
+                row = t[i]
                 best, best_c = -1.0, -1
                 for c in range(man.num_classes):
                     if row[c] > best:
                         best, best_c = row[c], c
                 hits += int(best_c == labels[i])
-            assert oracle_true_performance(man, tensors)[mid] == hits / man.num_samples
+            assert meta.true_accuracy == hits / man.num_samples
 
 
 class TestAbilityAccuracyLink:
@@ -149,7 +141,7 @@ class TestSavePopulation:
         loaded.validate()
         for mid in man.model_ids():
             disk = load_tensor(loaded, mid)
-            assert disk.values.tobytes() == tensors[mid].values.tobytes()
+            assert disk.values.tobytes() == tensors[mid].tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         man, tensors = generate_population(SMALL)
@@ -161,3 +153,28 @@ class TestSavePopulation:
             f1 = (tmp_path / "a" / meta.tensor_path).read_bytes()
             f2 = (tmp_path / "b" / meta.tensor_path).read_bytes()
             assert f1 == f2
+
+    def test_rows_follow_the_model_formula(self, tmp_path):
+        # each model puts p_correct on the label and spreads the rest over
+        # the distractors by the sample's softmax profile; its float64 rows,
+        # cast to float32 and ingested chunk by chunk, are what is returned
+        # and written
+        man, tensors, lat = generate_population(SMALL, return_latents=True)
+        save_population(man, tensors, tmp_path)
+        n, c = man.num_samples, man.num_classes
+        step = store._chunk_rows(c)
+        for j, meta in enumerate(man.models):
+            values = np.empty((n, c))
+            for i in range(n):
+                label = man.labels[i]
+                p = lat.p_correct[j, i]
+                values[i, label] = p
+                values[i, [k for k in range(c) if k != label]] = (
+                    (1.0 - p) * lat.distractor_weights[i])
+            rows = values.astype(np.float32)
+            faults = store._RowFaults()
+            for lo in range(0, n, step):
+                store._ingest_rows(rows[lo:lo + step], lo, faults)
+            assert not faults
+            assert rows.tobytes() == tensors[meta.model_id].tobytes()
+            assert dten.dten_bytes(rows) == (tmp_path / meta.tensor_path).read_bytes()

@@ -23,7 +23,6 @@ from . import __version__
 from .errors import (
     DiscoError,
     InvalidConfig,
-    MissingWeights,
     SchemaError,
     ShapeMismatch,
     StaleArtifact,
@@ -35,6 +34,8 @@ from .harness import (
     PredictorConfig,
     SharedSources,
     UniformSplit,
+    _date_split,
+    _eligible,
     fit_predictor,
     known_accuracies,
     median_date_cutoff,
@@ -50,7 +51,6 @@ from .predictors import (
     KINDS,
     TRAINED_KINDS,
     ForestConfig,
-    PredictorModel,
     load_predictor,
     save_predictor,
 )
@@ -147,13 +147,10 @@ def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
         if len(set(ids)) != len(ids):
             raise InvalidConfig(f"--models lists a model more than once: {args.models!r}")
         return ids
-    eligible = [m for m in manifest.models if m.true_accuracy is not None]
     if getattr(args, "cutoff", None):
-        cutoff = _parse_cutoff(manifest, args.cutoff)
-        if side == "source":
-            return [m.model_id for m in eligible if m.release_date < cutoff]
-        return [m.model_id for m in eligible if m.release_date >= cutoff]
-    return [m.model_id for m in eligible]
+        source, target = _date_split(manifest, _parse_cutoff(manifest, args.cutoff))
+        return source if side == "source" else target
+    return [m.model_id for m in _eligible(manifest)]
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -223,14 +220,10 @@ def cmd_fit(args) -> int:
     ids = _resolve_models(manifest, args, "source")
     threads = _threads(args)
 
-    if args.predictor == "weighted_sum" and subset.weights is None:
-        raise MissingWeights("subset has no anchor weights to fit weighted_sum")
     model = fit_predictor(manifest, TensorFiles(manifest, ids),
                           known_accuracies(manifest, ids), subset,
                           _predictor_config(args, args.predictor), args.seed,
                           threads=threads)
-    if model is None:           # a readout: its bundle is the header alone
-        model = PredictorModel(kind=args.predictor)
 
     out = _workpath(args, args.out)
     prov = _provenance(args.seed, manifest=manifest_path, subset=subset_path)
@@ -257,9 +250,8 @@ def cmd_predict(args) -> int:
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "target")
 
-    config = PredictorConfig(kind=model.kind, signature_mode=mode)
     predictions = dict(zip(ids, predict_targets(manifest, TensorFiles(manifest, ids), ids,
-                                                subset, config, model)))
+                                                subset, model, mode)))
 
     out = _workpath(args, args.out)
     obj = {

@@ -95,10 +95,6 @@ class EmptySide(DiscoError):
     pass
 
 
-class MissingDates(DiscoError):
-    pass
-
-
 class ZeroVariance(DiscoError):
     pass
 

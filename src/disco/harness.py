@@ -26,7 +26,7 @@ from .errors import (
     InsufficientModels,
     InvalidConfig,
     LengthMismatch,
-    MissingDates,
+    MissingWeights,
     TooFewModels,
     ZeroVariance,
 )
@@ -55,7 +55,7 @@ from .selection import (
     select_topk,
 )
 from .signatures import build_signature, pca_fit_transform
-from .store import BenchmarkManifest, accuracy, anchor_correctness
+from .store import BenchmarkManifest, accuracy
 
 
 # --- model splits ------------------------------------------------------------
@@ -90,6 +90,14 @@ def _eligible(manifest: BenchmarkManifest) -> list:
     return [m for m in manifest.models if m.true_accuracy is not None]
 
 
+def _date_split(manifest: BenchmarkManifest, cutoff: _dt.date) -> tuple[list, list]:
+    """The ids of the models with known accuracy released strictly before
+    ``cutoff`` and on or after it: sources, targets; either may be empty."""
+    models = _eligible(manifest)
+    return ([m.model_id for m in models if m.release_date < cutoff],
+            [m.model_id for m in models if m.release_date >= cutoff])
+
+
 def split_models(manifest: BenchmarkManifest,
                  policy: ChronologicalSplit | UniformSplit) -> ModelSplit:
     """Partition the models with known accuracy into sources and targets."""
@@ -97,11 +105,7 @@ def split_models(manifest: BenchmarkManifest,
     if not models:
         raise InsufficientModels("no models with known accuracy to split")
     if isinstance(policy, ChronologicalSplit):
-        for m in models:
-            if m.release_date is None:
-                raise MissingDates(f"model {m.model_id!r} has no release date")
-        source = [m.model_id for m in models if m.release_date < policy.cutoff]
-        target = [m.model_id for m in models if m.release_date >= policy.cutoff]
+        source, target = _date_split(manifest, policy.cutoff)
     elif isinstance(policy, UniformSplit):
         if not 0.0 < policy.ratio < 1.0:
             raise InvalidConfig(f"split ratio {policy.ratio} not in (0, 1)")
@@ -285,18 +289,22 @@ def fit_predictor(
     predictor: PredictorConfig,
     seed: int,
     threads: int = 1,
-) -> PredictorModel | None:
+) -> PredictorModel:
     """The projection and predictor fitted on the source models' signatures,
-    stacked in sorted model-id order; None for the accuracy readouts
-    (direct, weighted_sum).  InvalidConfig for an unknown kind, TooFewModels
-    for a fit on fewer than 2 sources.  Unchecked tensor files are checked
-    whole first; then only each source's anchor rows are read, and they are
-    freed once the signatures are built.
+    stacked in sorted model-id order; for the accuracy readouts (direct,
+    weighted_sum), the header-only model their bundles hold, and no file is
+    read.  InvalidConfig for an unknown kind, MissingWeights for
+    weighted_sum on a subset without anchor weights, TooFewModels for a fit
+    on fewer than 2 sources.  Unchecked tensor files are checked whole
+    first; then only each source's anchor rows are read, and they are freed
+    once the signatures are built.
     """
     if predictor.kind not in KINDS:
         raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
+    if predictor.kind == "weighted_sum" and subset.weights is None:
+        raise MissingWeights("subset has no anchor weights to fit weighted_sum")
     if predictor.kind not in TRAINED_KINDS:
-        return None
+        return PredictorModel(kind=predictor.kind)
     if len(source_tensors) < 2:
         raise TooFewModels(
             f"fitting needs at least 2 source models, got {len(source_tensors)}")
@@ -322,7 +330,7 @@ def condense_and_train(
     k: int,
     seed: int,
     threads: int = 1,
-) -> tuple[AnchorSubset, PredictorModel | None]:
+) -> tuple[AnchorSubset, PredictorModel]:
     """Anchor selection by selector ``method`` plus predictor training from
     source models only; the model is as from ``fit_predictor``."""
     subset = select_anchors(SharedSources(manifest, source_tensors, list(source_tensors),
@@ -333,22 +341,21 @@ def condense_and_train(
 
 def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
                     target_ids: list[str], subset: AnchorSubset,
-                    predictor: PredictorConfig, model: PredictorModel | None
-                    ) -> list[float]:
+                    model: PredictorModel, mode: str | None) -> list[float]:
     """Each target model's estimated accuracy, in the order of
     ``target_ids``, from its rows at the anchors: for the accuracy readouts,
     from its correctness bits on the anchors, else ``model``'s prediction
-    from its signature.  ``tensors`` holds at least the targets; unchecked
-    tensor files are checked whole first."""
+    from its signature in ``mode`` (read by a trained model only).
+    ``tensors`` holds at least the targets; unchecked tensor files are
+    checked whole first."""
     tensors.check_shape(manifest)
     tensors.check()
     rows = tensors.anchor_rows(target_ids, subset.indices)
-    if predictor.kind in TRAINED_KINDS:
-        signatures = build_signature(rows, subset, predictor.signature_mode,
-                                     labels=manifest.labels)
+    if model.kind in TRAINED_KINDS:
+        signatures = build_signature(rows, subset, mode, labels=manifest.labels)
         return [predict(model, signature) for signature in signatures]
-    bits = anchor_correctness(rows, manifest, subset.indices)
-    if predictor.kind == "weighted_sum":
+    bits = build_signature(rows, subset, "correctness", labels=manifest.labels)
+    if model.kind == "weighted_sum":
         return [predict_weighted_sum(subset, model_bits) for model_bits in bits]
     return [accuracy(model_bits) for model_bits in bits]
 
@@ -383,7 +390,8 @@ def _estimate(manifest: BenchmarkManifest, tensors: TensorFiles, sources: Tensor
     as ``predict_targets`` does and score the estimates.  The fitted model
     lives only as long as this call."""
     model = fit_predictor(manifest, sources, accuracies, subset, predictor, seed, threads)
-    estimates = predict_targets(manifest, tensors, target_ids, subset, predictor, model)
+    estimates = predict_targets(manifest, tensors, target_ids, subset, model,
+                                predictor.signature_mode)
     pairs = [(tid, accuracies[tid], est) for tid, est in zip(target_ids, estimates)]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])

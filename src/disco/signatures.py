@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dten
+from . import dten, store
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -43,7 +43,7 @@ def build_signature(rows: np.ndarray, subset: AnchorSubset, mode: str = "probs",
     if mode == "correctness":
         if labels is None:
             raise InvalidConfig("correctness mode needs ground-truth labels")
-        return (rows.argmax(axis=-1) == np.asarray(labels)[idx]).astype(np.float64)
+        return store._correct(rows, np.asarray(labels)[idx]).astype(np.float64)
     if mode == "onehot":
         rows = np.arange(rows.shape[-1]) == rows.argmax(axis=-1)[..., None]
     return rows.astype(np.float64, order="C").reshape(

@@ -411,14 +411,6 @@ def correctness(tensor: PredictionTensor, manifest: BenchmarkManifest) -> np.nda
     return _correct(tensor.values, np.asarray(manifest.labels))
 
 
-def anchor_correctness(rows: np.ndarray, manifest: BenchmarkManifest,
-                       idx: np.ndarray) -> np.ndarray:
-    """``correctness`` of a model at samples ``idx``, from its (K, C) rows
-    there; a stack of such rows, shaped (..., K, C), gives bits shaped
-    (..., K)."""
-    return _correct(rows, np.asarray(manifest.labels)[idx])
-
-
 def _correct(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """uint8 bits, one per row: argmax class (ties -> lowest index) == label."""
     return (np.argmax(rows, axis=-1) == labels).astype(np.uint8)

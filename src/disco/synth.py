@@ -20,6 +20,7 @@ date split is a genuine distribution-shift test.
 from __future__ import annotations
 
 import datetime as _dt
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -55,6 +56,14 @@ class SynthConfig:
             raise InvalidConfig("noise temperature must be positive")
         if self.date_end < self.date_start:
             raise InvalidConfig("date span is reversed")
+        # ``generate_population`` holds every model's float32 rows at once,
+        # and float64 (N, C), (M, N) and (N, dim) working arrays
+        m, n = self.m_models, self.n_samples
+        need = 4 * m * n * self.c_classes + 8 * n * (self.c_classes + m + self.ability_dim)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise InvalidConfig(f"the population needs at least {need} bytes, "
+                                f"more than this host's {have} bytes of memory")
 
 
 @dataclass

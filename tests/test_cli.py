@@ -783,6 +783,16 @@ class TestSynthCommand:
             "disco synth: MemoryError: Unable to allocate 14.9 GiB for an array\n")
         assert not (tmp_path / "data").exists()
 
+    def test_size_beyond_physical_memory_exits_2(self, tmp_path):
+        # refused before anything is allocated: the kernel would overcommit
+        # these rows and the process would run until it is killed
+        proc = run_cli_process("synth", "--out", tmp_path / "data", "--classes", 100_000_000,
+                               "--samples", 10)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("disco synth: InvalidConfig: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("flag, value", [("--date-start", "2024-13-01"),
                                              ("--date-end", "nope")])
     def test_bad_date_exits_2(self, tmp_path, flag, value):

@@ -13,7 +13,9 @@ from disco.harness import (
     ChronologicalSplit,
     ModelSplit,
     PredictorConfig,
+    SharedSources,
     fit_predictor,
+    known_accuracies,
     UniformSplit,
     mae,
     median_date_cutoff,
@@ -22,13 +24,14 @@ from disco.harness import (
     report_to_obj,
     run_pipeline,
     save_report,
+    select_anchors,
     spearman,
     split_models,
     sweep_budgets,
     write_sweep_csv,
 )
 from disco.files import TensorFiles
-from disco.predictors import ForestConfig
+from disco.predictors import ForestConfig, PredictorModel
 from disco.selection import AnchorSubset
 from disco.synth import SynthConfig, generate_population
 
@@ -301,6 +304,36 @@ class TestRunPipeline:
         with pytest.raises(MissingWeights):
             run_pipeline(manifest, files, split, "random",
                          PredictorConfig(kind="weighted_sum"), k=6, seed=0)
+
+    @pytest.mark.parametrize("kind, method", [("direct", "random"),
+                                              ("weighted_sum", "kmedoids_corr")])
+    def test_readout_fits_to_a_header_only_model(self, population, monkeypatch,
+                                                 kind, method):
+        manifest, files = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        subset = select_anchors(SharedSources(manifest, files, split.source_ids,
+                                              methods=(method,)), method, 6, 0)
+        opened = []
+        monkeypatch.setattr(dten, "open_dten", opened.append)
+        model = fit_predictor(manifest, TensorFiles(manifest, split.source_ids),
+                              known_accuracies(manifest, split.source_ids), subset,
+                              PredictorConfig(kind=kind), seed=0)
+        assert model == PredictorModel(kind=kind)
+        assert opened == []
+
+    def test_weighted_sum_fit_without_weights_reads_no_file(self, population,
+                                                            monkeypatch):
+        manifest, files = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        subset = select_anchors(SharedSources(manifest, files, split.source_ids,
+                                              methods=("topk_pds",)), "topk_pds", 6, 0)
+        opened = []
+        monkeypatch.setattr(dten, "open_dten", opened.append)
+        with pytest.raises(MissingWeights):
+            fit_predictor(manifest, TensorFiles(manifest, split.source_ids),
+                          known_accuracies(manifest, split.source_ids), subset,
+                          PredictorConfig(kind="weighted_sum"), seed=0)
+        assert opened == []
 
     def test_report_serialization(self, population, tmp_path):
         manifest, files = population

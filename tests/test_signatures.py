@@ -20,9 +20,7 @@ from disco.signatures import (
     pca_fit_transform,
     pca_transform,
 )
-from disco.store import anchor_correctness
-
-from conftest import make_manifest, tensor_from_rows
+from conftest import tensor_from_rows
 
 
 def subset_of(indices):
@@ -41,17 +39,21 @@ class TestBuildSignature:
         sig = build_signature(t[[0]], subset_of([0]), "onehot")
         assert sig.tolist() == [0.0, 1.0]
 
-    def test_correctness_mode_matches_store_oracle(self, rng):
+    def test_correctness_mode_matches_argmax_oracle(self, rng):
         labels = rng.integers(0, 3, 20)
-        man = make_manifest(labels, 3, ["m"])
+        labels[[3, 8]] = [0, 1]
         raw = rng.random((20, 3)) + 1e-6
+        raw[[3, 8]] = [0.4, 0.4, 0.2]           # tied maxima
         raw /= raw.sum(axis=1, keepdims=True)
         t = tensor_from_rows(raw)
-        idx = np.sort(rng.choice(20, size=7, replace=False))
+        idx = np.asarray([8, 3] + [i for i in range(0, 20, 3) if i != 3])
         sig = build_signature(t[idx], subset_of(idx), "correctness",
                               labels=labels)
-        oracle = anchor_correctness(t[idx], man, idx)
-        assert sig.tolist() == oracle.astype(float).tolist()
+        # per row: the first class of largest probability, against the label
+        oracle = [float(max(range(3), key=t[i].tolist().__getitem__) == labels[i])
+                  for i in idx]
+        assert sig.tolist() == oracle
+        assert sig[:2].tolist() == [0.0, 1.0]   # a tie goes to the lower class
 
     def test_subset_order_concatenation(self, rng):
         raw = rng.random((10, 2)) + 1e-6
@@ -85,17 +87,6 @@ class TestBuildSignature:
         assert stack.dtype == np.float64 and stack.flags.c_contiguous
         assert stack.shape == per_model.shape == (3, 2, 5 if mode == "correctness" else 20)
         assert stack.tobytes() == per_model.tobytes()
-
-    def test_anchor_correctness_of_a_stack(self, rng):
-        labels = rng.integers(0, 3, 12)
-        man = make_manifest(labels, 3, ["m"])
-        idx = np.asarray([4, 0, 9])
-        raw = rng.random((5, 3, 3), dtype=np.float32)
-        raw[1, 2] = raw[3, 0, [0, 2]] = 0.5       # tied maxima
-        bits = anchor_correctness(raw, man, idx)
-        assert bits.dtype == np.uint8 and bits.shape == (5, 3)
-        assert bits.tobytes() == np.stack(
-            [anchor_correctness(rows, man, idx) for rows in raw]).tobytes()
 
     def test_errors(self):
         t = tensor_from_rows([[0.5, 0.5]])

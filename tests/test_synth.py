@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestGenerate:
         with pytest.raises(InvalidConfig):
             generate_population(SynthConfig(date_start=dt.date(2025, 1, 1),
                                             date_end=dt.date(2024, 1, 1)))
+
+    @pytest.mark.parametrize("sizes", [{"c_classes": 100_000_000, "n_samples": 10},
+                                       {"ability_dim": 100_000_000}])
+    def test_sizes_beyond_physical_memory_are_refused(self, sizes):
+        with pytest.raises(InvalidConfig, match="bytes of memory"):
+            SynthConfig(**sizes).validate()
+
+    # the default config, and the benchmark's two 100-model populations
+    @pytest.mark.parametrize("m, n, c", [(200, 2000, 4), (100, 5000, 100), (100, 1000, 100)])
+    def test_default_and_benchmark_sizes_pass(self, m, n, c):
+        SynthConfig(m_models=m, n_samples=n, c_classes=c).validate()
+
+    def test_memory_bound_counts_the_arrays_held(self, monkeypatch):
+        # float32 (M, N, C) rows, float64 (N, C), (M, N) and (N, dim) arrays
+        config = SynthConfig(m_models=5, n_samples=7, c_classes=3, ability_dim=2)
+        need = 4 * 5 * 7 * 3 + 8 * (7 * 3 + 5 * 7 + 7 * 2)
+        host = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
+        monkeypatch.setattr(os, "sysconf", host.__getitem__)
+        config.validate()
+        host["SC_PHYS_PAGES"] = need - 1
+        with pytest.raises(InvalidConfig, match=f"at least {need} bytes"):
+            config.validate()
 
 
 class TestTrueAccuracy:

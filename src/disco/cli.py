@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 schema, 2 invariant/contract, 3 I/O, 64 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import hashlib
 import json
@@ -22,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     DiscoError,
+    EmptySide,
     InvalidConfig,
     SchemaError,
     ShapeMismatch,
@@ -37,7 +39,6 @@ from .harness import (
     _date_split,
     _eligible,
     fit_predictor,
-    known_accuracies,
     median_date_cutoff,
     predict_targets,
     run_pipeline,
@@ -139,9 +140,12 @@ def _parse_cutoff(manifest: BenchmarkManifest, raw: str) -> _dt.date:
 def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
                     side: str) -> list[str]:
     """Model ids from --models, or from --cutoff (source: strictly before;
-    target: at/after), or every model with a known accuracy."""
-    if getattr(args, "models", None):
+    target: at/after), or every model with a known accuracy.  InvalidConfig
+    if --models is given but names no model."""
+    if getattr(args, "models", None) is not None:
         ids = [m.strip() for m in args.models.split(",") if m.strip()]
+        if not ids:
+            raise InvalidConfig(f"--models names no model: {args.models!r}")
         for mid in ids:
             manifest.model(mid)
         if len(set(ids)) != len(ids):
@@ -200,8 +204,7 @@ def cmd_select(args) -> int:
     elif method != "random":
         ids = _resolve_models(manifest, args, "source")
     subset = select_anchors(
-        SharedSources(manifest, TensorFiles(manifest, ids), ids, scores=scores,
-                      methods=(method,)),
+        SharedSources(TensorFiles(manifest, ids), ids, scores=scores, methods=(method,)),
         method, args.k, args.seed)
 
     out = _workpath(args, args.out)
@@ -220,8 +223,7 @@ def cmd_fit(args) -> int:
     ids = _resolve_models(manifest, args, "source")
     threads = _threads(args)
 
-    model = fit_predictor(manifest, TensorFiles(manifest, ids),
-                          known_accuracies(manifest, ids), subset,
+    model = fit_predictor(TensorFiles(manifest, ids), subset,
                           _predictor_config(args, args.predictor), args.seed,
                           threads=threads)
 
@@ -249,9 +251,11 @@ def cmd_predict(args) -> int:
     subset = load_subset(subset_path)
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "target")
+    if not ids:
+        raise EmptySide("no target model to predict")
 
-    predictions = dict(zip(ids, predict_targets(manifest, TensorFiles(manifest, ids), ids,
-                                                subset, model, mode)))
+    predictions = dict(zip(ids, predict_targets(TensorFiles(manifest, ids), ids, subset,
+                                                model, mode)))
 
     out = _workpath(args, args.out)
     obj = {
@@ -292,7 +296,7 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)
     files = TensorFiles(manifest, split.source_ids + split.target_ids)
-    report = run_pipeline(manifest, files, split, args.selection,
+    report = run_pipeline(files, split, args.selection,
                           _predictor_config(args, args.predictor),
                           args.k, args.seed, threads=_threads(args))
     if report.spearman is None or report.pearson is None:
@@ -325,8 +329,7 @@ def cmd_sweep(args) -> int:
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)
     files = TensorFiles(manifest, split.source_ids + split.target_ids)
-    reports = sweep_budgets(manifest, files, split, configs, budgets, seeds,
-                            threads=_threads(args))
+    reports = sweep_budgets(files, split, configs, budgets, seeds, threads=_threads(args))
     out = _workpath(args, args.out)
     write_sweep_csv(reports, out)
     prov = _provenance(manifest=manifest_path)
@@ -352,13 +355,9 @@ def cmd_synth(args) -> int:
     out_dir = _workpath(args, args.out)
     manifest_path = save_population(manifest, tensors, out_dir)
     prov = _provenance(args.seed, manifest=manifest_path)
-    prov["config"] = {
-        "m_models": config.m_models, "n_samples": config.n_samples,
-        "c_classes": config.c_classes, "ability_dim": config.ability_dim,
-        "seed": config.seed, "noise_temperature": config.noise_temperature,
-        "date_start": config.date_start.isoformat(),
-        "date_end": config.date_end.isoformat(),
-    }
+    prov["config"] = {**dataclasses.asdict(config),
+                      "date_start": config.date_start.isoformat(),
+                      "date_end": config.date_end.isoformat()}
     (out_dir / "provenance.json").write_text(json.dumps(prov, indent=2) + "\n")
     print(f"synth: wrote {manifest_path} ({config.m_models} models, "
           f"{config.n_samples} samples)")

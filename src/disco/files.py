@@ -19,7 +19,7 @@ from typing import Collection, Iterator
 import numpy as np
 
 from . import dten, store
-from .errors import DiscoError, IndexOutOfRange, InvalidConfig, ShapeMismatch
+from .errors import DiscoError, IndexOutOfRange, InvalidConfig
 from .store import BenchmarkManifest, SampleSummary
 
 
@@ -68,15 +68,6 @@ class TensorFiles:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def check_shape(self, manifest: BenchmarkManifest) -> None:
-        """ShapeMismatch unless ``manifest`` has this one's samples and
-        classes."""
-        got = (self.manifest.num_samples, self.manifest.num_classes)
-        expected = (manifest.num_samples, manifest.num_classes)
-        if got != expected:
-            raise ShapeMismatch(
-                f"the tensor files' manifest has shape {got}, expected {expected}")
 
     def select(self, model_ids: list[str]) -> "TensorFiles":
         """The files of some of these models, sharing what this one has

@@ -211,32 +211,29 @@ class EvalReport:
 
 
 class SharedSources:
-    """What pipelines on one manifest and source set compute alike,
-    whatever their K or seed.
+    """What pipelines on one source set compute alike, whatever their K
+    or seed.
 
     ``tensors`` holds the files of every model the pipelines read, sources
-    and targets.  Building a SharedSources makes one pass over every tensor
-    file, in order, that checks each file whole as loading them would.  The
-    same pass keeps the sources' per-sample summaries (correctness bits and
-    label-class probabilities) when one of ``methods``, the selectors it
-    will serve, reads them, and folds the sources' score table
-    (``scores``) when one of them ranks by score.  After that no tensor is
-    read whole: the pipelines read the score table's sample blocks and each
-    model's anchor rows.
+    and targets, and their manifest.  Building a SharedSources makes one
+    pass over every tensor file, in order, that checks each file whole as
+    loading them would.  The same pass keeps the sources' per-sample
+    summaries (correctness bits and label-class probabilities) when one of
+    ``methods``, the selectors it will serve, reads them, and folds the
+    sources' score table (``scores``) when one of them ranks by score.
+    After that no tensor is read whole: the pipelines read the score
+    table's sample blocks and each model's anchor rows.
 
     ``scores``, when given, is the score table of these sources, read back
     from a file.  It also holds, built on first use, the k-medoids
     embeddings and distance matrix of one embedding kind, read-only.
     """
 
-    def __init__(self, manifest: BenchmarkManifest, tensors: TensorFiles,
-                 source_ids: list[str], *, scores: ScoreTable | None = None,
-                 methods: Collection[str] = METHODS):
-        tensors.check_shape(manifest)
-        self.manifest = manifest
+    def __init__(self, tensors: TensorFiles, source_ids: list[str], *,
+                 scores: ScoreTable | None = None, methods: Collection[str] = METHODS):
         summarize = source_ids if set(methods) & set(SUMMARY_METHODS) else ()
         if scores is None and set(methods) & set(SCORE_METHODS):
-            scores = score_dataset(manifest, tensors._view(source_ids, summarize))
+            scores = score_dataset(tensors.manifest, tensors._view(source_ids, summarize))
         else:
             tensors.check(summarize)
         self.sources = tensors.select(source_ids)
@@ -248,7 +245,7 @@ class SharedSources:
         kind asked for is kept."""
         if self._kmedoids is None or self._kmedoids[0] != kind:
             self._kmedoids = None          # free the old N x N matrix first
-            emb = build_embeddings(self.sources, self.manifest, kind)
+            emb = build_embeddings(self.sources, kind)
             d = distance_matrix(emb)
             emb.flags.writeable = d.flags.writeable = False
             self._kmedoids = (kind, emb, d)
@@ -264,7 +261,7 @@ def select_anchors(shared: SharedSources, method: str, k: int,
     data; the score-ranking methods read only its score table, ``random``
     nothing.  ``stratified_topk`` ranks by ``pds_env``; best-for-validation
     takes its library defaults (1000 candidates, a 0.8 training share)."""
-    manifest = shared.manifest
+    manifest = shared.sources.manifest
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
     if method in SCORE_METHODS:
@@ -277,28 +274,29 @@ def select_anchors(shared: SharedSources, method: str, k: int,
         emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
-        return select_best_for_validation(shared.sources, manifest, k, seed=seed)
+        return select_best_for_validation(shared.sources, k, seed=seed)
     raise InvalidConfig(f"unknown selection method {method!r}")
 
 
 def fit_predictor(
-    manifest: BenchmarkManifest,
     source_tensors: TensorFiles,
-    source_accuracies: Mapping[str, float],
     subset: AnchorSubset,
     predictor: PredictorConfig,
     seed: int,
     threads: int = 1,
 ) -> PredictorModel:
-    """The projection and predictor fitted on the source models' signatures,
-    stacked in sorted model-id order; for the accuracy readouts (direct,
-    weighted_sum), the header-only model their bundles hold, and no file is
-    read.  InvalidConfig for an unknown kind, MissingWeights for
-    weighted_sum on a subset without anchor weights, TooFewModels for a fit
-    on fewer than 2 sources.  Unchecked tensor files are checked whole
-    first; then only each source's anchor rows are read, and they are freed
-    once the signatures are built.
+    """The projection and predictor fitted on the source models' signatures
+    and their manifest accuracies, stacked in sorted model-id order; for
+    the accuracy readouts (direct, weighted_sum), the header-only model
+    their bundles hold, and no file is read.  InsufficientModels for a
+    source without a known accuracy, then InvalidConfig for an unknown
+    kind, MissingWeights for weighted_sum on a subset without anchor
+    weights, TooFewModels for a fit on fewer than 2 sources.  Unchecked
+    tensor files are checked whole first; then only each source's anchor
+    rows are read, and they are freed once the signatures are built.
     """
+    ids = list(source_tensors)
+    accuracies = known_accuracies(source_tensors.manifest, ids)
     if predictor.kind not in KINDS:
         raise InvalidConfig(f"unknown predictor kind {predictor.kind!r}")
     if predictor.kind == "weighted_sum" and subset.weights is None:
@@ -308,23 +306,20 @@ def fit_predictor(
     if len(source_tensors) < 2:
         raise TooFewModels(
             f"fitting needs at least 2 source models, got {len(source_tensors)}")
-    source_tensors.check_shape(manifest)
     source_tensors.check()
-    ids = list(source_tensors)
     features = build_signature(source_tensors.anchor_rows(ids, subset.indices), subset,
-                               predictor.signature_mode, labels=manifest.labels)
+                               predictor.signature_mode,
+                               labels=source_tensors.manifest.labels)
     projection = None
     if predictor.pca_dim != 0:
         projection, features = pca_fit_transform(features, predictor.pca_dim)
-    accuracies = np.asarray([source_accuracies[mid] for mid in ids])
-    return train(predictor.kind, features, accuracies, k_neighbors=predictor.k_neighbors,
+    y = np.asarray([accuracies[mid] for mid in ids])
+    return train(predictor.kind, features, y, k_neighbors=predictor.k_neighbors,
                  forest=predictor.forest, seed=seed, projection=projection, threads=threads)
 
 
 def condense_and_train(
-    manifest: BenchmarkManifest,
     source_tensors: TensorFiles,
-    source_accuracies: Mapping[str, float],
     method: str,
     predictor: PredictorConfig,
     k: int,
@@ -333,14 +328,12 @@ def condense_and_train(
 ) -> tuple[AnchorSubset, PredictorModel]:
     """Anchor selection by selector ``method`` plus predictor training from
     source models only; the model is as from ``fit_predictor``."""
-    subset = select_anchors(SharedSources(manifest, source_tensors, list(source_tensors),
+    subset = select_anchors(SharedSources(source_tensors, list(source_tensors),
                                           methods=(method,)), method, k, seed)
-    return subset, fit_predictor(manifest, source_tensors, source_accuracies, subset,
-                                 predictor, seed, threads=threads)
+    return subset, fit_predictor(source_tensors, subset, predictor, seed, threads=threads)
 
 
-def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
-                    target_ids: list[str], subset: AnchorSubset,
+def predict_targets(tensors: TensorFiles, target_ids: list[str], subset: AnchorSubset,
                     model: PredictorModel, mode: str | None) -> list[float]:
     """Each target model's estimated accuracy, in the order of
     ``target_ids``, from its rows at the anchors: for the accuracy readouts,
@@ -348,13 +341,13 @@ def predict_targets(manifest: BenchmarkManifest, tensors: TensorFiles,
     from its signature in ``mode`` (read by a trained model only).
     ``tensors`` holds at least the targets; unchecked tensor files are
     checked whole first."""
-    tensors.check_shape(manifest)
     tensors.check()
     rows = tensors.anchor_rows(target_ids, subset.indices)
+    labels = tensors.manifest.labels
     if model.kind in TRAINED_KINDS:
-        signatures = build_signature(rows, subset, mode, labels=manifest.labels)
+        signatures = build_signature(rows, subset, mode, labels=labels)
         return [predict(model, signature) for signature in signatures]
-    bits = build_signature(rows, subset, "correctness", labels=manifest.labels)
+    bits = build_signature(rows, subset, "correctness", labels=labels)
     if model.kind == "weighted_sum":
         return [predict_weighted_sum(subset, model_bits) for model_bits in bits]
     return [accuracy(model_bits) for model_bits in bits]
@@ -382,16 +375,14 @@ def _defined(metric, true: np.ndarray, pred: np.ndarray) -> float | None:
         return None
 
 
-def _estimate(manifest: BenchmarkManifest, tensors: TensorFiles, sources: TensorFiles,
-              target_ids: list[str], accuracies: Mapping[str, float],
-              subset: AnchorSubset, predictor: PredictorConfig, seed: int,
-              threads: int) -> EvalReport:
+def _estimate(tensors: TensorFiles, sources: TensorFiles, target_ids: list[str],
+              accuracies: Mapping[str, float], subset: AnchorSubset,
+              predictor: PredictorConfig, seed: int, threads: int) -> EvalReport:
     """Fit on ``sources`` as ``fit_predictor`` does, estimate every target
     as ``predict_targets`` does and score the estimates.  The fitted model
     lives only as long as this call."""
-    model = fit_predictor(manifest, sources, accuracies, subset, predictor, seed, threads)
-    estimates = predict_targets(manifest, tensors, target_ids, subset, model,
-                                predictor.signature_mode)
+    model = fit_predictor(sources, subset, predictor, seed, threads)
+    estimates = predict_targets(tensors, target_ids, subset, model, predictor.signature_mode)
     pairs = [(tid, accuracies[tid], est) for tid, est in zip(target_ids, estimates)]
     true = np.asarray([p[1] for p in pairs])
     pred = np.asarray([p[2] for p in pairs])
@@ -407,7 +398,6 @@ def _estimate(manifest: BenchmarkManifest, tensors: TensorFiles, sources: Tensor
 
 
 def run_pipeline(
-    manifest: BenchmarkManifest,
     tensors: TensorFiles,
     split: ModelSplit,
     method: str,
@@ -420,12 +410,10 @@ def run_pipeline(
     on the target models: a sweep of this one pipeline.  A rank or linear
     correlation that is undefined (every target got the same estimate, or
     has the same accuracy) is None."""
-    return sweep_budgets(manifest, tensors, split, [(method, predictor)], [k], [seed],
-                         threads)[0]
+    return sweep_budgets(tensors, split, [(method, predictor)], [k], [seed], threads)[0]
 
 
 def sweep_budgets(
-    manifest: BenchmarkManifest,
     tensors: TensorFiles,
     split: ModelSplit,
     configs: list[tuple[str, PredictorConfig]],
@@ -449,10 +437,8 @@ def sweep_budgets(
     targets' rows.  So at most one pipeline's rows of one side are held at
     a time.
     """
-    if list(budgets) != sorted(budgets):
-        raise InvalidConfig("budgets must be sorted ascending")
-    accuracies = known_accuracies(manifest, split.source_ids + split.target_ids)
-    shared = SharedSources(manifest, tensors, split.source_ids,
+    accuracies = known_accuracies(tensors.manifest, split.source_ids + split.target_ids)
+    shared = SharedSources(tensors, split.source_ids,
                            methods=[method for method, _ in configs])
     subsets: dict[tuple, AnchorSubset] = {}
     done: dict[tuple, EvalReport] = {}
@@ -468,9 +454,8 @@ def sweep_budgets(
                 subset = subsets[method, k, seed]
                 key = _pipeline_key(split.target_ids, subset, predictor, seed)
                 if key not in done:
-                    done[key] = _estimate(manifest, tensors, shared.sources,
-                                          split.target_ids, accuracies, subset,
-                                          predictor, seed, threads)
+                    done[key] = _estimate(tensors, shared.sources, split.target_ids,
+                                          accuracies, subset, predictor, seed, threads)
                 reports.append(replace(done[key], k=k, seed=seed, selection=method,
                                        pairs=list(done[key].pairs)))
     return reports

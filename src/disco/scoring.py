@@ -30,6 +30,7 @@ from .errors import (
     MissingFile,
     NonZeroSum,
     SchemaError,
+    ShapeMismatch,
     TooFewModels,
 )
 from .files import TensorFiles
@@ -218,9 +219,12 @@ def score_dataset(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTab
     """Score every sample of the benchmark across the given model pool,
     stacked in sorted model-id order.  One checked pass reads each file
     once, a stripe of samples at a time, and raises what loading the files
-    in the order given would; no tensor is ever held whole."""
-    tensors.check_shape(manifest)
+    in the order given would; no tensor is ever held whole.  ShapeMismatch
+    unless ``manifest`` has the samples and classes of the files' own."""
     m, n, c = len(tensors), manifest.num_samples, manifest.num_classes
+    got = (tensors.manifest.num_samples, tensors.manifest.num_classes)
+    if got != (n, c):
+        raise ShapeMismatch(f"the tensor files' manifest has shape {got}, expected {(n, c)}")
     if m < 2:
         tensors.check()  # raises what loading would
         raise TooFewModels(f"scoring needs at least 2 models, got {m}")

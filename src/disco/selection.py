@@ -23,7 +23,7 @@ from .errors import (
 )
 from .files import TensorFiles
 from .scoring import ScoreTable
-from .store import BenchmarkManifest, read_json_object
+from .store import read_json_object
 
 # The selectors that rank the source models' score table, those that read
 # their per-sample summaries, and all selectors.
@@ -122,13 +122,11 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
                         criterion=criterion)
 
 
-def build_embeddings(tensors: TensorFiles, manifest: BenchmarkManifest,
-                     kind: str) -> np.ndarray:
+def build_embeddings(tensors: TensorFiles, kind: str) -> np.ndarray:
     """Per-sample embedding across models: ground-truth-class probability
     (``conf``) or correctness bit (``corr``).  Shape (N, M), the models in
     sorted model-id order.  Only the models' per-sample summaries are
     read."""
-    tensors.check_shape(manifest)
     if not len(tensors):
         raise InsufficientModels("embeddings need at least one model")
     if kind not in ("conf", "corr"):
@@ -447,7 +445,6 @@ def _validation_rmse(sub: np.ndarray, train: np.ndarray, val: np.ndarray,
 
 def select_best_for_validation(
     tensors: TensorFiles,
-    manifest: BenchmarkManifest,
     k: int,
     candidates: int = 1000,
     seed: int = 0,
@@ -456,15 +453,15 @@ def select_best_for_validation(
     """Pick, among random candidate subsets, the one whose subset accuracy
     best predicts full accuracy on held-out models (lowest RMSE; the first
     drawn wins ties).  Only the models' correctness bits are read, from
-    their summaries, in sorted model-id order.
+    their summaries, in sorted model-id order; their full accuracies come
+    from the files' manifest.
 
     Candidates are drawn one at a time, in a fixed order from the seed, and
     scored in blocks.
     """
-    tensors.check_shape(manifest)
     accs, bit_rows = [], []
     for mid in tensors:
-        acc = manifest.model(mid).true_accuracy
+        acc = tensors.manifest.model(mid).true_accuracy
         if acc is None:
             continue
         accs.append(acc)
@@ -475,7 +472,7 @@ def select_best_for_validation(
                                  f"known accuracy, got {m}")
     if candidates < 1:
         raise BudgetExceedsDataset("candidate count must be >= 1")
-    n = manifest.num_samples
+    n = tensors.manifest.num_samples
     _check_budget(n, k)
 
     # Sample-major, so a block gathers whole rows.  The subset accuracies

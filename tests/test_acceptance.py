@@ -101,8 +101,8 @@ def _paired_run(seed: int, k: int) -> tuple[float, float, float, float]:
     with tempfile.TemporaryDirectory() as tmp:
         manifest, files = saved_population(*generate_population(SynthConfig(seed=seed)), tmp)
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        disco = run_pipeline(manifest, files, split, *DISCO_CFG, k=k, seed=seed)
-        rand = run_pipeline(manifest, files, split, *BASELINE_CFG, k=k, seed=seed)
+        disco = run_pipeline(files, split, *DISCO_CFG, k=k, seed=seed)
+        rand = run_pipeline(files, split, *BASELINE_CFG, k=k, seed=seed)
     return disco.mae_pp, disco.spearman, rand.mae_pp, rand.spearman
 
 
@@ -137,7 +137,7 @@ def test_criterion_6_knn_self_prediction_exact(tmp_path):
         SynthConfig(m_models=20, n_samples=300, c_classes=4, ability_dim=3, seed=2)), tmp_path)
     ids = manifest.model_ids()
     split = ModelSplit(source_ids=ids, target_ids=ids)
-    report = run_pipeline(manifest, files, split, "random",
+    report = run_pipeline(files, split, "random",
                           PredictorConfig(kind="knn", k_neighbors=1), k=12, seed=0)
     exact = all(t == p for _, t, p in report.pairs)
     _gate(6, "1-NN self prediction exact", report.mae_pp == 0.0 and exact,
@@ -247,7 +247,7 @@ def test_criterion_9_budget_monotonicity():
             split = split_models(manifest,
                                  ChronologicalSplit(median_date_cutoff(manifest)))
             for k in (10, 100):
-                report = run_pipeline(manifest, files, split, *DISCO_CFG,
+                report = run_pipeline(files, split, *DISCO_CFG,
                                       k=k, seed=seed)
                 maes[k].append(report.mae_pp)
     lo, hi = float(np.mean(maes[100])), float(np.mean(maes[10]))

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -423,7 +424,7 @@ class TestPipelineCommands:
         manifest = load_manifest(manifest_path)
         files = TensorFiles(manifest, manifest.model_ids())
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "topk_pds",
+        report = run_pipeline(files, split, "topk_pds",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert obj["mae_pp"] == report.mae_pp
         assert obj["spearman"] == report.spearman
@@ -443,7 +444,7 @@ class TestPipelineCommands:
         manifest = load_manifest(manifest_path)
         files = TensorFiles(manifest, manifest.model_ids())
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "topk_pds",
+        report = run_pipeline(files, split, "topk_pds",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert staged == {m: p for m, _, p in report.pairs}
 
@@ -550,6 +551,34 @@ class TestPipelineCommands:
         assert proc.returncode == 2, proc.stderr
         assert "TooFewModels" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--models", ",", "InvalidConfig: --models names no model"),
+        ("--models", "", "InvalidConfig: --models names no model"),
+        ("--cutoff", "2099-01-01", "EmptySide: no target model to predict"),
+    ])
+    def test_predict_without_targets_exits_2(self, artifacts, tmp_path, capsys,
+                                             monkeypatch, flag, value, error):
+        # an empty model set is an error, not an empty pred.json, and no
+        # tensor file is read first
+        work, manifest = artifacts
+        opened = []
+        monkeypatch.setattr(dten, "open_dten", opened.append)
+        code = run_cli("predict", "--manifest", manifest, "--model", work / "model.bin",
+                       "--subset", work / "subset.json", flag, value,
+                       "--out", tmp_path / "pred.json")
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert opened == []
+        assert not (tmp_path / "pred.json").exists()
+
+    def test_score_with_empty_models_exits_2(self, artifacts, tmp_path, capsys):
+        # --models given but naming no model does not mean every model
+        work, manifest = artifacts
+        assert run_cli("score", "--manifest", manifest, "--models", " , ",
+                       "--out", tmp_path / "scores.csv") == 2
+        assert "InvalidConfig: --models names no model" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_bundle_missing_block_exits_1(self, artifacts, tmp_path):
         from disco.dten import read_bundle, write_bundle
@@ -992,9 +1021,7 @@ def test_staged_chain_equals_evaluate_on_unsorted_manifest(reversed_manifest, tm
 
     manifest = load_manifest(m)
     split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-    accuracies = {mid: manifest.model(mid).true_accuracy for mid in split.source_ids}
-    subset, _ = condense_and_train(manifest, TensorFiles(manifest, split.source_ids),
-                                   accuracies, method,
+    subset, _ = condense_and_train(TensorFiles(manifest, split.source_ids), method,
                                    PredictorConfig(kind="linear"), k, 0)
     staged = json.loads((tmp_path / "subset.json").read_text())
     assert staged["indices"] == subset.indices.tolist()
@@ -1074,7 +1101,7 @@ def test_constant_estimates_read_nan_for_both_correlations(reversed_manifest, tm
 def test_undefined_correlation_is_none_in_the_report(reversed_manifest):
     manifest = load_manifest(reversed_manifest)
     split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-    report = run_pipeline(manifest, TensorFiles(manifest, manifest.model_ids()), split,
+    report = run_pipeline(TensorFiles(manifest, manifest.model_ids()), split,
                           "kmedoids_conf", PredictorConfig(kind="weighted_sum"),
                           k=10, seed=0)
     assert report.spearman is None
@@ -1156,3 +1183,45 @@ def test_traced_cli_wraps_only_existing_functions():
                if not callable(getattr(importlib.import_module(f"disco.{mod}"), name,
                                        None))]
     assert missing == []
+
+
+def test_traced_cli_runs_every_traced_command_shape(synth_dir, tmp_path):
+    # each command shape the traced benchmark runs, under the wrapper: a
+    # changed signature of a wrapped function fails here, not only in a
+    # traced benchmark run
+    from pathlib import Path
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
+    m = synth_dir / "data" / "manifest.json"
+    shapes = [
+        ((), ("score", "--manifest", m, "--cutoff", "median", "--out", "scores.csv"),
+         ("stack_bytes",)),
+        ((), ("select", "--manifest", m, "--method", "kmedoids_conf", "--k", 10,
+              "--cutoff", "median", "--out", "subset.json"), ("kmedoids_passes",)),
+        ((), ("fit", "--manifest", m, "--subset", "subset.json", "--predictor", "knn",
+              "--cutoff", "median", "--out", "model.dpak"), ()),
+        ((), ("predict", "--manifest", m, "--model", "model.dpak", "--subset",
+              "subset.json", "--cutoff", "median", "--out", "pred.json"), ()),
+        (("--forest-speedup", 2),
+         ("evaluate", "--manifest", m, "--predictor", "random_forest", "--trees", 5,
+          "--k", 10, "--cutoff", "median", "--out", "report.json"),
+         ("forest_nodes", "stack_bytes")),
+        ((), ("sweep", "--manifest", m, "--budgets", "10,20", "--seeds", "0,1",
+              "--cutoff", "median", "--configs",
+              "kmedoids_conf:knn,best_for_validation:direct,kmedoids_corr:weighted_sum,"
+              "topk_pds:linear", "--out", "sweep.csv"),
+         ("kmedoids_passes", "bfv_candidates", "stack_bytes")),
+    ]
+    for i, (speedup, argv, counted) in enumerate(shapes):
+        out = tmp_path / f"spans-{i}.json"
+        proc = subprocess.run(
+            [sys.executable, *map(str, [traced, out, time.time_ns(), i, *speedup, "--",
+                                        *argv, "--workdir", tmp_path])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        trace = json.loads(out.read_text())
+        assert trace["exit_code"] == 0
+        assert f"cli.{argv[0]}" in {span[2] for span in trace["spans"]}
+        assert [c for c in counted if not trace["counters"][c]] == [], argv[0]
+        if speedup:
+            assert set(trace["forest_train_s"]) == {"1", "2"}

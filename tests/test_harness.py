@@ -15,7 +15,6 @@ from disco.harness import (
     PredictorConfig,
     SharedSources,
     fit_predictor,
-    known_accuracies,
     UniformSplit,
     mae,
     median_date_cutoff,
@@ -193,7 +192,7 @@ class TestRunPipeline:
         manifest, files = population
         ids = manifest.model_ids()
         split = ModelSplit(source_ids=ids, target_ids=ids)
-        report = run_pipeline(manifest, files, split, "random",
+        report = run_pipeline(files, split, "random",
                               PredictorConfig(kind="knn", k_neighbors=1),
                               k=20, seed=0)
         assert report.mae_pp == 0.0
@@ -202,7 +201,7 @@ class TestRunPipeline:
     def test_full_budget_direct_eval_exact(self, population):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "random",
+        report = run_pipeline(files, split, "random",
                               PredictorConfig(kind="direct"),
                               k=manifest.num_samples, seed=0)
         assert report.mae_pp == 0.0
@@ -219,7 +218,7 @@ class TestRunPipeline:
             return read(self, model_ids, idx, out)
 
         monkeypatch.setattr(TensorFiles, "_read", recording_read)
-        run_pipeline(manifest, files, split, "topk_pds",
+        run_pipeline(files, split, "topk_pds",
                      PredictorConfig(kind="knn"), k=10, seed=0)
         first_target = min(reads.index(t) for t in split.target_ids)
         last_source = max(reads.index(s) for s in split.source_ids)
@@ -239,7 +238,7 @@ class TestRunPipeline:
             return anchor_rows(self, model_ids, idx)
 
         monkeypatch.setattr(TensorFiles, "anchor_rows", recording_read)
-        report = run_pipeline(manifest, files, split, "topk_pds",
+        report = run_pipeline(files, split, "topk_pds",
                               PredictorConfig(kind=kind), k=10, seed=0)
         sides = [sorted(split.source_ids)] if kind == "knn" else []
         assert reads == [(ids, 10) for ids in sides + [split.target_ids]]
@@ -249,11 +248,11 @@ class TestRunPipeline:
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("topk_pds", PredictorConfig(kind="knn"))
-        first = run_pipeline(manifest, files, split, *cfg, k=10, seed=0)
+        first = run_pipeline(files, split, *cfg, k=10, seed=0)
         estimates = {mid: pred for mid, _, pred in first.pairs}
         for targets in (split.target_ids[:-2], split.target_ids[::-1]):
             other = ModelSplit(split.source_ids, targets)
-            got = run_pipeline(manifest, files, other, *cfg, k=10, seed=0)
+            got = run_pipeline(files, other, *cfg, k=10, seed=0)
             assert [p[0] for p in got.pairs] == targets
             assert all(pred == estimates[mid] for mid, _, pred in got.pairs)
 
@@ -263,7 +262,7 @@ class TestRunPipeline:
         cfg = ("topk_pds",
                PredictorConfig(kind="random_forest",
                                forest=ForestConfig(n_trees=10)))
-        r1 = run_pipeline(manifest, files, split, *cfg, k=12, seed=1)
+        r1 = run_pipeline(files, split, *cfg, k=12, seed=1)
 
         # corrupt one target model's tensor file; all other targets'
         # predictions must be unchanged (selection, PCA, and training saw
@@ -274,7 +273,7 @@ class TestRunPipeline:
         raw /= raw.sum(axis=1, keepdims=True)
         dten.write_dten(tmp_path / manifest.model(victim).tensor_path,
                         raw.astype(np.float32))
-        r2 = run_pipeline(manifest, TensorFiles(manifest, manifest.model_ids()), split,
+        r2 = run_pipeline(TensorFiles(manifest, manifest.model_ids()), split,
                           *cfg, k=12, seed=1)
         assert r1.pairs != r2.pairs
         for (m1, _, p1), (m2, _, p2) in zip(r1.pairs, r2.pairs):
@@ -285,7 +284,7 @@ class TestRunPipeline:
     def test_deterministic(self, population):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        args = (manifest, files, split, "topk_jsd",
+        args = (files, split, "topk_jsd",
                 PredictorConfig(kind="random_forest", forest=ForestConfig(n_trees=15)))
         r1 = run_pipeline(*args, k=8, seed=4)
         r2 = run_pipeline(*args, k=8, seed=4)
@@ -294,7 +293,7 @@ class TestRunPipeline:
     def test_weighted_sum_route(self, population):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "kmedoids_corr",
+        report = run_pipeline(files, split, "kmedoids_corr",
                               PredictorConfig(kind="weighted_sum"), k=6, seed=0)
         assert 0 <= report.mae_pp <= 100
 
@@ -302,7 +301,7 @@ class TestRunPipeline:
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         with pytest.raises(MissingWeights):
-            run_pipeline(manifest, files, split, "random",
+            run_pipeline(files, split, "random",
                          PredictorConfig(kind="weighted_sum"), k=6, seed=0)
 
     @pytest.mark.parametrize("kind, method", [("direct", "random"),
@@ -311,12 +310,11 @@ class TestRunPipeline:
                                                  kind, method):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        subset = select_anchors(SharedSources(manifest, files, split.source_ids,
+        subset = select_anchors(SharedSources(files, split.source_ids,
                                               methods=(method,)), method, 6, 0)
         opened = []
         monkeypatch.setattr(dten, "open_dten", opened.append)
-        model = fit_predictor(manifest, TensorFiles(manifest, split.source_ids),
-                              known_accuracies(manifest, split.source_ids), subset,
+        model = fit_predictor(TensorFiles(manifest, split.source_ids), subset,
                               PredictorConfig(kind=kind), seed=0)
         assert model == PredictorModel(kind=kind)
         assert opened == []
@@ -325,20 +323,19 @@ class TestRunPipeline:
                                                             monkeypatch):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        subset = select_anchors(SharedSources(manifest, files, split.source_ids,
+        subset = select_anchors(SharedSources(files, split.source_ids,
                                               methods=("topk_pds",)), "topk_pds", 6, 0)
         opened = []
         monkeypatch.setattr(dten, "open_dten", opened.append)
         with pytest.raises(MissingWeights):
-            fit_predictor(manifest, TensorFiles(manifest, split.source_ids),
-                          known_accuracies(manifest, split.source_ids), subset,
+            fit_predictor(TensorFiles(manifest, split.source_ids), subset,
                           PredictorConfig(kind="weighted_sum"), seed=0)
         assert opened == []
 
     def test_report_serialization(self, population, tmp_path):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "random",
+        report = run_pipeline(files, split, "random",
                               PredictorConfig(kind="direct"), k=10, seed=0)
         path = tmp_path / "report.json"
         save_report(report, path, provenance={"seed": 0})
@@ -367,15 +364,15 @@ REPEATING_CONFIGS = [("topk_pds", "knn"), ("topk_jsd", "linear"), ("stratified_t
                      ("topk_pds", "random_forest")]
 
 
-def assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp_path):
+def assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp_path,
+                                           budgets=(12, 40)):
     """A sweep over ``source()`` gives the bytes of one ``run_pipeline`` per
-    pipeline, each on a fresh ``source()``."""
+    pipeline, each on a fresh ``source()``, in the order of ``budgets``."""
     split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
     configs = [(sel, PredictorConfig(kind=pred, forest=ForestConfig(n_trees=4)))
                for sel, pred in configs]
-    budgets = [12, 40]
-    reports = sweep_budgets(manifest, source(), split, configs, budgets, seeds)
-    singles = [run_pipeline(manifest, source(), split, sel, pred, k, seed)
+    reports = sweep_budgets(source(), split, configs, budgets, seeds)
+    singles = [run_pipeline(source(), split, sel, pred, k, seed)
                for sel, pred in configs for k in budgets for seed in seeds]
     assert ([json.dumps(report_to_obj(r)) for r in reports]
             == [json.dumps(report_to_obj(r)) for r in singles])
@@ -389,8 +386,8 @@ class TestSweep:
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("random", PredictorConfig(kind="direct"))
-        reports = sweep_budgets(manifest, files, split, [cfg], [10], [3])
-        single = run_pipeline(manifest, files, split, *cfg, k=10, seed=3)
+        reports = sweep_budgets(files, split, [cfg], [10], [3])
+        single = run_pipeline(files, split, *cfg, k=10, seed=3)
         assert len(reports) == 1
         assert reports[0].pairs == single.pairs
 
@@ -448,7 +445,7 @@ class TestSweep:
         configs = [(sel, PredictorConfig(kind=pred, forest=forest))
                    for sel, pred in fits_per_k]
         budgets, seeds = [12, 40], [0, 1, 2]
-        reports = sweep_budgets(manifest, files, split, configs, budgets, seeds)
+        reports = sweep_budgets(files, split, configs, budgets, seeds)
         assert len(reports) == 4 * 2 * 3
         assert fits == {(sel, pred, k): n for (sel, pred), n in fits_per_k.items()
                         for k in budgets}
@@ -471,7 +468,7 @@ class TestSweep:
         configs = [("random", PredictorConfig(kind="linear")),
                    ("topk_pds", PredictorConfig(kind="knn")),
                    ("random", PredictorConfig(kind="direct"))]
-        reports = sweep_budgets(manifest, source(), split, configs, [12, 40], [0, 1])
+        reports = sweep_budgets(source(), split, configs, [12, 40], [0, 1])
         assert len(reports) == 3 * 2 * 2
         sources, targets = len(split.source_ids), len(split.target_ids)
         # random: seeds 0 and 1; topk_pds: seed 0 only, seed 1 repeats it;
@@ -493,7 +490,7 @@ class TestSweep:
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         configs = [("kmedoids_conf", PredictorConfig(kind="knn"))]
-        reports = sweep_budgets(manifest, files, split, configs, [12, 40], [0, 1])
+        reports = sweep_budgets(files, split, configs, [12, 40], [0, 1])
         assert len(reports) == 4
         assert sorted(picks) == [(12, 0), (12, 1), (40, 0), (40, 1)]
 
@@ -502,17 +499,15 @@ class TestSweep:
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         configs = [("random", PredictorConfig(kind="direct")),
                    ("topk_pds", PredictorConfig(kind="knn"))]
-        reports = sweep_budgets(manifest, files, split, configs, [20, 40], [0, 1, 2])
+        reports = sweep_budgets(files, split, configs, [20, 40], [0, 1, 2])
         assert len(reports) == 2 * 2 * 3
 
-    def test_budgets_must_be_sorted(self, population):
+    def test_descending_budgets_give_separate_pipelines_in_that_order(self, population,
+                                                                     tmp_path):
+        # each pipeline reads its rows at its own K, so budgets need no order
         manifest, files = population
-        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        from disco.errors import InvalidConfig
-        with pytest.raises(InvalidConfig):
-            sweep_budgets(manifest, files, split,
-                          [("random",
-                            PredictorConfig(kind="direct"))], [10, 5], [0])
+        assert_sweep_equals_separate_pipelines(manifest, lambda: files, SWEEP_CONFIGS,
+                                               [0, 3], tmp_path, budgets=[40, 12])
 
     def test_direct_eval_error_shrinks_with_budget(self, tmp_path):
         # sampling error at K=100 should beat K=10 on average over seeds
@@ -525,7 +520,7 @@ class TestSweep:
         maes = {10: [], 100: []}
         for seed in range(20):
             for k in (10, 100):
-                r = run_pipeline(manifest, files, split, sel, pred, k, seed)
+                r = run_pipeline(files, split, sel, pred, k, seed)
                 maes[k].append(r.mae_pp)
         assert np.mean(maes[100]) <= np.mean(maes[10])
 
@@ -533,7 +528,7 @@ class TestSweep:
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
         cfg = ("random", PredictorConfig(kind="direct"))
-        reports = sweep_budgets(manifest, files, split, [cfg], [25], [0, 1])
+        reports = sweep_budgets(files, split, [cfg], [25], [0, 1])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(reports, path)
         lines = path.read_text().splitlines()
@@ -546,7 +541,7 @@ class TestOtherPredictorRoutes:
     def test_linear_pipeline(self, population):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "topk_pds",
+        report = run_pipeline(files, split, "topk_pds",
                               PredictorConfig(kind="linear"), k=10, seed=0)
         assert 0.0 <= report.mae_pp <= 100.0
         assert all(0.0 <= p <= 1.0 for _, _, p in report.pairs)
@@ -554,7 +549,7 @@ class TestOtherPredictorRoutes:
     def test_best_for_validation_pipeline(self, population):
         manifest, files = population
         split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
-        report = run_pipeline(manifest, files, split, "best_for_validation",
+        report = run_pipeline(files, split, "best_for_validation",
                               PredictorConfig(kind="knn"), k=10, seed=0)
         assert report.k == 10
 
@@ -576,12 +571,10 @@ def test_fit_predictor_peak_allocation_bounded(tmp_path):
     subset = AnchorSubset(indices=np.sort(rng.choice(n, k, replace=False)),
                           method="random", seed=0)
     manifest, files = saved_population(manifest, tensors, tmp_path)
-    accs = {mid: manifest.model(mid).true_accuracy for mid in ids}
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model = fit_predictor(manifest, files, accs, subset,
-                              PredictorConfig(kind="knn"), seed=0)
+        model = fit_predictor(files, subset, PredictorConfig(kind="knn"), seed=0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -604,7 +597,7 @@ def test_sweep_anchor_rows_bounded_by_largest_budget(tmp_path, kind):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            sweep_budgets(manifest, files, split, config, budgets, [0])
+            sweep_budgets(files, split, config, budgets, [0])
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

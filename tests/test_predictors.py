@@ -391,7 +391,7 @@ class TestWeightedSum:
         man, files = saved_population(make_manifest(labels, c, ["m"]),
                                       [rows], tmp_path)
         t = load_tensor(man, "m")
-        emb = build_embeddings(files, man, "conf")
+        emb = build_embeddings(files, "conf")
         subset = select_kmedoids(emb, 2, seed=0)
         bits = correctness(t, man)[subset.indices]
         ws = predict_weighted_sum(subset, bits)

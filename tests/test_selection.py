@@ -133,14 +133,14 @@ class TestEmbeddings:
     def test_conf_single_model(self, tmp_path):
         man, files = saved_population(make_manifest([1], 2, ["m"]),
                                       [tensor_from_rows([[0.3, 0.7]])], tmp_path)
-        emb = build_embeddings(files, man, "conf")
+        emb = build_embeddings(files, "conf")
         assert emb.shape == (1, 1)
         assert abs(emb[0, 0] - 0.7) < 1e-6
 
     def test_corr_perfect_model(self, tmp_path):
         t = tensor_from_rows([[0.9, 0.1], [0.2, 0.8], [1.0, 0.0]])
         man, files = saved_population(make_manifest([0, 1, 0], 2, ["m"]), [t], tmp_path)
-        emb = build_embeddings(files, man, "corr")
+        emb = build_embeddings(files, "corr")
         assert emb[:, 0].tolist() == [1.0, 1.0, 1.0]
 
     def test_corr_column_means_are_accuracies(self, rng, tmp_path):
@@ -153,7 +153,7 @@ class TestEmbeddings:
             raw /= raw.sum(axis=1, keepdims=True)
             tensors.append(raw.astype(np.float32))
         man, files = saved_population(man, tensors, tmp_path)
-        emb = build_embeddings(files, man, "corr")
+        emb = build_embeddings(files, "corr")
         for i, mid in enumerate(files):
             t = load_tensor(man, mid)
             assert abs(emb[:, i].mean() - accuracy(correctness(t, man))) < 1e-12
@@ -458,8 +458,8 @@ def _bfv_population(root, rng, m=8, n=60, c=3):
 class TestBestForValidation:
     def test_single_candidate_returned(self, rng, tmp_path):
         man, files, _ = _bfv_population(tmp_path, rng)
-        subset = select_best_for_validation(files, man, 5, candidates=1, seed=0)
-        expect = select_best_for_validation(files, man, 5, candidates=1, seed=0)
+        subset = select_best_for_validation(files, 5, candidates=1, seed=0)
+        expect = select_best_for_validation(files, 5, candidates=1, seed=0)
         assert subset.indices.tolist() == expect.indices.tolist()
         assert subset.k == 5
 
@@ -474,13 +474,13 @@ class TestBestForValidation:
         target = cand[1]
         for i, m in enumerate(man.models):
             m.true_accuracy = float(bits[i, target].mean())
-        subset = select_best_for_validation(files, man, 4, candidates=3, seed=7)
+        subset = select_best_for_validation(files, 4, candidates=3, seed=7)
         assert subset.indices.tolist() == target.tolist()
 
     def test_winner_beats_median_candidate(self, rng, tmp_path):
         man, files, tensors = _bfv_population(tmp_path, rng, m=10, n=80)
         k, cands, seed = 6, 50, 11
-        subset = select_best_for_validation(files, man, k, candidates=cands,
+        subset = select_best_for_validation(files, k, candidates=cands,
                                             seed=seed)
 
         # independent oracle: replay the candidate draws, score each with a
@@ -510,7 +510,7 @@ class TestBestForValidation:
     def test_insufficient_models(self, rng, tmp_path):
         man, files, _ = _bfv_population(tmp_path, rng, m=3)
         with pytest.raises(InsufficientModels):
-            select_best_for_validation(files, man, 4, candidates=2, seed=0)
+            select_best_for_validation(files, 4, candidates=2, seed=0)
 
 
 # The loop that scored one candidate at a time.  The blocked scoring in
@@ -588,7 +588,7 @@ def test_best_for_validation_equals_reference_loop(case):
     want = _ref_best_for_validation(bits, accuracies, k, candidates, seed, split_ratio)
     with tempfile.TemporaryDirectory() as tmp:
         man, files = _population_from_bits(tmp, bits, accuracies)
-        got = select_best_for_validation(files, man, k, candidates=candidates,
+        got = select_best_for_validation(files, k, candidates=candidates,
                                          seed=seed, split_ratio=split_ratio)
     assert got.indices.tolist() == want.tolist()
 
@@ -621,7 +621,7 @@ def test_best_for_validation_flat_branch_equals_reference_loop(tmp_path):
     man, files = _population_from_bits(tmp_path, bits, accuracies)
     for k, split_ratio in ((3, 0.8), (10, 0.5), (2, 0.0)):
         want = _ref_best_for_validation(bits, accuracies, k, 1000, 1, split_ratio)
-        got = select_best_for_validation(files, man, k, candidates=1000, seed=1,
+        got = select_best_for_validation(files, k, candidates=1000, seed=1,
                                          split_ratio=split_ratio)
         assert got.indices.tolist() == want.tolist()
 

@@ -59,6 +59,7 @@ from .scoring import read_scores_csv, score_dataset, write_scores_csv
 from .selection import (
     METHODS,
     SCORE_METHODS,
+    SUMMARY_METHODS,
     load_subset,
     save_subset,
 )
@@ -141,8 +142,9 @@ def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
                     side: str) -> list[str]:
     """Model ids from --models, or from --cutoff (source: strictly before;
     target: at/after), or every model with a known accuracy.  InvalidConfig
-    if --models is given but names no model."""
-    if getattr(args, "models", None) is not None:
+    if --models is given but names no model, EmptySide if no model is
+    left."""
+    if args.models is not None:
         ids = [m.strip() for m in args.models.split(",") if m.strip()]
         if not ids:
             raise InvalidConfig(f"--models names no model: {args.models!r}")
@@ -150,11 +152,14 @@ def _resolve_models(manifest: BenchmarkManifest, args: argparse.Namespace,
             manifest.model(mid)
         if len(set(ids)) != len(ids):
             raise InvalidConfig(f"--models lists a model more than once: {args.models!r}")
-        return ids
-    if getattr(args, "cutoff", None):
+    elif args.cutoff:
         source, target = _date_split(manifest, _parse_cutoff(manifest, args.cutoff))
-        return source if side == "source" else target
-    return [m.model_id for m in _eligible(manifest)]
+        ids = source if side == "source" else target
+    else:
+        ids = [m.model_id for m in _eligible(manifest)]
+    if not ids:
+        raise EmptySide(f"no {side} model to {args.command}")
+    return ids
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -185,26 +190,31 @@ def cmd_select(args) -> int:
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     method = args.method
+    ids = _resolve_models(manifest, args, "source")
     inputs: dict[str, Path] = {"manifest": manifest_path}
     scores = None
-    ids: list[str] = []
-    if method in SCORE_METHODS:
-        if not args.scores:
-            raise InvalidConfig(f"--scores is required for method {method!r}")
+    if args.scores:
         scores_path = _workpath(args, args.scores)
         prov_path = Path(str(scores_path) + ".prov.json")
-        if prov_path.is_file():
-            _check_fresh(read_json_object(prov_path, "score provenance"),
-                         "manifest", manifest_path)
+        prov = read_json_object(prov_path, "score provenance") if prov_path.is_file() else {}
+        _check_fresh(prov, "manifest", manifest_path)
         scores = read_scores_csv(scores_path)
         if len(scores) != manifest.num_samples:
             raise ShapeMismatch(f"{scores_path} scores {len(scores)} samples, "
                                 f"the manifest has {manifest.num_samples}")
-        inputs["scores"] = scores_path
-    elif method != "random":
-        ids = _resolve_models(manifest, args, "source")
+        if method in SCORE_METHODS:
+            inputs["scores"] = scores_path
+            scored = prov.get("models")
+            if (args.models or args.cutoff) and not (
+                    isinstance(scored, list) and sorted(scored, key=str) == sorted(ids)):
+                raise InvalidConfig(f"{scores_path} was not scored on the models "
+                                    f"that --models/--cutoff name")
+    elif method in SCORE_METHODS:
+        raise InvalidConfig(f"--scores is required for method {method!r}")
+    # only the summary methods read tensor files
+    files = ids if method in SUMMARY_METHODS else []
     subset = select_anchors(
-        SharedSources(TensorFiles(manifest, ids), ids, scores=scores, methods=(method,)),
+        SharedSources(TensorFiles(manifest, files), files, scores=scores, methods=(method,)),
         method, args.k, args.seed)
 
     out = _workpath(args, args.out)
@@ -251,8 +261,6 @@ def cmd_predict(args) -> int:
     subset = load_subset(subset_path)
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "target")
-    if not ids:
-        raise EmptySide("no target model to predict")
 
     predictions = dict(zip(ids, predict_targets(TensorFiles(manifest, ids), ids, subset,
                                                 model, mode)))
@@ -390,6 +398,13 @@ def build_parser() -> _Parser:
     pred_common.add_argument("--min-leaf", type=int, default=2)
     pred_common.add_argument("--feature-frac", type=float, default=1.0)
 
+    models = argparse.ArgumentParser(add_help=False)
+    pick = models.add_mutually_exclusive_group()
+    pick.add_argument("--models", default=None, help="comma-separated model ids")
+    pick.add_argument("--cutoff", default=None,
+                      help="ISO date or 'median': the models released before "
+                           "it (predict: on or after it)")
+
     split_common = argparse.ArgumentParser(add_help=False)
     split_common.add_argument("--cutoff", default=None,
                               help="chronological split: ISO date or 'median'")
@@ -404,38 +419,30 @@ def build_parser() -> _Parser:
     p.add_argument("manifest")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("score", parents=[workdir])
+    p = sub.add_parser("score", parents=[workdir, models])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--models", default=None, help="comma-separated model ids")
-    p.add_argument("--cutoff", default=None, help="use models before this date")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("select", parents=[common])
+    p = sub.add_parser("select", parents=[common, models])
     p.add_argument("--manifest", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scores", default=None, help="score CSV for top-k methods")
-    p.add_argument("--models", default=None)
-    p.add_argument("--cutoff", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("fit", parents=[common, threads, pred_common])
+    p = sub.add_parser("fit", parents=[common, threads, pred_common, models])
     p.add_argument("--manifest", required=True)
     p.add_argument("--subset", required=True)
     p.add_argument("--predictor", required=True, choices=KINDS)
-    p.add_argument("--models", default=None)
-    p.add_argument("--cutoff", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", parents=[workdir])
+    p = sub.add_parser("predict", parents=[workdir, models])
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--subset", required=True)
-    p.add_argument("--models", default=None)
-    p.add_argument("--cutoff", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -149,14 +149,16 @@ def midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged."""
     a = np.asarray(values, dtype=np.float64).ravel()
     order = np.argsort(a, kind="stable")
+    s = a[order]
+    # A tie group is a run of equal sorted values, sorted positions i..j;
+    # NaN equals nothing, so each NaN is a group of its own.
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    i = np.flatnonzero(first)
+    sizes = np.diff(i, append=a.size)
+    j = i + sizes - 1
     ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (i + j) + 1.0, sizes)
     return ranks
 
 

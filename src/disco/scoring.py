@@ -197,9 +197,8 @@ def check_sandwich(stack: np.ndarray) -> SandwichReport:
 
 @dataclass
 class ScoreTable:
-    """Per-sample disagreement scores in sample order."""
+    """Per-sample disagreement scores; position i holds sample i."""
 
-    sample_index: np.ndarray
     pds_env: np.ndarray
     pds_eq1: np.ndarray
     jsd_bits: np.ndarray
@@ -207,7 +206,7 @@ class ScoreTable:
     mixture_entropy_bits: np.ndarray
 
     def __len__(self) -> int:
-        return self.sample_index.size
+        return self.pds_env.size
 
     def criterion(self, name: str) -> np.ndarray:
         if name not in ("pds_env", "pds_eq1", "jsd_bits"):
@@ -232,7 +231,6 @@ def score_dataset(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTab
     cap = float(min(m, c))
     np.clip(env, 1.0, cap, out=env)
     return ScoreTable(
-        sample_index=np.arange(n, dtype=np.int64),
         pds_env=env,
         pds_eq1=env / c,
         jsd_bits=np.clip(mix_ent - mean_ent, 0.0, math.log2(cap)),
@@ -295,7 +293,7 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     lines = [CSV_HEADER]
     for i in range(len(table)):
         lines.append(
-            f"{int(table.sample_index[i])},{table.pds_env[i]:.9g},{table.pds_eq1[i]:.9g},"
+            f"{i},{table.pds_env[i]:.9g},{table.pds_eq1[i]:.9g},"
             f"{table.jsd_bits[i]:.9g},{table.mixture_entropy_bits[i]:.9g},"
             f"{table.mean_entropy_bits[i]:.9g}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -327,7 +325,6 @@ def read_scores_csv(path: str | Path) -> ScoreTable:
     if bad.size:
         raise SchemaError(f"{path}:{bad[0] + 2}: non-finite score")
     return ScoreTable(
-        sample_index=np.arange(n, dtype=np.int64),
         pds_env=cols[0],
         pds_eq1=cols[1],
         jsd_bits=cols[2],

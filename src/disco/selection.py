@@ -76,25 +76,24 @@ def select_random(n: int, k: int, seed: int) -> AnchorSubset:
     return AnchorSubset(indices=idx.astype(np.int64), method="random", seed=seed)
 
 
-def _rank_by(scores: np.ndarray, sample_index: np.ndarray) -> np.ndarray:
-    # Descending score, ties broken by the lower sample index.
-    return np.lexsort((sample_index, -scores))
+def _rank_by(scores: np.ndarray) -> np.ndarray:
+    # Sample positions by descending score, ties to the lower position.
+    return np.argsort(-scores, kind="stable")
 
 
 def select_topk(scores: ScoreTable, k: int, criterion: str = "pds_env",
                 seed: int = 0) -> AnchorSubset:
     """The k samples with the largest criterion value."""
     _check_budget(len(scores), k)
-    order = _rank_by(scores.criterion(criterion), scores.sample_index)
-    idx = np.sort(scores.sample_index[order[:k]])
+    idx = np.sort(_rank_by(scores.criterion(criterion))[:k])
     method = "topk_jsd" if criterion == "jsd_bits" else "topk_pds"
     return AnchorSubset(indices=idx.astype(np.int64), method=method,
                         seed=seed, criterion=criterion)
 
 
 def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
-                           criterion: str = "pds_env", seed: int = 0) -> AnchorSubset:
-    """Equal per-tag budgets of top-criterion samples, remainder by global rank."""
+                           seed: int = 0) -> AnchorSubset:
+    """Equal per-tag budgets of top-``pds_env`` samples, remainder by global rank."""
     n = len(scores)
     _check_budget(n, k)
     if len(task_tags) != n:
@@ -103,23 +102,13 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
     distinct = sorted(set(task_tags))
     quota = k // len(distinct)
 
-    order = _rank_by(scores.criterion(criterion), scores.sample_index)
-    ranked = scores.sample_index[order]
-    chosen: list[int] = []
+    ranked = _rank_by(scores.pds_env)
     taken = np.zeros(n, dtype=bool)
     for tag in distinct:
-        members = ranked[tags[ranked] == tag][:quota]
-        chosen.extend(int(i) for i in members)
-        taken[members] = True
-    for i in ranked:
-        if len(chosen) == k:
-            break
-        if not taken[i]:
-            chosen.append(int(i))
-            taken[i] = True
-    idx = np.sort(np.asarray(chosen, dtype=np.int64))
-    return AnchorSubset(indices=idx, method="stratified_topk", seed=seed,
-                        criterion=criterion)
+        taken[ranked[tags[ranked] == tag][:quota]] = True
+    taken[ranked[~taken[ranked]][:k - int(taken.sum())]] = True
+    return AnchorSubset(indices=np.flatnonzero(taken).astype(np.int64),
+                        method="stratified_topk", seed=seed, criterion="pds_env")
 
 
 def build_embeddings(tensors: TensorFiles, kind: str) -> np.ndarray:

@@ -549,7 +549,7 @@ class TestPipelineCommands:
                                work / "subset.json", "--predictor", "knn",
                                "--cutoff", "1990-01-01", "--out", tmp_path / "m.bin")
         assert proc.returncode == 2, proc.stderr
-        assert "TooFewModels" in proc.stderr
+        assert "EmptySide: no source model to fit" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag, value, error", [
@@ -655,6 +655,55 @@ def test_select_rejects_bad_score_table(artifacts, tmp_path, case):
     assert ("SchemaError" if code == 1 else "ShapeMismatch") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (("select", "--method", "random", "--k", 5, "--models", "nonexistent"), 2,
+     "disco select: InvariantViolation: model id not registered: 'nonexistent'"),
+    (("select", "--method", "random", "--k", 5, "--scores", "{tmp}/missing.csv"), 3,
+     "disco select: MissingFile: no such score table: "),
+    (("select", "--method", "kmedoids_conf", "--k", 5,
+      "--scores", "{tmp}/missing.csv"), 3,
+     "disco select: MissingFile: no such score table: "),
+    (("select", "--method", "topk_pds", "--k", 5, "--scores", "{work}/scores.csv",
+      "--models", "synth-0000"), 2,
+     "disco select: InvalidConfig: {work}/scores.csv was not scored on the models"),
+    (("score", "--models", "synth-0000,synth-0001", "--cutoff", "1900-01-01"), 64,
+     "disco score: error: argument --cutoff: not allowed with argument --models"),
+    (("fit", "--subset", "{work}/subset.json", "--predictor", "direct",
+      "--cutoff", "1900-01-01"), 2,
+     "disco fit: EmptySide: no source model to fit"),
+], ids=["select-unknown-model", "random-missing-scores", "kmedoids-missing-scores",
+        "scores-of-other-models", "models-and-cutoff", "fit-without-sources"])
+def test_commands_check_every_input_they_are_given(artifacts, tmp_path, argv, code, error):
+    # each input a command is given is read and checked, whatever the method
+    work, manifest = artifacts
+    out = tmp_path / "out"
+    argv = [str(a).format(work=work, tmp=tmp_path) for a in argv]
+    proc = run_cli_process(*argv, "--manifest", manifest, "--out", out)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    if code == 64:
+        assert proc.stderr.startswith(f"usage: disco {argv[0]} ")
+        lines = [line for line in lines if not line.startswith((" ", "usage:"))]
+    assert len(lines) == 1 and lines[0].startswith(error.format(work=work)), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--method", "topk_pds", "--scores", "{work}/scores.csv", "--cutoff", "median"),
+    ("--method", "stratified_topk", "--scores", "{work}/scores.csv"),
+    ("--method", "random", "--models", "synth-0000", "--scores", "{work}/scores.csv"),
+])
+def test_select_reads_tensor_files_only_for_summary_methods(artifacts, tmp_path,
+                                                            monkeypatch, argv):
+    work, manifest = artifacts
+    opened = []
+    monkeypatch.setattr(dten, "open_dten", opened.append)
+    assert run_cli("select", "--manifest", manifest, "--k", 5,
+                   *[a.format(work=work) for a in argv], "--out", tmp_path / "s.json") == 0
+    assert opened == []
 
 
 class TestUnwritableOutput:

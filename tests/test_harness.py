@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disco import dten
 from disco.errors import EmptySide, LengthMismatch, MissingWeights, ZeroVariance
@@ -133,6 +135,29 @@ def midranks_oracle(values):
         ties = sum(1 for y in values if y == x) - 1
         out.append(1.0 + smaller + ties / 2.0)
     return np.asarray(out)
+
+
+def midranks_loop_reference(values):
+    """Mid-ranks from a stable argsort, found one tie group at a time."""
+    a = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(a.size, dtype=np.float64)
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
+                | st.floats(allow_nan=True), max_size=29))
+def test_midranks_equal_loop_reference(values):
+    # ties, NaN (each its own group) and -0.0 (tied with 0.0), bit for bit
+    assert midranks(values).tobytes() == midranks_loop_reference(values).tobytes()
 
 
 class TestSpearman:

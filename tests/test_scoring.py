@@ -296,7 +296,7 @@ class TestScoreDataset:
         raw_gap = table.mixture_entropy_bits - table.mean_entropy_bits
         assert (raw_gap >= -1e-9).all()
         assert (table.jsd_bits >= 0.0).all()
-        assert np.array_equal(table.sample_index, np.arange(n))
+        assert csv_index_column(table, tmp_path / "scores.csv") == list(range(n))
 
     def test_too_few_models(self, tmp_path):
         man, files, _ = self._population(tmp_path, [[[1.0, 0.0]]], [0], 2)
@@ -343,6 +343,12 @@ def entropy_bits_reference(dist, axis=-1):
     return -(p * logs).sum(axis=axis)
 
 
+def csv_index_column(table, path):
+    """The index column that ``write_scores_csv`` writes for ``table``."""
+    write_scores_csv(table, path)
+    return [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+
+
 def score_dataset_reference(tensors):
     """All samples at once, in one (M, N, C) float64 stack."""
     v = np.stack([t.values for t in tensors]).astype(np.float64)
@@ -377,7 +383,7 @@ def assert_equals_reference(root, manifest, tensors):
     loaded, stacked in the files' order."""
     manifest, files = saved_population(manifest, tensors, root)
     table = score_dataset(manifest, files)
-    assert table.sample_index.tobytes() == np.arange(manifest.num_samples).tobytes()
+    assert csv_index_column(table, root / "scores.csv") == list(range(manifest.num_samples))
     loaded = [load_tensor(manifest, mid) for mid in files]
     for name, want in score_dataset_reference(loaded).items():
         assert getattr(table, name).tobytes() == want.tobytes(), name

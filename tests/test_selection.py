@@ -40,8 +40,7 @@ def table_from_scores(scores):
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     zeros = np.zeros(n)
-    return ScoreTable(sample_index=np.arange(n, dtype=np.int64),
-                      pds_env=scores, pds_eq1=scores / 4.0, jsd_bits=scores,
+    return ScoreTable(pds_env=scores, pds_eq1=scores / 4.0, jsd_bits=scores,
                       mean_entropy_bits=zeros, mixture_entropy_bits=zeros)
 
 
@@ -127,6 +126,63 @@ class TestStratified:
         a = select_stratified_topk(t, ["x"] * 25, 7)
         b = select_topk(t, 7)
         assert a.indices.tolist() == b.indices.tolist()
+
+
+def rank_by_reference(scores):
+    """Descending score, ties broken by the lower sample index, as a
+    lexsort over an explicit sample-index column."""
+    return np.lexsort((np.arange(scores.size, dtype=np.int64), -scores))
+
+
+def stratified_reference(scores, tags, k):
+    """Per-tag quotas of the ranked samples, then a loop that fills the
+    remainder with the best-ranked samples not yet taken."""
+    ranked = rank_by_reference(scores)
+    tags = np.asarray(tags, dtype=object)
+    quota = k // len(set(tags.tolist()))
+    chosen, taken = [], np.zeros(scores.size, dtype=bool)
+    for tag in sorted(set(tags.tolist())):
+        members = ranked[tags[ranked] == tag][:quota]
+        chosen.extend(int(i) for i in members)
+        taken[members] = True
+    for i in ranked:
+        if len(chosen) == k:
+            break
+        if not taken[i]:
+            chosen.append(int(i))
+            taken[i] = True
+    return np.sort(np.asarray(chosen, dtype=np.int64))
+
+
+# Few distinct values, so ties are common; -0.0 ties with 0.0.
+_SCORE = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1.5, 3.0]) | st.floats(0.0, 4.0)
+
+
+@settings(max_examples=300)
+@given(st.lists(_SCORE | st.sampled_from([math.nan, math.inf, -math.inf]), max_size=40))
+def test_rank_by_equals_lexsort_reference(values):
+    x = np.asarray(values, dtype=np.float64)
+    assert selection._rank_by(x).tobytes() == rank_by_reference(x).tobytes()
+
+
+@st.composite
+def _ranked_case(draw):
+    scores = np.asarray(draw(st.lists(_SCORE, min_size=1, max_size=40)))
+    tags = draw(st.lists(st.sampled_from("abcd"), min_size=scores.size,
+                         max_size=scores.size))
+    return scores, tags, draw(st.integers(1, scores.size))
+
+
+@settings(max_examples=300)
+@given(_ranked_case())
+def test_topk_selectors_equal_lexsort_reference(case):
+    scores, tags, k = case
+    t = table_from_scores(scores)
+    topk = select_topk(t, k)
+    assert topk.indices.tobytes() == np.sort(rank_by_reference(scores)[:k]).tobytes()
+    strat = select_stratified_topk(t, tags, k)
+    assert strat.indices.tobytes() == stratified_reference(scores, tags, k).tobytes()
+    assert strat.criterion == "pds_env"
 
 
 class TestEmbeddings:

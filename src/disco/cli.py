@@ -16,7 +16,6 @@ import dataclasses
 import datetime as _dt
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -66,6 +65,7 @@ from .selection import (
 from .signatures import MODES
 from .store import BenchmarkManifest, load_manifest, read_json_object
 from .synth import SynthConfig, generate_population, save_population
+from .workers import usable_cpus
 
 EXIT_IO = 3
 EXIT_USAGE = 64
@@ -112,7 +112,7 @@ def _check_fresh(recorded: dict | None, name: str, path: Path) -> None:
 def _threads(args: argparse.Namespace) -> int:
     raw = args.threads
     if raw == "auto":
-        return os.cpu_count() or 1
+        return usable_cpus()
     try:
         value = int(raw)
     except ValueError:
@@ -381,11 +381,13 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
 
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", default="1",
-                         help="worker processes for random-forest training "
-                              "(forked; serial where fork is unavailable): "
-                              "integer or 'auto'; artifacts are byte-identical "
-                              "for any value")
+    threads.add_argument("--threads", default="auto",
+                         help="worker processes for random-forest training and "
+                              "a sweep's selections (forked; serial where fork "
+                              "is unavailable): integer or 'auto', the CPUs this "
+                              "process may run on (the default); at most that "
+                              "many start; artifacts are byte-identical for any "
+                              "value")
 
     pred_common = argparse.ArgumentParser(add_help=False)
     pred_common.add_argument("--mode", default="probs", choices=MODES)

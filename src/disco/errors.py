@@ -109,6 +109,12 @@ class StaleArtifact(DiscoError):
     pass
 
 
+class WorkerLost(DiscoError):
+    """A forked worker process ended without sending its results."""
+
+    pass
+
+
 class RankDeficiencyWarning(UserWarning):
     """Requested projection width exceeds the numeric rank of the data."""
 

@@ -56,6 +56,7 @@ from .selection import (
 )
 from .signatures import build_signature, pca_fit_transform
 from .store import BenchmarkManifest, accuracy
+from .workers import fork_map
 
 
 # --- model splits ------------------------------------------------------------
@@ -257,6 +258,10 @@ class SharedSources:
         self._kmedoids = None
 
 
+# The embedding kind each k-medoids selector clusters.
+KMEDOIDS_EMBEDDINGS = {"kmedoids_conf": "conf", "kmedoids_corr": "corr"}
+
+
 def select_anchors(shared: SharedSources, method: str, k: int,
                    seed: int) -> AnchorSubset:
     """The anchors that selector ``method`` picks from the shared source
@@ -272,8 +277,8 @@ def select_anchors(shared: SharedSources, method: str, k: int,
                                           seed=seed)
         criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
         return select_topk(shared.scores, k, criterion, seed=seed)
-    if method in ("kmedoids_conf", "kmedoids_corr"):
-        emb, d = shared.kmedoids_inputs("conf" if method == "kmedoids_conf" else "corr")
+    if method in KMEDOIDS_EMBEDDINGS:
+        emb, d = shared.kmedoids_inputs(KMEDOIDS_EMBEDDINGS[method])
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
         return select_best_for_validation(shared.sources, k, seed=seed)
@@ -429,10 +434,15 @@ def sweep_budgets(
     Scores, per-sample summaries and k-medoids distances depend on neither
     K nor seed, so one SharedSources computes each at most once per sweep;
     the k-medoids data lives only while its config selects.  Each (selector,
-    K, seed) is selected once.  A pipeline whose targets, anchors, anchor
-    weights and predictor config (and seed, for a forest) match one already
-    run is not run again: its report is copied, with this cell's K, seed and
-    selector.  Each pipeline run fits through ``fit_predictor`` and
+    K, seed) is selected once.  The selections of a k-medoids or
+    best-for-validation config run on ``fork_map``'s ``threads`` worker
+    processes, (K, seed) cell i on worker i mod W, after this process has
+    built the config's k-medoids embeddings and distance matrix, which the
+    workers only read; ``threads`` also reaches forest training.  The
+    reports do not depend on ``threads``.  A pipeline whose targets,
+    anchors, anchor weights and predictor config (and seed, for a forest)
+    match one already run is not run again: its report is copied, with this
+    cell's K, seed and selector.  Each pipeline run fits through ``fit_predictor`` and
     estimates through ``predict_targets``, as ``disco fit`` and ``disco
     predict`` do: it reads the sources' rows at its own anchors (none for a
     readout), frees them once their signatures are built, then reads the
@@ -446,10 +456,15 @@ def sweep_budgets(
     done: dict[tuple, EvalReport] = {}
     reports = []
     for method, predictor in configs:
-        for k in budgets:
-            for seed in seeds:
-                if (method, k, seed) not in subsets:
-                    subsets[method, k, seed] = select_anchors(shared, method, k, seed)
+        cells = [cell for cell in dict.fromkeys((method, k, seed) for k in budgets
+                                                for seed in seeds)
+                 if cell not in subsets]
+        if cells and method in KMEDOIDS_EMBEDDINGS:
+            shared.kmedoids_inputs(KMEDOIDS_EMBEDDINGS[method])    # once, before the fork
+        # the other selectors take less time than forking a worker costs
+        forked = threads if method in SUMMARY_METHODS else 1
+        subsets.update(zip(cells, fork_map(lambda cell: select_anchors(shared, *cell),
+                                           cells, forked)))
         shared.drop_kmedoids()
         for k in budgets:
             for seed in seeds:

@@ -9,7 +9,6 @@ reproduces in-memory predictions bit for bit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .selection import AnchorSubset
 from .signatures import PcaProjection, pca_arrays, pca_from_arrays, pca_transform
+from .workers import fork_map
 
 # The kinds that ``train`` fits, and all predictor kinds.  A readout's
 # bundle (direct, weighted_sum) holds only the header.
@@ -200,36 +200,12 @@ def _fit_one_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     return _grow_tree(x, y, cfg, rng)
 
 
-def _fit_tree_range(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
-                    start: int, stop: int) -> list[Tree]:
-    return [_fit_one_tree(x, y, cfg, seed, t) for t in range(start, stop)]
-
-
 def _fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int,
                 threads: int) -> list[Tree]:
-    """All trees, fitted on ``min(threads, n_trees, CPU count)`` forked worker
-    processes.
-
-    Each worker fits a contiguous range of tree indices; results are joined
-    in index order.  Forked workers start with numpy and this module already
-    imported, where spawned ones would import them again; where fork is
-    unavailable the fit is serial.  The multiprocessing modules are imported
-    only here, so commands without a forest never load them.
-    """
-    workers = min(threads, cfg.n_trees, os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers == 1:
-        return _fit_tree_range(x, y, cfg, seed, 0, cfg.n_trees)
-
-    from concurrent.futures import ProcessPoolExecutor
-    bounds = [cfg.n_trees * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_fit_tree_range, x, y, cfg, seed, a, b)
-                   for a, b in zip(bounds[:-1], bounds[1:])]
-        return [tree for fut in futures for tree in fut.result()]
+    """All trees in index order, fitted by ``fork_map``'s ``threads``
+    worker processes."""
+    return fork_map(lambda t: _fit_one_tree(x, y, cfg, seed, t), range(cfg.n_trees),
+                    threads)
 
 
 @dataclass

@@ -831,6 +831,98 @@ class TestSweepCommand:
         assert "Traceback" not in proc.stderr
 
 
+FORKED_SWEEP_CONFIGS = ("kmedoids_conf:knn,kmedoids_corr:weighted_sum,"
+                        "best_for_validation:direct,topk_pds:random_forest")
+
+
+def sweep_argv(synth_dir, out, *extra):
+    return ("sweep", "--manifest", synth_dir / "data" / "manifest.json", "--budgets",
+            "10,20", "--seeds", "0,1", "--cutoff", "median", "--configs",
+            FORKED_SWEEP_CONFIGS, "--trees", 5, "--out", out, *extra)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Enough usable CPUs that every --threads value starts its workers."""
+    from disco import workers
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
+
+
+def test_forked_sweep_writes_the_same_csv_for_any_threads(synth_dir, tmp_path, many_cpus):
+    csv = {}
+    for threads in (1, 2, 8):
+        out = tmp_path / f"sweep-{threads}.csv"
+        assert run_cli(*sweep_argv(synth_dir, out, "--threads", threads)) == 0
+        assert_no_child_left()
+        csv[threads] = out.read_bytes()
+    assert csv[2] == csv[1] and csv[8] == csv[1]
+    assert len(csv[1].splitlines()) == 1 + 4 * 2 * 2
+
+
+def test_selection_failing_in_a_worker_exits_as_serial(synth_dir, tmp_path, monkeypatch,
+                                                      capsys, many_cpus):
+    # cell (K=20, seed=1) is the fourth of its config: worker 1 of 2 selects it
+    from disco import harness
+    from disco.errors import InvariantViolation
+    select_kmedoids = harness.select_kmedoids
+
+    def failing_select(embeddings, k, seed, **kwargs):
+        if (k, seed) == (20, 1):
+            raise InvariantViolation(f"no medoids at K={k}, seed={seed}")
+        return select_kmedoids(embeddings, k, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "select_kmedoids", failing_select)
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"sweep-{threads}.csv"
+        code = run_cli(*sweep_argv(synth_dir, out, "--threads", threads))
+        assert_no_child_left()
+        runs.append((code, capsys.readouterr().err))
+        assert not out.exists()
+    assert runs[1] == runs[0] == (
+        2, "disco sweep: InvariantViolation: no medoids at K=20, seed=1\n")
+
+
+def test_lost_forest_worker_exits_2(synth_dir, tmp_path, monkeypatch, capsys, many_cpus):
+    # a worker that ends without its trees (killed, out of memory) is an
+    # error with the taxonomy's exit code, not a traceback
+    from disco import predictors
+    caller = os.getpid()
+    fit_one_tree = predictors._fit_one_tree
+
+    def dying_fit(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return fit_one_tree(*args)
+
+    monkeypatch.setattr(predictors, "_fit_one_tree", dying_fit)
+    out = tmp_path / "report.json"
+    code = run_cli("evaluate", "--manifest", synth_dir / "data" / "manifest.json",
+                   "--predictor", "random_forest", "--trees", 4, "--k", 10,
+                   "--cutoff", "median", "--threads", 2, "--out", out)
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(r"disco evaluate: WorkerLost: worker process \d+ ended without "
+                        r"sending its results \(exit status 3\)\n", err)
+    assert not out.exists()
+
+
+def test_auto_threads_on_one_cpu_starts_no_worker(synth_dir, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli(*sweep_argv(synth_dir, tmp_path / "sweep.csv")) == 0
+
+
 class TestSynthCommand:
     def test_self_contained_directory(self, synth_dir):
         manifest = load_manifest(synth_dir / "data" / "manifest.json")

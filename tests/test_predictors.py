@@ -163,30 +163,29 @@ class TestForest:
             assert np.array_equal(ta.threshold, tb.threshold)
             assert np.array_equal(ta.feature, tb.feature)
 
-    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (64, [8]), (None, [])])
-    def test_workers_capped_at_cpu_count(self, rng, monkeypatch, cpus, pools):
-        # a fake pool records its size and fits the tree ranges in this process
-        import concurrent.futures
+    @pytest.mark.parametrize("affinity, cpus, pools", [
+        (range(3), 3, [3]), (range(64), 64, [8]), (None, None, []),
+        ({0}, 64, []),                  # pinned to one CPU of many: no worker
+    ])
+    def test_workers_capped_at_cpu_count(self, rng, monkeypatch, affinity, cpus, pools):
+        # a fake fork records its worker count and fits the trees in this
+        # process; affinity None is a platform without sched_getaffinity
         import os
+
+        from disco import workers
         sizes = []
 
-        class SerialPool:
-            def __init__(self, workers, mp_context=None):
-                sizes.append(workers)
+        def serial_fork(fn, tasks, count):
+            sizes.append(count)
+            return [fn(t) for t in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(workers, "_forked", serial_fork)
         x, y = rng.standard_normal((12, 3)), rng.random(12)
         cfg = ForestConfig(n_trees=8)
         capped = train("random_forest", x, y, forest=cfg, seed=1, threads=5000)

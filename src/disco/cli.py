@@ -325,14 +325,19 @@ def cmd_sweep(args) -> int:
                             f"got {args.budgets!r} and {args.seeds!r}")
     if min(seeds) < 0:
         raise InvalidConfig(f"--seeds must be >= 0, got {args.seeds!r}")
+    entries = args.configs.split(",")
     configs = []
-    for entry in args.configs.split(","):
+    for entry in entries:
         sel, _, pred = entry.partition(":")
         if sel not in METHODS or pred not in KINDS:
             raise InvalidConfig(f"config must be selection:predictor with a "
                                 f"selection in {METHODS} and a predictor in "
                                 f"{KINDS}, got {entry!r}")
         configs.append((sel, _predictor_config(args, pred)))
+    for flag, values in (("budgets", budgets), ("seeds", seeds), ("configs", entries)):
+        if len(set(values)) != len(values):
+            raise InvalidConfig(f"--{flag} lists an entry more than once: "
+                                f"{getattr(args, flag)!r}")
     manifest_path = _workpath(args, args.manifest)
     manifest = load_manifest(manifest_path)
     split = _split_from_args(manifest, args)

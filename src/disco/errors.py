@@ -59,10 +59,6 @@ class LengthMismatch(DiscoError):
     pass
 
 
-class NonZeroSum(DiscoError):
-    pass
-
-
 class TooFewModels(DiscoError):
     pass
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Collection, Mapping
 
@@ -480,22 +480,9 @@ def sweep_budgets(
 
 # --- serialization -----------------------------------------------------------
 
-def report_to_obj(report: EvalReport) -> dict:
-    return {
-        "mae_pp": report.mae_pp,
-        "spearman": report.spearman,
-        "pearson": report.pearson,
-        "k": report.k,
-        "seed": report.seed,
-        "selection": report.selection,
-        "predictor": report.predictor,
-        "pairs": [[mid, t, p] for mid, t, p in report.pairs],
-    }
-
-
 def save_report(report: EvalReport, path: str | Path,
                 provenance: dict | None = None) -> None:
-    obj = report_to_obj(report)
+    obj = asdict(report)
     if provenance is not None:
         obj["provenance"] = provenance
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")

@@ -126,14 +126,6 @@ def build_embeddings(tensors: TensorFiles, kind: str) -> np.ndarray:
     return np.column_stack([s.bits.astype(np.float64) for s in summaries])
 
 
-def kmedoids_objective(embeddings: np.ndarray, indices: Sequence[int]) -> float:
-    """Sum over points of the Euclidean distance to the closest medoid."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    med = x[np.asarray(indices, dtype=np.int64)]
-    diff = x[:, None, :] - med[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).sum())
-
-
 # Bytes per block of rows, for the tiles of squared distances (two are alive
 # while the next one is built) and the blocks of a cluster sum, and the side
 # of a square block when symmetrizing: the temporaries stay near 1 MiB

@@ -255,10 +255,6 @@ def manifest_bytes(manifest: BenchmarkManifest) -> bytes:
     return (json.dumps(_manifest_to_obj(manifest), indent=2) + "\n").encode()
 
 
-def save_manifest(manifest: BenchmarkManifest, path: str | Path) -> None:
-    Path(path).write_bytes(manifest_bytes(manifest))
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise SchemaError(msg)

@@ -68,11 +68,11 @@ class SynthConfig:
 
 @dataclass
 class SynthLatents:
+    labels: np.ndarray             # (N,) true class
     theta: np.ndarray              # (M, dim) ability, nonnegative orthant
     alpha: np.ndarray              # (N, dim) discrimination
     beta: np.ndarray               # (N,) easiness
     distractor_logits: np.ndarray  # (N, C-1)
-    distractor_weights: np.ndarray  # (N, C-1) softmax profile
     p_correct: np.ndarray          # (M, N)
     theta_norms: np.ndarray        # (M,)
 
@@ -131,25 +131,10 @@ def assemble_tensors(
     return tensors
 
 
-def generate_population(
-    config: SynthConfig, return_latents: bool = False,
-) -> tuple[BenchmarkManifest, dict[str, np.ndarray]] | tuple[
-        BenchmarkManifest, dict[str, np.ndarray], SynthLatents]:
-    """Draw a synthetic benchmark: the manifest, and each model's (N, C)
-    float32 rows by model id, as ``save_population`` writes them.  Each
-    model's true accuracy is the argmax accuracy of those rows.
-
-    The RNG draw order (labels, theta, alpha, alignment flips, beta,
-    distractor logits) is part of the contract: identical configs give
-    byte-identical artifacts.
-
-    The rows are as written, not as their files load: loading renormalizes
-    each row again, and at the default config 280 of the 400 000 rows come
-    back an ulp apart.  The stages read the models only from their files,
-    so write the population with ``save_population`` and read it through
-    ``files.TensorFiles``.
-    """
-    config.validate()
+def _draw_latents(config: SynthConfig) -> SynthLatents:
+    """The population's latent variables.  The RNG draw order (labels,
+    theta, alpha, alignment flips, beta, distractor logits) is part of the
+    contract: identical configs give byte-identical artifacts."""
     m, n, c, dim = (config.m_models, config.n_samples, config.c_classes,
                     config.ability_dim)
     rng = np.random.default_rng(config.seed)
@@ -163,14 +148,35 @@ def generate_population(
     distractor_logits = rng.standard_normal((n, c - 1))
 
     p_correct = sigmoid((-(alpha @ theta.T) + beta[:, None]).T)  # (M, N)
+    return SynthLatents(labels=labels, theta=theta, alpha=alpha, beta=beta,
+                        distractor_logits=distractor_logits, p_correct=p_correct,
+                        theta_norms=np.linalg.norm(theta, axis=1))
+
+
+def generate_population(
+    config: SynthConfig,
+) -> tuple[BenchmarkManifest, dict[str, np.ndarray]]:
+    """Draw a synthetic benchmark: the manifest, and each model's (N, C)
+    float32 rows by model id, as ``save_population`` writes them.  Each
+    model's true accuracy is the argmax accuracy of those rows.
+
+    The rows are as written, not as their files load: loading renormalizes
+    each row again, and at the default config 280 of the 400 000 rows come
+    back an ulp apart.  The stages read the models only from their files,
+    so write the population with ``save_population`` and read it through
+    ``files.TensorFiles``.
+    """
+    config.validate()
+    lat = _draw_latents(config)
+    m, n, c = config.m_models, config.n_samples, config.c_classes
+    labels = lat.labels
 
     model_ids = [f"synth-{j:04d}" for j in range(m)]
-    tensors = assemble_tensors(labels, p_correct, distractor_logits,
+    tensors = assemble_tensors(labels, lat.p_correct, lat.distractor_logits,
                                config.noise_temperature, model_ids)
 
-    norms = np.linalg.norm(theta, axis=1)
     rank = np.empty(m, dtype=np.int64)
-    rank[np.argsort(norms, kind="stable")] = np.arange(m)
+    rank[np.argsort(lat.theta_norms, kind="stable")] = np.arange(m)
     span_days = (config.date_end - config.date_start).days
     dates = [config.date_start + _dt.timedelta(days=round(int(r) * span_days / (m - 1)))
              for r in rank]
@@ -193,16 +199,6 @@ def generate_population(
             tensor_path=f"tensors/{mid}.dten",
         ))
     manifest.validate()
-
-    if return_latents:
-        latents = SynthLatents(
-            theta=theta, alpha=alpha, beta=beta,
-            distractor_logits=distractor_logits,
-            distractor_weights=distractor_profile(distractor_logits,
-                                                  config.noise_temperature),
-            p_correct=p_correct, theta_norms=norms,
-        )
-        return manifest, tensors, latents
     return manifest, tensors
 
 

@@ -26,18 +26,18 @@ from disco.harness import (
     split_models,
 )
 from disco.predictors import train
-from disco.scoring import (
-    balance_identity_check,
-    check_sandwich,
-    jsd,
-    mutual_information_bruteforce,
-    score_dataset,
-)
-from disco.selection import kmedoids_objective, select_kmedoids, select_topk
+from disco.scoring import jsd, score_dataset
+from disco.selection import select_kmedoids, select_topk
 from disco.signatures import pca_fit, pca_transform
 from disco.synth import SynthConfig, generate_population
 
 from conftest import saved_population
+from oracles import (
+    balance_identity_check,
+    check_sandwich,
+    kmedoids_objective,
+    mutual_information_bruteforce,
+)
 
 
 def _gate(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -830,6 +830,27 @@ class TestSweepCommand:
         assert "InvalidConfig" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--budgets", "10,10"), ("--budgets", "10,50,010"), ("--seeds", "0,1,0"),
+        ("--configs", "topk_pds:knn,random:direct,topk_pds:knn")])
+    def test_a_repeated_entry_exits_2_before_loading_tensors(self, synth_dir, tmp_path,
+                                                              monkeypatch, capsys,
+                                                              flag, value):
+        def no_load(*args):
+            raise AssertionError("a tensor file was read")
+
+        monkeypatch.setattr(dten, "open_dten", no_load)
+        argv = {"--budgets": "10", "--seeds": "0", "--configs": "topk_pds:knn", flag: value}
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--manifest", synth_dir / "data" / "manifest.json",
+                       *(a for pair in argv.items() for a in pair),
+                       "--cutoff", "median", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"disco sweep: InvalidConfig: {flag} lists an entry more than once: "
+                       f"{value!r}\n")
+        assert not out.exists()
+
 
 FORKED_SWEEP_CONFIGS = ("kmedoids_conf:knn,kmedoids_corr:weighted_sum,"
                         "best_for_validation:direct,topk_pds:random_forest")

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from disco.harness import (
     median_date_cutoff,
     midranks,
     pearson,
-    report_to_obj,
     run_pipeline,
     save_report,
     select_anchors,
@@ -399,8 +399,8 @@ def assert_sweep_equals_separate_pipelines(manifest, source, configs, seeds, tmp
     reports = sweep_budgets(source(), split, configs, budgets, seeds)
     singles = [run_pipeline(source(), split, sel, pred, k, seed)
                for sel, pred in configs for k in budgets for seed in seeds]
-    assert ([json.dumps(report_to_obj(r)) for r in reports]
-            == [json.dumps(report_to_obj(r)) for r in singles])
+    assert ([json.dumps(asdict(r)) for r in reports]
+            == [json.dumps(asdict(r)) for r in singles])
     write_sweep_csv(reports, tmp_path / "sweep.csv")
     write_sweep_csv(singles, tmp_path / "singles.csv")
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "singles.csv").read_bytes()

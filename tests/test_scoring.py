@@ -20,20 +20,15 @@ from disco.errors import (
     InvalidConfig,
     InvalidDistribution,
     LengthMismatch,
-    NonZeroSum,
     ShapeMismatch,
     TooFewModels,
 )
 from disco.scoring import (
     CSV_HEADER,
-    balance_identity_check,
-    check_sandwich,
     jsd,
-    mutual_information_bruteforce,
     pds,
     read_scores_csv,
     score_dataset,
-    total_variation,
     write_scores_csv,
 )
 
@@ -41,6 +36,13 @@ from disco.files import TensorFiles
 from disco.store import load_tensor
 
 from conftest import make_manifest, random_stack, saved_population, tensor_from_rows
+from oracles import (
+    NonZeroSum,
+    balance_identity_check,
+    check_sandwich,
+    mutual_information_bruteforce,
+    total_variation,
+)
 
 
 def entropy2_naive(p):

@@ -21,7 +21,6 @@ from disco.scoring import ScoreTable
 from disco.selection import (
     build_embeddings,
     distance_matrix,
-    kmedoids_objective,
     kmedoids_with_trace,
     load_subset,
     save_subset,
@@ -34,6 +33,7 @@ from disco.selection import (
 from disco.store import accuracy, correctness, load_tensor
 
 from conftest import make_manifest, saved_population, tensor_from_rows
+from oracles import kmedoids_objective
 
 
 def table_from_scores(scores):

@@ -13,7 +13,9 @@ from disco.scoring import score_dataset
 from disco.store import accuracy, correctness, load_manifest, load_tensor, manifest_bytes
 from disco.synth import (
     SynthConfig,
+    _draw_latents,
     assemble_tensors,
+    distractor_profile,
     generate_population,
     save_population,
     sigmoid,
@@ -64,7 +66,7 @@ class TestGenerate:
         assert np.all(table.jsd_bits < 1e-12)
 
     def test_mean_p_correct_matches_formula_reevaluation(self):
-        man, tensors, lat = generate_population(SMALL, return_latents=True)
+        lat = _draw_latents(SMALL)
         m, n = lat.p_correct.shape
         total = 0.0
         for j in range(m):
@@ -73,7 +75,9 @@ class TestGenerate:
         assert abs(lat.p_correct.mean() - total / (m * n)) < 1e-12
 
     def test_dates_follow_ability_norm_order(self):
-        man, tensors, lat = generate_population(SMALL, return_latents=True)
+        man, _ = generate_population(SMALL)
+        lat = _draw_latents(SMALL)
+        assert np.array_equal(lat.labels, man.labels)
         dates = np.array([m.release_date.toordinal() for m in man.models])
         order = np.argsort(lat.theta_norms, kind="stable")
         assert (np.diff(dates[order]) >= 0).all()
@@ -151,7 +155,8 @@ class TestAbilityAccuracyLink:
         # meaningful if stronger-ability models really score higher
         for seed in range(10):
             cfg = SynthConfig(seed=seed)
-            man, tensors, lat = generate_population(cfg, return_latents=True)
+            man, _ = generate_population(cfg)
+            lat = _draw_latents(cfg)
             accs = np.array([m.true_accuracy for m in man.models])
             assert spearman(lat.theta_norms, accs) > 0.5
 
@@ -182,7 +187,9 @@ class TestSavePopulation:
         # the distractors by the sample's softmax profile; its float64 rows,
         # cast to float32 and ingested chunk by chunk, are what is returned
         # and written
-        man, tensors, lat = generate_population(SMALL, return_latents=True)
+        man, tensors = generate_population(SMALL)
+        lat = _draw_latents(SMALL)
+        weights = distractor_profile(lat.distractor_logits, SMALL.noise_temperature)
         save_population(man, tensors, tmp_path)
         n, c = man.num_samples, man.num_classes
         step = store._chunk_rows(c)
@@ -193,7 +200,7 @@ class TestSavePopulation:
                 p = lat.p_correct[j, i]
                 values[i, label] = p
                 values[i, [k for k in range(c) if k != label]] = (
-                    (1.0 - p) * lat.distractor_weights[i])
+                    (1.0 - p) * weights[i])
             rows = values.astype(np.float32)
             faults = store._RowFaults()
             for lo in range(0, n, step):

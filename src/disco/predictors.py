@@ -138,6 +138,14 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     equals a stable argsort of the node's own rows, and node rows stay in
     ascending index order; splits, leaf means and the preorder sequence of
     RNG draws are those of sorting every node afresh.
+
+    Nodes are popped from an explicit work stack, left child first, so they
+    are numbered and draw from ``rng`` in preorder.  A recursive closure
+    would refer to itself through its cell, and that cycle would keep each
+    tree's working arrays, node lists and ``rng`` alive until the cyclic
+    collector ran; without it they are freed as soon as the tree is built.
+    The stack holds the row orders of pending right children, which are
+    disjoint, so at most the root's d x n orders.
     """
     n, d = x.shape
     mtry = d if cfg.feature_frac >= 1.0 else max(1, int(d * cfg.feature_frac))
@@ -149,10 +157,14 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
-
-    def build(rows: np.ndarray, order: np.ndarray) -> int:
+    # (node rows, their per-feature orders, the node whose right child this is or -1)
+    stack = [(np.arange(n), np.argsort(xt, axis=1, kind="stable"), -1)]
+    while stack:
+        rows, order, parent = stack.pop()
         order = order.reshape(d, rows.size)
         node = len(feature)
+        if parent >= 0:
+            right[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
@@ -161,7 +173,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         ys = y[rows]
         if rows.size < 2 * cfg.min_leaf or (ys == ys[0]).all():
             value[node] = float(ys.mean())
-            return node
+            continue
         if mtry == d:
             split = _best_split(xt, y, order, all_feats, cfg.min_leaf)
         else:
@@ -169,19 +181,16 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: ForestConfig,
             split = _best_split(xt, y, order[feats], feats, cfg.min_leaf)
         if split is None:
             value[node] = float(ys.mean())
-            return node
+            continue
         f, t = split
         mask = xt[f, rows] <= t
         feature[node] = f
         threshold[node] = t
+        left[node] = node + 1
         goes_left[rows] = mask
         to_left = goes_left.take(order).ravel()
-        flat = order.ravel()
-        left[node] = build(rows[mask], flat.compress(to_left))
-        right[node] = build(rows[~mask], flat.compress(~to_left))
-        return node
-
-    build(np.arange(n), np.argsort(xt, axis=1, kind="stable"))
+        stack.append((rows[~mask], order.compress(~to_left), node))
+        stack.append((rows[mask], order.compress(to_left), -1))
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold),

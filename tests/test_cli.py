@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 from collections import Counter
 
@@ -942,6 +944,53 @@ def test_auto_threads_on_one_cpu_starts_no_worker(synth_dir, tmp_path, monkeypat
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "fork", no_fork)
     assert run_cli(*sweep_argv(synth_dir, tmp_path / "sweep.csv")) == 0
+
+
+def forest_commands(artifacts, out):
+    """Each named run of forest commands, as argv lists."""
+    work, m = artifacts
+    forest = ("--predictor", "random_forest", "--trees", 5, "--cutoff", "median")
+    evaluate = ("evaluate", "--manifest", m, *forest, "--k", 10, "--out", out / "report.json")
+    return {
+        "evaluate-1": [(*evaluate, "--threads", 1)],
+        "evaluate-2": [(*evaluate, "--threads", 2)],
+        "fit-predict": [
+            ("fit", "--manifest", m, "--subset", work / "subset.json", *forest,
+             "--threads", 1, "--out", out / "model.dpak"),
+            ("predict", "--manifest", m, "--model", out / "model.dpak", "--subset",
+             work / "subset.json", "--cutoff", "median", "--out", out / "pred.json")],
+        "sweep": [("sweep", "--manifest", m, "--budgets", "10,20", "--seeds", "0",
+                   "--configs", "topk_pds:random_forest", *forest[2:], "--threads", 2,
+                   "--out", out / "sweep.csv")],
+    }
+
+
+@pytest.mark.parametrize("run", ["evaluate-1", "evaluate-2", "fit-predict", "sweep"])
+def test_forest_commands_leave_no_reference_cycle(artifacts, tmp_path, many_cpus, run):
+    # what a command leaves in a reference cycle lives on until the cyclic
+    # collector happens to run: a forest fit must free each tree's arrays
+    # and RNG when the tree is built.  argparse, json and inspect leave
+    # stdlib cycles behind in every command; only disco's functions and
+    # numpy's RNG objects count.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in forest_commands(artifacts, tmp_path)[run]:
+            assert run_cli(*argv) == 0, argv
+        gc.collect()
+        cyclic = [repr(o) for o in gc.garbage
+                  if isinstance(o, (np.random.Generator, np.random.SeedSequence))
+                  or isinstance(o, types.FunctionType)
+                  and (o.__module__ or "").startswith("disco.")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert_no_child_left()
+    assert cyclic == []
 
 
 class TestSynthCommand:

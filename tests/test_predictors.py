@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -213,6 +214,25 @@ class TestForest:
                     assert t.left[node] == -1 and t.right[node] == -1
                 else:
                     assert 0 < t.left[node] < n and 0 < t.right[node] < n
+
+    def test_fit_peak_allocation_near_one_tree(self, rng):
+        # each tree's presorted orders, split temporaries and RNG are freed
+        # once it is built, so 100 trees peak near one tree plus their node
+        # tables; a builder that kept each tree's arrays in a reference
+        # cycle peaked at 4.0 times one tree here
+        x, y = rng.standard_normal((200, 199)), rng.random(200)
+
+        def peak(n_trees):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train("random_forest", x, y, forest=ForestConfig(n_trees=n_trees),
+                      seed=0, threads=1)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100) <= 1.5 * peak(1)
 
 
 # --- reference forest --------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as _dt
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -85,28 +84,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+try:  # the interpreter's own SHA-256; hashlib would load OpenSSL for it
+    from _sha2 import sha256 as _new_sha256      # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
+
+_HASH_CHUNK = 1 << 16
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex SHA-256 of the file at ``path``, read in fixed-size chunks."""
+    digest = _new_sha256()
+    chunk = memoryview(bytearray(_HASH_CHUNK))
+    with open(path, "rb", buffering=0) as f:
+        while got := f.readinto(chunk):
+            digest.update(chunk[:got])
+    return digest.hexdigest()
 
 
-def _provenance(seed: int = 0, **inputs: Path) -> dict:
-    return {
-        "inputs": {name: _sha256(p) for name, p in inputs.items()},
-        "seed": seed,
-        "version": __version__,
-    }
+class _Inputs:
+    """The input files a command's provenance records, each hashed at most
+    once: the digest checked against an upstream artifact is the one the
+    command's own artifact records."""
 
+    def __init__(self, **paths: Path) -> None:
+        self.paths = paths
+        self._digests: dict[str, str] = {}
 
-def _check_fresh(recorded: dict | None, name: str, path: Path) -> None:
-    if recorded is None:
-        return
-    inputs = recorded.get("inputs", {}) if isinstance(recorded, dict) else None
-    if not isinstance(inputs, dict):
-        raise SchemaError(f"malformed provenance stanza: cannot check {name} against {path}")
-    have = inputs.get(name)
-    if have is not None and have != _sha256(path):
-        raise StaleArtifact(f"{name} hash recorded in upstream artifact does not "
-                            f"match {path}; regenerate the artifact")
+    def digest(self, name: str) -> str:
+        if name not in self._digests:
+            self._digests[name] = _sha256(self.paths[name])
+        return self._digests[name]
+
+    def check_fresh(self, recorded: dict | None, name: str) -> None:
+        """StaleArtifact unless input ``name`` still has the digest that the
+        upstream artifact's provenance ``recorded`` for it, if any."""
+        if recorded is None:
+            return
+        inputs = recorded.get("inputs", {}) if isinstance(recorded, dict) else None
+        path = self.paths[name]
+        if not isinstance(inputs, dict):
+            raise SchemaError(f"malformed provenance stanza: cannot check {name} against {path}")
+        have = inputs.get(name)
+        if have is not None and have != self.digest(name):
+            raise StaleArtifact(f"{name} hash recorded in upstream artifact does not "
+                                f"match {path}; regenerate the artifact")
+
+    def provenance(self, seed: int = 0) -> dict:
+        return {
+            "inputs": {name: self.digest(name) for name in self.paths},
+            "seed": seed,
+            "version": __version__,
+        }
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -179,7 +211,7 @@ def cmd_score(args) -> int:
     table = score_dataset(manifest, TensorFiles(manifest, ids))
     out = _workpath(args, args.out)
     write_scores_csv(table, out)
-    prov = _provenance(manifest=manifest_path)
+    prov = _Inputs(manifest=manifest_path).provenance()
     prov["models"] = ids
     Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
     print(f"score: wrote {out} ({len(table)} samples, {len(ids)} models)")
@@ -191,19 +223,19 @@ def cmd_select(args) -> int:
     manifest = load_manifest(manifest_path)
     method = args.method
     ids = _resolve_models(manifest, args, "source")
-    inputs: dict[str, Path] = {"manifest": manifest_path}
+    inputs = _Inputs(manifest=manifest_path)
     scores = None
     if args.scores:
         scores_path = _workpath(args, args.scores)
         prov_path = Path(str(scores_path) + ".prov.json")
         prov = read_json_object(prov_path, "score provenance") if prov_path.is_file() else {}
-        _check_fresh(prov, "manifest", manifest_path)
+        inputs.check_fresh(prov, "manifest")
         scores = read_scores_csv(scores_path)
         if len(scores) != manifest.num_samples:
             raise ShapeMismatch(f"{scores_path} scores {len(scores)} samples, "
                                 f"the manifest has {manifest.num_samples}")
         if method in SCORE_METHODS:
-            inputs["scores"] = scores_path
+            inputs.paths["scores"] = scores_path
             scored = prov.get("models")
             if (args.models or args.cutoff) and not (
                     isinstance(scored, list) and sorted(scored, key=str) == sorted(ids)):
@@ -218,7 +250,7 @@ def cmd_select(args) -> int:
         method, args.k, args.seed)
 
     out = _workpath(args, args.out)
-    save_subset(subset, out, provenance=_provenance(args.seed, **inputs))
+    save_subset(subset, out, provenance=inputs.provenance(args.seed))
     print(f"select: wrote {out} (method={subset.method}, k={subset.k})")
     return 0
 
@@ -228,7 +260,8 @@ def cmd_fit(args) -> int:
     manifest = load_manifest(manifest_path)
     subset_path = _workpath(args, args.subset)
     subset = load_subset(subset_path)
-    _check_fresh(subset.provenance, "manifest", manifest_path)
+    inputs = _Inputs(manifest=manifest_path, subset=subset_path)
+    inputs.check_fresh(subset.provenance, "manifest")
     subset.validate(manifest.num_samples)
     ids = _resolve_models(manifest, args, "source")
     threads = _threads(args)
@@ -238,7 +271,7 @@ def cmd_fit(args) -> int:
                           threads=threads)
 
     out = _workpath(args, args.out)
-    prov = _provenance(args.seed, manifest=manifest_path, subset=subset_path)
+    prov = inputs.provenance(args.seed)
     prov["mode"] = args.mode
     prov["models"] = ids
     save_predictor(model, out, provenance=prov)
@@ -252,8 +285,9 @@ def cmd_predict(args) -> int:
     model_path = _workpath(args, args.model)
     subset_path = _workpath(args, args.subset)
     model = load_predictor(model_path)
-    _check_fresh(model.provenance, "manifest", manifest_path)
-    _check_fresh(model.provenance, "subset", subset_path)
+    inputs = _Inputs(manifest=manifest_path, model=model_path, subset=subset_path)
+    inputs.check_fresh(model.provenance, "manifest")
+    inputs.check_fresh(model.provenance, "subset")
     mode = model.provenance.get("mode") if isinstance(model.provenance, dict) else None
     if model.kind in TRAINED_KINDS and mode not in MODES:
         raise SchemaError(f"{model_path}: provenance 'mode' must be one of "
@@ -268,8 +302,7 @@ def cmd_predict(args) -> int:
     out = _workpath(args, args.out)
     obj = {
         "predictions": predictions,
-        "provenance": _provenance(manifest=manifest_path, model=model_path,
-                                  subset=subset_path),
+        "provenance": inputs.provenance(),
     }
     out.write_text(json.dumps(obj, indent=2) + "\n")
     print(f"predict: wrote {out} ({len(predictions)} models)")
@@ -310,7 +343,7 @@ def cmd_evaluate(args) -> int:
     if report.spearman is None or report.pearson is None:
         raise ZeroVariance("correlation undefined for a constant input")
     out = _workpath(args, args.out)
-    save_report(report, out, provenance=_provenance(args.seed, manifest=manifest_path))
+    save_report(report, out, provenance=_Inputs(manifest=manifest_path).provenance(args.seed))
     print(f"evaluate: wrote {out} (mae_pp={report.mae_pp:.4f}, "
           f"spearman={report.spearman:.4f})")
     return 0
@@ -345,7 +378,7 @@ def cmd_sweep(args) -> int:
     reports = sweep_budgets(files, split, configs, budgets, seeds, threads=_threads(args))
     out = _workpath(args, args.out)
     write_sweep_csv(reports, out)
-    prov = _provenance(manifest=manifest_path)
+    prov = _Inputs(manifest=manifest_path).provenance()
     prov["budgets"] = budgets
     prov["seeds"] = seeds
     Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
@@ -367,7 +400,7 @@ def cmd_synth(args) -> int:
     manifest, tensors = generate_population(config)
     out_dir = _workpath(args, args.out)
     manifest_path = save_population(manifest, tensors, out_dir)
-    prov = _provenance(args.seed, manifest=manifest_path)
+    prov = _Inputs(manifest=manifest_path).provenance(args.seed)
     prov["config"] = {**dataclasses.asdict(config),
                       "date_start": config.date_start.isoformat(),
                       "date_end": config.date_end.isoformat()}

@@ -46,8 +46,9 @@ PAYLOAD_START = _HEADER.size  # byte offset of a DTEN file's payload
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def dten_bytes(values: np.ndarray) -> bytes:
-    """Serialize a 2-D float array to canonical DTEN bytes."""
+def _block(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The DTEN header of a 2-D float array and the C-contiguous array whose
+    buffer is the record's payload; together the array's canonical record."""
     arr = np.ascontiguousarray(values)
     if arr.ndim != 2:
         raise ShapeMismatch(f"DTEN stores 2-D arrays, got ndim={arr.ndim}")
@@ -55,11 +56,22 @@ def dten_bytes(values: np.ndarray) -> bytes:
     if code is None:
         raise ShapeMismatch(f"unsupported dtype {arr.dtype}; use float32 or float64")
     head = _HEADER.pack(DTEN_MAGIC, 1, code, 2, 0, arr.shape[0], arr.shape[1])
-    return head + arr.astype(_DTYPES[code], copy=False).tobytes(order="C")
+    return head, arr.astype(_DTYPES[code], copy=False)
+
+
+def _write_blocks(path: str | Path, prefix: bytes,
+                  blocks: list[tuple[bytes, np.ndarray]]) -> None:
+    """Write ``prefix`` and then each block's header and the array's own
+    buffer, so no serialized copy of an array is made."""
+    with open(path, "wb") as f:
+        f.write(prefix)
+        for head, arr in blocks:
+            f.write(head)
+            f.write(arr.reshape(-1).view(np.uint8))
 
 
 def write_dten(path: str | Path, values: np.ndarray) -> None:
-    Path(path).write_bytes(dten_bytes(values))
+    _write_blocks(path, b"", [_block(values)])
 
 
 def _check_header(buf: bytes, offset: int, available: int,
@@ -86,13 +98,6 @@ def _check_header(buf: bytes, offset: int, available: int,
     if max(d0, d1) > _INTP_MAX // dt.itemsize:
         raise MagicMismatch(f"{name}: dims {d0}x{d1} are too large for an array")
     return dt, (d0, d1), nbytes
-
-
-def _parse_dten(buf: bytes, offset: int, name: str) -> tuple[np.ndarray, int]:
-    dt, dims, nbytes = _check_header(buf, offset, len(buf) - offset, name)
-    start = offset + _HEADER.size
-    values = np.frombuffer(buf, dtype=dt, count=dims[0] * dims[1], offset=start)
-    return values.reshape(dims), start + nbytes
 
 
 def open_dten(path: str | Path) -> tuple[BinaryIO, np.dtype, tuple[int, int]]:
@@ -131,45 +136,50 @@ def read_into(f: BinaryIO, out: np.ndarray, offset: int) -> None:
         done += got
 
 
-def bundle_bytes(header: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    """Serialize named arrays plus a JSON header into one bundle."""
+def write_bundle(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write named arrays plus a JSON header as one bundle."""
+    blocks = [_block(arrays[name]) for name in arrays]  # checked before the file opens
     head = dict(header)
     head["blocks"] = list(arrays)
     hjson = json.dumps(head, separators=(",", ":"), sort_keys=True).encode()
-    out = [BUNDLE_MAGIC, bytes([1, 0, 0, 0]), struct.pack("<I", len(hjson)), hjson]
-    for name in arrays:
-        out.append(dten_bytes(arrays[name]))
-    return b"".join(out)
-
-
-def write_bundle(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    Path(path).write_bytes(bundle_bytes(header, arrays))
+    prefix = BUNDLE_MAGIC + bytes([1, 0, 0, 0]) + struct.pack("<I", len(hjson)) + hjson
+    _write_blocks(path, prefix, blocks)
 
 
 def read_bundle(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and named arrays of a bundle.  Each block's dims are
+    checked against the file's size before its array is allocated, and the
+    block is read straight into it."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such bundle file: {path}")
-    buf = path.read_bytes()
-    if len(buf) < 12 or buf[:4] != BUNDLE_MAGIC:
-        raise MagicMismatch(f"{path}: not a bundle file")
-    if buf[4] != 1:
-        raise MagicMismatch(f"{path}: unsupported bundle version {buf[4]}")
-    (hlen,) = struct.unpack_from("<I", buf, 8)
-    try:
-        header = json.loads(buf[12:12 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise MagicMismatch(f"{path}: corrupt bundle header: {e}") from e
-    blocks = header.get("blocks", []) if isinstance(header, dict) else None
-    if not isinstance(blocks, list):
-        raise MagicMismatch(f"{path}: bundle header is not an object with a list of block names")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 12 + hlen
-    for name in blocks:
-        values, offset = _parse_dten(buf, offset, f"{path}[{name}]")
-        arrays[name] = values.copy()
-    if offset != len(buf):
-        raise MagicMismatch(f"{path}: {len(buf) - offset} trailing bytes after the last block")
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(12)
+        if len(prefix) < 12 or prefix[:4] != BUNDLE_MAGIC:
+            raise MagicMismatch(f"{path}: not a bundle file")
+        if prefix[4] != 1:
+            raise MagicMismatch(f"{path}: unsupported bundle version {prefix[4]}")
+        (hlen,) = struct.unpack_from("<I", prefix, 8)
+        try:
+            header = json.loads(f.read(min(hlen, size - 12)).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise MagicMismatch(f"{path}: corrupt bundle header: {e}") from e
+        blocks = header.get("blocks", []) if isinstance(header, dict) else None
+        if not isinstance(blocks, list) or not all(isinstance(n, str) for n in blocks):
+            raise MagicMismatch(f"{path}: bundle header is not an object with a list of block names")
+        arrays: dict[str, np.ndarray] = {}
+        offset = 12 + hlen
+        for name in blocks:
+            f.seek(offset)
+            dt, dims, nbytes = _check_header(f.read(_HEADER.size), 0, size - offset,
+                                             f"{path}[{name}]")
+            values = np.empty(dims, dtype=dt)
+            read_into(f, values, offset + _HEADER.size)
+            arrays[name] = values
+            offset += _HEADER.size + nbytes
+    if offset != size:
+        raise MagicMismatch(f"{path}: {size - offset} trailing bytes after the last block")
     return header, arrays
 
 
@@ -188,6 +198,8 @@ def bundle_block(arrays: dict[str, np.ndarray], name: str, where: str,
         want = "x".join("n" if w is None else str(w) for w in shape)
         raise SchemaError(f"{where}: {name} block has shape {block.shape}, "
                           f"expected {want}")
-    if not np.isfinite(block).all():
+    # NaN propagates through min and max, so two scalars tell what a mask
+    # of the whole block would, without allocating one
+    if not np.isfinite([block.min(), block.max()]).all():
         raise SchemaError(f"{where}: {name} block has a non-finite entry")
     return block.astype(np.float64, copy=False)

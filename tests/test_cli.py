@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import disco
-from disco import dten, store
+from disco import cli, dten, store
 from disco.cli import main
 from disco.errors import RowSumOutOfTolerance
 from disco.files import TensorFiles
@@ -706,6 +706,65 @@ def test_select_reads_tensor_files_only_for_summary_methods(artifacts, tmp_path,
     assert run_cli("select", "--manifest", manifest, "--k", 5,
                    *[a.format(work=work) for a in argv], "--out", tmp_path / "s.json") == 0
     assert opened == []
+
+
+@pytest.mark.parametrize("argv, hashed", [
+    (("select", "--method", "topk_pds", "--k", 10, "--scores", "{work}/scores.csv"),
+     ("scores.csv",)),
+    (("fit", "--subset", "{work}/subset.json", "--predictor", "knn"), ("subset.json",)),
+    (("predict", "--model", "{work}/model.bin", "--subset", "{work}/subset.json"),
+     ("model.bin", "subset.json")),
+], ids=["select", "fit", "predict"])
+def test_each_input_is_hashed_once(artifacts, tmp_path, monkeypatch, argv, hashed):
+    # the digest checked against an upstream artifact is the one recorded
+    work, manifest = artifacts
+    reads = Counter()
+    sha256 = cli._sha256
+
+    def counting(path):
+        reads[path] += 1
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting)
+    argv = [str(a).format(work=work) for a in argv]
+    assert run_cli(*argv, "--manifest", manifest, "--cutoff", "median",
+                   "--out", tmp_path / "out") == 0
+    assert reads == Counter({manifest: 1, **{work / name: 1 for name in hashed}})
+
+
+@pytest.mark.parametrize("size", [0, 1, cli._HASH_CHUNK - 1, cli._HASH_CHUNK,
+                                  cli._HASH_CHUNK + 1, 3 * cli._HASH_CHUNK])
+def test_sha256_equals_hashlib(tmp_path, size):
+    import hashlib
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_commands_that_draw_no_random_number_load_no_openssl(synth_dir, tmp_path):
+    # hashlib's OpenSSL module costs a process about 3.6 MB of RSS; only
+    # numpy.random should bring it in
+    probe = ("import sys\n"
+             "from disco.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print('_hashlib' in sys.modules)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
+    manifest = synth_dir / "data" / "manifest.json"
+    chain = ("--manifest", manifest, "--cutoff", "median")
+    for argv in [("validate", manifest),
+                 ("score", *chain, "--out", tmp_path / "scores.csv"),
+                 ("select", *chain, "--method", "topk_pds", "--k", 10,
+                  "--scores", tmp_path / "scores.csv", "--out", tmp_path / "subset.json"),
+                 ("fit", *chain, "--subset", tmp_path / "subset.json", "--predictor", "knn",
+                  "--out", tmp_path / "model.bin"),
+                 ("predict", *chain, "--model", tmp_path / "model.bin",
+                  "--subset", tmp_path / "subset.json", "--out", tmp_path / "pred.json")]:
+        proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", argv[0]
 
 
 class TestUnwritableOutput:

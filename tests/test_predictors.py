@@ -26,7 +26,7 @@ from disco.predictors import (
     train,
 )
 from disco.selection import AnchorSubset, build_embeddings, select_kmedoids
-from disco.signatures import pca_fit, pca_transform
+from disco.signatures import PcaProjection, pca_fit, pca_transform
 from disco.store import accuracy, correctness, load_tensor
 
 from conftest import make_manifest, saved_population
@@ -553,6 +553,67 @@ class TestSerialization:
         write_bundle(path, header, arrays)
         with pytest.raises(SchemaError):
             load_predictor(path)
+
+
+    @staticmethod
+    def big_knn(rng):
+        """A saved knn bundle of about 3.3 MB, nearly all of it PCA
+        components, and the bytes of its arrays."""
+        d, dim, m = 50, 8000, 60
+        proj = PcaProjection(mean=rng.random(dim),
+                             components=rng.standard_normal((d, dim)),
+                             explained_variance=np.sort(rng.random(d))[::-1])
+        model = PredictorModel(kind="knn", projection=proj,
+                               knn_vectors=rng.standard_normal((m, d)),
+                               knn_performances=rng.random(m), k_neighbors=3)
+        nbytes = sum(a.nbytes for a in (proj.mean, proj.components,
+                                        proj.explained_variance, model.knn_vectors,
+                                        model.knn_performances))
+        return model, nbytes
+
+    def test_bundle_is_resident_once_in_save_and_load(self, tmp_path, rng):
+        # each block is written from and read into its array's own buffer;
+        # a serialized copy of the whole bundle peaked at 2.0x
+        model, nbytes = self.big_knn(rng)
+        assert nbytes >= 3 * 2**20
+        path = tmp_path / "model.dpak"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_predictor(model, path, provenance={"seed": 0})
+            saved = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_predictor(path)
+            read = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert saved <= 1.1 * nbytes
+        assert read <= 1.1 * nbytes
+        assert np.array_equal(loaded.projection.components, model.projection.components)
+
+    def test_block_dims_beyond_the_file_allocate_nothing(self, tmp_path, rng):
+        import struct
+        from disco.errors import MagicMismatch
+        model, _ = self.big_knn(rng)
+        path = tmp_path / "model.dpak"
+        save_predictor(model, path)
+        blob = bytearray(path.read_bytes())
+        # the first block, pca_mean (1 x 8000), now declares 2**20 rows: 64 GB
+        at = blob.index(b"DTEN") + 8
+        _, cols = struct.unpack_from("<QQ", blob, at)
+        struct.pack_into("<QQ", blob, at, 2**20, cols)
+        path.write_bytes(bytes(blob))
+        del blob
+        tracemalloc.start()
+        try:
+            with pytest.raises(MagicMismatch, match="payload shorter than dims") as e:
+                load_predictor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.exit_code == 3
+        assert peak < 2**16
 
 
 class TestForestWalk:

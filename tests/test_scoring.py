@@ -522,13 +522,16 @@ def write_faulty(path, raw, row_faults, file_fault):
             raw[row] *= 0.99
         else:
             raw[row, row % raw.shape[1]] = ROW_FAULTS[fault]
-    data = dten.dten_bytes(raw)
-    if file_fault == "trailing":
-        data += b"\0"
-    elif file_fault == "dims":
-        data = data[:8] + struct.pack("<QQ", raw.shape[1], raw.shape[0]) + data[24:]
-    if file_fault != "missing":
-        path.write_bytes(data)
+    if file_fault == "missing":
+        return
+    dten.write_dten(path, raw)
+    with open(path, "r+b") as f:
+        if file_fault == "trailing":
+            f.seek(0, 2)
+            f.write(b"\0")
+        elif file_fault == "dims":
+            f.seek(8)
+            f.write(struct.pack("<QQ", raw.shape[1], raw.shape[0]))
 
 
 def raised(fn):

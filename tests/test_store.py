@@ -301,7 +301,7 @@ class TestBundle:
         with pytest.raises(MagicMismatch, match="4 trailing bytes"):
             dten.read_bundle(path)
 
-    @pytest.mark.parametrize("header", [b"[]", b'{"blocks": 3}'])
+    @pytest.mark.parametrize("header", [b"[]", b'{"blocks": 3}', b'{"blocks": [[1]]}'])
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "x.dpak"
         path.write_bytes(dten.BUNDLE_MAGIC + bytes([1, 0, 0, 0])

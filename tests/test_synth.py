@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from disco import dten, store
+from disco import store
 from disco.errors import InvalidConfig
 from disco.harness import spearman
 from disco.scoring import score_dataset
@@ -207,4 +208,5 @@ class TestSavePopulation:
                 store._ingest_rows(rows[lo:lo + step], lo, faults)
             assert not faults
             assert rows.tobytes() == tensors[meta.model_id].tobytes()
-            assert dten.dten_bytes(rows) == (tmp_path / meta.tensor_path).read_bytes()
+            head = struct.pack("<4sBBBBQQ", b"DTEN", 1, 0, 2, 0, n, c)
+            assert head + rows.tobytes() == (tmp_path / meta.tensor_path).read_bytes()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as _dt
-import json
 import sys
 from pathlib import Path
 
@@ -62,7 +61,7 @@ from .selection import (
     save_subset,
 )
 from .signatures import MODES
-from .store import BenchmarkManifest, load_manifest, read_json_object
+from .store import BenchmarkManifest, json_text, load_manifest, read_json_object
 from .synth import SynthConfig, generate_population, save_population
 from .workers import usable_cpus
 
@@ -213,7 +212,7 @@ def cmd_score(args) -> int:
     write_scores_csv(table, out)
     prov = _Inputs(manifest=manifest_path).provenance()
     prov["models"] = ids
-    Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
+    Path(str(out) + ".prov.json").write_text(json_text(prov))
     print(f"score: wrote {out} ({len(table)} samples, {len(ids)} models)")
     return 0
 
@@ -304,7 +303,7 @@ def cmd_predict(args) -> int:
         "predictions": predictions,
         "provenance": inputs.provenance(),
     }
-    out.write_text(json.dumps(obj, indent=2) + "\n")
+    out.write_text(json_text(obj))
     print(f"predict: wrote {out} ({len(predictions)} models)")
     return 0
 
@@ -381,7 +380,7 @@ def cmd_sweep(args) -> int:
     prov = _Inputs(manifest=manifest_path).provenance()
     prov["budgets"] = budgets
     prov["seeds"] = seeds
-    Path(str(out) + ".prov.json").write_text(json.dumps(prov, indent=2) + "\n")
+    Path(str(out) + ".prov.json").write_text(json_text(prov))
     print(f"sweep: wrote {out} ({len(reports)} rows)")
     return 0
 
@@ -404,7 +403,7 @@ def cmd_synth(args) -> int:
     prov["config"] = {**dataclasses.asdict(config),
                       "date_start": config.date_start.isoformat(),
                       "date_end": config.date_end.isoformat()}
-    (out_dir / "provenance.json").write_text(json.dumps(prov, indent=2) + "\n")
+    (out_dir / "provenance.json").write_text(json_text(prov))
     print(f"synth: wrote {manifest_path} ({config.m_models} models, "
           f"{config.n_samples} samples)")
     return 0

@@ -13,7 +13,6 @@ the anchors, and one pipeline's side at a time.
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
@@ -42,6 +41,7 @@ from .predictors import (
 )
 from .scoring import ScoreTable, score_dataset
 from .selection import (
+    EMBEDDINGS,
     METHODS,
     SCORE_METHODS,
     SUMMARY_METHODS,
@@ -55,7 +55,7 @@ from .selection import (
     select_topk,
 )
 from .signatures import build_signature, pca_fit_transform
-from .store import BenchmarkManifest, accuracy
+from .store import BenchmarkManifest, accuracy, json_text
 from .workers import fork_map
 
 
@@ -258,27 +258,21 @@ class SharedSources:
         self._kmedoids = None
 
 
-# The embedding kind each k-medoids selector clusters.
-KMEDOIDS_EMBEDDINGS = {"kmedoids_conf": "conf", "kmedoids_corr": "corr"}
-
-
 def select_anchors(shared: SharedSources, method: str, k: int,
                    seed: int) -> AnchorSubset:
     """The anchors that selector ``method`` picks from the shared source
     data; the score-ranking methods read only its score table, ``random``
-    nothing.  ``stratified_topk`` ranks by ``pds_env``; best-for-validation
-    takes its library defaults (1000 candidates, a 0.8 training share)."""
+    nothing.  Best-for-validation takes its library defaults (1000
+    candidates, a 0.8 training share)."""
     manifest = shared.sources.manifest
     if method == "random":
         return select_random(manifest.num_samples, k, seed)
+    if method == "stratified_topk":
+        return select_stratified_topk(shared.scores, manifest.task_tags, k, seed=seed)
     if method in SCORE_METHODS:
-        if method == "stratified_topk":
-            return select_stratified_topk(shared.scores, manifest.task_tags, k,
-                                          seed=seed)
-        criterion = "jsd_bits" if method == "topk_jsd" else "pds_env"
-        return select_topk(shared.scores, k, criterion, seed=seed)
-    if method in KMEDOIDS_EMBEDDINGS:
-        emb, d = shared.kmedoids_inputs(KMEDOIDS_EMBEDDINGS[method])
+        return select_topk(shared.scores, k, method, seed=seed)
+    if method in EMBEDDINGS:
+        emb, d = shared.kmedoids_inputs(EMBEDDINGS[method])
         return select_kmedoids(emb, k, seed, method_label=method, distances=d)
     if method == "best_for_validation":
         return select_best_for_validation(shared.sources, k, seed=seed)
@@ -459,8 +453,8 @@ def sweep_budgets(
         cells = [cell for cell in dict.fromkeys((method, k, seed) for k in budgets
                                                 for seed in seeds)
                  if cell not in subsets]
-        if cells and method in KMEDOIDS_EMBEDDINGS:
-            shared.kmedoids_inputs(KMEDOIDS_EMBEDDINGS[method])    # once, before the fork
+        if cells and method in EMBEDDINGS:
+            shared.kmedoids_inputs(EMBEDDINGS[method])    # once, before the fork
         # the other selectors take less time than forking a worker costs
         forked = threads if method in SUMMARY_METHODS else 1
         subsets.update(zip(cells, fork_map(lambda cell: select_anchors(shared, *cell),
@@ -485,7 +479,7 @@ def save_report(report: EvalReport, path: str | Path,
     obj = asdict(report)
     if provenance is not None:
         obj["provenance"] = provenance
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json_text(obj))
 
 
 SWEEP_HEADER = "method,selection,predictor,k,seed,mae_pp,spearman,pearson"

@@ -93,11 +93,6 @@ class ScoreTable:
     def __len__(self) -> int:
         return self.pds_env.size
 
-    def criterion(self, name: str) -> np.ndarray:
-        if name not in ("pds_env", "pds_eq1", "jsd_bits"):
-            raise KeyError(f"unknown selection criterion: {name!r}")
-        return getattr(self, name)
-
 
 def score_dataset(manifest: BenchmarkManifest, tensors: TensorFiles) -> ScoreTable:
     """Score every sample of the benchmark across the given model pool,

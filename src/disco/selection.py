@@ -6,7 +6,6 @@ returns an AnchorSubset whose indices are unique, sorted ascending.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,13 +22,17 @@ from .errors import (
 )
 from .files import TensorFiles
 from .scoring import ScoreTable
-from .store import read_json_object
+from .store import json_text, read_json_object
 
+# The score column each score-ranking selector ranks by, and the embedding
+# kind each k-medoids selector clusters.
+CRITERIA = {"topk_pds": "pds_env", "topk_jsd": "jsd_bits", "stratified_topk": "pds_env"}
+EMBEDDINGS = {"kmedoids_conf": "conf", "kmedoids_corr": "corr"}
 # The selectors that rank the source models' score table, those that read
 # their per-sample summaries, and all selectors.
-SCORE_METHODS = ("topk_pds", "topk_jsd", "stratified_topk")
-SUMMARY_METHODS = ("kmedoids_conf", "kmedoids_corr", "best_for_validation")
-METHODS = ("random",) + SCORE_METHODS + SUMMARY_METHODS
+SCORE_METHODS = tuple(CRITERIA)
+SUMMARY_METHODS = (*EMBEDDINGS, "best_for_validation")
+METHODS = ("random", *SCORE_METHODS, *SUMMARY_METHODS)
 
 
 @dataclass
@@ -38,8 +41,10 @@ class AnchorSubset:
     method: str
     seed: int
     weights: np.ndarray | None = None   # per-anchor weights, sum to 1
-    criterion: str | None = None
     provenance: object = None           # stanza of the file it was loaded from
+
+    # the score column the selector ranked by; None if it ranks none
+    criterion = property(lambda self: CRITERIA.get(self.method))
 
     @property
     def k(self) -> int:
@@ -81,19 +86,19 @@ def _rank_by(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def select_topk(scores: ScoreTable, k: int, criterion: str = "pds_env",
+def select_topk(scores: ScoreTable, k: int, method: str = "topk_pds",
                 seed: int = 0) -> AnchorSubset:
-    """The k samples with the largest criterion value."""
+    """The k samples with the largest value in the score column that the
+    top-k selector ``method`` ranks by."""
     _check_budget(len(scores), k)
-    idx = np.sort(_rank_by(scores.criterion(criterion))[:k])
-    method = "topk_jsd" if criterion == "jsd_bits" else "topk_pds"
-    return AnchorSubset(indices=idx.astype(np.int64), method=method,
-                        seed=seed, criterion=criterion)
+    idx = np.sort(_rank_by(getattr(scores, CRITERIA[method]))[:k])
+    return AnchorSubset(indices=idx.astype(np.int64), method=method, seed=seed)
 
 
 def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
                            seed: int = 0) -> AnchorSubset:
-    """Equal per-tag budgets of top-``pds_env`` samples, remainder by global rank."""
+    """Equal per-tag budgets of the samples that rank highest by the
+    selector's score column, the remainder by global rank."""
     n = len(scores)
     _check_budget(n, k)
     if len(task_tags) != n:
@@ -102,13 +107,13 @@ def select_stratified_topk(scores: ScoreTable, task_tags: Sequence[str], k: int,
     distinct = sorted(set(task_tags))
     quota = k // len(distinct)
 
-    ranked = _rank_by(scores.pds_env)
+    ranked = _rank_by(getattr(scores, CRITERIA["stratified_topk"]))
     taken = np.zeros(n, dtype=bool)
     for tag in distinct:
         taken[ranked[tags[ranked] == tag][:quota]] = True
     taken[ranked[~taken[ranked]][:k - int(taken.sum())]] = True
     return AnchorSubset(indices=np.flatnonzero(taken).astype(np.int64),
-                        method="stratified_topk", seed=seed, criterion="pds_env")
+                        method="stratified_topk", seed=seed)
 
 
 def build_embeddings(tensors: TensorFiles, kind: str) -> np.ndarray:
@@ -118,7 +123,7 @@ def build_embeddings(tensors: TensorFiles, kind: str) -> np.ndarray:
     read."""
     if not len(tensors):
         raise InsufficientModels("embeddings need at least one model")
-    if kind not in ("conf", "corr"):
+    if kind not in EMBEDDINGS.values():
         raise SchemaError(f"unknown embedding kind {kind!r}")
     summaries = [tensors.summary(mid) for mid in tensors]
     if kind == "conf":
@@ -495,7 +500,7 @@ def save_subset(subset: AnchorSubset, path: str | Path,
     obj = subset_to_obj(subset)
     if provenance is not None:
         obj["provenance"] = provenance
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json_text(obj))
 
 
 def load_subset(path: str | Path) -> AnchorSubset:
@@ -520,8 +525,10 @@ def load_subset(path: str | Path) -> AnchorSubset:
             raise bad(key, "an integer")
     if obj["method"] not in METHODS:
         raise bad("method", f"one of {', '.join(METHODS)}")
-    if obj["criterion"] is not None and type(obj["criterion"]) is not str:
-        raise bad("criterion", "null or a string")
+    want = CRITERIA.get(obj["method"])
+    if obj["criterion"] != want:
+        raise bad("criterion", f"{'null' if want is None else repr(want)} "
+                               f"for method {obj['method']!r}")
     if weights is not None and (not isinstance(weights, list)
                                 or any(type(w) not in (int, float) for w in weights)):
         raise bad("weights", "null or a list of numbers")
@@ -533,8 +540,7 @@ def load_subset(path: str | Path) -> AnchorSubset:
     if w is not None and not np.isfinite(w).all():
         raise bad("weights", "finite")
     subset = AnchorSubset(indices=idx, method=obj["method"], seed=obj["seed"],
-                          weights=w, criterion=obj["criterion"],
-                          provenance=obj.get("provenance"))
+                          weights=w, provenance=obj.get("provenance"))
     if subset.k != obj["k"]:
         raise SchemaError(f"{path}: k={obj['k']} does not match {subset.k} indices")
     subset.validate()

@@ -7,6 +7,7 @@ order: all C class probabilities per anchor (``probs``), the one-hot argmax
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,38 +71,16 @@ def default_pca_dim(n_models: int, dim: int) -> int:
     return min(DEFAULT_PCA_CAP, n_models - 1, dim)
 
 
-def _check_matrix(x: np.ndarray, d: int | None) -> None:
-    if x.ndim != 2:
-        raise DimensionMismatch("signatures must form a 2-D matrix")
-    m, dim = x.shape
-    if m < 2:
-        raise TooFewModels(f"PCA needs at least 2 models, got {m}")
-    if d is not None and not 1 <= d <= min(m, dim):
-        raise DimensionMismatch(f"target dims {d} not in [1, {min(m, dim)}]")
-
-
-def _fit_centred(xc: np.ndarray, mean: np.ndarray, d: int | None) -> PcaProjection:
-    """The projection of the centred matrix ``xc``, whose column means
-    were ``mean``; see ``pca_fit``.  Warns at the caller's caller."""
-    m, dim = xc.shape
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
-    tol = max(m, dim) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int((s > tol).sum())
-    want = default_pca_dim(m, dim) if d is None else d
-    d_eff = min(want, max(rank, 1))
-    if d is not None and d_eff < d:
-        warnings.warn(
-            f"numeric rank {rank} < requested dims {d}; reducing to {d_eff}",
-            RankDeficiencyWarning, stacklevel=3)
-    components = vt[:d_eff]
-    flip = components[np.arange(d_eff), np.abs(components).argmax(axis=1)] < 0
-    components[flip] *= -1.0
-    variance = (s[:d_eff] ** 2) / (m - 1)
-    return PcaProjection(mean=mean, components=components, explained_variance=variance)
-
-
 def pca_fit(signatures: np.ndarray, d: int | None = None) -> PcaProjection:
-    """Principal directions of the mean-centered signature matrix.
+    """The projection that ``pca_fit_transform`` fits on a float64 copy of
+    the signatures, which are only read."""
+    return pca_fit_transform(np.array(signatures, dtype=np.float64), d)[0]
+
+
+def pca_fit_transform(matrix: np.ndarray, d: int | None = None
+                      ) -> tuple[PcaProjection, np.ndarray]:
+    """Principal directions of the mean-centered signature matrix, and the
+    projection of its rows, the floats ``pca_transform`` gives.
 
     Uses the singular value decomposition; keeps the top ``d`` right singular
     directions, reduced to the numeric rank when the data cannot support
@@ -109,24 +88,35 @@ def pca_fit(signatures: np.ndarray, d: int | None = None) -> PcaProjection:
     width (``default_pca_dim``) as an upper bound, reduced to the numeric
     rank without a warning.  Each component is sign-fixed so its
     largest-magnitude entry is positive, making fits reproducible.  The
-    signatures are only read.
+    float64 ``matrix`` is centred in place: it then holds the centred rows,
+    and no copy of it is made.
     """
-    x = np.asarray(signatures, dtype=np.float64)
-    _check_matrix(x, d)
-    mean = x.mean(axis=0)
-    return _fit_centred(x - mean, mean, d)
-
-
-def pca_fit_transform(matrix: np.ndarray, d: int | None = None
-                      ) -> tuple[PcaProjection, np.ndarray]:
-    """``pca_fit(matrix, d)`` and ``pca_transform`` of its rows, the same
-    floats, centring the float64 ``matrix`` in place: it then holds the
-    centred rows, and no copy of it is made."""
-    _check_matrix(matrix, d)
+    if matrix.ndim != 2:
+        raise DimensionMismatch("signatures must form a 2-D matrix")
+    m, dim = matrix.shape
+    if m < 2:
+        raise TooFewModels(f"PCA needs at least 2 models, got {m}")
+    if d is not None and not 1 <= d <= min(m, dim):
+        raise DimensionMismatch(f"target dims {d} not in [1, {min(m, dim)}]")
     mean = matrix.mean(axis=0)
     matrix -= mean
-    proj = _fit_centred(matrix, mean, d)
-    return proj, matrix @ proj.components.T
+    s, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
+    tol = max(m, dim) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    rank = int((s > tol).sum())
+    want = default_pca_dim(m, dim) if d is None else d
+    d_eff = min(want, max(rank, 1))
+    if d is not None and d_eff < d:
+        # attributed to the first caller outside this module (pca_fit's)
+        outside = 3 if sys._getframe(1).f_globals is globals() else 2
+        warnings.warn(
+            f"numeric rank {rank} < requested dims {d}; reducing to {d_eff}",
+            RankDeficiencyWarning, stacklevel=outside)
+    components = vt[:d_eff]
+    flip = components[np.arange(d_eff), np.abs(components).argmax(axis=1)] < 0
+    components[flip] *= -1.0
+    variance = (s[:d_eff] ** 2) / (m - 1)
+    proj = PcaProjection(mean=mean, components=components, explained_variance=variance)
+    return proj, matrix @ components.T
 
 
 def pca_transform(proj: PcaProjection, signature: np.ndarray) -> np.ndarray:

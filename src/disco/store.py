@@ -251,8 +251,13 @@ def _manifest_to_obj(manifest: BenchmarkManifest) -> dict:
     }
 
 
+def json_text(obj: object) -> str:
+    """The text of a JSON artifact: 2-space indents and a final newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def manifest_bytes(manifest: BenchmarkManifest) -> bytes:
-    return (json.dumps(_manifest_to_obj(manifest), indent=2) + "\n").encode()
+    return json_text(_manifest_to_obj(manifest)).encode()
 
 
 def _require(cond: bool, msg: str) -> None:

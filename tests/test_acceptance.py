@@ -126,8 +126,8 @@ def test_criterion_4_end_to_end_beats_baseline():
 def test_criterion_5_score_criteria_overlap(tmp_path):
     manifest, files = saved_population(*generate_population(SynthConfig(seed=0)), tmp_path)
     table = score_dataset(manifest, files)
-    by_pds = set(select_topk(table, 100, "pds_env").indices.tolist())
-    by_jsd = set(select_topk(table, 100, "jsd_bits").indices.tolist())
+    by_pds = set(select_topk(table, 100, "topk_pds").indices.tolist())
+    by_jsd = set(select_topk(table, 100, "topk_jsd").indices.tolist())
     overlap = len(by_pds & by_jsd) / 100.0
     _gate(5, "pds/jsd top-100 overlap", overlap >= 0.5, f"(overlap {overlap:.2f})")
 

@@ -833,6 +833,8 @@ class TestMalformedSubsetFields:
         ("weights", [0.2, 0.2, 10**400, 0.2, 0.2]),
         ("method", 3),
         ("criterion", ["pds_env"]),
+        ("criterion", "jsd_bits"),
+        ("criterion", None),
         ("method", "bogus"),
     ])
     def test_fit_rejects(self, artifacts, tmp_path, field, value):

@@ -33,7 +33,7 @@ from disco.harness import (
 )
 from disco.files import TensorFiles
 from disco.predictors import ForestConfig, PredictorModel
-from disco.selection import AnchorSubset
+from disco.selection import METHODS, AnchorSubset, subset_to_obj
 from disco.synth import SynthConfig, generate_population
 
 from conftest import make_manifest, saved_population
@@ -356,6 +356,17 @@ class TestRunPipeline:
             fit_predictor(TensorFiles(manifest, split.source_ids), subset,
                           PredictorConfig(kind="weighted_sum"), seed=0)
         assert opened == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_selector_names_itself_and_its_criterion(self, population, method):
+        manifest, files = population
+        split = split_models(manifest, ChronologicalSplit(median_date_cutoff(manifest)))
+        subset = select_anchors(SharedSources(files, split.source_ids,
+                                              methods=(method,)), method, 6, 0)
+        assert subset.method == method
+        want = {"topk_pds": "pds_env", "stratified_topk": "pds_env",
+                "topk_jsd": "jsd_bits"}.get(method)
+        assert subset_to_obj(subset)["criterion"] == want
 
     def test_report_serialization(self, population, tmp_path):
         manifest, files = population

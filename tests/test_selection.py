@@ -19,6 +19,7 @@ from disco.errors import (
 )
 from disco.scoring import ScoreTable
 from disco.selection import (
+    AnchorSubset,
     build_embeddings,
     distance_matrix,
     kmedoids_with_trace,
@@ -92,9 +93,15 @@ class TestTopK:
         # pds_env and pds_eq1 differ by a positive constant factor
         scores = rng.random(40)
         t = table_from_scores(scores)
-        by_env = select_topk(t, 11, "pds_env")
-        by_eq1 = select_topk(t, 11, "pds_eq1")
+        by_env = select_topk(t, 11)
+        by_eq1 = select_topk(table_from_scores(t.pds_eq1), 11)
         assert by_env.indices.tolist() == by_eq1.indices.tolist()
+
+
+def test_criterion_follows_the_method():
+    assert AnchorSubset(np.arange(3), "topk_jsd", 0).criterion == "jsd_bits"
+    assert AnchorSubset(np.arange(3), "topk_pds", 0).criterion == "pds_env"
+    assert AnchorSubset(np.arange(3), "kmedoids_conf", 0).criterion is None
 
 
 class TestStratified:

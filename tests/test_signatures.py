@@ -195,6 +195,14 @@ class TestPcaFitTransform:
         pca_fit(x, 4)
         assert x.tobytes() == before
 
+    @pytest.mark.parametrize("fit", [pca_fit, lambda x, d: pca_fit_transform(x, d)[0]],
+                             ids=["pca_fit", "pca_fit_transform"])
+    def test_rank_warning_names_the_caller(self, rng, fit):
+        x = rng.standard_normal(12)[:, None] * np.array([1.0, 2.0, -1.0])
+        with pytest.warns(RankDeficiencyWarning) as record:
+            fit(x, 3)
+        assert [w.filename for w in record] == [__file__]
+
     def test_errors(self, rng):
         with pytest.raises(TooFewModels):
             pca_fit_transform(rng.standard_normal((1, 5)), 1)

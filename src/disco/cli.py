@@ -83,20 +83,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-try:  # the interpreter's own SHA-256; hashlib would load OpenSSL for it
-    from _sha2 import sha256 as _new_sha256      # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
-    except ImportError:
-        from hashlib import sha256 as _new_sha256
-
 _HASH_CHUNK = 1 << 16
 
 
 def _sha256(path: Path) -> str:
     """Hex SHA-256 of the file at ``path``, read in fixed-size chunks."""
-    digest = _new_sha256()
+    import hashlib  # here, not at the top: under main's rule it loads no OpenSSL
+    digest = hashlib.sha256()
     chunk = memoryview(bytearray(_HASH_CHUNK))
     with open(path, "rb", buffering=0) as f:
         while got := f.readinto(chunk):
@@ -519,6 +512,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No command needs OpenSSL's binding (3.5 MB of RSS); refused, hashlib and the
+    # hmac numpy.random imports use built-in digests. An already loaded one stays.
+    sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra:  # reported with the chosen subcommand's usage, not the top level's

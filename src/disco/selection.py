@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BudgetExceedsDataset,
     InsufficientModels,
+    InvalidConfig,
     InvariantViolation,
     SchemaError,
     ShapeMismatch,
@@ -24,9 +25,10 @@ from .files import TensorFiles
 from .scoring import ScoreTable
 from .store import json_text, read_json_object
 
-# The score column each score-ranking selector ranks by, and the embedding
-# kind each k-medoids selector clusters.
-CRITERIA = {"topk_pds": "pds_env", "topk_jsd": "jsd_bits", "stratified_topk": "pds_env"}
+# The score column each score-ranking selector ranks by, the plain top-k ones
+# first, and the embedding kind each k-medoids selector clusters.
+TOPK_CRITERIA = {"topk_pds": "pds_env", "topk_jsd": "jsd_bits"}
+CRITERIA = {**TOPK_CRITERIA, "stratified_topk": "pds_env"}
 EMBEDDINGS = {"kmedoids_conf": "conf", "kmedoids_corr": "corr"}
 # The selectors that rank the source models' score table, those that read
 # their per-sample summaries, and all selectors.
@@ -90,8 +92,10 @@ def select_topk(scores: ScoreTable, k: int, method: str = "topk_pds",
                 seed: int = 0) -> AnchorSubset:
     """The k samples with the largest value in the score column that the
     top-k selector ``method`` ranks by."""
+    if method not in TOPK_CRITERIA:
+        raise InvalidConfig(f"{method!r} is not a plain top-k selector")
     _check_budget(len(scores), k)
-    idx = np.sort(_rank_by(getattr(scores, CRITERIA[method]))[:k])
+    idx = np.sort(_rank_by(getattr(scores, TOPK_CRITERIA[method]))[:k])
     return AnchorSubset(indices=idx.astype(np.int64), method=method, seed=seed)
 
 

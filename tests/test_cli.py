@@ -32,7 +32,7 @@ from disco.harness import (
     split_models,
 )
 from disco.scoring import score_dataset, write_scores_csv
-from disco.selection import METHODS
+from disco.selection import METHODS, SCORE_METHODS
 from disco.store import load_manifest, load_tensor
 
 
@@ -743,12 +743,11 @@ def test_sha256_equals_hashlib(tmp_path, size):
 
 
 def test_commands_that_draw_no_random_number_load_no_openssl(synth_dir, tmp_path):
-    # hashlib's OpenSSL module costs a process about 3.6 MB of RSS; only
-    # numpy.random should bring it in
+    # hashlib's OpenSSL module costs a process about 3.6 MB of RSS
     probe = ("import sys\n"
              "from disco.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print('_hashlib' in sys.modules)\n"
+             "print(sys.modules.get('_hashlib') is not None)\n"
              "sys.exit(code)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
     manifest = synth_dir / "data" / "manifest.json"
@@ -765,6 +764,52 @@ def test_commands_that_draw_no_random_number_load_no_openssl(synth_dir, tmp_path
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False", argv[0]
+
+
+# Each command, and whether it draws random numbers (so imports numpy.random).
+# {work} holds the artifacts fixture's scores, subset and model.
+CHAIN = ("--manifest", "{manifest}", "--cutoff", "median")
+EVERY_COMMAND = {
+    "validate": (("validate", "{manifest}"), False),
+    "score": (("score", *CHAIN, "--out", "{out}"), False),
+    **{f"select-{method}": (("select", *CHAIN, "--method", method, "--k", 10,
+                             "--scores", "{work}/scores.csv", "--out", "{out}"),
+                            method not in SCORE_METHODS) for method in METHODS},
+    **{f"fit-{kind}": (("fit", *CHAIN, "--subset", "{work}/subset.json", "--predictor", kind,
+                        "--trees", 5, "--out", "{out}"), kind == "random_forest")
+       for kind in ("knn", "random_forest")},
+    "predict": (("predict", *CHAIN, "--model", "{work}/model.bin",
+                 "--subset", "{work}/subset.json", "--out", "{out}"), False),
+    "evaluate-random_forest": (("evaluate", *CHAIN, "--predictor", "random_forest",
+                                "--trees", 5, "--k", 10, "--out", "{out}"), True),
+    "sweep": (("sweep", *CHAIN, "--configs", "topk_pds:knn,kmedoids_conf:knn",
+               "--budgets", 5, "--seeds", 0, "--out", "{out}"), True),
+    "synth": (("synth", "--models-count", 6, "--samples", 40, "--classes", 3,
+               "--out", "{out}"), True),
+}
+
+
+@pytest.mark.parametrize("argv, draws", EVERY_COMMAND.values(), ids=EVERY_COMMAND)
+def test_no_command_loads_openssl(artifacts, tmp_path, argv, draws):
+    # the entry point refuses OpenSSL's binding (about 3.5 MB of RSS), so
+    # numpy.random's import of hmac maps no libcrypto either
+    probe = ("import os, sys\n"
+             "from disco.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "maps = '/proc/self/maps'\n"
+             "print(sys.modules.get('_hashlib') is None,\n"
+             "      os.path.exists(maps) and 'libcrypto' in open(maps).read(),\n"
+             "      'numpy.random' in sys.modules)\n"
+             "sys.exit(code)\n")
+    work, manifest = artifacts
+    argv = [str(a).format(work=work, manifest=manifest, out=tmp_path / "out") for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(disco.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    refused, mapped, drew = proc.stdout.splitlines()[-1].split()
+    assert (refused, mapped) == ("True", "False")
+    assert drew == "True" or not draws, "the command drew no random number"
 
 
 class TestUnwritableOutput:

@@ -13,6 +13,7 @@ from disco import selection
 from disco.errors import (
     BudgetExceedsDataset,
     InsufficientModels,
+    InvalidConfig,
     InvariantViolation,
     SchemaError,
     ShapeMismatch,
@@ -96,6 +97,18 @@ class TestTopK:
         by_env = select_topk(t, 11)
         by_eq1 = select_topk(table_from_scores(t.pds_eq1), 11)
         assert by_env.indices.tolist() == by_eq1.indices.tolist()
+
+    def test_each_plain_selector_ranks_its_column(self):
+        table = table_from_scores([0.2, 0.9, 0.4, 0.7])
+        table.jsd_bits = np.array([0.8, 0.1, 0.6, 0.3])
+        assert select_topk(table, 2, "topk_pds").indices.tolist() == [1, 3]
+        assert select_topk(table, 2, "topk_jsd").indices.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("method", ["stratified_topk", "random", "no_such_method"])
+    def test_other_selectors_are_refused(self, method):
+        # stratified top-k has its own selector, with per-tag quotas
+        with pytest.raises(InvalidConfig):
+            select_topk(table_from_scores([0.1, 0.9, 0.5, 0.7]), 2, method)
 
 
 def test_criterion_follows_the_method():
